@@ -3,11 +3,12 @@
 Parkinson and bridge statistics come from 1D adaptive quadrature of their
 exact densities.  The Garman-Klass mean reduces to 2D quadratures of the
 (high, close) and (range, close) joint densities; the Rogers-Satchell mean
-is a 3D quadrature of the (high, low, close) density (adaptive in the
-close, tensor Gauss-Legendre in the extremes).  Variances of Garman-Klass
-and Rogers-Satchell would need the same 3D machinery squared, so they are
-delegated to a fixed-seed Monte Carlo oracle with a reported standard
-error, which is cheaper at equal accuracy.
+to 2D quadratures of the closed-form (high, close) density alone, with the
+minimum's share taken from the maximum at the flipped drift.  Variances of
+Garman-Klass and Rogers-Satchell need E[h l] moments of the (high, low,
+close) density, a 3D quadrature, so they are delegated to a fixed-seed
+Monte Carlo oracle with a reported standard error, which is cheaper at
+equal accuracy.
 
 Quadratures use scipy's adaptive Gauss-Kronrod integrator at 1e-10
 absolute tolerance, with Gaussian-tailed supports truncated where the
@@ -224,31 +225,20 @@ def garman_klass_mean(
     return GK_K1 * e_d2 - GK_K2 * cross - GK_K3 * e_c2
 
 
-def rogers_satchell_mean(
-    gamma: float = 0.0, cfg: SeriesConfig | None = None, n_gl: int = 80, span: float = 8.0
-) -> float:
-    """Mean of the canonical Rogers-Satchell estimator.
+def rogers_satchell_mean(gamma: float = 0.0) -> float:
+    """Mean of the canonical Rogers-Satchell estimator by 2D quadrature.
 
-    3D quadrature of h(h-c) + l(l-c) against the (high, low, close) joint
-    density: adaptive in the close, tensor Gauss-Legendre over the extremes.
-    Equals 1 for every drift (the estimator's defining property), which the
-    test suite uses as the accuracy gauge.
+    E[h(h-c)] from the closed-form (high, close) density, plus E[l(l-c)],
+    which is the same moment at drift -gamma: the minimum is minus the
+    maximum of the reflected path, whose close is -c.  Equals 1 for every
+    drift (the estimator's defining property), which the test suite uses as
+    the accuracy gauge.
     """
-    cfg = _cfg(cfg)
 
-    def inner(chi: float) -> float:
-        e0 = max(0.0, chi)
-        l0 = min(0.0, chi)
-        eta, we = _gl_nodes(e0, e0 + span, n_gl)
-        ell, wl = _gl_nodes(l0 - span, l0, n_gl)
-        e = eta[:, None]
-        l = ell[None, :]
-        series, _ = densities._hlc_series_grid(e, l, chi, cfg)
-        g = e * (e - chi) + l * (l - chi)
-        return float(np.einsum("i,j,ij->", we, wl, series * g)) * densities.close_pdf(chi, gamma)
+    def weight(e, c):
+        return e * (e - c)
 
-    val, _ = integrate.quad(inner, gamma - span, gamma + span, limit=80, epsabs=1e-8, epsrel=1e-8)
-    return val
+    return _high_close_moment(weight, gamma) + _high_close_moment(weight, -gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +296,7 @@ def theoretical_moments(
         if kind is EstimatorKind.GARMAN_KLASS:
             mean = garman_klass_mean(gamma, cfg, gk_variant)
         else:
-            mean = rogers_satchell_mean(gamma, cfg)
+            mean = rogers_satchell_mean(gamma)
         var, var_se = _oracle_variance(
             kind, gamma, gk_variant, oracle_paths, oracle_steps, oracle_seed
         )

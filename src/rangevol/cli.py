@@ -449,7 +449,7 @@ def cmd_tables(args, parser, argv) -> int:
                                      value, "quadrature", None]
                                 )
                         else:
-                            value = analytics.rogers_satchell_mean(gamma, cfg)
+                            value = analytics.rogers_satchell_mean(gamma)
                             rows.append([label_of(kind), gamma, value, "quadrature", None])
                     else:
                         cell = mc.cell(label_of(kind), gamma)

@@ -10,7 +10,11 @@ exp(-2 m^2 delta^2), plus Gaussian prefactors.
 Truncation policy: image shells (+m, -m) are summed outward from m = 1
 until the absolute shell contribution stays below ``abs_tol`` for
 ``min_terms`` consecutive shells; reaching ``max_terms`` first raises
-:class:`NonConvergenceError`.  The series converge slowly as the range
+:class:`NonConvergenceError`.  On a grid the rule looks at the largest
+shell contribution over all points, and a point stops being evaluated once
+its exponents underflow (exp is exactly 0 below -745.14), since its later
+terms are exactly 0; the sums and shell counts are those of evaluating
+every shell at every point.  The series converge slowly as the range
 argument goes to 0 while the true density vanishes faster than any power,
 so arguments below ``small_arg_floor`` return 0 with ``converged=False``
 instead of burning shells on catastrophic cancellation.  All probability
@@ -125,6 +129,74 @@ def _sum_shells(shell, cfg: SeriesConfig, context: str) -> tuple[float, int]:
     )
 
 
+# exp(x) is exactly 0.0 in float64 for every x below this.
+_UNDERFLOW = -745.14
+
+
+def _image_series(shell, mask, cols, cfg: SeriesConfig, context: str) -> tuple[np.ndarray, int]:
+    """Sum shell(m, *cols) for m = 1, 2, ... over the grid points where mask holds.
+
+    The quiet-run rule of :func:`_sum_shells` applies to max|shell| over the
+    grid; points off the mask are 0.  ``shell`` returns the shell's terms and,
+    per point, the largest exponent it passed to exp.  Each kernel's exponents
+    fall monotonically in m on its support, so once that exponent underflows
+    every later term of the point is exactly 0: the point retires with its
+    sum final and drops out of the evaluation.  When every point has retired,
+    the zero shells that complete the quiet run are counted, not evaluated.
+    """
+    total = np.zeros(mask.shape)
+    if not mask.any():
+        return total, 0
+    live = np.flatnonzero(mask)
+    cols = [c[mask] for c in cols]
+    acc = np.zeros(live.size)
+    quiet = 0
+    for m in range(1, cfg.max_terms + 1):
+        t, top = shell(m, *cols)
+        acc += t
+        if np.max(np.abs(t)) < cfg.abs_tol:
+            quiet += 1
+            if quiet >= cfg.min_terms:
+                total.flat[live] = acc
+                return total, m
+        else:
+            quiet = 0
+        done = top < _UNDERFLOW
+        if done.any():
+            total.flat[live[done]] = acc[done]
+            keep = ~done
+            live, acc = live[keep], acc[keep]
+            cols = [c[keep] for c in cols]
+            if live.size == 0:
+                m += cfg.min_terms - quiet
+                if m <= cfg.max_terms:
+                    return total, m
+                break
+    raise NonConvergenceError(
+        f"{context}: no convergence after {cfg.max_terms} shells (abs_tol={cfg.abs_tol})"
+    )
+
+
+def _reflection_shell(kernel):
+    """Shell m of sum over mm = +-m of mm * (mm K(mm d) + (1 - mm) K(mm d + l)).
+
+    ``kernel(u)`` returns K(u) and the exponent it passed to exp; the shell
+    takes (m, d, l) and returns its terms and their largest exponent.
+    """
+
+    def shell(m, d, l):
+        t = 0.0
+        top = -np.inf
+        for mm in (m, -m):
+            k1, x1 = kernel(mm * d)
+            k2, x2 = kernel(mm * d + l)
+            t = t + mm * (mm * k1 + (1 - mm) * k2)
+            top = np.maximum(top, np.maximum(x1, x2))
+        return t, top
+
+    return shell
+
+
 # ---------------------------------------------------------------------------
 # Close and high
 # ---------------------------------------------------------------------------
@@ -156,17 +228,17 @@ def high_pdf(
     eta: float,
     gamma: float,
     cfg: SeriesConfig | None = None,
-    erfc_arg_scale: str = "half",
+    erfc_arg_scale: str = "sqrt2",
 ) -> DensityValue:
     """Density of the high, support eta > 0.
 
     ``erfc_arg_scale`` selects the divisor in the drift correction term
-    gamma * exp(2*gamma*eta) * erfc((eta + gamma) / divisor): ``"half"``
-    divides by 2 (the default), ``"sqrt2"`` by sqrt(2).  Only the sqrt(2)
+    gamma * exp(2*gamma*eta) * erfc((eta + gamma) / divisor): ``"sqrt2"``
+    divides by sqrt(2) (the default), ``"half"`` by 2.  Only the sqrt(2)
     form agrees with the marginal of :func:`high_close_joint_pdf` and with
     simulation at nonzero drift; the two coincide at gamma = 0.  The
-    comparison is recorded by ``rangevol.validation``, not silently folded
-    into the default.
+    refuted ``"half"`` form, which goes negative at nonzero drift, stays
+    selectable for the comparison that ``rangevol.validation`` records.
     """
     cfg = _cfg(cfg)
     if eta <= 0.0:
@@ -194,42 +266,17 @@ def _hlc_series_grid(eta, ell, chi: float, cfg: SeriesConfig) -> tuple[np.ndarra
     double integral over (eta, ell) must be 1 for every chi; see
     ``rangevol.validation``).  Returns (values, shells_used).
     """
-    eta = np.asarray(eta, dtype=float)
-    ell = np.asarray(ell, dtype=float)
-    shape = np.broadcast_shapes(eta.shape, ell.shape)
-    eta, ell = np.broadcast_to(eta, shape), np.broadcast_to(ell, shape)
+    eta, ell = np.broadcast_arrays(np.asarray(eta, dtype=float), np.asarray(ell, dtype=float))
     mask = (eta > max(0.0, chi)) & (ell < min(0.0, chi)) & (eta - ell >= cfg.small_arg_floor)
-    total = np.zeros(shape)
-    if not mask.any():
-        return total, 0
-    e = eta[mask]
-    l = ell[mask]
-    d = e - l
 
     def kernel(u):
-        return ((chi - 2.0 * u) ** 2 - 1.0) * np.exp(2.0 * u * (chi - u))
+        x = 2.0 * u * (chi - u)
+        return ((chi - 2.0 * u) ** 2 - 1.0) * np.exp(x), x
 
-    acc = np.zeros_like(d)
-    quiet = 0
-    shells = 0
-    for m in range(1, cfg.max_terms + 1):
-        t = np.zeros_like(d)
-        for mm in (m, -m):
-            t += mm * (mm * kernel(mm * d) + (1 - mm) * kernel(mm * d + l))
-        acc += t
-        shells = m
-        if np.max(np.abs(t)) < cfg.abs_tol:
-            quiet += 1
-            if quiet >= cfg.min_terms:
-                break
-        else:
-            quiet = 0
-    else:
-        raise NonConvergenceError(
-            f"(h,l,c) joint density: no convergence after {cfg.max_terms} shells"
-        )
-    total[mask] = 4.0 * acc
-    return total, shells
+    total, shells = _image_series(
+        _reflection_shell(kernel), mask, (eta - ell, ell), cfg, "(h,l,c) joint density"
+    )
+    return 4.0 * total, shells
 
 
 def hlc_joint_pdf(
@@ -258,40 +305,25 @@ def _range_close_series_grid(delta, abs_chi, cfg: SeriesConfig) -> tuple[np.ndar
     included, the Gaussian close density is not.  Used by the moment
     quadratures; point evaluations go through :func:`range_close_joint_pdf`.
     """
-    delta = np.asarray(delta, dtype=float)
-    abs_chi = np.asarray(abs_chi, dtype=float)
-    shape = np.broadcast_shapes(delta.shape, abs_chi.shape)
-    delta, abs_chi = np.broadcast_to(delta, shape), np.broadcast_to(abs_chi, shape)
+    delta, abs_chi = np.broadcast_arrays(
+        np.asarray(delta, dtype=float), np.asarray(abs_chi, dtype=float)
+    )
     mask = (delta > abs_chi) & (delta >= cfg.small_arg_floor)
-    total = np.zeros(shape)
-    if not mask.any():
-        return total, 0
-    d = delta[mask]
-    a = abs_chi[mask]
-    acc = np.zeros_like(d)
-    quiet = 0
-    shells = 0
-    for m in range(1, cfg.max_terms + 1):
-        t = np.zeros_like(d)
+
+    def shell(m, d, a):
+        t = 0.0
+        top = -np.inf
         for mm in (m, -m):
             u = a + 2.0 * mm * d
-            t += mm * (mm * (d - a) * (u * u - 1.0) - (mm + 1) * u) * np.exp(
-                -2.0 * mm * d * (a + mm * d)
-            )
-        acc += t
-        shells = m
-        if np.max(np.abs(t)) < cfg.abs_tol:
-            quiet += 1
-            if quiet >= cfg.min_terms:
-                break
-        else:
-            quiet = 0
-    else:
-        raise NonConvergenceError(
-            f"(range, close) joint density: no convergence after {cfg.max_terms} shells"
-        )
-    total[mask] = 4.0 * acc
-    return total, shells
+            x = -2.0 * mm * d * (a + mm * d)
+            t = t + mm * (mm * (d - a) * (u * u - 1.0) - (mm + 1) * u) * np.exp(x)
+            top = np.maximum(top, x)
+        return t, top
+
+    total, shells = _image_series(
+        shell, mask, (delta, abs_chi), cfg, "(range, close) joint density"
+    )
+    return 4.0 * total, shells
 
 
 def _range_close_shell(m: int, delta: float, abs_chi: float) -> float:
@@ -403,42 +435,16 @@ def range_pdf(delta: float, gamma: float = 0.0, cfg: SeriesConfig | None = None)
 
 def _bridge_hl_series_grid(eta, ell, cfg: SeriesConfig) -> tuple[np.ndarray, int]:
     """Joint density of the bridge (high, low), vectorized over grids."""
-    eta = np.asarray(eta, dtype=float)
-    ell = np.asarray(ell, dtype=float)
-    shape = np.broadcast_shapes(eta.shape, ell.shape)
-    eta, ell = np.broadcast_to(eta, shape), np.broadcast_to(ell, shape)
+    eta, ell = np.broadcast_arrays(np.asarray(eta, dtype=float), np.asarray(ell, dtype=float))
     mask = (eta > 0.0) & (ell < 0.0) & (eta - ell >= cfg.small_arg_floor)
-    total = np.zeros(shape)
-    if not mask.any():
-        return total, 0
-    e = eta[mask]
-    l = ell[mask]
-    d = e - l
 
     def kernel(u):
-        return 4.0 * (4.0 * u * u - 1.0) * np.exp(-2.0 * u * u)
+        x = -2.0 * u * u
+        return 4.0 * (4.0 * u * u - 1.0) * np.exp(x), x
 
-    acc = np.zeros_like(d)
-    quiet = 0
-    shells = 0
-    for m in range(1, cfg.max_terms + 1):
-        t = np.zeros_like(d)
-        for mm in (m, -m):
-            t += mm * (mm * kernel(mm * d) + (1 - mm) * kernel(mm * d + l))
-        acc += t
-        shells = m
-        if np.max(np.abs(t)) < cfg.abs_tol:
-            quiet += 1
-            if quiet >= cfg.min_terms:
-                break
-        else:
-            quiet = 0
-    else:
-        raise NonConvergenceError(
-            f"bridge (high, low) density: no convergence after {cfg.max_terms} shells"
-        )
-    total[mask] = acc
-    return total, shells
+    return _image_series(
+        _reflection_shell(kernel), mask, (eta - ell, ell), cfg, "bridge (high, low) density"
+    )
 
 
 def bridge_hl_joint_pdf(

@@ -92,8 +92,8 @@ def test_garman_klass_means_match_closed_forms():
 
 
 def test_rogers_satchell_mean_is_unit_for_all_drifts():
-    for gamma in (0.0, 1.0, 2.0):
-        assert abs(rogers_satchell_mean(gamma) - 1.0) < 1e-5
+    for gamma in (-1.5, 0.0, 1.0, 2.0, 3.0):
+        assert abs(rogers_satchell_mean(gamma) - 1.0) < 1e-10
 
 
 def test_gk_report_uses_oracle_variance():

@@ -209,6 +209,14 @@ def test_density_parkinson_shifts_right_with_drift(tmp_path):
     assert curves["1"] > curves["0"] + 0.3
 
 
+def test_density_high_pdf_nonnegative_under_drift(tmp_path):
+    out = tmp_path / "h.csv"
+    assert run_cli("density", "high-pdf", "--gamma", "1", "--out", str(out)) == 0
+    _, rows = read_table(out)
+    assert len(rows) == 600
+    assert all(float(r[1]) >= 0.0 for r in rows)
+
+
 def test_density_below_floor_rows_empty_value(tmp_path):
     out = tmp_path / "d.csv"
     assert run_cli("density", "range-pdf", "--x-min", "0.001", "--x-max", "0.01",

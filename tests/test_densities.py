@@ -10,6 +10,7 @@ from rangevol import (
     DensityValue,
     NonConvergenceError,
     SeriesConfig,
+    analytics,
     bridge_estimator_pdf,
     bridge_hl_joint_pdf,
     bridge_range_pdf,
@@ -152,6 +153,34 @@ def test_hlc_scalar_matches_grid():
     assert hlc_joint_pdf(1.0, -1.0, 0.3, 0.0).value == pytest.approx(
         float(series[0]) * close_pdf(0.3, 0.0), rel=1e-12
     )
+
+
+def _rogers_satchell_mean_3d(gamma):
+    """E[h(h-c) + l(l-c)] by 3D quadrature of the (high, low, close) series.
+
+    Adaptive in the close, 80 x 80 Gauss-Legendre over extremes within 8 of
+    their bound; an independent route to the Rogers-Satchell mean, which is
+    1 at any drift.
+    """
+    cfg = densities.DEFAULT_SERIES_CONFIG
+    x, w = np.polynomial.legendre.leggauss(80)
+    span = 8.0
+    half = span / 2
+
+    def inner(chi):
+        e = (max(0.0, chi) + (x + 1) * half)[:, None]
+        l = (min(0.0, chi) - (x + 1) * half)[None, :]
+        series, _ = densities._hlc_series_grid(e, l, chi, cfg)
+        g = e * (e - chi) + l * (l - chi)
+        return float(np.einsum("i,j,ij->", w, w, series * g)) * half * half * close_pdf(chi, gamma)
+
+    val, _ = integrate.quad(inner, gamma - span, gamma + span, limit=80, epsabs=1e-8, epsrel=1e-8)
+    return val
+
+
+@pytest.mark.parametrize("gamma", [0.0, 2.0])
+def test_hlc_series_gives_unit_rogers_satchell_mean(gamma):
+    assert abs(_rogers_satchell_mean_3d(gamma) - 1.0) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +327,124 @@ def test_bridge_range_small_argument_policy():
     assert below.value == 0.0 and not below.converged
     near = [bridge_range_pdf(float(d)).value for d in np.linspace(0.02, 0.3, 50)]
     assert min(near) >= 0.0  # cancellation junk is clamped, never negative
+
+
+# ---------------------------------------------------------------------------
+# image-series grid engine against a plain loop
+# ---------------------------------------------------------------------------
+
+def _reference_series(shell, mask, factor, cfg):
+    """Every shell at every masked point until the quiet run.
+
+    Returns (factor * sum on the mask and 0 off it, shells, max|t| per shell).
+    """
+    acc = 0.0
+    quiet = 0
+    peaks = []
+    for m in range(1, cfg.max_terms + 1):
+        t = shell(m)
+        acc = acc + t
+        peaks.append(float(np.max(np.abs(t))))
+        if peaks[-1] < cfg.abs_tol:
+            quiet += 1
+            if quiet >= cfg.min_terms:
+                total = np.zeros(mask.shape)
+                total[mask] = factor * acc
+                return total, m, peaks
+        else:
+            quiet = 0
+    raise NonConvergenceError("reference loop did not converge")
+
+
+def _reference_reflection(kernel, eta, ell, mask, factor, cfg):
+    e = eta[mask]
+    l = ell[mask]
+    d = e - l
+
+    def shell(m):
+        t = np.zeros_like(d)
+        for mm in (m, -m):
+            t += mm * (mm * kernel(mm * d) + (1 - mm) * kernel(mm * d + l))
+        return t
+
+    return _reference_series(shell, mask, factor, cfg)
+
+
+def _reference_hlc(eta, ell, chi, cfg):
+    eta, ell = np.broadcast_arrays(eta, ell)
+    mask = (eta > max(0.0, chi)) & (ell < min(0.0, chi)) & (eta - ell >= cfg.small_arg_floor)
+
+    def kernel(u):
+        return ((chi - 2.0 * u) ** 2 - 1.0) * np.exp(2.0 * u * (chi - u))
+
+    return _reference_reflection(kernel, eta, ell, mask, 4.0, cfg)
+
+
+def _reference_bridge_hl(eta, ell, cfg):
+    eta, ell = np.broadcast_arrays(eta, ell)
+    mask = (eta > 0.0) & (ell < 0.0) & (eta - ell >= cfg.small_arg_floor)
+
+    def kernel(u):
+        return 4.0 * (4.0 * u * u - 1.0) * np.exp(-2.0 * u * u)
+
+    return _reference_reflection(kernel, eta, ell, mask, 1.0, cfg)
+
+
+def _reference_range_close(delta, abs_chi, cfg):
+    delta, abs_chi = np.broadcast_arrays(delta, abs_chi)
+    mask = (delta > abs_chi) & (delta >= cfg.small_arg_floor)
+    d = delta[mask]
+    a = abs_chi[mask]
+
+    def shell(m):
+        t = np.zeros_like(d)
+        for mm in (m, -m):
+            u = a + 2.0 * mm * d
+            t += mm * (mm * (d - a) * (u * u - 1.0) - (mm + 1) * u) * np.exp(
+                -2.0 * mm * d * (a + mm * d)
+            )
+        return t
+
+    return _reference_series(shell, mask, 4.0, cfg)
+
+
+def _series_cases():
+    cfg = densities.DEFAULT_SERIES_CONFIG
+    cases = []
+    for gamma in (0.0, 2.0):  # the Garman-Klass (range, close) grid
+        delta, _ = analytics._gl_nodes(cfg.small_arg_floor, analytics._range_cut(gamma), 120)
+        u, _ = analytics._gl_nodes(0.0, 1.0, 120)
+        args = (delta[:, None], delta[:, None] * u[None, :])
+        cases.append((f"range-close-{gamma}", densities._range_close_series_grid, _reference_range_close, args))
+    x, _ = np.polynomial.legendre.leggauss(80)
+    for chi in (0.0, 0.0174, -0.0174, 1.0):
+        e = max(0.0, chi) + (x + 1) * 4.0
+        l = min(0.0, chi) - (x + 1) * 4.0
+        args = (e[:, None], l[None, :], chi)
+        cases.append((f"hlc-{chi}", densities._hlc_series_grid, _reference_hlc, args))
+    for lo, hi in ((0.0, 3.0), (3.0, 6.0)):
+        e = lo + (x + 1) * (hi - lo) / 2
+        args = (e[:, None], -e[None, :])
+        cases.append((f"bridge-{lo}-{hi}", densities._bridge_hl_series_grid, _reference_bridge_hl, args))
+    return cases
+
+
+_SERIES_CASES = _series_cases()
+
+
+@pytest.mark.parametrize(
+    "name,grid,reference,args", _SERIES_CASES, ids=[case[0] for case in _SERIES_CASES]
+)
+def test_series_grid_bit_identical_to_plain_loop(name, grid, reference, args):
+    cfg = densities.DEFAULT_SERIES_CONFIG
+    values, shells = grid(*args, cfg)
+    expect, expect_shells, peaks = reference(*args, cfg)
+    assert np.array_equal(values, expect)
+    assert shells == expect_shells
+    if name == "bridge-3.0-6.0":
+        # every point has retired before the quiet run ends: the engine
+        # counts the last shell without evaluating it
+        assert peaks[-2:] == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
