@@ -17,15 +17,8 @@ import numpy as np
 
 from . import __version__, analytics, densities, montecarlo
 from .densities import NonConvergenceError, SeriesConfig
-from .estimators import (
-    EstimatorKind,
-    GarmanKlassVariant,
-    bridge_value,
-    garman_klass_value,
-    parkinson_value,
-    rogers_satchell_value,
-)
-from .paths import bar_from_samples
+from .estimators import EstimatorKind, GarmanKlassVariant, estimator_value
+from .paths import bar_from_samples, batch_paths
 
 _KIND_NAMES = {
     "parkinson": EstimatorKind.PARKINSON,
@@ -149,6 +142,8 @@ def _estimate_ticks(args, kinds, argv):
     t, p = _load_ticks(args.input)
     if t.size < 2:
         raise _CliError("need at least two ticks")
+    if not (np.isfinite(t).all() and np.isfinite(p).all()):
+        raise _CliError(f"{args.input}: tick timestamps and prices must be finite")
     if np.any(np.diff(t) < 0):
         raise _CliError("tick timestamps must be non-decreasing")
     window = args.window if args.window is not None else float(t[-1] - t[0])
@@ -170,25 +165,22 @@ def _estimate_ticks(args, kinds, argv):
         bar, bridge = bar_from_samples(
             np.column_stack([t[i:j], p[i:j]]), (lo, hi), log_input=args.log_prices
         )
-        row, warn = [w, bar.high, bar.low, bar.close], []
-        for kind, label in zip(kinds, labels):
-            value = _estimate_value(kind, bar, bridge, variant)
-            if value < 0.0:
-                warn.append(f"{label}<0")
-            row.append(value)
-        row.append("|".join(warn))
-        rows.append(row)
+        rows.append(_estimate_row(
+            w, kinds, labels, variant, bar.high, bar.low, bar.close, bridge.xi, bridge.zeta
+        ))
     return header, rows
 
 
-def _estimate_value(kind, bar, bridge, variant) -> float:
-    if kind is EstimatorKind.PARKINSON:
-        return float(parkinson_value(bar.high, bar.low))
-    if kind is EstimatorKind.GARMAN_KLASS:
-        return float(garman_klass_value(bar.high, bar.low, bar.close, variant))
-    if kind is EstimatorKind.ROGERS_SATCHELL:
-        return float(rogers_satchell_value(bar.high, bar.low, bar.close))
-    return float(bridge_value(bridge.xi, bridge.zeta))
+def _estimate_row(window, kinds, labels, variant, high, low, close, xi=None, zeta=None):
+    """One output row: the window, its (high, low, close), estimates and warnings."""
+    row, warn = [window, high, low, close], []
+    for kind, label in zip(kinds, labels):
+        value = float(estimator_value(kind, high, low, close, xi, zeta, variant))
+        if value < 0.0:
+            warn.append(f"{label}<0")
+        row.append(value)
+    row.append("|".join(warn))
+    return row
 
 
 def _estimate_ohlc(args, kinds, argv, parser):
@@ -214,6 +206,8 @@ def _estimate_ohlc(args, kinds, argv, parser):
                 o, h, l, c = (float(v) for v in parts[1:])
             except ValueError:
                 raise _CliError(f"{args.input}:{lineno}: malformed OHLC numbers") from None
+            if not all(map(math.isfinite, (o, h, l, c))):
+                raise _CliError(f"{args.input}:{lineno}: OHLC values must be finite")
             if args.raw_prices:
                 if min(o, h, l, c) <= 0.0:
                     raise _CliError(f"{args.input}:{lineno}: prices must be positive")
@@ -223,22 +217,8 @@ def _estimate_ohlc(args, kinds, argv, parser):
                 raise _CliError(
                     f"{args.input}:{lineno}: inconsistent OHLC (need low <= open,close <= high)"
                 )
-            row, warn = [window_id, high, low, close], []
-            for kind, label in zip(kinds, labels):
-                value = _estimate_value(kind, _Bar(high, low, close), None, variant)
-                if value < 0.0:
-                    warn.append(f"{label}<0")
-                row.append(value)
-            row.append("|".join(warn))
-            rows.append(row)
+            rows.append(_estimate_row(window_id, kinds, labels, variant, high, low, close))
     return header, rows
-
-
-class _Bar:
-    """OHLC-derived increments; duck-types PhysicalBar for the kernels."""
-
-    def __init__(self, high, low, close):
-        self.high, self.low, self.close = high, low, close
 
 
 def cmd_estimate(args, parser, argv) -> int:
@@ -273,24 +253,17 @@ def cmd_estimate(args, parser, argv) -> int:
 def _emit_ticks(cfg: montecarlo.ExperimentConfig, path: str, sigma: float, horizon: float):
     """Write chained GBM ticks, one window per path, at the first grid drift."""
     scale = sigma * math.sqrt(horizon)
-    gamma = cfg.gamma_grid[0]
     n = cfg.n_steps
     tau = np.arange(n + 1) / n
-    n_batches = (cfg.n_paths + cfg.batch_size - 1) // cfg.batch_size
     log_price = 0.0
     window = 0
     with open(path, "w") as fh:
         fh.write("timestamp,price\n")
-        for b in range(n_batches):
-            samples = montecarlo._batch_generator(cfg.seed, b).standard_normal(
-                (min(cfg.batch_size, cfg.n_paths - b * cfg.batch_size), n)
+        for start in range(0, cfg.n_paths, cfg.batch_size):
+            x = batch_paths(
+                cfg.seed, start // cfg.batch_size, min(cfg.batch_size, cfg.n_paths - start), n,
+                cfg.gamma_grid[0],
             )
-            x = np.empty((samples.shape[0], n + 1))
-            x[:, 0] = 0.0
-            np.cumsum(samples, axis=1, out=x[:, 1:])
-            x[:, 1:] /= math.sqrt(n)
-            if gamma != 0.0:
-                x += gamma * tau[None, :]
             for k in range(x.shape[0]):
                 times = (window + tau) * horizon
                 prices = np.exp(log_price + scale * x[k])

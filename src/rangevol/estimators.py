@@ -41,6 +41,7 @@ __all__ = [
     "garman_klass_value",
     "rogers_satchell_value",
     "bridge_value",
+    "estimator_value",
     "parkinson",
     "garman_klass",
     "rogers_satchell",
@@ -130,6 +131,21 @@ def bridge_value(xi, zeta):
     return BRIDGE_FACTOR * s * s
 
 
+def estimator_value(kind, high, low, close, xi=None, zeta=None,
+                    variant=GarmanKlassVariant.HIGH_LOW_CROSS):
+    """The kernel of estimator ``kind`` at (high, low, close) or, for the
+    bridge estimator, at the bridge extremes (xi, zeta)."""
+    if kind is EstimatorKind.PARKINSON:
+        return parkinson_value(high, low)
+    if kind is EstimatorKind.GARMAN_KLASS:
+        return garman_klass_value(high, low, close, variant)
+    if kind is EstimatorKind.ROGERS_SATCHELL:
+        return rogers_satchell_value(high, low, close)
+    if kind is EstimatorKind.BRIDGE:
+        return bridge_value(xi, zeta)
+    raise ValueError(f"unknown estimator kind: {kind!r}")
+
+
 # ---------------------------------------------------------------------------
 # Estimator operations on the domain types.
 # ---------------------------------------------------------------------------
@@ -166,18 +182,10 @@ def physical_estimate(
     The bridge estimator needs intra-window path information, so ``bridge``
     must be given exactly when ``kind`` is BRIDGE.
     """
-    if kind is EstimatorKind.BRIDGE:
-        if bridge is None:
-            raise ValueError("bridge estimator requires bridge extremes from intra-window path data")
-        v = float(bridge_value(bridge.xi, bridge.zeta))
-    elif bridge is not None:
+    if kind is EstimatorKind.BRIDGE and bridge is None:
+        raise ValueError("bridge estimator requires bridge extremes from intra-window path data")
+    if kind is not EstimatorKind.BRIDGE and bridge is not None:
         raise ValueError("bridge extremes are only meaningful for the bridge estimator")
-    elif kind is EstimatorKind.PARKINSON:
-        v = float(parkinson_value(bar.high, bar.low))
-    elif kind is EstimatorKind.GARMAN_KLASS:
-        v = float(garman_klass_value(bar.high, bar.low, bar.close, variant))
-    elif kind is EstimatorKind.ROGERS_SATCHELL:
-        v = float(rogers_satchell_value(bar.high, bar.low, bar.close))
-    else:
-        raise ValueError(f"unknown estimator kind: {kind!r}")
+    xi, zeta = (None, None) if bridge is None else (bridge.xi, bridge.zeta)
+    v = float(estimator_value(kind, bar.high, bar.low, bar.close, xi, zeta, variant))
     return VolatilityEstimate(v, kind, canonical=False, negative=v < 0.0)

@@ -1,14 +1,12 @@
 """Deterministic Monte Carlo comparison of the canonical estimators.
 
-Paths are generated in fixed-size batches; batch ``b`` draws from a Philox
-stream keyed by the experiment seed with counter block ``b``, so results
-are bit-identical for any worker count and any scheduling order (workers
-only decide who computes a batch, never what it contains).  Within a batch
-every estimator and every drift value consume the same shock matrix
-(common random numbers): drift is added to the shared driftless partial
-sums, and bridge statistics are computed from the driftless sums directly,
-because the bridge transform cancels drift exactly.  That makes bridge
-samples bit-identical across the drift grid.
+Paths come in fixed-size batches of the stream layout owned by
+:mod:`rangevol.paths` (see its docstring): a batch's content is fixed by the
+experiment seed and the batch index, so results are bit-identical for any
+worker count and any scheduling order (workers only decide who computes a
+batch, never what it contains).  Within a batch every estimator and every
+drift value consume the same shock matrix (common random numbers), and the
+bridge samples are bit-identical across the drift grid.
 
 Summaries are streamed: central moments up to order four per cell
 (mean/variance plus their standard errors), the factor-two coverage count,
@@ -29,16 +27,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.stats import chi2 as _chi2_dist
 
-from . import densities
+from . import densities, paths
 from .densities import SeriesConfig
-from .estimators import (
-    EstimatorKind,
-    GarmanKlassVariant,
-    bridge_value,
-    garman_klass_value,
-    parkinson_value,
-    rogers_satchell_value,
-)
+from .estimators import EstimatorKind, GarmanKlassVariant, estimator_value
 
 __all__ = [
     "ExperimentConfig",
@@ -104,6 +95,8 @@ class ExperimentConfig:
             raise ValueError("batch_size must be >= 1")
         if not self.gamma_grid:
             raise ValueError("gamma_grid must not be empty")
+        if not all(math.isfinite(g) for g in self.gamma_grid):
+            raise ValueError(f"gamma_grid must hold finite drifts, got {self.gamma_grid}")
         if self.n_paths * self.n_steps > self.max_draws:
             raise ValueError(
                 f"resource limit exceeded: n_paths * n_steps = {self.n_paths * self.n_steps} "
@@ -224,50 +217,24 @@ class ExperimentSummary:
         return np.linspace(lo, hi, self.config.histogram_bins + 1)
 
 
-def _batch_generator(seed, batch_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, batch_index]))
-
-
 def _batch_samples(cfg: ExperimentConfig, batch_index: int):
     """Estimator samples of one batch: {(label, gamma): values}."""
     start = batch_index * cfg.batch_size
     size = min(cfg.batch_size, cfg.n_paths - start)
-    if cfg.shocks is not None:
-        eps = np.asarray(cfg.shocks[start : start + size], dtype=float)
-    else:
-        eps = _batch_generator(cfg.seed, batch_index).standard_normal((size, cfg.n_steps))
-    n = cfg.n_steps
-    tau = np.arange(n + 1) / n
-    s = np.empty((size, n + 1))
-    s[:, 0] = 0.0
-    np.cumsum(eps, axis=1, out=s[:, 1:])
-    s[:, 1:] /= math.sqrt(n)
-
+    shocks = None if cfg.shocks is None else cfg.shocks[start : start + size]
+    hlc, xz = paths.batch_extremes(
+        cfg.seed, size, cfg.n_steps, cfg.gamma_grid, cfg.batch_size, batch_index, shocks,
+        bridge=EstimatorKind.BRIDGE in cfg.estimators,
+    )
+    xi, zeta = (None, None) if xz is None else xz
     out = {}
-    wants_bridge = EstimatorKind.BRIDGE in cfg.estimators
-    if wants_bridge:
-        z = s - tau[None, :] * s[:, -1:]
-        vb = bridge_value(z.max(axis=1), z.min(axis=1))
-    for gamma in cfg.gamma_grid:
-        x = s + gamma * tau[None, :] if gamma != 0.0 else s
-        h = x.max(axis=1)
-        l = x.min(axis=1)
-        c = x[:, -1]
+    for gamma, (h, l, c) in zip(cfg.gamma_grid, hlc):
         for kind in cfg.estimators:
-            if kind is EstimatorKind.PARKINSON:
-                out[(estimator_label(kind), gamma)] = parkinson_value(h, l)
-            elif kind is EstimatorKind.ROGERS_SATCHELL:
-                out[(estimator_label(kind), gamma)] = rogers_satchell_value(h, l, c)
-            elif kind is EstimatorKind.BRIDGE:
-                out[(estimator_label(kind), gamma)] = vb
-            else:
-                variants = (
-                    (GarmanKlassVariant.HIGH_LOW_CROSS, GarmanKlassVariant.HIGH_CLOSE_CROSS)
-                    if cfg.gk_both_variants
-                    else (cfg.gk_variant,)
+            gk_both = kind is EstimatorKind.GARMAN_KLASS and cfg.gk_both_variants
+            for var in tuple(GarmanKlassVariant) if gk_both else (cfg.gk_variant,):
+                out[(estimator_label(kind, var), gamma)] = estimator_value(
+                    kind, h, l, c, xi, zeta, var
                 )
-                for var in variants:
-                    out[(estimator_label(kind, var), gamma)] = garman_klass_value(h, l, c, var)
     return out
 
 
@@ -285,7 +252,10 @@ def _batch_partials(args):
 def _worker_count(n_batches: int) -> int:
     env = os.environ.get("RANGEVOL_THREADS")
     if env:
-        workers = max(1, int(env))
+        try:
+            workers = max(1, int(env))
+        except ValueError:
+            raise ValueError(f"RANGEVOL_THREADS must be an integer, got {env!r}") from None
     else:
         workers = os.cpu_count() or 1
     return min(workers, n_batches)
@@ -456,7 +426,7 @@ def sample_dump(cfg: ExperimentConfig, count: int):
     out = np.empty((count, len(labels)))
     done = 0
     batch = 0
-    single = replace(cfg, gk_both_variants=False)
+    single = replace(cfg, gk_both_variants=False, gamma_grid=cfg.gamma_grid[:1])
     while done < count:
         samples = _batch_samples(single, batch)
         take = min(count - done, next(iter(samples.values())).size)

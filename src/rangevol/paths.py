@@ -7,9 +7,25 @@ range-based volatility estimators consume only the high, low and close of
 such a path, plus the high and low of its bridge (the path minus the linear
 interpolant between its endpoints, which removes any drift exactly).
 
-Randomness comes from numpy's Philox counter-based bit generator (normal
-variates via numpy's ziggurat); streams are keyed by ``(seed, counter)`` so
-that path generation is reproducible regardless of scheduling.
+This module is the one owner of the stream layout, which every simulated
+number in the package depends on:
+
+* paths come in batches; batch ``b`` draws from numpy's Philox bit
+  generator keyed by ``seed`` with counter ``[0, 0, 0, b]`` (normal
+  variates via numpy's ziggurat), so a batch's paths are fixed by
+  ``(seed, b)`` whatever the scheduling;
+* the batch's shock matrix is drawn row-major, one row of ``N`` shocks per
+  path, and summed along the row: ``cumsum(eps) / sqrt(N)``, after a
+  leading 0;
+* drift is added last, as ``+ gamma * n/N``.  Every drift of a grid reuses
+  the same driftless sums (common random numbers), and the bridge is
+  computed from the driftless sums, which makes it bit-identical across
+  drifts.
+
+:func:`batch_paths` draws one batch, :func:`batch_extremes` reduces
+consecutive batches to their extremes at a drift grid, and
+:func:`simulate_path` is row 0 of batch 0.  Changing any step above changes
+every seeded result; ``tests/test_stream_layout.py`` pins the layout.
 """
 
 from __future__ import annotations
@@ -25,6 +41,8 @@ __all__ = [
     "BridgeExtremes",
     "PhysicalBar",
     "simulate_path",
+    "batch_paths",
+    "batch_extremes",
     "bridge_transform",
     "extremes",
     "bridge_extremes",
@@ -102,8 +120,65 @@ class PhysicalBar:
             raise ValueError("horizon must be positive")
 
 
-def _generator(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
+def batch_paths(seed, batch_index: int, size: int, n_steps: int, gamma: float = 0.0,
+                shocks=None) -> np.ndarray:
+    """Batch ``batch_index`` of the stream: ``size`` paths as a ``(size, n_steps + 1)`` array.
+
+    Row ``k`` holds path ``k`` of the batch on the grid n/N, starting at 0,
+    with drift ``gamma`` (the default 0 gives the driftless partial sums).
+    ``shocks`` is a test hook: a fixed ``(size, n_steps)`` eps-matrix used
+    instead of drawing from the RNG.
+    """
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    if shocks is not None:
+        eps = np.asarray(shocks, dtype=float)
+        if eps.shape != (size, n_steps):
+            raise ValueError(f"shocks must have shape ({size}, {n_steps})")
+    else:
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, batch_index]))
+        eps = gen.standard_normal((size, n_steps))
+    x = np.empty((size, n_steps + 1))
+    x[:, 0] = 0.0
+    np.cumsum(eps, axis=1, out=x[:, 1:])
+    x[:, 1:] /= math.sqrt(n_steps)
+    if gamma != 0.0:
+        x += gamma * (np.arange(n_steps + 1) / n_steps)
+    return x
+
+
+def batch_extremes(seed, n_paths: int, n_steps: int, gammas, batch_size: int = 1024,
+                   first_batch: int = 0, shocks=None, bridge: bool = True):
+    """Extremes of ``n_paths`` paths, drawn batch by batch from ``first_batch`` on.
+
+    Each batch holds ``batch_size`` paths (the last one may hold fewer) and
+    is reduced, one drift at a time, before the next is drawn, so memory
+    does not grow with ``n_paths`` or the length of the grid.  ``shocks``
+    replaces the RNG with a fixed ``(n_paths, n_steps)`` matrix.
+
+    Returns ``(hlc, xz)``: ``hlc[g]`` holds the rows high, low and close at
+    drift ``gammas[g]`` (shape ``(len(gammas), 3, n_paths)``); ``xz`` holds
+    the bridge high and low (shape ``(2, n_paths)``), or is None when
+    ``bridge`` is false.
+    """
+    tau = np.arange(n_steps + 1) / n_steps
+    hlc = np.empty((len(gammas), 3, n_paths))
+    xz = np.empty((2, n_paths)) if bridge else None
+    for lo in range(0, n_paths, batch_size):
+        hi = min(lo + batch_size, n_paths)
+        s = batch_paths(seed, first_batch + lo // batch_size, hi - lo, n_steps,
+                        shocks=None if shocks is None else shocks[lo:hi])
+        if bridge:
+            z = s - tau[None, :] * s[:, -1:]
+            xz[0, lo:hi] = z.max(axis=1)
+            xz[1, lo:hi] = z.min(axis=1)
+            del z
+        for g, gamma in enumerate(gammas):
+            x = s + gamma * tau[None, :] if gamma != 0.0 else s
+            hlc[g, 0, lo:hi] = x.max(axis=1)
+            hlc[g, 1, lo:hi] = x.min(axis=1)
+            hlc[g, 2, lo:hi] = x[:, -1]
+    return hlc, xz
 
 
 def simulate_path(n_steps: int, gamma: float, seed, shocks=None) -> Path:
@@ -117,7 +192,7 @@ def simulate_path(n_steps: int, gamma: float, seed, shocks=None) -> Path:
         Dimensionless drift of the canonical path.
     seed : int or sequence of int
         Philox key.  The same seed always yields the bit-identical path,
-        independent of thread count or call order.
+        independent of thread count or call order: row 0 of batch 0.
     shocks : array-like, optional
         Test hook: a fixed eps-sequence of length ``n_steps`` used instead
         of drawing from the RNG.
@@ -126,20 +201,12 @@ def simulate_path(n_steps: int, gamma: float, seed, shocks=None) -> Path:
     -------
     Path
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
     if shocks is not None:
-        eps = np.asarray(shocks, dtype=float)
-        if eps.shape != (n_steps,):
+        shocks = np.asarray(shocks, dtype=float)
+        if shocks.shape != (n_steps,):
             raise ValueError(f"shocks must have shape ({n_steps},)")
-    else:
-        eps = _generator(seed).standard_normal(n_steps)
-    values = np.empty(n_steps + 1)
-    values[0] = 0.0
-    np.cumsum(eps, out=values[1:])
-    values[1:] /= math.sqrt(n_steps)
-    if gamma != 0.0:
-        values += gamma * (np.arange(n_steps + 1) / n_steps)
+        shocks = shocks[None, :]
+    values = batch_paths(seed, 0, 1, n_steps, gamma, shocks)[0]
     return Path(values=values, n_steps=n_steps, gamma=gamma)
 
 
@@ -193,6 +260,8 @@ def bar_from_samples(ticks, window, log_input: bool = False):
     arr = np.asarray(ticks, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("ticks must be a sequence of (time, price) pairs")
+    if not np.isfinite(arr).all():
+        raise ValueError("ticks must hold finite times and prices")
     t, p = arr[:, 0], arr[:, 1]
     if np.any(np.diff(t) < 0):
         raise ValueError("tick timestamps must be non-decreasing")

@@ -33,6 +33,7 @@ from . import densities
 from .analytics import garman_klass_mean
 from .densities import DEFAULT_SERIES_CONFIG, SeriesConfig
 from .estimators import GarmanKlassVariant, garman_klass_value
+from .paths import batch_extremes
 
 __all__ = [
     "ValidationCheck",
@@ -50,27 +51,6 @@ class ValidationCheck:
     topic: str
     conclusion: str
     details: dict
-
-
-def _extreme_samples(n_paths: int, n_steps: int, gamma: float, seed, batch: int = 1024):
-    """Fixed-seed (high, low, close) samples of the discretized path."""
-    hs, ls, cs = [], [], []
-    tau = np.arange(n_steps + 1) / n_steps
-    n_batches = (n_paths + batch - 1) // batch
-    for b in range(n_batches):
-        size = min(batch, n_paths - b * batch)
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, b]))
-        eps = gen.standard_normal((size, n_steps))
-        s = np.empty((size, n_steps + 1))
-        s[:, 0] = 0.0
-        np.cumsum(eps, axis=1, out=s[:, 1:])
-        s[:, 1:] /= math.sqrt(n_steps)
-        if gamma != 0.0:
-            s += gamma * tau[None, :]
-        hs.append(s.max(axis=1))
-        ls.append(s.min(axis=1))
-        cs.append(s[:, -1])
-    return np.concatenate(hs), np.concatenate(ls), np.concatenate(cs)
 
 
 def _bin_z(count: int, n: int, prob: float) -> float:
@@ -119,7 +99,7 @@ def validate_high_density_variants(
         dev_sqrt2 = max(dev_sqrt2, abs(densities.high_pdf(eta, gamma, cfg, "sqrt2").value - marg))
 
     # binned simulation check
-    h, _, _ = _extreme_samples(n_paths, n_steps, gamma, seed)
+    h, _, _ = batch_extremes(seed, n_paths, n_steps, (gamma,), bridge=False)[0][0]
     edges = np.array([0.6, 0.9, 1.2, 1.5, 1.8, 2.2])
     rel_half, rel_sqrt2 = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -192,7 +172,7 @@ def validate_high_close_reading(
     mass_close = mass_close_reading()
     mass_high = mass_high_reading()
 
-    h, _, c = _extreme_samples(n_paths, n_steps, gamma, seed)
+    h, _, c = batch_extremes(seed, n_paths, n_steps, (gamma,), bridge=False)[0][0]
     boxes = [(0.8, 1.2, 0.2, 0.6), (1.2, 1.6, 0.6, 1.0), (0.6, 1.0, -0.4, 0.2)]
     rels = []
     for e_lo, e_hi, c_lo, c_hi in boxes:
@@ -241,7 +221,7 @@ def validate_hlc_normalization(
 
     masses = {chi: conditional_mass(chi) for chi in (-1.0, 0.3, 1.0)}
 
-    h, l, c = _extreme_samples(n_paths, n_steps, 0.0, seed)
+    h, l, c = batch_extremes(seed, n_paths, n_steps, (0.0,), bridge=False)[0][0]
     # wide central box: first-order discretization shifts largely cancel
     box = (0.3, 1.2, -1.2, -0.3, -0.5, 0.5)  # eta, ell, chi bounds
     e_lo, e_hi, l_lo, l_hi, c_lo, c_hi = box
@@ -305,7 +285,7 @@ def validate_gk_variants(
         details[f"quadrature_mean_hc_gamma{gamma:g}"] = garman_klass_mean(
             gamma, cfg, GarmanKlassVariant.HIGH_CLOSE_CROSS
         )
-    h, l, c = _extreme_samples(n_paths, n_steps, 0.0, seed)
+    h, l, c = batch_extremes(seed, n_paths, n_steps, (0.0,), bridge=False)[0][0]
     for variant, tag in ((GarmanKlassVariant.HIGH_LOW_CROSS, "hl"),
                          (GarmanKlassVariant.HIGH_CLOSE_CROSS, "hc")):
         v = garman_klass_value(h, l, c, variant)

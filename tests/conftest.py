@@ -1,10 +1,8 @@
-import math
 import time
 
-import numpy as np
 import pytest
 
-from rangevol import EstimatorKind, montecarlo
+from rangevol import EstimatorKind, montecarlo, paths
 
 # Fixed seeds: the statistical assertions below were verified once against
 # independent oracles and are exactly reproducible (Philox streams).
@@ -45,26 +43,8 @@ def gof_summary():
 
 def sample_extremes(n_paths, n_steps, gamma, seed, batch=1024):
     """(high, low, close, bridge high, bridge low) samples, fixed streams."""
-    hs, ls, cs, xs, zs = [], [], [], [], []
-    tau = np.arange(n_steps + 1) / n_steps
-    n_batches = (n_paths + batch - 1) // batch
-    for b in range(n_batches):
-        size = min(batch, n_paths - b * batch)
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, b]))
-        eps = gen.standard_normal((size, n_steps))
-        s = np.empty((size, n_steps + 1))
-        s[:, 0] = 0.0
-        np.cumsum(eps, axis=1, out=s[:, 1:])
-        s[:, 1:] /= math.sqrt(n_steps)
-        z = s - tau[None, :] * s[:, -1:]
-        xs.append(z.max(axis=1))
-        zs.append(z.min(axis=1))
-        if gamma != 0.0:
-            s += gamma * tau[None, :]
-        hs.append(s.max(axis=1))
-        ls.append(s.min(axis=1))
-        cs.append(s[:, -1])
-    return tuple(np.concatenate(a) for a in (hs, ls, cs, xs, zs))
+    hlc, xz = paths.batch_extremes(seed, n_paths, n_steps, (gamma,), batch)
+    return (*hlc[0], *xz)
 
 
 @pytest.fixture(scope="session")

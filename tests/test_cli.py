@@ -329,3 +329,47 @@ def test_simulate_emit_ticks_estimate_recovers_volatility(tmp_path):
     # per-window canonical estimates match the simulate summary mean exactly
     _, sim_rows = read_table(sim_out)
     assert float(sim_rows[0][2]) == pytest.approx(mean / 0.04, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# non-finite and malformed input fails loudly
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("price", ["inf", "nan"])
+def test_estimate_non_finite_tick_price_exit_1(tmp_path, capsys, price):
+    f = tmp_path / "ticks.csv"
+    f.write_text(f"timestamp,price\n0.0,1.0\n0.5,{price}\n1.0,1.1\n")
+    assert run_cli("estimate", str(f), "--out", str(tmp_path / "o.csv")) == 1
+    err = capsys.readouterr().err
+    assert "finite" in err and "low <= 0 <= high" not in err
+
+
+def test_estimate_non_finite_tick_timestamp_exit_1(tmp_path, capsys):
+    f = tmp_path / "ticks.csv"
+    f.write_text("timestamp,price\n0.0,1.0\n0.5,1.2\ninf,1.1\n")
+    assert run_cli("estimate", str(f), "--window", "1", "--out", str(tmp_path / "o.csv")) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", [True, False])
+def test_estimate_ohlc_non_finite_exit_1(tmp_path, capsys, raw):
+    f = tmp_path / "bars.csv"
+    f.write_text("window_id,open,high,low,close\nw0,100.0,inf,95.0,103.0\n")
+    argv = ["estimate", str(f), "--out", str(tmp_path / "o.csv")] + (["--raw-prices"] if raw else [])
+    assert run_cli(*argv) == 1
+    assert "bars.csv:2: OHLC values must be finite" in capsys.readouterr().err
+
+
+def test_simulate_nan_gamma_exit_1(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    assert run_cli("simulate", "--paths", "4", "--steps", "4", "--gammas", "0,nan",
+                   "--skip-theory", "--out", str(out)) == 1
+    assert "gamma_grid must hold finite drifts" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_bad_thread_count_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("RANGEVOL_THREADS", "abc")
+    assert run_cli("simulate", "--paths", "4", "--steps", "4", "--gammas", "0",
+                   "--skip-theory", "--out", str(tmp_path / "sim.csv")) == 1
+    assert "RANGEVOL_THREADS must be an integer, got 'abc'" in capsys.readouterr().err

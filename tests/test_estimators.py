@@ -21,6 +21,7 @@ from rangevol import (
 )
 from rangevol.estimators import (
     bridge_value,
+    estimator_value,
     garman_klass_value,
     parkinson_value,
     rogers_satchell_value,
@@ -103,6 +104,24 @@ def test_bridge_estimator_drift_invariant():
     for c in (-1.5, 0.6, 2.0):
         shifted = Path(values=p.values + c * ramp, n_steps=500, gamma=c)
         assert abs(bridge_estimator(bridge_extremes(shifted)).value - base) < 1e-12
+
+
+def test_estimator_value_dispatches_to_kernels():
+    rng = np.random.default_rng(3)
+    h, l, c = rng.uniform(0, 1, 7), rng.uniform(-1, 0, 7), rng.uniform(-0.5, 0.5, 7)
+    xi, zeta = rng.uniform(0, 1, 7), rng.uniform(-1, 0, 7)
+    expected = {
+        EstimatorKind.PARKINSON: parkinson_value(h, l),
+        EstimatorKind.ROGERS_SATCHELL: rogers_satchell_value(h, l, c),
+        EstimatorKind.BRIDGE: bridge_value(xi, zeta),
+    }
+    for kind, want in expected.items():
+        assert np.array_equal(estimator_value(kind, h, l, c, xi, zeta), want)
+    for variant in GarmanKlassVariant:
+        got = estimator_value(EstimatorKind.GARMAN_KLASS, h, l, c, variant=variant)
+        assert np.array_equal(got, garman_klass_value(h, l, c, variant))
+    with pytest.raises(ValueError, match="unknown estimator kind"):
+        estimator_value("parkinson", h, l, c)
 
 
 def test_physical_estimate_scaling():

@@ -114,6 +114,17 @@ def test_config_validation():
         ExperimentConfig(gamma_grid=())
     with pytest.raises(ValueError):
         ExperimentConfig(histogram_bins=0)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite drifts"):
+            ExperimentConfig(gamma_grid=(0.0, bad))
+
+
+def test_worker_count_names_bad_env(monkeypatch):
+    monkeypatch.setenv("RANGEVOL_THREADS", "abc")
+    with pytest.raises(ValueError, match="RANGEVOL_THREADS must be an integer, got 'abc'"):
+        montecarlo._worker_count(4)
+    monkeypatch.setenv("RANGEVOL_THREADS", "3")
+    assert montecarlo._worker_count(4) == 3 and montecarlo._worker_count(2) == 2
 
 
 def test_labels_report_both_gk_variants():

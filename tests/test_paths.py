@@ -165,3 +165,8 @@ def test_bar_errors():
         bar_from_samples([(0.0, 1.0), (1.0, -2.0)], (0.0, 1.0))
     with pytest.raises(ValueError, match="non-decreasing"):
         bar_from_samples([(1.0, 1.0), (0.5, 2.0)], (0.0, 1.0))
+    for bad in (math.inf, -math.inf, math.nan):
+        for ticks in ([(0.0, 1.0), (1.0, bad)], [(0.0, 1.0), (bad, 2.0)]):
+            for log_input in (False, True):
+                with pytest.raises(ValueError, match="finite"):
+                    bar_from_samples(ticks, (0.0, 1.0), log_input=log_input)
