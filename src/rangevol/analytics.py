@@ -1,14 +1,19 @@
 """Theoretical moments, bias and interval probabilities of the estimators.
 
-Parkinson and bridge statistics come from 1D adaptive quadrature of their
-exact densities.  The Garman-Klass mean reduces to 2D quadratures of the
-(high, close) and (range, close) joint densities; the Rogers-Satchell mean
-to 2D quadratures of the closed-form (high, close) density alone, with the
-minimum's share taken from the maximum at the flipped drift.  Variances of
-Garman-Klass and Rogers-Satchell need E[h l] moments of the (high, low,
-close) density, a 3D quadrature, so they are delegated to a fixed-seed
-Monte Carlo oracle with a reported standard error, which is cheaper at
-equal accuracy.
+Every 1D statistic -- the Parkinson and bridge means and variances, the
+interval probabilities F(N) and the coverage P_delta -- is an integral of
+one range density in the range variable delta, through one helper
+(``_range_integral``).  The estimator is delta^2 / alpha (alpha = ln 16
+for Parkinson, pi^2 / 6 for the bridge), so its moments are the delta^2
+and delta^4 moments over alpha and alpha^2, and Pr{estimator > x} is the
+range mass above sqrt(alpha x).  The Garman-Klass mean reduces to 2D
+quadratures of the (high, close) and (range, close) joint densities; the
+Rogers-Satchell mean to 2D quadratures of the closed-form (high, close)
+density alone, with the minimum's share taken from the maximum at the
+flipped drift.  Variances of Garman-Klass and Rogers-Satchell need E[h l]
+moments of the (high, low, close) density, a 3D quadrature, so they are
+delegated to a fixed-seed Monte Carlo oracle with a reported standard
+error, which is cheaper at equal accuracy.
 
 Quadratures use scipy's adaptive Gauss-Kronrod integrator at 1e-10
 absolute tolerance, with Gaussian-tailed supports truncated where the
@@ -25,16 +30,8 @@ import numpy as np
 from scipy import integrate
 
 from . import densities, montecarlo
-from .densities import DEFAULT_SERIES_CONFIG, SeriesConfig
-from .estimators import (
-    GK_K1,
-    GK_K2,
-    GK_K3,
-    LN16,
-    BRIDGE_FACTOR,
-    EstimatorKind,
-    GarmanKlassVariant,
-)
+from .densities import SeriesConfig
+from .estimators import GK_K1, GK_K2, GK_K3, EstimatorKind, GarmanKlassVariant
 
 __all__ = [
     "MomentReport",
@@ -49,10 +46,6 @@ __all__ = [
 ]
 
 _QUAD_OPTS = dict(limit=400, epsabs=1e-10, epsrel=1e-10)
-
-
-def _cfg(cfg: SeriesConfig | None) -> SeriesConfig:
-    return DEFAULT_SERIES_CONFIG if cfg is None else cfg
 
 # Default scale of the Monte Carlo oracle backing G&K / R&S variances.
 ORACLE_PATHS = 10_000_000
@@ -120,32 +113,31 @@ def _range_cut(gamma: float) -> float:
     return 13.0 + abs(gamma)
 
 
-def _range_moment(power: int, gamma: float, cfg: SeriesConfig) -> float:
-    def f(d):
-        return d**power * densities.range_pdf(d, gamma, cfg).value
+def _range_integral(
+    kind: EstimatorKind,
+    gamma: float,
+    cfg: SeriesConfig,
+    power: int,
+    lo: float = 0.0,
+    hi: float = math.inf,
+) -> float:
+    """Integral of delta**power * f(delta) over [lo, hi], f the range density of ``kind``.
 
-    val, _ = integrate.quad(f, cfg.small_arg_floor, _range_cut(gamma), **_QUAD_OPTS)
+    The bounds are clipped to [small_arg_floor, cut]: below the floor the
+    mass is below exp(-10000), above the cut (13 + |gamma| for Parkinson,
+    7 for the bridge) the density is below 1e-16.
+    """
+    density, _ = densities._range_law(kind, gamma, cfg)
+    cut = _range_cut(gamma) if kind is EstimatorKind.PARKINSON else 7.0
+    lo, hi = max(lo, cfg.small_arg_floor), min(hi, cut)
+    if lo >= hi:
+        return 0.0
+    val, _ = integrate.quad(lambda d: d**power * density(d).value, lo, hi, **_QUAD_OPTS)
     return val
 
 
-def _bridge_moment(power: int, cfg: SeriesConfig) -> float:
-    def f(d):
-        return d**power * densities.bridge_range_pdf(d, cfg).value
-
-    val, _ = integrate.quad(f, cfg.small_arg_floor, 7.0, **_QUAD_OPTS)
-    return val
-
-
-def _parkinson_moments(gamma: float, cfg: SeriesConfig) -> tuple[float, float]:
-    mean = _range_moment(2, gamma, cfg) / LN16
-    second = _range_moment(4, gamma, cfg) / LN16**2
-    return mean, second - mean * mean
-
-
-def _bridge_moments(cfg: SeriesConfig) -> tuple[float, float]:
-    mean = BRIDGE_FACTOR * _bridge_moment(2, cfg)
-    second = BRIDGE_FACTOR**2 * _bridge_moment(4, cfg)
-    return mean, second - mean * mean
+def _alpha(kind: EstimatorKind) -> float:
+    return densities._range_law(kind, 0.0, None)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +203,7 @@ def garman_klass_mean(
     from the (high, close) density; E[l^2] via the drift-flip symmetry of
     the minimum; and E[hl] = (E[h^2] + E[l^2] - E[d^2]) / 2.
     """
-    cfg = _cfg(cfg)
+    cfg = densities._cfg(cfg)
     e_d2, e_cd = _range_close_moments(gamma, cfg)
     e_h2 = _high_close_moment(lambda e, c: e * e, gamma)
     e_c2 = 1.0 + gamma * gamma
@@ -284,13 +276,12 @@ def theoretical_moments(
     ``oracle_*`` arguments control; the defaults target the fourth digit
     and take minutes, so tests and tables pass smaller sizes explicitly.
     """
-    cfg = _cfg(cfg)
+    cfg = densities._cfg(cfg)
     var_se = None
-    if kind is EstimatorKind.PARKINSON:
-        mean, var = _parkinson_moments(gamma, cfg)
-        method = "quadrature"
-    elif kind is EstimatorKind.BRIDGE:
-        mean, var = _bridge_moments(cfg)
+    if kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
+        alpha = _alpha(kind)
+        mean = _range_integral(kind, gamma, cfg, 2) / alpha
+        var = _range_integral(kind, gamma, cfg, 4) / alpha**2 - mean * mean
         method = "quadrature"
     else:
         if kind is EstimatorKind.GARMAN_KLASS:
@@ -325,42 +316,19 @@ def relative_bias(kind: EstimatorKind, gamma: float = 0.0, **kwargs) -> float:
 # Interval estimation
 # ---------------------------------------------------------------------------
 
-def _estimator_pdf_for(kind: EstimatorKind, gamma: float, cfg: SeriesConfig):
-    if kind is EstimatorKind.PARKINSON:
-        alpha = LN16
-
-        def pdf(x):
-            return densities.parkinson_estimator_pdf(x, gamma, cfg).value
-
-    elif kind is EstimatorKind.BRIDGE:
-        alpha = 1.0 / BRIDGE_FACTOR
-
-        def pdf(x):
-            return densities.bridge_estimator_pdf(x, cfg).value
-
-    else:
-        raise ValueError(f"no analytic estimator density for {kind}")
-    cut = _range_cut(gamma if kind is EstimatorKind.PARKINSON else 0.0)
-    return pdf, cut * cut / alpha, cfg.small_arg_floor**2 / alpha
-
-
 def interval_probability(
     kind: EstimatorKind,
     gamma: float,
     level: float,
     cfg: SeriesConfig | None = None,
 ) -> float:
-    """Pr{ true volatility < level * estimate } = integral of the estimator
-    density above 1/level.  Analytic kinds only (Parkinson, bridge)."""
+    """Pr{ true volatility < level * estimate } = Pr{ estimate > 1/level },
+    the range mass above sqrt(alpha / level).  Analytic kinds only
+    (Parkinson, bridge)."""
     if not level > 0.0:
         raise ValueError("level must be positive")
-    cfg = _cfg(cfg)
-    pdf, x_cut, x_floor = _estimator_pdf_for(kind, gamma, cfg)
-    lo = 1.0 / level
-    if lo >= x_cut:
-        return 0.0
-    points = [x_floor] if lo < x_floor < x_cut else None
-    val, _ = integrate.quad(pdf, lo, x_cut, points=points, **_QUAD_OPTS)
+    cfg = densities._cfg(cfg)
+    val = _range_integral(kind, gamma, cfg, 0, math.sqrt(_alpha(kind) / level))
     return min(max(val, 0.0), 1.0)
 
 
@@ -375,15 +343,14 @@ def coverage_probability(
 ) -> float:
     """Pr{ estimate/2 < true volatility < 2 * estimate }.
 
-    Quadrature of the estimator density over (1/2, 2) for Parkinson and
+    The range mass over (sqrt(alpha / 2), sqrt(2 alpha)) for Parkinson and
     bridge; a fixed-seed Monte Carlo estimate for Garman-Klass and
     Rogers-Satchell, which have no analytic density here.
     """
-    cfg = _cfg(cfg)
+    cfg = densities._cfg(cfg)
     if kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
-        pdf, _, _ = _estimator_pdf_for(kind, gamma, cfg)
-        val, _ = integrate.quad(pdf, 0.5, 2.0, **_QUAD_OPTS)
-        return val
+        alpha = _alpha(kind)
+        return _range_integral(kind, gamma, cfg, 0, math.sqrt(alpha / 2.0), math.sqrt(2.0 * alpha))
     mc_cfg = montecarlo.ExperimentConfig(
         n_steps=mc_steps,
         n_paths=mc_paths,

@@ -74,6 +74,13 @@ def _series_config(args) -> SeriesConfig:
     return SeriesConfig(abs_tol=args.series_tol, max_terms=args.max_terms)
 
 
+def _finite_gammas(gammas: tuple[float, ...]) -> tuple[float, ...]:
+    for gamma in gammas:
+        if not math.isfinite(gamma):
+            raise _CliError(f"drift must be finite, got {gamma!r}")
+    return gammas
+
+
 def _parse_gammas(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
 
@@ -339,7 +346,7 @@ def cmd_simulate(args, parser, argv) -> int:
 def cmd_density(args, parser, argv) -> int:
     cfg = _series_config(args)
     name = args.name
-    gamma = args.gamma
+    (gamma,) = _finite_gammas((args.gamma,))
 
     def evaluate(x: float) -> densities.DensityValue:
         if name == "close-pdf":
@@ -387,7 +394,7 @@ def _mc_cells(kinds, gammas, args):
 
 def cmd_tables(args, parser, argv) -> int:
     cfg = _series_config(args)
-    gammas = _parse_gammas(args.gammas)
+    gammas = _finite_gammas(_parse_gammas(args.gammas))
     kinds = (
         _parse_estimators(args.estimators, parser)
         if args.estimators is not None
@@ -477,13 +484,18 @@ def cmd_tables(args, parser, argv) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
+def _add_output(sub):
     sub.add_argument("--out", default="-", help="output file (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--seed", type=int, default=0)
+
+
+def _add_series(sub):
     sub.add_argument("--series-tol", type=float, default=1e-12,
                      help="absolute truncation tolerance of the image series")
     sub.add_argument("--max-terms", type=int, default=1_000_000)
+
+
+def _add_gk_variant(sub):
     sub.add_argument("--gk-variant", choices=("hl", "hc"), default="hl",
                      help="Garman-Klass cross term: c*d-2*h*l or c*d-2*h*c")
 
@@ -506,7 +518,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="tick price column already holds log-prices")
     p_est.add_argument("--raw-prices", action="store_true",
                        help="OHLC columns hold raw prices; take logs first")
-    _add_common(p_est)
+    _add_output(p_est)
+    _add_gk_variant(p_est)
 
     p_sim = subs.add_parser("simulate", help="Monte Carlo estimator comparison")
     p_sim.add_argument("--paths", type=int, default=100_000)
@@ -523,7 +536,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="price volatility used with --emit-ticks")
     p_sim.add_argument("--horizon", type=float, default=1.0,
                        help="window length in time units used with --emit-ticks")
-    _add_common(p_sim)
+    p_sim.add_argument("--seed", type=int, default=0)
+    for add in (_add_output, _add_series, _add_gk_variant):
+        add(p_sim)
 
     p_den = subs.add_parser("density", help="tabulate an analytic density")
     p_den.add_argument("name", choices=_DENSITY_NAMES)
@@ -531,7 +546,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_den.add_argument("--x-min", type=float, default=0.01)
     p_den.add_argument("--x-max", type=float, default=6.0)
     p_den.add_argument("--points", type=int, default=600)
-    _add_common(p_den)
+    _add_output(p_den)
+    _add_series(p_den)
 
     p_tab = subs.add_parser("tables", help="theory tables (mean, variance, bias, intervals)")
     p_tab.add_argument("--table", required=True,
@@ -543,7 +559,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--mc-paths", type=int, default=200_000,
                        help="paths of the MC oracle behind variance/coverage rows")
     p_tab.add_argument("--mc-steps", type=int, default=5_000)
-    _add_common(p_tab)
+    p_tab.add_argument("--seed", type=int, default=0)
+    for add in (_add_output, _add_series, _add_gk_variant):
+        add(p_tab)
     return parser
 
 

@@ -10,11 +10,12 @@ exp(-2 m^2 delta^2), plus Gaussian prefactors.
 Truncation policy: image shells (+m, -m) are summed outward from m = 1
 until the absolute shell contribution stays below ``abs_tol`` for
 ``min_terms`` consecutive shells; reaching ``max_terms`` first raises
-:class:`NonConvergenceError`.  On a grid the rule looks at the largest
-shell contribution over all points, and a point stops being evaluated once
-its exponents underflow (exp is exactly 0 below -745.14), since its later
-terms are exactly 0; the sums and shell counts are those of evaluating
-every shell at every point.  The series converge slowly as the range
+:class:`NonConvergenceError`, and a non-finite shell term (a NaN drift or
+argument) raises ``ValueError`` at once.  On a grid the rule looks at the
+largest shell contribution over all points, and a point stops being
+evaluated once its exponents underflow (exp is exactly 0 below -745.14),
+since its later terms are exactly 0; the sums and shell counts are those
+of evaluating every shell at every point.  The series converge slowly as the range
 argument goes to 0 while the true density vanishes faster than any power,
 so arguments below ``small_arg_floor`` return 0 with ``converged=False``
 instead of burning shells on catastrophic cancellation.  All probability
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, erfc, erfcx
 
-from .estimators import BRIDGE_FACTOR, LN16
+from .estimators import BRIDGE_FACTOR, LN16, EstimatorKind
 
 __all__ = [
     "SeriesConfig",
@@ -123,6 +124,8 @@ def _sum_shells(shell, cfg: SeriesConfig, context: str) -> tuple[float, int]:
             if quiet >= cfg.min_terms:
                 return total, m
         else:
+            if not math.isfinite(t):
+                raise ValueError(f"{context}: non-finite shell term at shell {m}")
             quiet = 0
     raise NonConvergenceError(
         f"{context}: no convergence after {cfg.max_terms} shells (abs_tol={cfg.abs_tol})"
@@ -154,12 +157,15 @@ def _image_series(shell, mask, cols, cfg: SeriesConfig, context: str) -> tuple[n
     for m in range(1, cfg.max_terms + 1):
         t, top = shell(m, *cols)
         acc += t
-        if np.max(np.abs(t)) < cfg.abs_tol:
+        big = np.max(np.abs(t))
+        if big < cfg.abs_tol:
             quiet += 1
             if quiet >= cfg.min_terms:
                 total.flat[live] = acc
                 return total, m
         else:
+            if not math.isfinite(big):
+                raise ValueError(f"{context}: non-finite shell term at shell {m}")
             quiet = 0
         done = top < _UNDERFLOW
         if done.any():
@@ -224,33 +230,19 @@ def _exp_times_erfc(log_factor: float, a: float) -> float:
     return math.exp(log_factor) * float(erfc(a))
 
 
-def high_pdf(
-    eta: float,
-    gamma: float,
-    cfg: SeriesConfig | None = None,
-    erfc_arg_scale: str = "sqrt2",
-) -> DensityValue:
+def high_pdf(eta: float, gamma: float, cfg: SeriesConfig | None = None) -> DensityValue:
     """Density of the high, support eta > 0.
 
-    ``erfc_arg_scale`` selects the divisor in the drift correction term
-    gamma * exp(2*gamma*eta) * erfc((eta + gamma) / divisor): ``"sqrt2"``
-    divides by sqrt(2) (the default), ``"half"`` by 2.  Only the sqrt(2)
-    form agrees with the marginal of :func:`high_close_joint_pdf` and with
-    simulation at nonzero drift; the two coincide at gamma = 0.  The
-    refuted ``"half"`` form, which goes negative at nonzero drift, stays
-    selectable for the comparison that ``rangevol.validation`` records.
+    The drift correction term is gamma * exp(2*gamma*eta) *
+    erfc((eta + gamma) / sqrt(2)), the form that agrees with the marginal
+    of :func:`high_close_joint_pdf` and with simulation at nonzero drift.
+    The refuted reading with divisor 2 is kept by ``rangevol.validation``.
     """
     cfg = _cfg(cfg)
     if eta <= 0.0:
         return DensityValue(0.0, 0, True)
-    if erfc_arg_scale == "half":
-        div = 2.0
-    elif erfc_arg_scale == "sqrt2":
-        div = _SQRT2
-    else:
-        raise ValueError("erfc_arg_scale must be 'half' or 'sqrt2'")
     base = _SQRT_2_PI * math.exp(-0.5 * (eta - gamma) ** 2)
-    corr = gamma * _exp_times_erfc(2.0 * gamma * eta, (eta + gamma) / div)
+    corr = gamma * _exp_times_erfc(2.0 * gamma * eta, (eta + gamma) / _SQRT2)
     return _finish(base - corr, 0, cfg)
 
 
@@ -480,11 +472,28 @@ def bridge_range_pdf(delta: float, cfg: SeriesConfig | None = None) -> DensityVa
 # Estimator densities (change of variables x = d^2 / alpha)
 # ---------------------------------------------------------------------------
 
-def _estimator_pdf(x: float, alpha: float, range_density, cfg: SeriesConfig) -> DensityValue:
+def _range_law(kind: EstimatorKind, gamma: float, cfg: SeriesConfig | None):
+    """(range density, alpha) of an analytic estimator, which is d^2 / alpha.
+
+    Parkinson: the drifted range density and alpha = ln 16; bridge: the
+    bridge range density and alpha = pi^2 / 6, whatever the drift.  The
+    densities are looked up by their module-level names at call time, so a
+    wrapper installed on them (as ``perfbench/spans.py`` does) sees every
+    call.
+    """
+    cfg = _cfg(cfg)
+    if kind is EstimatorKind.PARKINSON:
+        return (lambda d: range_pdf(d, gamma, cfg)), LN16
+    if kind is EstimatorKind.BRIDGE:
+        return (lambda d: bridge_range_pdf(d, cfg)), 1.0 / BRIDGE_FACTOR
+    raise ValueError(f"no analytic estimator density for {kind}")
+
+
+def _estimator_pdf(x: float, range_density, alpha: float) -> DensityValue:
+    """Density of d^2 / alpha at x from the range density of d."""
     if x <= 0.0:
         return DensityValue(0.0, 0, True)
-    delta = math.sqrt(alpha * x)
-    inner = range_density(delta)
+    inner = range_density(math.sqrt(alpha * x))
     scale = math.sqrt(alpha / (4.0 * x))
     return DensityValue(scale * inner.value, inner.terms_used, inner.converged, inner.clamped)
 
@@ -493,11 +502,9 @@ def parkinson_estimator_pdf(
     x: float, gamma: float = 0.0, cfg: SeriesConfig | None = None
 ) -> DensityValue:
     """Density of the Parkinson estimator d^2 / ln 16 at drift gamma."""
-    cfg = _cfg(cfg)
-    return _estimator_pdf(x, LN16, lambda d: range_pdf(d, gamma, cfg), cfg)
+    return _estimator_pdf(x, *_range_law(EstimatorKind.PARKINSON, gamma, cfg))
 
 
 def bridge_estimator_pdf(x: float, cfg: SeriesConfig | None = None) -> DensityValue:
     """Density of the bridge estimator (6/pi^2) s^2; drift-free."""
-    cfg = _cfg(cfg)
-    return _estimator_pdf(x, 1.0 / BRIDGE_FACTOR, lambda d: bridge_range_pdf(d, cfg), cfg)
+    return _estimator_pdf(x, *_range_law(EstimatorKind.BRIDGE, 0.0, cfg))

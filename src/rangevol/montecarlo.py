@@ -320,20 +320,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
 
 def _analytic_bin_density(kind: EstimatorKind, gamma: float, edges: np.ndarray,
                           cfg: SeriesConfig | None = None):
-    """Bin-averaged analytic estimator density (5-point Simpson per bin)."""
-    if kind is EstimatorKind.PARKINSON:
-        def pdf(x):
-            return densities.parkinson_estimator_pdf(x, gamma, cfg).value
-    elif kind is EstimatorKind.BRIDGE:
-        def pdf(x):
-            return densities.bridge_estimator_pdf(x, cfg).value
-    else:
+    """Bin-averaged analytic estimator density (5-point Simpson per bin);
+    None for the kinds without one."""
+    if kind not in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
         return None
+    law = densities._range_law(kind, gamma, cfg)
     out = np.empty(len(edges) - 1)
     weights = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) / 12.0
     for i in range(len(edges) - 1):
         xs = np.linspace(edges[i], edges[i + 1], 5)
-        out[i] = float(np.dot(weights, [pdf(x) for x in xs]))
+        out[i] = float(np.dot(weights, [densities._estimator_pdf(x, *law).value for x in xs]))
     return out
 
 

@@ -31,7 +31,7 @@ from scipy import integrate
 
 from . import densities
 from .analytics import garman_klass_mean
-from .densities import DEFAULT_SERIES_CONFIG, SeriesConfig
+from .densities import DensityValue, SeriesConfig
 from .estimators import GarmanKlassVariant, garman_klass_value
 from .paths import batch_extremes
 
@@ -67,6 +67,16 @@ def _bin_z(count: int, n: int, prob: float) -> float:
 _REL_GATE = 0.15
 
 
+def _high_pdf_half(eta: float, gamma: float, cfg: SeriesConfig | None = None) -> DensityValue:
+    """The refuted reading of :func:`densities.high_pdf`: erfc((eta + gamma) / 2)."""
+    cfg = densities._cfg(cfg)
+    if eta <= 0.0:
+        return DensityValue(0.0, 0, True)
+    base = densities._SQRT_2_PI * math.exp(-0.5 * (eta - gamma) ** 2)
+    corr = gamma * densities._exp_times_erfc(2.0 * gamma * eta, (eta + gamma) / 2.0)
+    return densities._finish(base - corr, 0, cfg)
+
+
 def validate_high_density_variants(
     gamma: float = 1.0,
     n_paths: int = 200_000,
@@ -75,17 +85,17 @@ def validate_high_density_variants(
     cfg: SeriesConfig | None = None,
 ) -> ValidationCheck:
     """Which erfc argument scaling makes the high density a density."""
-    cfg = cfg or DEFAULT_SERIES_CONFIG
+    cfg = densities._cfg(cfg)
 
-    def norm_of(variant):
+    def norm_of(pdf):
         val, _ = integrate.quad(
-            lambda e: densities.high_pdf(e, gamma, cfg, erfc_arg_scale=variant).value,
+            lambda e: pdf(e, gamma, cfg).value,
             0.0, 14.0 + abs(gamma), limit=300, epsabs=1e-10,
         )
         return val
 
-    norm_half = norm_of("half")
-    norm_sqrt2 = norm_of("sqrt2")
+    norm_half = norm_of(_high_pdf_half)
+    norm_sqrt2 = norm_of(densities.high_pdf)
 
     # pointwise against the marginal of the (high, close) joint density
     etas = np.array([0.3, 0.7, 1.2, 2.0, 3.0])
@@ -95,8 +105,8 @@ def validate_high_density_variants(
             lambda c: densities.high_close_joint_pdf(eta, c, gamma, cfg).value,
             -12.0, eta, limit=300, epsabs=1e-11,
         )
-        dev_half = max(dev_half, abs(densities.high_pdf(eta, gamma, cfg, "half").value - marg))
-        dev_sqrt2 = max(dev_sqrt2, abs(densities.high_pdf(eta, gamma, cfg, "sqrt2").value - marg))
+        dev_half = max(dev_half, abs(_high_pdf_half(eta, gamma, cfg).value - marg))
+        dev_sqrt2 = max(dev_sqrt2, abs(densities.high_pdf(eta, gamma, cfg).value - marg))
 
     # binned simulation check
     h, _, _ = batch_extremes(seed, n_paths, n_steps, (gamma,), bridge=False)[0][0]
@@ -104,9 +114,9 @@ def validate_high_density_variants(
     rel_half, rel_sqrt2 = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         emp = float(((h >= lo) & (h < hi)).mean())
-        for variant, rels in (("half", rel_half), ("sqrt2", rel_sqrt2)):
+        for pdf, rels in ((_high_pdf_half, rel_half), (densities.high_pdf, rel_sqrt2)):
             prob, _ = integrate.quad(
-                lambda e: densities.high_pdf(e, gamma, cfg, variant).value, lo, hi, epsabs=1e-11
+                lambda e: pdf(e, gamma, cfg).value, lo, hi, epsabs=1e-11
             )
             rels.append(emp / prob - 1.0 if prob > 0.0 else math.inf)
     max_rel_half = max(abs(r) for r in rel_half)
@@ -145,7 +155,7 @@ def validate_high_close_reading(
     cfg: SeriesConfig | None = None,
 ) -> ValidationCheck:
     """The stray exponent symbol in the (high, close) density: close or high?"""
-    cfg = cfg or DEFAULT_SERIES_CONFIG
+    cfg = densities._cfg(cfg)
 
     def mass_close_reading():
         val, _ = integrate.dblquad(
@@ -207,7 +217,7 @@ def validate_hlc_normalization(
     cfg: SeriesConfig | None = None,
 ) -> ValidationCheck:
     """The factor 4 in the (high, low, close) image kernel."""
-    cfg = cfg or DEFAULT_SERIES_CONFIG
+    cfg = densities._cfg(cfg)
 
     def conditional_mass(chi: float) -> float:
         # integral of the implemented (already x4) kernel over the extremes
@@ -276,7 +286,7 @@ def validate_gk_variants(
     cfg: SeriesConfig | None = None,
 ) -> ValidationCheck:
     """Side-by-side means of the two Garman-Klass cross-term variants."""
-    cfg = cfg or DEFAULT_SERIES_CONFIG
+    cfg = densities._cfg(cfg)
     details = {}
     for gamma in (0.0, 1.0):
         details[f"quadrature_mean_hl_gamma{gamma:g}"] = garman_klass_mean(

@@ -2,15 +2,19 @@ import math
 import time
 
 import pytest
+from scipy import integrate
 
 from rangevol import (
+    DEFAULT_SERIES_CONFIG,
     EstimatorKind,
     GarmanKlassVariant,
     analytics,
+    bridge_estimator_pdf,
     coverage_probability,
     garman_klass_mean,
     interval_probability,
     mean_range_squared_series,
+    parkinson_estimator_pdf,
     relative_bias,
     rogers_satchell_mean,
     theoretical_moments,
@@ -205,3 +209,56 @@ def test_moment_report_validates():
         analytics.IntervalReport(
             estimator=EstimatorKind.BRIDGE, gamma=0.0, level=2.0, probability=1.2
         )
+
+
+# ---------------------------------------------------------------------------
+# Oracle: quadratures of the estimator density in the estimator variable x
+# ---------------------------------------------------------------------------
+
+ORACLE_QUAD = dict(limit=400, epsabs=1e-10, epsrel=1e-10)
+ORACLE_LEVELS = (1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
+
+
+def _x_space(kind, gamma):
+    """Estimator pdf, support cut and small-argument floor in x = d^2 / alpha."""
+    if kind is EstimatorKind.PARKINSON:
+        alpha, cut = LN16, 13.0 + abs(gamma)
+
+        def pdf(x):
+            return parkinson_estimator_pdf(x, gamma).value
+    else:
+        alpha, cut = math.pi**2 / 6.0, 13.0
+
+        def pdf(x):
+            return bridge_estimator_pdf(x).value
+    return pdf, cut * cut / alpha, DEFAULT_SERIES_CONFIG.small_arg_floor**2 / alpha
+
+
+def _x_integral(kind, gamma, power, lo, hi=None):
+    """Integral of x**power times the estimator density over [lo, hi]."""
+    pdf, x_cut, x_floor = _x_space(kind, gamma)
+    hi = x_cut if hi is None else hi
+    if lo >= hi:
+        return 0.0
+    points = [x_floor] if lo < x_floor < hi else None
+    val, _ = integrate.quad(lambda x: x**power * pdf(x), lo, hi, points=points, **ORACLE_QUAD)
+    return val
+
+
+@pytest.mark.parametrize(
+    "kind,gamma",
+    [(EstimatorKind.PARKINSON, g) for g in (0.0, 1.0, 2.0)] + [(EstimatorKind.BRIDGE, 0.0)],
+    ids=["parkinson-0", "parkinson-1", "parkinson-2", "bridge"],
+)
+def test_range_space_statistics_match_estimator_space_oracle(kind, gamma):
+    # F(N) = Pr{x > 1/N}, P_delta = Pr{1/2 < x < 2} and the moments of x,
+    # integrated in x against the estimator density
+    for level in ORACLE_LEVELS:
+        expect = min(max(_x_integral(kind, gamma, 0, 1.0 / level), 0.0), 1.0)
+        assert abs(interval_probability(kind, gamma, level) - expect) < 1e-12
+    assert abs(coverage_probability(kind, gamma) - _x_integral(kind, gamma, 0, 0.5, 2.0)) < 1e-12
+    mean = _x_integral(kind, gamma, 1, 0.0)
+    second = _x_integral(kind, gamma, 2, 0.0)
+    report = theoretical_moments(kind, gamma)
+    assert abs(report.mean - mean) < 1e-12
+    assert abs(report.variance - (second - mean * mean)) < 1e-12

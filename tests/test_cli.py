@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -231,6 +232,19 @@ def test_density_unknown_name_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("estimate", "ticks.csv", "--seed", "1"),
+    ("estimate", "ticks.csv", "--series-tol", "1e-9"),
+    ("estimate", "ticks.csv", "--max-terms", "10"),
+    ("density", "range-pdf", "--seed", "1"),
+    ("density", "range-pdf", "--gk-variant", "hc"),
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_subcommand_rejects_flags_it_does_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # tables
 # ---------------------------------------------------------------------------
@@ -358,6 +372,20 @@ def test_estimate_ohlc_non_finite_exit_1(tmp_path, capsys, raw):
     argv = ["estimate", str(f), "--out", str(tmp_path / "o.csv")] + (["--raw-prices"] if raw else [])
     assert run_cli(*argv) == 1
     assert "bars.csv:2: OHLC values must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("tables", "--table", "mean", "--gammas", "0,nan"),
+    ("density", "range-pdf", "--gamma", "nan"),
+], ids=["tables", "density"])
+def test_non_finite_drift_exit_1(tmp_path, capsys, argv):
+    # rejected before any image series runs (it would spin to its shell cap)
+    out = tmp_path / "o.csv"
+    t0 = time.perf_counter()
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert "drift must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_nan_gamma_exit_1(tmp_path, capsys):

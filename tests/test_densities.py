@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -79,28 +80,16 @@ def test_high_pdf_examples():
     assert abs(norm - 1.0) < 1e-8
 
 
-def test_high_pdf_variants_coincide_at_zero_drift():
-    for eta in (0.3, 1.0, 2.5):
-        assert high_pdf(eta, 0.0, erfc_arg_scale="half").value == pytest.approx(
-            high_pdf(eta, 0.0, erfc_arg_scale="sqrt2").value, abs=1e-15
-        )
-
-
 def test_high_pdf_sqrt2_variant_matches_joint_marginal():
-    # marginal consistency at nonzero drift holds for the sqrt2 scaling only
+    # the sqrt2 scaling is consistent at nonzero drift; the refuted half
+    # scaling is checked against the same marginal in test_validation.py
     for eta in (0.5, 1.0, 2.0):
         marg, _ = integrate.quad(
             lambda c: high_close_joint_pdf(eta, c, 1.0).value, -12, eta, **QUAD
         )
-        assert abs(high_pdf(eta, 1.0, erfc_arg_scale="sqrt2").value - marg) < 1e-6
-        assert abs(high_pdf(eta, 1.0, erfc_arg_scale="half").value - marg) > 1e-2
-    norm, _ = integrate.quad(lambda e: high_pdf(e, 1.0, erfc_arg_scale="sqrt2").value, 0, 15, **QUAD)
+        assert abs(high_pdf(eta, 1.0).value - marg) < 1e-6
+    norm, _ = integrate.quad(lambda e: high_pdf(e, 1.0).value, 0, 15, **QUAD)
     assert abs(norm - 1.0) < 1e-8
-
-
-def test_high_pdf_rejects_unknown_variant():
-    with pytest.raises(ValueError):
-        high_pdf(1.0, 0.0, erfc_arg_scale="third")
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +253,24 @@ def test_range_pdf_edge_cases():
     assert floored.value == 0.0 and not floored.converged
     with pytest.raises(NonConvergenceError):
         range_pdf(0.05, 0.0, SeriesConfig(min_terms=1, max_terms=3))
+
+
+@pytest.mark.parametrize("args", [(1.0, math.nan), (math.nan,)], ids=["nan-drift", "nan-range"])
+def test_range_pdf_non_finite_input_raises_fast(args):
+    # a NaN shell term is never quiet; it must not spin to max_terms shells
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="non-finite shell term"):
+        range_pdf(*args)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_image_series_non_finite_term_raises():
+    def shell(m, d):
+        return np.where(d > 1.0, math.nan, 0.5**m), np.zeros_like(d)
+
+    mask = np.array([True, True])
+    with pytest.raises(ValueError, match="toy series: non-finite"):
+        densities._image_series(shell, mask, (np.array([0.5, 2.0]),), SeriesConfig(), "toy series")
 
 
 def test_range_pdf_nonnegative_on_grid():

@@ -1,6 +1,7 @@
 import pytest
+from scipy import integrate
 
-from rangevol import validation
+from rangevol import high_close_joint_pdf, high_pdf, validation
 
 SCALE = dict(n_paths=60_000, n_steps=1_200)
 
@@ -8,6 +9,22 @@ SCALE = dict(n_paths=60_000, n_steps=1_200)
 @pytest.fixture(scope="module")
 def report():
     return validation.formula_validation_report(seed=4200, **SCALE)
+
+
+def test_high_pdf_variants_coincide_at_zero_drift():
+    for eta in (0.3, 1.0, 2.5):
+        assert validation._high_pdf_half(eta, 0.0).value == pytest.approx(
+            high_pdf(eta, 0.0).value, abs=1e-15
+        )
+
+
+def test_high_pdf_half_reading_misses_joint_marginal():
+    # at nonzero drift the refuted half scaling is off the (high, close) marginal
+    for eta in (0.5, 1.0, 2.0):
+        marg, _ = integrate.quad(
+            lambda c: high_close_joint_pdf(eta, c, 1.0).value, -12, eta, limit=300, epsabs=1e-12
+        )
+        assert abs(validation._high_pdf_half(eta, 1.0).value - marg) > 1e-2
 
 
 def test_high_density_check(report):
