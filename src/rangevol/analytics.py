@@ -203,6 +203,7 @@ def garman_klass_mean(
     from the (high, close) density; E[l^2] via the drift-flip symmetry of
     the minimum; and E[hl] = (E[h^2] + E[l^2] - E[d^2]) / 2.
     """
+    densities._require_finite("garman_klass_mean", gamma=gamma)
     cfg = densities._cfg(cfg)
     e_d2, e_cd = _range_close_moments(gamma, cfg)
     e_h2 = _high_close_moment(lambda e, c: e * e, gamma)
@@ -226,6 +227,7 @@ def rogers_satchell_mean(gamma: float = 0.0) -> float:
     drift (the estimator's defining property), which the test suite uses as
     the accuracy gauge.
     """
+    densities._require_finite("rogers_satchell_mean", gamma=gamma)
 
     def weight(e, c):
         return e * (e - c)

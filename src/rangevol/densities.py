@@ -11,7 +11,10 @@ Truncation policy: image shells (+m, -m) are summed outward from m = 1
 until the absolute shell contribution stays below ``abs_tol`` for
 ``min_terms`` consecutive shells; reaching ``max_terms`` first raises
 :class:`NonConvergenceError`, and a non-finite shell term (a NaN drift or
-argument) raises ``ValueError`` at once.  On a grid the rule looks at the
+argument) raises ``ValueError`` at once.  The densities a NaN can pass
+through without reaching a shell term -- the close, high, (high, close) and
+(high, low, close) densities -- reject a non-finite argument up front, as
+do the joint means in ``rangevol.analytics``.  On a grid the rule looks at the
 largest shell contribution over all points, and a point stops being
 evaluated once its exponents underflow (exp is exactly 0 below -745.14),
 since its later terms are exactly 0; the sums and shell counts are those
@@ -112,6 +115,13 @@ def _finish(value: float, terms: int, cfg: SeriesConfig) -> DensityValue:
     return DensityValue(value, terms, True)
 
 
+def _require_finite(context: str, **args: float) -> None:
+    """Raise ``ValueError`` naming the first non-finite argument."""
+    for name, value in args.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{context}: {name} must be finite, got {value!r}")
+
+
 def _sum_shells(shell, cfg: SeriesConfig, context: str) -> tuple[float, int]:
     """Sum shell(m) for m = 1, 2, ... with the quiet-run stopping rule."""
     total = 0.0
@@ -209,6 +219,7 @@ def _reflection_shell(kernel):
 
 def close_pdf(chi: float, gamma: float) -> float:
     """Density of the close: N(gamma, 1)."""
+    _require_finite("close_pdf", chi=chi, gamma=gamma)
     return math.exp(-0.5 * (chi - gamma) ** 2) / math.sqrt(2.0 * math.pi)
 
 
@@ -216,6 +227,7 @@ def high_close_joint_pdf(
     eta: float, chi: float, gamma: float, cfg: SeriesConfig | None = None
 ) -> DensityValue:
     """Joint density of (high, close); closed form, support chi < eta, eta > 0."""
+    _require_finite("high_close_joint_pdf", eta=eta, chi=chi, gamma=gamma)
     cfg = _cfg(cfg)
     if eta <= 0.0 or chi >= eta:
         return DensityValue(0.0, 0, True)
@@ -238,6 +250,7 @@ def high_pdf(eta: float, gamma: float, cfg: SeriesConfig | None = None) -> Densi
     of :func:`high_close_joint_pdf` and with simulation at nonzero drift.
     The refuted reading with divisor 2 is kept by ``rangevol.validation``.
     """
+    _require_finite("high_pdf", eta=eta, gamma=gamma)
     cfg = _cfg(cfg)
     if eta <= 0.0:
         return DensityValue(0.0, 0, True)
@@ -276,6 +289,7 @@ def hlc_joint_pdf(
 ) -> DensityValue:
     """Joint density of (high, low, close); support ell < chi < eta with
     eta > max(0, chi) and ell < min(0, chi)."""
+    _require_finite("hlc_joint_pdf", eta=eta, ell=ell, chi=chi, gamma=gamma)
     cfg = _cfg(cfg)
     if not (ell < chi < eta) or eta <= max(0.0, chi) or ell >= min(0.0, chi):
         return DensityValue(0.0, 0, True)

@@ -14,7 +14,10 @@ and a fixed-bin histogram with explicit underflow/overflow counters.
 Batch partials are merged in batch order with the pairwise update rules,
 so the reduction is independent of completion order.
 
-``RANGEVOL_THREADS`` caps the process pool; it affects speed only.
+``RANGEVOL_THREADS`` caps the process pool; it affects speed only.  The
+batches are split evenly: each worker receives one run of consecutive
+batches, ``ceil(n_batches / workers)`` long, so that no worker is left with
+a short share while another still has a whole chunk to do.
 """
 
 from __future__ import annotations
@@ -278,7 +281,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
             results.append(_batch_partials(task))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_batch_partials, tasks, chunksize=8))
+            results = list(pool.map(_batch_partials, tasks, chunksize=-(-n_batches // workers)))
     results.sort(key=lambda item: item[0])
 
     merged: dict[tuple, _CellAccumulator] = {}

@@ -26,6 +26,13 @@ number in the package depends on:
 consecutive batches to their extremes at a drift grid, and
 :func:`simulate_path` is row 0 of batch 0.  Changing any step above changes
 every seeded result; ``tests/test_stream_layout.py`` pins the layout.
+
+The reduction to extremes is block-pruned on long rows: the driftless sums
+are reduced to per-block extremes once per batch, and each drift (and the
+bridge) evaluates only the blocks whose bound can hold the row's extreme.
+It is exact -- every value it keeps is computed with the same operations
+as the whole row, and max and min do not round -- so it returns the
+whole-row extremes bit for bit and leaves the stream layout unchanged.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Path",
@@ -156,6 +164,13 @@ def batch_extremes(seed, n_paths: int, n_steps: int, gammas, batch_size: int = 1
     does not grow with ``n_paths`` or the length of the grid.  ``shocks``
     replaces the RNG with a fixed ``(n_paths, n_steps)`` matrix.
 
+    On rows of at least ``_MIN_PRUNED_COLS`` values the reduction works on
+    blocks of ``_BLOCK`` columns: the block max and min of the driftless
+    sums are taken once per batch, zero drift reads its extremes off them,
+    and every other drift and the bridge evaluate only the blocks that can
+    hold an extreme (see :func:`_drifted_extremes`).  Shorter rows are
+    reduced whole.  Both give the whole-row extremes bit for bit.
+
     Returns ``(hlc, xz)``: ``hlc[g]`` holds the rows high, low and close at
     drift ``gammas[g]`` (shape ``(len(gammas), 3, n_paths)``); ``xz`` holds
     the bridge high and low (shape ``(2, n_paths)``), or is None when
@@ -168,17 +183,81 @@ def batch_extremes(seed, n_paths: int, n_steps: int, gammas, batch_size: int = 1
         hi = min(lo + batch_size, n_paths)
         s = batch_paths(seed, first_batch + lo // batch_size, hi - lo, n_steps,
                         shocks=None if shocks is None else shocks[lo:hi])
+        blocks = _block_extremes(s) if n_steps + 1 >= _MIN_PRUNED_COLS else None
         if bridge:
-            z = s - tau[None, :] * s[:, -1:]
-            xz[0, lo:hi] = z.max(axis=1)
-            xz[1, lo:hi] = z.min(axis=1)
-            del z
+            xz[:, lo:hi] = _drifted_extremes(s, tau, -s[:, -1:], blocks)
         for g, gamma in enumerate(gammas):
-            x = s + gamma * tau[None, :] if gamma != 0.0 else s
-            hlc[g, 0, lo:hi] = x.max(axis=1)
-            hlc[g, 1, lo:hi] = x.min(axis=1)
-            hlc[g, 2, lo:hi] = x[:, -1]
+            hlc[g, :2, lo:hi] = _drifted_extremes(s, tau, gamma, blocks)
+            hlc[g, 2, lo:hi] = s[:, -1] + gamma if gamma != 0.0 else s[:, -1]
     return hlc, xz
+
+
+# Block width of the pruned reduction and the shortest row it is used on,
+# measured on 512-path batches: 64 columns is as fast as 128 on the desk row
+# (5001 columns) and faster on shorter ones, and pruning overtakes the
+# whole-row reduction between 513 and 601 columns (it is 6x slower at 65).
+_BLOCK = 64
+_MIN_PRUNED_COLS = 10 * _BLOCK
+
+
+def _block_extremes(s):
+    """First column, last column, max and min of the blocks of the rows of ``s``.
+
+    ``_BLOCK``-column blocks tile each row from column 0; the last block
+    holds what is left.
+    """
+    n_cols = s.shape[1]
+    first = np.arange(0, n_cols, _BLOCK)
+    last = np.minimum(first + _BLOCK, n_cols) - 1
+    return (first, last,
+            np.maximum.reduceat(s, first, axis=1), np.minimum.reduceat(s, first, axis=1))
+
+
+def _drifted_extremes(s, tau, g, blocks):
+    """Row max and row min of ``s + tau * g``, for a scalar or a ``(rows, 1)`` ``g``.
+
+    Adding ``tau * -c`` is bit for bit subtracting ``tau * c``, so a column
+    ``g = -close`` gives the bridge.  With ``blocks`` (the
+    :func:`_block_extremes` of ``s``) only the blocks that can hold an
+    extreme are evaluated.  Along a block ``tau * g`` is monotone, and so is
+    rounding, so every value in the block lies between its block extreme
+    plus the drift term at one end and plus the term at the other.  A block
+    is kept unless its bound is beaten by a value some block surely holds;
+    ties are kept, so the block holding the extreme always is.  Kept values
+    are computed with the same operations as the whole row, and max and min
+    are exact, so the result is bit-identical to the whole-row reduction.
+    """
+    no_drift = np.ndim(g) == 0 and g == 0.0
+    if blocks is None:
+        x = s if no_drift else s + tau * g
+        return x.max(axis=1), x.min(axis=1)
+    first, last, b_max, b_min = blocks
+    if no_drift:
+        return b_max.max(axis=1), b_min.min(axis=1)
+    d0, d1 = tau[first] * g, tau[last] * g
+    d_lo, d_hi = np.minimum(d0, d1), np.maximum(d0, d1)
+    sure_max = (b_max + d_lo).max(axis=1, keepdims=True)
+    sure_min = (b_min + d_hi).min(axis=1, keepdims=True)
+    # the short last block is read through the last full-width window
+    starts = np.minimum(first, s.shape[1] - _BLOCK)
+    return (_kept_reduce(np.maximum, s, tau, g, starts, ~(b_max + d_hi < sure_max)),
+            _kept_reduce(np.minimum, s, tau, g, starts, ~(b_min + d_lo > sure_min)))
+
+
+def _kept_reduce(ufunc, s, tau, g, starts, keep):
+    """``ufunc``-reduce ``s + tau * g`` over the kept blocks of each row.
+
+    Block ``j`` is read as the ``_BLOCK`` columns from ``starts[j]``; a
+    window wider than its block adds only other values of the same row.
+    Every row keeps at least one block.  A NaN bound keeps every block of
+    its row, so a NaN reaches the result as it would in the whole row.
+    """
+    rows, cols = np.nonzero(keep)
+    cols = starts[cols]
+    vals = (sliding_window_view(s, _BLOCK, axis=1)[rows, cols]
+            + sliding_window_view(tau, _BLOCK)[cols] * (g if np.ndim(g) == 0 else g[rows]))
+    counts = keep.sum(axis=1)
+    return ufunc.reduceat(ufunc.reduce(vals, axis=1), np.cumsum(counts) - counts)
 
 
 def simulate_path(n_steps: int, gamma: float, seed, shocks=None) -> Path:

@@ -264,6 +264,30 @@ def test_range_pdf_non_finite_input_raises_fast(args):
     assert time.perf_counter() - t0 < 1.0
 
 
+NON_FINITE_CASES = [
+    (high_pdf, (1.0, math.nan), "gamma"),
+    (high_pdf, (math.inf, 0.5), "eta"),
+    (high_close_joint_pdf, (1.0, 0.5, math.nan), "gamma"),
+    (high_close_joint_pdf, (1.0, -math.inf, 0.5), "chi"),
+    (hlc_joint_pdf, (1.0, -0.5, 0.2, math.nan), "gamma"),
+    (hlc_joint_pdf, (1.0, math.nan, 0.2, 0.5), "ell"),
+    (close_pdf, (0.2, math.nan), "gamma"),
+    (close_pdf, (math.inf, 0.0), "chi"),
+    (analytics.rogers_satchell_mean, (math.nan,), "gamma"),
+    (analytics.garman_klass_mean, (math.nan,), "gamma"),
+    (analytics.garman_klass_mean, (-math.inf,), "gamma"),
+]
+
+
+@pytest.mark.parametrize("func, args, name", NON_FINITE_CASES,
+                         ids=[f"{f.__name__}-{a}" for f, a, _ in NON_FINITE_CASES])
+def test_closed_forms_reject_non_finite_input(func, args, name):
+    # the Gaussian close factor or the quadrature nodes would carry a NaN
+    # through without any shell series seeing it
+    with pytest.raises(ValueError, match=f"{func.__name__}: {name} must be finite"):
+        func(*args)
+
+
 def test_image_series_non_finite_term_raises():
     def shell(m, d):
         return np.where(d > 1.0, math.nan, 0.5**m), np.zeros_like(d)

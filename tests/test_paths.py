@@ -13,6 +13,7 @@ from rangevol import (
     bridge_transform,
     densities,
     extremes,
+    paths,
     simulate_path,
 )
 
@@ -170,3 +171,46 @@ def test_bar_errors():
             for log_input in (False, True):
                 with pytest.raises(ValueError, match="finite"):
                     bar_from_samples(ticks, (0.0, 1.0), log_input=log_input)
+
+
+# ---------------------------------------------------------------------------
+# batch_extremes: block-pruned reduction against the whole-row reduction
+# ---------------------------------------------------------------------------
+
+PRUNE_GAMMAS = (0.0, 0.5, -0.5, 2.0, -2.0, 5.0, -5.0)
+
+
+def _whole_row_batch_extremes(seed, n_paths, n_steps, gammas, batch_size, shocks):
+    """``batch_extremes`` as a plain loop over every value of every row."""
+    tau = np.arange(n_steps + 1) / n_steps
+    hlc = np.empty((len(gammas), 3, n_paths))
+    xz = np.empty((2, n_paths))
+    for b, lo in enumerate(range(0, n_paths, batch_size)):
+        hi = min(lo + batch_size, n_paths)
+        s = paths.batch_paths(seed, b, hi - lo, n_steps,
+                              shocks=None if shocks is None else shocks[lo:hi])
+        z = s - tau[None, :] * s[:, -1:]
+        xz[:, lo:hi] = z.max(axis=1), z.min(axis=1)
+        for g, gamma in enumerate(gammas):
+            x = s + gamma * tau[None, :] if gamma != 0.0 else s
+            hlc[g, :, lo:hi] = x.max(axis=1), x.min(axis=1), x[:, -1]
+    return hlc, xz
+
+
+@pytest.mark.parametrize("zero_shocks", [False, True], ids=["random", "zero-shocks"])
+@pytest.mark.parametrize("n_steps", [1, 20, 63, 64, 65, 638, 639, 640, 702, 5000])
+def test_batch_extremes_bit_identical_to_whole_rows(n_steps, zero_shocks):
+    # Rows of fewer than 640 values are reduced whole; 639, 640 and 702 steps
+    # give pruned rows whose last block holds 64, 1 and 63 columns.  150
+    # paths in batches of 64: the last batch holds 22.  Zero shocks put
+    # every block's extreme exactly on its bound (bridge: every value is 0).
+    n_paths, batch = 150, 64
+    shocks = np.zeros((n_paths, n_steps)) if zero_shocks else None
+    hlc, xz = _whole_row_batch_extremes(7, n_paths, n_steps, PRUNE_GAMMAS, batch, shocks)
+    got_hlc, got_xz = paths.batch_extremes(7, n_paths, n_steps, PRUNE_GAMMAS, batch, shocks=shocks)
+    assert got_hlc.tobytes() == hlc.tobytes()
+    assert got_xz.tobytes() == xz.tobytes()
+    no_bridge, none = paths.batch_extremes(7, n_paths, n_steps, PRUNE_GAMMAS, batch,
+                                           shocks=shocks, bridge=False)
+    assert none is None and no_bridge.tobytes() == hlc.tobytes()
+
