@@ -2,7 +2,9 @@
 """Exact densities, moments, and what they buy you for interval estimates.
 
 Evaluates the analytic densities of the path range and the bridge range,
-checks their celebrated moments, tabulates the estimator pdfs to CSV
+checks their celebrated moments, sets the moments of all four estimators
+side by side (Garman-Klass and Rogers-Satchell from the exact (high, low,
+close) law, a few seconds each), tabulates the estimator pdfs to CSV
 (plot-ready), and computes the factor-N interval probabilities that make
 the bridge estimator attractive: Pr{true vol < 2 * estimate} is 0.918 for
 the bridge versus 0.813 for Parkinson at zero drift.
@@ -56,14 +58,20 @@ for kind, gamma in [
     (EstimatorKind.PARKINSON, 0.0),
     (EstimatorKind.PARKINSON, 1.0),
     (EstimatorKind.PARKINSON, 2.0),
+    (EstimatorKind.GARMAN_KLASS, 0.0),
+    (EstimatorKind.GARMAN_KLASS, 2.0),
+    (EstimatorKind.ROGERS_SATCHELL, 0.0),
+    (EstimatorKind.ROGERS_SATCHELL, 2.0),
     (EstimatorKind.BRIDGE, 0.0),
 ]:
     rep = theoretical_moments(kind, gamma)
     print(
-        f"{kind.value:10s} gamma={gamma:3.1f}: mean = {rep.mean:.6f}  "
+        f"{kind.value:15s} gamma={gamma:3.1f}: mean = {rep.mean:.6f}  "
         f"variance = {rep.variance:.6f}  relative bias = {rep.relative_bias:+.4f}"
     )
-print("(Parkinson drifts away from 1 as gamma grows; the bridge never moves.)")
+print("(Parkinson drifts away from 1 as gamma grows; Rogers-Satchell stays unbiased")
+print(" with a growing variance; the bridge never moves.  Garman-Klass is the")
+print(" high-low cross-term variant.)")
 
 print()
 print("=" * 70)
@@ -85,13 +93,14 @@ print()
 print("=" * 70)
 print("5. Interval probabilities F(N) = Pr{true vol < N * estimate}")
 print("=" * 70)
-print("      N     bridge   Parkinson(gamma=0)")
+KINDS = (EstimatorKind.BRIDGE, EstimatorKind.GARMAN_KLASS, EstimatorKind.ROGERS_SATCHELL,
+         EstimatorKind.PARKINSON)
+print("      N     bridge   Garman-Klass   Rogers-Satchell   Parkinson   (gamma=0)")
 for level in (1.0, 1.5, 2.0, 3.0, 5.0):
-    fb = interval_probability(EstimatorKind.BRIDGE, 0.0, level)
-    fp = interval_probability(EstimatorKind.PARKINSON, 0.0, level)
-    print(f"  {level:5.1f}   {fb:.4f}   {fp:.4f}")
+    f = [interval_probability(kind, 0.0, level) for kind in KINDS]
+    print(f"  {level:5.1f}   {f[0]:.4f}   {f[1]:.4f}         {f[2]:.4f}            {f[3]:.4f}")
 
-pb = coverage_probability(EstimatorKind.BRIDGE)
-pp = coverage_probability(EstimatorKind.PARKINSON, 0.0)
 print()
-print(f"factor-2 coverage Pr{{est/2 < vol < 2 est}}: bridge {pb:.4f}, Parkinson {pp:.4f}")
+print("factor-2 coverage Pr{est/2 < vol < 2 est} at gamma=0:")
+for kind in KINDS:
+    print(f"  {kind.value:15s} {coverage_probability(kind, 0.0):.4f}")

@@ -10,12 +10,12 @@ range mass above sqrt(alpha x).  The Garman-Klass mean reduces to 2D
 quadratures of the (high, close) and (range, close) joint densities; the
 Rogers-Satchell mean to 2D quadratures of the closed-form (high, close)
 density alone, with the minimum's share taken from the maximum at the
-flipped drift.  Variances of Garman-Klass and Rogers-Satchell need E[h l]
-moments of the (high, low, close) density, a 3D quadrature, so they are
-delegated to a fixed-seed Monte Carlo oracle with a reported standard
-error, which is cheaper at equal accuracy.
+flipped drift.  Their second moments and Pr{estimator <= x} come from
+the (high, low, close) law: E[estimator^2] by 3D quadrature, and the
+distribution from the closed-form mass of the low between the roots of
+the estimator, a convex quadratic in the low given (high, close).
 
-Quadratures use scipy's adaptive Gauss-Kronrod integrator at 1e-10
+Quadratures use scipy's adaptive Gauss-Kronrod integrators at 1e-10
 absolute tolerance, with Gaussian-tailed supports truncated where the
 integrand is below 1e-16.
 """
@@ -29,9 +29,9 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 
-from . import densities, montecarlo
+from . import densities
 from .densities import SeriesConfig
-from .estimators import GK_K1, GK_K2, GK_K3, EstimatorKind, GarmanKlassVariant
+from .estimators import GK_K1, GK_K2, GK_K3, EstimatorKind, GarmanKlassVariant, estimator_value
 
 __all__ = [
     "MomentReport",
@@ -47,21 +47,10 @@ __all__ = [
 
 _QUAD_OPTS = dict(limit=400, epsabs=1e-10, epsrel=1e-10)
 
-# Default scale of the Monte Carlo oracle backing G&K / R&S variances.
-ORACLE_PATHS = 10_000_000
-ORACLE_STEPS = 10_000
-ORACLE_SEED = 901
-
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Mean, variance and relative bias of one canonical estimator.
-
-    ``method`` records how the variance was obtained ("quadrature" for the
-    fully analytic estimators, "mc_oracle" when a seeded simulation filled
-    in what 3D quadrature would otherwise have to); means are always
-    quadrature-based.  Standard errors are None for analytic entries.
-    """
+    """Mean, variance and relative bias of one canonical estimator, by ``method``."""
 
     estimator: EstimatorKind
     gamma: float
@@ -69,8 +58,6 @@ class MomentReport:
     variance: float
     relative_bias: float
     method: str
-    mean_se: float | None = None
-    variance_se: float | None = None
 
     def __post_init__(self):
         if self.variance < 0.0:
@@ -236,64 +223,110 @@ def rogers_satchell_mean(gamma: float = 0.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Moment reports
+# The (high, low, close) law: second moments and distribution functions
 # ---------------------------------------------------------------------------
 
-def _oracle_variance(
-    kind: EstimatorKind,
-    gamma: float,
-    gk_variant: GarmanKlassVariant,
-    paths: int,
-    steps: int,
-    seed,
-):
-    cfg = montecarlo.ExperimentConfig(
-        n_steps=steps,
-        n_paths=paths,
-        gamma_grid=(gamma,),
-        seed=seed,
-        estimators=(kind,),
-        gk_variant=gk_variant,
-        gk_both_variants=False,
-    )
-    summary = montecarlo.run_experiment(cfg)
-    cell = summary.cell(montecarlo.estimator_label(kind, gk_variant), gamma)
-    return cell.variance, cell.variance_se
+def _close_integral(inner, gamma: float, span: float = 8.0):
+    """Integral of inner(chi) (maybe an array) against the close density N(gamma, 1),
+    adaptive, with a breakpoint at 0, where max(0, chi) and min(0, chi) kink."""
+    lo, hi = gamma - span, gamma + span
+    return integrate.quad_vec(
+        lambda chi: inner(chi) * densities.close_pdf(chi, gamma), lo, hi,
+        points=(0.0,) if lo < 0.0 < hi else None, **_QUAD_OPTS,
+    )[0]
 
+
+def _hlc_moment(weight, gamma: float, cfg: SeriesConfig, n_gl: int = 80, span: float = 8.0):
+    """E[weight(h, l, c)] under the (high, low, close) law: adaptive in the
+    close, n_gl x n_gl Gauss-Legendre over the extremes within ``span`` of
+    their bounds max(0, c) and min(0, c)."""
+    x, w = _gl_nodes(0.0, span, n_gl)
+
+    def inner(chi):
+        e, l = (max(0.0, chi) + x)[:, None], (min(0.0, chi) - x)[None, :]
+        series, _ = densities._hlc_series_grid(e, l, chi, cfg)
+        return np.einsum("i,j,ij->", w, w, series * weight(e, l, chi))
+
+    return float(_close_integral(inner, gamma, span))
+
+
+def _roots(f):
+    """(lower, upper) real roots of a quadratic f(t), NaN if none, and its discriminant.
+
+    The coefficients are read off f(-1), f(0), f(1); the roots take the
+    stable form q / a and c / q, so a vanishing ``a`` leaves one root exact.
+    """
+    fm, c, fp = f(-1.0), f(0.0), f(1.0)
+    a, b = 0.5 * (fp + fm) - c, 0.5 * (fp - fm)
+    disc = b * b - 4.0 * a * c
+    q = -0.5 * (b + np.copysign(np.sqrt(np.where(disc >= 0.0, disc, np.nan)), b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1, r2 = q / a, c / q
+    return np.minimum(r1, r2), np.maximum(r1, r2), disc
+
+
+def _estimator_cdf(kind, gamma: float, xs, cfg: SeriesConfig, variant: GarmanKlassVariant,
+                   n_gl: int = 32, span: float = 8.0):
+    """Pr{estimator <= x} for each x of ``xs``, Garman-Klass or Rogers-Satchell.
+
+    Given (h, c) the estimator is a convex quadratic in the low, so the event
+    is the interval of l between its roots, cut at min(0, c).  Its mass kinks
+    in h where a root meets min(0, c) and where the roots merge; both are
+    roots of quadratics in h, and the Gauss-Legendre rule in h is split there.
+    """
+    x = np.asarray(xs, dtype=float)[:, None]
+    t, w = _gl_nodes(0.0, 1.0, n_gl)
+
+    def form(h, l, c):
+        return estimator_value(kind, h, l, c, variant=variant) - x
+
+    def inner(chi):
+        h0, end = max(0.0, chi), min(0.0, chi)
+
+        def in_low(h):
+            return _roots(lambda l: form(h, l, chi))
+
+        cuts = np.hstack(_roots(lambda h: form(h, end, chi))[:2]
+                         + _roots(lambda h: in_low(h)[2])[:2])
+        cuts = np.sort(np.clip(np.nan_to_num(cuts, nan=h0), h0, h0 + span), axis=1)
+        edges = np.hstack([np.full_like(x, h0), cuts, np.full_like(x, h0 + span)])
+        width = np.diff(edges, axis=1)[:, :, None]
+        h = (edges[:, :-1, None] + width * t).reshape(len(x), -1)
+        mass, _ = densities._hlc_low_mass_grid(h, *in_low(h)[:2], chi, cfg)
+        return np.sum((width * w).reshape(len(x), -1) * mass, axis=1)
+
+    return _close_integral(inner, gamma, span)
+
+
+# ---------------------------------------------------------------------------
+# Moment reports
+# ---------------------------------------------------------------------------
 
 def theoretical_moments(
     kind: EstimatorKind,
     gamma: float = 0.0,
     cfg: SeriesConfig | None = None,
     gk_variant: GarmanKlassVariant = GarmanKlassVariant.HIGH_LOW_CROSS,
-    oracle_paths: int = ORACLE_PATHS,
-    oracle_steps: int = ORACLE_STEPS,
-    oracle_seed=ORACLE_SEED,
 ) -> MomentReport:
     """Mean/variance/relative-bias report for one canonical estimator.
 
-    Parkinson and bridge are fully analytic.  For Garman-Klass and
-    Rogers-Satchell the mean is quadrature-based but the variance comes
-    from the Monte Carlo oracle (``method="mc_oracle"``), whose scale the
-    ``oracle_*`` arguments control; the defaults target the fourth digit
-    and take minutes, so tests and tables pass smaller sizes explicitly.
+    Garman-Klass and Rogers-Satchell combine the 2D mean with E[estimator^2]
+    from the (high, low, close) law.
     """
     cfg = densities._cfg(cfg)
-    var_se = None
     if kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
         alpha = _alpha(kind)
         mean = _range_integral(kind, gamma, cfg, 2) / alpha
-        var = _range_integral(kind, gamma, cfg, 4) / alpha**2 - mean * mean
-        method = "quadrature"
+        second = _range_integral(kind, gamma, cfg, 4) / alpha**2
     else:
         if kind is EstimatorKind.GARMAN_KLASS:
             mean = garman_klass_mean(gamma, cfg, gk_variant)
         else:
             mean = rogers_satchell_mean(gamma)
-        var, var_se = _oracle_variance(
-            kind, gamma, gk_variant, oracle_paths, oracle_steps, oracle_seed
+        second = _hlc_moment(
+            lambda h, l, c: estimator_value(kind, h, l, c, variant=gk_variant) ** 2, gamma, cfg
         )
-        method = "mc_oracle"
+    var = second - mean * mean
     rho = (mean - 1.0) / math.sqrt(var) if var > 0.0 else math.nan
     return MomentReport(
         estimator=kind,
@@ -301,8 +334,7 @@ def theoretical_moments(
         mean=mean,
         variance=var,
         relative_bias=rho,
-        method=method,
-        variance_se=var_se,
+        method="quadrature",
     )
 
 
@@ -323,14 +355,17 @@ def interval_probability(
     gamma: float,
     level: float,
     cfg: SeriesConfig | None = None,
+    gk_variant: GarmanKlassVariant = GarmanKlassVariant.HIGH_LOW_CROSS,
 ) -> float:
     """Pr{ true volatility < level * estimate } = Pr{ estimate > 1/level },
-    the range mass above sqrt(alpha / level).  Analytic kinds only
-    (Parkinson, bridge)."""
+    for Parkinson and bridge the range mass above sqrt(alpha / level)."""
     if not level > 0.0:
         raise ValueError("level must be positive")
     cfg = densities._cfg(cfg)
-    val = _range_integral(kind, gamma, cfg, 0, math.sqrt(_alpha(kind) / level))
+    if kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
+        val = _range_integral(kind, gamma, cfg, 0, math.sqrt(_alpha(kind) / level))
+    else:
+        val = 1.0 - float(_estimator_cdf(kind, gamma, (1.0 / level,), cfg, gk_variant)[0])
     return min(max(val, 0.0), 1.0)
 
 
@@ -338,29 +373,13 @@ def coverage_probability(
     kind: EstimatorKind,
     gamma: float = 0.0,
     cfg: SeriesConfig | None = None,
-    mc_paths: int = 100_000,
-    mc_steps: int = 5_000,
-    mc_seed=0,
     gk_variant: GarmanKlassVariant = GarmanKlassVariant.HIGH_LOW_CROSS,
 ) -> float:
-    """Pr{ estimate/2 < true volatility < 2 * estimate }.
-
-    The range mass over (sqrt(alpha / 2), sqrt(2 alpha)) for Parkinson and
-    bridge; a fixed-seed Monte Carlo estimate for Garman-Klass and
-    Rogers-Satchell, which have no analytic density here.
-    """
+    """Pr{ estimate/2 < true volatility < 2 * estimate } = Pr{ 1/2 < estimate < 2 },
+    for Parkinson and bridge the range mass over (sqrt(alpha / 2), sqrt(2 alpha))."""
     cfg = densities._cfg(cfg)
     if kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
         alpha = _alpha(kind)
         return _range_integral(kind, gamma, cfg, 0, math.sqrt(alpha / 2.0), math.sqrt(2.0 * alpha))
-    mc_cfg = montecarlo.ExperimentConfig(
-        n_steps=mc_steps,
-        n_paths=mc_paths,
-        gamma_grid=(gamma,),
-        seed=mc_seed,
-        estimators=(kind,),
-        gk_variant=gk_variant,
-        gk_both_variants=False,
-    )
-    summary = montecarlo.run_experiment(mc_cfg)
-    return summary.cell(montecarlo.estimator_label(kind, gk_variant), gamma).p_delta
+    below_half, below_two = _estimator_cdf(kind, gamma, (0.5, 2.0), cfg, gk_variant)
+    return float(below_two - below_half)

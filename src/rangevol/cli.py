@@ -282,15 +282,11 @@ def _emit_ticks(cfg: montecarlo.ExperimentConfig, path: str, sigma: float, horiz
 
 
 def _theory_columns(label: str, gamma: float, cfg: SeriesConfig):
-    if label == "parkinson":
-        report = analytics.theoretical_moments(EstimatorKind.PARKINSON, gamma, cfg)
-        p = analytics.coverage_probability(EstimatorKind.PARKINSON, gamma, cfg)
-        return report.mean, report.variance, p
-    if label == "bridge":
-        report = analytics.theoretical_moments(EstimatorKind.BRIDGE, 0.0, cfg)
-        p = analytics.coverage_probability(EstimatorKind.BRIDGE, 0.0, cfg)
-        return report.mean, report.variance, p
-    return None, None, None
+    if label not in ("parkinson", "bridge"):
+        return None, None, None
+    kind = EstimatorKind(label)
+    report = analytics.theoretical_moments(kind, gamma, cfg)
+    return report.mean, report.variance, analytics.coverage_probability(kind, gamma, cfg)
 
 
 def cmd_simulate(args, parser, argv) -> int:
@@ -376,22 +372,6 @@ def cmd_density(args, parser, argv) -> int:
 # tables
 # ---------------------------------------------------------------------------
 
-def _mc_cells(kinds, gammas, args):
-    """One shared experiment backing the MC-method table rows."""
-    wanted = [k for k in kinds if k in (EstimatorKind.GARMAN_KLASS, EstimatorKind.ROGERS_SATCHELL)]
-    if not wanted:
-        return None
-    cfg = montecarlo.ExperimentConfig(
-        n_steps=args.mc_steps,
-        n_paths=args.mc_paths,
-        gamma_grid=gammas,
-        seed=args.seed,
-        estimators=tuple(wanted),
-        gk_variant=GarmanKlassVariant(args.gk_variant),
-    )
-    return montecarlo.run_experiment(cfg)
-
-
 def cmd_tables(args, parser, argv) -> int:
     cfg = _series_config(args)
     gammas = _finite_gammas(_parse_gammas(args.gammas))
@@ -400,80 +380,42 @@ def cmd_tables(args, parser, argv) -> int:
         if args.estimators is not None
         else tuple(_KIND_NAMES.values())
     )
+    variant = GarmanKlassVariant(args.gk_variant)
     header = ["estimator", "x", "value", "method", "se"]
     rows = []
     table = args.table
 
-    def label_of(kind):
-        return montecarlo.estimator_label(kind, GarmanKlassVariant(args.gk_variant))
-
     try:
-        if table in ("mean", "variance", "relative-bias"):
-            mc = _mc_cells(kinds, gammas, args) if table != "mean" else None
+        if table == "interval":
+            levels = tuple(float(v) for v in args.levels.split(","))
+            for kind in kinds:
+                gamma = 0.0 if kind is EstimatorKind.BRIDGE else gammas[0]
+                for level in levels:
+                    value = analytics.interval_probability(kind, gamma, level, cfg, variant)
+                    rows.append([montecarlo.estimator_label(kind, variant), level, value,
+                                 "quadrature", None])
+        else:
             for gamma in gammas:
                 for kind in kinds:
-                    if kind is EstimatorKind.PARKINSON or kind is EstimatorKind.BRIDGE:
-                        report = analytics.theoretical_moments(kind, gamma, cfg)
+                    if table == "coverage":
+                        value = analytics.coverage_probability(kind, gamma, cfg, variant)
+                    elif table == "mean" and kind is EstimatorKind.GARMAN_KLASS:
+                        for each in GarmanKlassVariant:
+                            value = analytics.garman_klass_mean(gamma, cfg, each)
+                            rows.append([montecarlo.estimator_label(kind, each), gamma, value,
+                                         "quadrature", None])
+                        continue
+                    elif table == "mean" and kind is EstimatorKind.ROGERS_SATCHELL:
+                        value = analytics.rogers_satchell_mean(gamma)
+                    else:
+                        report = analytics.theoretical_moments(kind, gamma, cfg, variant)
                         value = {
                             "mean": report.mean,
                             "variance": report.variance,
                             "relative-bias": report.relative_bias,
                         }[table]
-                        rows.append([label_of(kind), gamma, value, "quadrature", None])
-                    elif table == "mean":
-                        if kind is EstimatorKind.GARMAN_KLASS:
-                            for variant in GarmanKlassVariant:
-                                value = analytics.garman_klass_mean(gamma, cfg, variant)
-                                rows.append(
-                                    [montecarlo.estimator_label(kind, variant), gamma,
-                                     value, "quadrature", None]
-                                )
-                        else:
-                            value = analytics.rogers_satchell_mean(gamma)
-                            rows.append([label_of(kind), gamma, value, "quadrature", None])
-                    else:
-                        cell = mc.cell(label_of(kind), gamma)
-                        if table == "variance":
-                            rows.append(
-                                [label_of(kind), gamma, cell.variance, "mc_oracle",
-                                 cell.variance_se]
-                            )
-                        else:
-                            # fully empirical relative bias: the simulated mean
-                            # carries the same discretization as the variance
-                            sd = math.sqrt(cell.variance)
-                            rho = (cell.mean - 1.0) / sd
-                            rows.append(
-                                [label_of(kind), gamma, rho, "mc_oracle", cell.mean_se / sd]
-                            )
-        elif table == "interval":
-            levels = tuple(float(v) for v in args.levels.split(","))
-            for kind in kinds:
-                if kind not in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
-                    continue
-                gamma = gammas[0] if kind is EstimatorKind.PARKINSON else 0.0
-                for level in levels:
-                    report = analytics.IntervalReport(
-                        estimator=kind,
-                        gamma=gamma,
-                        level=level,
-                        probability=analytics.interval_probability(kind, gamma, level, cfg),
-                    )
-                    rows.append(
-                        [label_of(kind), report.level, report.probability, "quadrature", None]
-                    )
-        elif table == "coverage":
-            mc = _mc_cells(kinds, gammas, args)
-            for gamma in gammas:
-                for kind in kinds:
-                    if kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
-                        value = analytics.coverage_probability(kind, gamma, cfg)
-                        rows.append([label_of(kind), gamma, value, "quadrature", None])
-                    else:
-                        cell = mc.cell(label_of(kind), gamma)
-                        rows.append(
-                            [label_of(kind), gamma, cell.p_delta, "mc_oracle", cell.p_delta_se]
-                        )
+                    rows.append([montecarlo.estimator_label(kind, variant), gamma, value,
+                                 "quadrature", None])
     except NonConvergenceError as exc:
         raise _CliError(f"table {table!r}: {exc}") from exc
     _write_output(args, header, rows, argv)
@@ -556,10 +498,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--levels", default="1,1.5,2,3,5,10",
                        help="levels N for the interval table")
     p_tab.add_argument("--estimators", default=None)
-    p_tab.add_argument("--mc-paths", type=int, default=200_000,
-                       help="paths of the MC oracle behind variance/coverage rows")
-    p_tab.add_argument("--mc-steps", type=int, default=5_000)
-    p_tab.add_argument("--seed", type=int, default=0)
     for add in (_add_output, _add_series, _add_gk_variant):
         add(p_tab)
     return parser

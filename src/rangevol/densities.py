@@ -38,6 +38,7 @@ import numpy as np
 from scipy.special import erf, erfc, erfcx
 
 from .estimators import BRIDGE_FACTOR, LN16, EstimatorKind
+from .paths import _require_finite
 
 __all__ = [
     "SeriesConfig",
@@ -113,13 +114,6 @@ def _finish(value: float, terms: int, cfg: SeriesConfig) -> DensityValue:
     if value < 0.0 and value > -max(1e-14, 10.0 * cfg.abs_tol):
         return DensityValue(0.0, terms, True, clamped=True)
     return DensityValue(value, terms, True)
-
-
-def _require_finite(context: str, **args: float) -> None:
-    """Raise ``ValueError`` naming the first non-finite argument."""
-    for name, value in args.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{context}: {name} must be finite, got {value!r}")
 
 
 def _sum_shells(shell, cfg: SeriesConfig, context: str) -> tuple[float, int]:
@@ -281,6 +275,33 @@ def _hlc_series_grid(eta, ell, chi: float, cfg: SeriesConfig) -> tuple[np.ndarra
     total, shells = _image_series(
         _reflection_shell(kernel), mask, (eta - ell, ell), cfg, "(h,l,c) joint density"
     )
+    return 4.0 * total, shells
+
+
+def _hlc_low_mass_grid(eta, lo, hi, chi: float, cfg: SeriesConfig) -> tuple[np.ndarray, int]:
+    """Integral of :func:`_hlc_series_grid` over the low in [lo, hi], vectorized.
+
+    K(u) is G'(u) / 2 with G(u) = (chi - 2u) exp(2u(chi - u)), so image term
+    mm integrates to mm / 2 [G(mm d + l) - G(mm d)] (d = eta - l) between the
+    ends, with the density's own exponents.  ``hi`` is clipped to the support
+    and to range ``small_arg_floor``; ``lo`` must be finite; NaN ends give 0.
+    """
+    eta, lo, hi = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (eta, lo, hi)))
+    hi = np.minimum(hi, np.minimum(min(0.0, chi), eta - cfg.small_arg_floor))
+    mask = (eta > max(0.0, chi)) & (lo < hi)
+
+    def shell(m, e, a, b):
+        t = 0.0
+        top = -np.inf
+        for mm in (m, -m):
+            for ell, half in ((b, 0.5 * mm), (a, -0.5 * mm)):
+                for u, coef in ((mm * (e - ell) + ell, half), (mm * (e - ell), -half)):
+                    x = 2.0 * u * (chi - u)
+                    t = t + coef * (chi - 2.0 * u) * np.exp(x)
+                    top = np.maximum(top, x)
+        return t, top
+
+    total, shells = _image_series(shell, mask, (eta, lo, hi), cfg, "(h,l,c) low mass")
     return 4.0 * total, shells
 
 

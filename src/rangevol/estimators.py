@@ -73,9 +73,9 @@ class GarmanKlassVariant(enum.Enum):
     HIGH_CLOSE_CROSS: k1*d^2 - k2*(c*d - 2*h*c) - k3*c^2
 
     The two are algebraically different estimators.  Neither is exactly
-    unbiased in continuous time (zero-drift means 1.02537 and 1.04469);
-    both are reported side by side in Monte Carlo tables.  See
-    ``rangevol.validation`` for the numbers.
+    unbiased in continuous time (zero-drift means 1.02537 and 1.04469),
+    unlike the form Garman & Klass (1980) publish; both are reported side
+    by side in the tables.  See ``rangevol.validation`` for the numbers.
     """
 
     HIGH_LOW_CROSS = "hl"

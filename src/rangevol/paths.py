@@ -58,6 +58,13 @@ __all__ = [
 ]
 
 
+def _require_finite(context: str, **args: float) -> None:
+    """Raise ``ValueError`` naming the first non-finite argument."""
+    for name, value in args.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{context}: {name} must be finite, got {value!r}")
+
+
 @dataclass
 class Path:
     """A discretized path: N+1 values on the uniform grid n/N, starting at 0."""
@@ -139,6 +146,7 @@ def batch_paths(seed, batch_index: int, size: int, n_steps: int, gamma: float = 
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    _require_finite("batch_paths", drift=gamma)
     if shocks is not None:
         eps = np.asarray(shocks, dtype=float)
         if eps.shape != (size, n_steps):
@@ -176,6 +184,8 @@ def batch_extremes(seed, n_paths: int, n_steps: int, gammas, batch_size: int = 1
     the bridge high and low (shape ``(2, n_paths)``), or is None when
     ``bridge`` is false.
     """
+    for gamma in gammas:
+        _require_finite("batch_extremes", drift=gamma)
     tau = np.arange(n_steps + 1) / n_steps
     hlc = np.empty((len(gammas), 3, n_paths))
     xz = np.empty((2, n_paths)) if bridge else None

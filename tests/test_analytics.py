@@ -1,6 +1,7 @@
 import math
 import time
 
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -15,10 +16,12 @@ from rangevol import (
     interval_probability,
     mean_range_squared_series,
     parkinson_estimator_pdf,
+    paths,
     relative_bias,
     rogers_satchell_mean,
     theoretical_moments,
 )
+from rangevol.estimators import estimator_value
 
 LN16 = math.log(16.0)
 
@@ -100,14 +103,24 @@ def test_rogers_satchell_mean_is_unit_for_all_drifts():
         assert abs(rogers_satchell_mean(gamma) - 1.0) < 1e-10
 
 
-def test_gk_report_uses_oracle_variance():
-    report = theoretical_moments(
-        EstimatorKind.GARMAN_KLASS, 0.0, oracle_paths=20_000, oracle_steps=1_000, oracle_seed=7
-    )
-    assert report.method == "mc_oracle"
-    assert report.variance_se is not None and report.variance_se > 0.0
-    assert abs(report.mean - GK_HL_MEAN_0) < 1e-8  # mean stays quadrature-based
-    assert 0.15 < report.variance < 0.45
+# Variances from the exact (high, low, close) law at gamma = 0, 1, 2; the
+# zero-drift Rogers-Satchell value is the 0.331 of Rogers, Satchell & Yoon
+# (1994).  Garman-Klass is the default high-low cross-term variant.
+EXACT_VARIANCES = {
+    EstimatorKind.ROGERS_SATCHELL: (0.331011, 0.359992, 0.413364),
+    EstimatorKind.GARMAN_KLASS: (0.283585, 0.379396, 0.627598),
+}
+
+
+def test_gk_rs_reports_use_exact_variance():
+    for kind, variances in EXACT_VARIANCES.items():
+        for gamma, variance in zip((0.0, 1.0, 2.0), variances):
+            report = theoretical_moments(kind, gamma)
+            assert report.method == "quadrature"
+            assert abs(report.variance - variance) < 1e-5
+            if kind is EstimatorKind.GARMAN_KLASS and gamma == 0.0:
+                assert abs(report.mean - GK_HL_MEAN_0) < 1e-8  # the 2D mean
+                assert report.relative_bias == pytest.approx(0.0254 / math.sqrt(variance), abs=1e-3)
 
 
 def test_relative_bias_bridge_zero():
@@ -156,8 +169,6 @@ def test_interval_probability_monotone_in_level():
 def test_interval_probability_validates():
     with pytest.raises(ValueError):
         interval_probability(EstimatorKind.BRIDGE, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        interval_probability(EstimatorKind.ROGERS_SATCHELL, 0.0, 2.0)
 
 
 def test_coverage_probability_analytic_values():
@@ -184,11 +195,45 @@ def test_coverage_dominance_of_bridge_analytic():
         previous = park
 
 
-def test_coverage_probability_mc_kinds():
-    p = coverage_probability(
-        EstimatorKind.ROGERS_SATCHELL, 0.0, mc_paths=20_000, mc_steps=1_000, mc_seed=3
-    )
-    assert 0.6 < p < 0.85
+def test_coverage_probability_exact_kinds():
+    # P_delta from the exact (high, low, close) law, no simulation
+    assert abs(coverage_probability(EstimatorKind.ROGERS_SATCHELL, 0.0) - 0.766050) < 1e-5
+    assert abs(coverage_probability(EstimatorKind.ROGERS_SATCHELL, 1.0) - 0.740290) < 1e-5
+    assert abs(coverage_probability(EstimatorKind.GARMAN_KLASS, 0.0) - 0.820368) < 1e-5
+
+
+@pytest.mark.parametrize("gamma", [0.0, 2.0])
+def test_gk_rs_laws_have_unit_mass(gamma):
+    # the whole (high, low, close) law, through the distribution function
+    # of each estimator and through the 3D moment
+    cfg = DEFAULT_SERIES_CONFIG
+    for kind, variant in ((EstimatorKind.ROGERS_SATCHELL, GarmanKlassVariant.HIGH_LOW_CROSS),
+                          (EstimatorKind.GARMAN_KLASS, GarmanKlassVariant.HIGH_LOW_CROSS),
+                          (EstimatorKind.GARMAN_KLASS, GarmanKlassVariant.HIGH_CLOSE_CROSS)):
+        below, above = analytics._estimator_cdf(kind, gamma, (-1e6, 1e6), cfg, variant)
+        assert below == 0.0
+        assert abs(above - 1.0) < 1e-10
+    assert abs(analytics._hlc_moment(lambda h, l, c: 1.0, gamma, cfg) - 1.0) < 1e-10
+
+
+def test_gk_rs_laws_match_simulation_with_shifted_extremes():
+    """Seeded cross-check of the exact laws.  Extremes read off N grid points
+    undershoot the continuous ones by about 0.5826 / sqrt(N) per side
+    (Asmussen-Glynn-Pitman 1995), so the simulated extremes are shifted out
+    by that much before the estimators are formed."""
+    n_paths, n_steps = 20_000, 1_000
+    shift = 0.5826 / math.sqrt(n_steps)
+    h, l, c = paths.batch_extremes(17, n_paths, n_steps, (0.0,), bridge=False)[0][0]
+    h, l = h + shift, l - shift
+    for kind in (EstimatorKind.GARMAN_KLASS, EstimatorKind.ROGERS_SATCHELL):
+        v = estimator_value(kind, h, l, c)
+        dev = v - v.mean()
+        var = float(dev.var())
+        var_se = math.sqrt((float(np.mean(dev**4)) - var * var) / n_paths)
+        assert abs(var - theoretical_moments(kind, 0.0).variance) < 4 * var_se
+        p = float(np.mean((v > 0.5) & (v < 2.0)))
+        p_se = math.sqrt(p * (1.0 - p) / n_paths)
+        assert abs(p - coverage_probability(kind, 0.0)) < 4 * p_se
 
 
 def test_coverage_agreement_with_simulation(gof_summary):

@@ -238,6 +238,9 @@ def test_density_unknown_name_exit_2():
     ("estimate", "ticks.csv", "--max-terms", "10"),
     ("density", "range-pdf", "--seed", "1"),
     ("density", "range-pdf", "--gk-variant", "hc"),
+    ("tables", "--table", "mean", "--seed", "1"),
+    ("tables", "--table", "variance", "--mc-paths", "1"),
+    ("tables", "--table", "coverage", "--mc-steps", "1"),
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_subcommand_rejects_flags_it_does_not_read(argv):
     with pytest.raises(SystemExit) as exc:
@@ -259,6 +262,18 @@ def test_tables_interval(tmp_path):
     assert values["parkinson"] == pytest.approx(0.813, abs=1e-3)
 
 
+def test_tables_interval_lists_all_estimators(tmp_path):
+    out = tmp_path / "f_all.csv"
+    assert run_cli("tables", "--table", "interval", "--levels", "2", "--gammas", "0",
+                   "--out", str(out)) == 0
+    _, rows = read_table(out)
+    values = {r[0]: float(r[2]) for r in rows}
+    assert set(values) == {"parkinson", "garman-klass-hl", "rogers-satchell", "bridge"}
+    assert all(r[3] == "quadrature" for r in rows)
+    # F(2): the bridge covers best, Parkinson worst
+    assert values["bridge"] > values["garman-klass-hl"] > values["rogers-satchell"] > values["parkinson"]
+
+
 def test_tables_variance_analytic_rows(tmp_path):
     out = tmp_path / "v.csv"
     assert run_cli("tables", "--table", "variance", "--gammas", "0",
@@ -271,38 +286,26 @@ def test_tables_variance_analytic_rows(tmp_path):
 
 
 def test_tables_relative_bias_zero_drift(tmp_path):
-    """Zero-drift relative bias, empirical convention for the MC rows.
+    """Zero-drift relative bias of the continuous-time estimators.
 
-    Parkinson, bridge and Garman-Klass are near zero at 5000 steps; the
-    Rogers-Satchell row does not read ~0.  Extremes read off the grid
-    undershoot the continuous ones by 0.5826 / sqrt(steps) per side, which
-    moves the Rogers-Satchell mean by -2 * 0.5826 / sqrt(steps) * E[range]
-    = -0.026 at zero drift (E[range] = sqrt(8 / pi)); divided by its
-    standard deviation of about 0.57 that is a relative bias of -0.045.
-    The shift falls only like 1 / sqrt(steps), so no affordable step count
-    brings this row to ~0.
+    Parkinson, bridge and Rogers-Satchell are unbiased at zero drift; the
+    high-low Garman-Klass variant has mean 1.0254 and variance 0.2836, a
+    relative bias of 0.0254 / sqrt(0.2836) = 0.048.
     """
     out = tmp_path / "rho.csv"
     assert run_cli("tables", "--table", "relative-bias", "--gammas", "0",
-                   "--mc-paths", "40000", "--mc-steps", "5000", "--seed", "11",
                    "--out", str(out)) == 0
     _, rows = read_table(out)
     by_name = {r[0]: r for r in rows}
-    for name in ("parkinson", "bridge"):
+    assert all(r[3] == "quadrature" for r in rows)
+    for name in ("parkinson", "bridge", "rogers-satchell"):
         assert abs(float(by_name[name][2])) < 2e-2
-        assert by_name[name][3] == "quadrature"
-    gk = by_name["garman-klass-hl"]
-    assert gk[3] == "mc_oracle"
-    assert abs(float(gk[2])) < 2e-2
-    rs = by_name["rogers-satchell"]
-    rho_rs = float(rs[2])
-    assert -0.07 < rho_rs < -0.02  # downward discretization bias, not ~0
+    assert float(by_name["garman-klass-hl"][2]) == pytest.approx(0.048, abs=1e-3)
 
 
 def test_tables_coverage_ordering(tmp_path):
     out = tmp_path / "cov.csv"
     assert run_cli("tables", "--table", "coverage", "--gammas", "0,1",
-                   "--mc-paths", "20000", "--mc-steps", "1000", "--seed", "12",
                    "--out", str(out)) == 0
     _, rows = read_table(out)
     for gamma in ("0.0", "1.0"):

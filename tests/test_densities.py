@@ -167,6 +167,24 @@ def _rogers_satchell_mean_3d(gamma):
     return val
 
 
+def test_hlc_low_mass_is_the_integral_of_the_series():
+    cfg = densities.DEFAULT_SERIES_CONFIG
+
+    def series(eta, ell, chi):
+        return float(densities._hlc_series_grid(np.float64(eta), np.float64(ell), chi, cfg)[0])
+
+    for eta, chi, lo, hi in [(1.1, 0.3, -0.8, -0.2), (0.7, -0.4, -2.0, -0.5), (2.0, 1.0, -3.0, 0.0)]:
+        mass, _ = densities._hlc_low_mass_grid(eta, lo, hi, chi, cfg)
+        expect, _ = integrate.quad(lambda l: series(eta, l, chi), lo, hi,
+                                   epsabs=1e-14, epsrel=1e-14, limit=200)
+        assert abs(float(mass) - expect) < 1e-12
+    # over the whole low: the (high, close) density over the close density
+    for eta, chi, gamma in [(1.1, 0.3, 0.0), (0.5, -1.2, 1.0), (2.5, 1.5, -2.0)]:
+        mass, _ = densities._hlc_low_mass_grid(eta, -60.0, 0.0, chi, cfg)
+        expect = high_close_joint_pdf(eta, chi, gamma).value / close_pdf(chi, gamma)
+        assert abs(float(mass) - expect) < 1e-12
+
+
 @pytest.mark.parametrize("gamma", [0.0, 2.0])
 def test_hlc_series_gives_unit_rogers_satchell_mean(gamma):
     assert abs(_rogers_satchell_mean_3d(gamma) - 1.0) < 1e-7

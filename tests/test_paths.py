@@ -41,6 +41,13 @@ def test_simulate_path_rejects_zero_steps():
         simulate_path(0, 0.0, seed=1)
 
 
+def test_path_layer_rejects_non_finite_drift():
+    with pytest.raises(ValueError, match="batch_extremes: drift must be finite, got nan"):
+        paths.batch_extremes(1, 4, 1000, (math.nan, 1.0))
+    with pytest.raises(ValueError, match="batch_paths: drift must be finite, got nan"):
+        simulate_path(100, math.nan, 1)
+
+
 def test_simulate_path_deterministic():
     a = simulate_path(200, 0.7, seed=42)
     b = simulate_path(200, 0.7, seed=42)

@@ -66,6 +66,10 @@ def test_gk_variant_check(report):
     assert d["quadrature_mean_hl_gamma0"] == pytest.approx(1.02537, abs=1e-4)
     assert d["quadrature_mean_hc_gamma0"] == pytest.approx(1.04469, abs=1e-4)
     assert d["quadrature_mean_hl_gamma1"] == pytest.approx(1.15032, abs=1e-4)
+    # the Garman & Klass (1980) form: unbiased up to its 3-digit coefficients,
+    # efficiency 2 / 0.268642 = 7.44 against the published 7.4
+    assert d["quadrature_mean_1980_gamma0"] == pytest.approx(1.000114, abs=1e-6)
+    assert d["quadrature_variance_1980_gamma0"] == pytest.approx(0.268642, abs=1e-6)
     # simulated means sit below the continuous values by the discretization bias
     assert d["simulated_mean_hl_gamma0"] < d["quadrature_mean_hl_gamma0"]
     assert abs(d["simulated_mean_hl_gamma0"] - 1.0) < 0.04
