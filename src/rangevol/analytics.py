@@ -313,6 +313,7 @@ def theoretical_moments(
     Garman-Klass and Rogers-Satchell combine the 2D mean with E[estimator^2]
     from the (high, low, close) law.
     """
+    densities._require_finite("theoretical_moments", gamma=gamma)
     cfg = densities._cfg(cfg)
     if kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
         alpha = _alpha(kind)
@@ -359,6 +360,7 @@ def interval_probability(
 ) -> float:
     """Pr{ true volatility < level * estimate } = Pr{ estimate > 1/level },
     for Parkinson and bridge the range mass above sqrt(alpha / level)."""
+    densities._require_finite("interval_probability", gamma=gamma)
     if not level > 0.0:
         raise ValueError("level must be positive")
     cfg = densities._cfg(cfg)
@@ -377,6 +379,7 @@ def coverage_probability(
 ) -> float:
     """Pr{ estimate/2 < true volatility < 2 * estimate } = Pr{ 1/2 < estimate < 2 },
     for Parkinson and bridge the range mass over (sqrt(alpha / 2), sqrt(2 alpha))."""
+    densities._require_finite("coverage_probability", gamma=gamma)
     cfg = densities._cfg(cfg)
     if kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
         alpha = _alpha(kind)

@@ -18,14 +18,9 @@ import numpy as np
 from . import __version__, analytics, densities, montecarlo
 from .densities import NonConvergenceError, SeriesConfig
 from .estimators import EstimatorKind, GarmanKlassVariant, estimator_value
-from .paths import bar_from_samples, batch_paths
+from .paths import batch_paths, window_extremes
 
-_KIND_NAMES = {
-    "parkinson": EstimatorKind.PARKINSON,
-    "garman-klass": EstimatorKind.GARMAN_KLASS,
-    "rogers-satchell": EstimatorKind.ROGERS_SATCHELL,
-    "bridge": EstimatorKind.BRIDGE,
-}
+_KIND_NAMES = {kind.value: kind for kind in EstimatorKind}
 
 _DENSITY_NAMES = (
     "close-pdf",
@@ -85,7 +80,10 @@ def _parse_gammas(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
 
 
-def _parse_estimators(text: str, parser) -> tuple[EstimatorKind, ...]:
+def _parse_estimators(text, parser, default) -> tuple[EstimatorKind, ...]:
+    """The kinds a comma list names, or ``default`` when ``--estimators`` is not given."""
+    if text is None:
+        return default
     kinds = []
     for part in text.split(","):
         name = part.strip().lower()
@@ -145,7 +143,7 @@ def _load_ticks(path):
     return t, np.asarray(raw_p, dtype=float)
 
 
-def _estimate_ticks(args, kinds, argv):
+def _estimate_ticks(args, kinds):
     t, p = _load_ticks(args.input)
     if t.size < 2:
         raise _CliError("need at least two ticks")
@@ -153,52 +151,40 @@ def _estimate_ticks(args, kinds, argv):
         raise _CliError(f"{args.input}: tick timestamps and prices must be finite")
     if np.any(np.diff(t) < 0):
         raise _CliError("tick timestamps must be non-decreasing")
+    if not args.log_prices:
+        if np.any(p <= 0.0):
+            raise _CliError(f"{args.input}: prices must be positive unless --log-prices is set")
+        np.log(p, out=p)
     window = args.window if args.window is not None else float(t[-1] - t[0])
     if not window > 0:
         raise _CliError("window length must be positive")
     t0 = float(t[0])
-    n_windows = max(int(math.ceil((float(t[-1]) - t0) / window - 1e-12)), 1)
+    w = np.arange(max(int(math.ceil((float(t[-1]) - t0) / window - 1e-12)), 1))
+    starts = np.searchsorted(t, t0 + w * window, side="left")
+    stops = np.searchsorted(t, t0 + (w + 1) * window, side="right")
+    keep = stops - starts >= 2
+    return _estimate_table(args, kinds, w[keep].tolist(),
+                           *window_extremes(t, p, starts[keep], stops[keep]))
+
+
+def _estimate_table(args, kinds, windows, high, low, close, xi=None, zeta=None):
+    """Header and rows: each window, its (high, low, close), estimates and warnings."""
     variant = GarmanKlassVariant(args.gk_variant)
     labels = [montecarlo.estimator_label(kind, variant) for kind in kinds]
+    values = [estimator_value(kind, high, low, close, xi, zeta, variant) for kind in kinds]
+    warnings = [
+        "|".join(label + "<0" for label, negative in zip(labels, row) if negative)
+        for row in zip(*(v < 0.0 for v in values))
+    ]
+    columns = [c.tolist() for c in (high, low, close, *values)]
     header = ["window", "high", "low", "close"] + labels + ["warnings"]
-    rows = []
-    for w in range(n_windows):
-        lo = t0 + w * window
-        hi = t0 + (w + 1) * window
-        i = int(np.searchsorted(t, lo, side="left"))
-        j = int(np.searchsorted(t, hi, side="right"))
-        if j - i < 2:
-            continue
-        bar, bridge = bar_from_samples(
-            np.column_stack([t[i:j], p[i:j]]), (lo, hi), log_input=args.log_prices
-        )
-        rows.append(_estimate_row(
-            w, kinds, labels, variant, bar.high, bar.low, bar.close, bridge.xi, bridge.zeta
-        ))
-    return header, rows
+    return header, list(zip(windows, *columns, warnings))
 
 
-def _estimate_row(window, kinds, labels, variant, high, low, close, xi=None, zeta=None):
-    """One output row: the window, its (high, low, close), estimates and warnings."""
-    row, warn = [window, high, low, close], []
-    for kind, label in zip(kinds, labels):
-        value = float(estimator_value(kind, high, low, close, xi, zeta, variant))
-        if value < 0.0:
-            warn.append(f"{label}<0")
-        row.append(value)
-    row.append("|".join(warn))
-    return row
-
-
-def _estimate_ohlc(args, kinds, argv, parser):
+def _estimate_ohlc(args, kinds, parser):
     if EstimatorKind.BRIDGE in kinds:
-        if args.estimators is not None:
-            parser.error("bridge estimator requires tick input (intra-window path data)")
-        kinds = tuple(k for k in kinds if k is not EstimatorKind.BRIDGE)
-    variant = GarmanKlassVariant(args.gk_variant)
-    labels = [montecarlo.estimator_label(kind, variant) for kind in kinds]
-    header = ["window", "high", "low", "close"] + labels + ["warnings"]
-    rows = []
+        parser.error("bridge estimator requires tick input (intra-window path data)")
+    windows, bars = [], []
     with open(args.input) as fh:
         next(fh)
         for lineno, line in enumerate(fh, start=2):
@@ -208,7 +194,6 @@ def _estimate_ohlc(args, kinds, argv, parser):
             parts = line.split(",")
             if len(parts) != 5:
                 raise _CliError(f"{args.input}:{lineno}: malformed OHLC row: {line!r}")
-            window_id = parts[0]
             try:
                 o, h, l, c = (float(v) for v in parts[1:])
             except ValueError:
@@ -224,26 +209,20 @@ def _estimate_ohlc(args, kinds, argv, parser):
                 raise _CliError(
                     f"{args.input}:{lineno}: inconsistent OHLC (need low <= open,close <= high)"
                 )
-            rows.append(_estimate_row(window_id, kinds, labels, variant, high, low, close))
-    return header, rows
+            windows.append(parts[0])
+            bars.append((high, low, close))
+    return _estimate_table(args, kinds, windows, *np.array(bars, dtype=float).reshape(-1, 3).T)
 
 
 def cmd_estimate(args, parser, argv) -> int:
     header_cols = _read_csv_header(args.input)
     if header_cols == ["timestamp", "price"]:
-        kinds = (
-            _parse_estimators(args.estimators, parser)
-            if args.estimators is not None
-            else tuple(_KIND_NAMES.values())
-        )
-        header, rows = _estimate_ticks(args, kinds, argv)
+        kinds = _parse_estimators(args.estimators, parser, tuple(EstimatorKind))
+        header, rows = _estimate_ticks(args, kinds)
     elif header_cols == ["window_id", "open", "high", "low", "close"]:
-        kinds = (
-            _parse_estimators(args.estimators, parser)
-            if args.estimators is not None
-            else tuple(k for k in _KIND_NAMES.values() if k is not EstimatorKind.BRIDGE)
-        )
-        header, rows = _estimate_ohlc(args, kinds, argv, parser)
+        default = tuple(k for k in EstimatorKind if k is not EstimatorKind.BRIDGE)
+        kinds = _parse_estimators(args.estimators, parser, default)
+        header, rows = _estimate_ohlc(args, kinds, parser)
     else:
         raise _CliError(
             f"{args.input}: unrecognized header {','.join(header_cols)!r}; expected "
@@ -260,25 +239,24 @@ def cmd_estimate(args, parser, argv) -> int:
 def _emit_ticks(cfg: montecarlo.ExperimentConfig, path: str, sigma: float, horizon: float):
     """Write chained GBM ticks, one window per path, at the first grid drift."""
     scale = sigma * math.sqrt(horizon)
-    n = cfg.n_steps
-    tau = np.arange(n + 1) / n
+    tau = np.arange(cfg.n_steps + 1) / cfg.n_steps
     log_price = 0.0
-    window = 0
     with open(path, "w") as fh:
         fh.write("timestamp,price\n")
         for start in range(0, cfg.n_paths, cfg.batch_size):
             x = batch_paths(
-                cfg.seed, start // cfg.batch_size, min(cfg.batch_size, cfg.n_paths - start), n,
-                cfg.gamma_grid[0],
+                cfg.seed, start // cfg.batch_size, min(cfg.batch_size, cfg.n_paths - start),
+                cfg.n_steps, cfg.gamma_grid[0],
             )
-            for k in range(x.shape[0]):
-                times = (window + tau) * horizon
-                prices = np.exp(log_price + scale * x[k])
-                start = 1 if window > 0 else 0  # boundary tick already written
-                fh.write("\n".join(map("%.12g,%.17g".__mod__, zip(times[start:], prices[start:]))))
-                fh.write("\n")
-                log_price += scale * float(x[k, -1])
-                window += 1
+            x *= scale  # the log-price moves; each path then adds its window's open
+            opens = np.cumsum(np.concatenate(([log_price], x[:, -1])))
+            log_price = opens[-1]
+            x += opens[:-1, None]
+            prices = np.exp(x, out=x)
+            times = (np.arange(start, start + len(x))[:, None] + tau) * horizon
+            if start == 0:  # every later window opens at the previous window's close
+                fh.write("%.12g,%.17g\n" % (times[0, 0], prices[0, 0]))
+            fh.writelines(map("%.12g,%.17g\n".__mod__, zip(times[:, 1:].flat, prices[:, 1:].flat)))
 
 
 def _theory_columns(label: str, gamma: float, cfg: SeriesConfig):
@@ -290,18 +268,13 @@ def _theory_columns(label: str, gamma: float, cfg: SeriesConfig):
 
 
 def cmd_simulate(args, parser, argv) -> int:
-    kinds = (
-        _parse_estimators(args.estimators, parser)
-        if args.estimators is not None
-        else tuple(_KIND_NAMES.values())
-    )
+    kinds = _parse_estimators(args.estimators, parser, tuple(EstimatorKind))
     cfg = montecarlo.ExperimentConfig(
         n_steps=args.steps,
         n_paths=args.paths,
         gamma_grid=_parse_gammas(args.gammas),
         seed=args.seed,
         estimators=kinds,
-        gk_variant=GarmanKlassVariant(args.gk_variant),
         histogram_bins=args.bins,
         batch_size=args.batch_size,
     )
@@ -319,12 +292,9 @@ def cmd_simulate(args, parser, argv) -> int:
         for label in cfg.labels():
             cell = summary.cell(label, gamma)
             key = (label, 0.0 if label == "bridge" else gamma)
-            if args.skip_theory:
-                theory = (None, None, None)
-            else:
-                if key not in theory_cache:
-                    theory_cache[key] = _theory_columns(label, gamma, series_cfg)
-                theory = theory_cache[key]
+            if not args.skip_theory and key not in theory_cache:
+                theory_cache[key] = _theory_columns(label, gamma, series_cfg)
+            theory = theory_cache.get(key, (None, None, None))
             rows.append(
                 [
                     label, gamma, cell.mean, cell.mean_se, cell.variance, cell.variance_se,
@@ -375,11 +345,7 @@ def cmd_density(args, parser, argv) -> int:
 def cmd_tables(args, parser, argv) -> int:
     cfg = _series_config(args)
     gammas = _finite_gammas(_parse_gammas(args.gammas))
-    kinds = (
-        _parse_estimators(args.estimators, parser)
-        if args.estimators is not None
-        else tuple(_KIND_NAMES.values())
-    )
+    kinds = _parse_estimators(args.estimators, parser, tuple(EstimatorKind))
     variant = GarmanKlassVariant(args.gk_variant)
     header = ["estimator", "x", "value", "method", "se"]
     rows = []
@@ -479,8 +445,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--horizon", type=float, default=1.0,
                        help="window length in time units used with --emit-ticks")
     p_sim.add_argument("--seed", type=int, default=0)
-    for add in (_add_output, _add_series, _add_gk_variant):
-        add(p_sim)
+    _add_output(p_sim)
+    _add_series(p_sim)
 
     p_den = subs.add_parser("density", help="tabulate an analytic density")
     p_den.add_argument("name", choices=_DENSITY_NAMES)

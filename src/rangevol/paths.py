@@ -33,6 +33,11 @@ bridge) evaluates only the blocks whose bound can hold the row's extreme.
 It is exact -- every value it keeps is computed with the same operations
 as the whole row, and max and min do not round -- so it returns the
 whole-row extremes bit for bit and leaves the stream layout unchanged.
+
+Observed ticks take the same shape: :func:`window_extremes` is the one
+reduction of tick windows to their high, low, close and bridge extremes,
+all windows in one array pass, and :func:`bar_from_samples` is its
+one-window form.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ __all__ = [
     "bridge_transform",
     "extremes",
     "bridge_extremes",
+    "window_extremes",
     "bar_from_samples",
 ]
 
@@ -324,6 +330,39 @@ def bridge_extremes(path: Path) -> BridgeExtremes:
     return BridgeExtremes(xi=float(z.max()), zeta=float(z.min()))
 
 
+def window_extremes(times, log_prices, starts, stops):
+    """High, low, close and bridge high and low of every tick window at once.
+
+    Window ``w`` holds ticks ``starts[w]:stops[w]`` of the time-sorted
+    arrays ``times`` and ``log_prices``; neighbouring windows may share a
+    boundary tick.  Each window is measured from its first log-price, and
+    its bridge subtracts the line from its first tick to its last, as in
+    :func:`bar_from_samples`.  The gathered windows are reduced with
+    ``np.maximum.reduceat`` and ``np.minimum.reduceat``.
+
+    Returns ``(high, low, close, xi, zeta)``, arrays with one entry per window.
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    stops = np.asarray(stops, dtype=np.intp)
+    counts = stops - starts
+    if np.any(counts < 2) or not np.all(times[stops - 1] > times[starts]):
+        raise ValueError("window ticks must span a positive time interval")
+    first = np.cumsum(counts) - counts
+    idx = np.repeat(starts - first, counts)
+    idx += np.arange(idx.size)
+    y, z = log_prices[idx], times[idx]
+    del idx
+    y -= np.repeat(log_prices[starts], counts)
+    close = y[first + counts - 1]
+    # the bridge y - ((t - t0) / span) * close, one in-place step at a time
+    z -= np.repeat(times[starts], counts)
+    z /= np.repeat(times[stops - 1] - times[starts], counts)
+    z *= np.repeat(close, counts)
+    np.subtract(y, z, out=z)
+    return (np.maximum.reduceat(y, first), np.minimum.reduceat(y, first), close,
+            np.maximum.reduceat(z, first), np.minimum.reduceat(z, first))
+
+
 def bar_from_samples(ticks, window, log_input: bool = False):
     """Build a PhysicalBar plus bridge extremes from sampled (time, price) ticks.
 
@@ -357,23 +396,13 @@ def bar_from_samples(ticks, window, log_input: bool = False):
     t0, t1 = window
     if not t1 > t0:
         raise ValueError("window must satisfy t1 > t0")
-    mask = (t >= t0) & (t <= t1)
-    if mask.sum() < 2:
+    i, j = int(np.searchsorted(t, t0, side="left")), int(np.searchsorted(t, t1, side="right"))
+    if j - i < 2:
         raise ValueError("need at least 2 ticks inside the window")
-    tw = t[mask]
-    pw = p[mask]
-    if log_input:
-        logp = pw
-    else:
-        if np.any(pw <= 0.0):
+    logp = p[i:j]
+    if not log_input:
+        if np.any(logp <= 0.0):
             raise ValueError("prices must be positive unless log_input is set")
-        logp = np.log(pw)
-    y = logp - logp[0]
-    span = tw[-1] - tw[0]
-    if span <= 0.0:
-        raise ValueError("window ticks must span a positive time interval")
-    bar = PhysicalBar(
-        high=float(y.max()), low=float(y.min()), close=float(y[-1]), horizon=t1 - t0
-    )
-    z = y - ((tw - tw[0]) / span) * y[-1]
-    return bar, BridgeExtremes(xi=float(z.max()), zeta=float(z.min()))
+        logp = np.log(logp)
+    high, low, close, xi, zeta = (float(v[0]) for v in window_extremes(t[i:j], logp, [0], [j - i]))
+    return PhysicalBar(high, low, close, horizon=t1 - t0), BridgeExtremes(xi, zeta)

@@ -307,3 +307,14 @@ def test_range_space_statistics_match_estimator_space_oracle(kind, gamma):
     report = theoretical_moments(kind, gamma)
     assert abs(report.mean - mean) < 1e-12
     assert abs(report.variance - (second - mean * mean)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda k: k.value)
+def test_public_entries_reject_non_finite_drift(kind):
+    for name, call in (
+        ("theoretical_moments", lambda: theoretical_moments(kind, math.nan)),
+        ("interval_probability", lambda: interval_probability(kind, math.nan, 2.0)),
+        ("coverage_probability", lambda: coverage_probability(kind, math.nan)),
+    ):
+        with pytest.raises(ValueError, match=f"^{name}: gamma must be finite, got nan$"):
+            call()

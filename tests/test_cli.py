@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -238,6 +239,7 @@ def test_density_unknown_name_exit_2():
     ("estimate", "ticks.csv", "--max-terms", "10"),
     ("density", "range-pdf", "--seed", "1"),
     ("density", "range-pdf", "--gk-variant", "hc"),
+    ("simulate", "--gk-variant", "hc"),
     ("tables", "--table", "mean", "--seed", "1"),
     ("tables", "--table", "variance", "--mc-paths", "1"),
     ("tables", "--table", "coverage", "--mc-steps", "1"),
@@ -348,6 +350,29 @@ def test_simulate_emit_ticks_estimate_recovers_volatility(tmp_path):
     assert float(sim_rows[0][2]) == pytest.approx(mean / 0.04, rel=1e-9)
 
 
+def test_estimate_digest_with_skipped_windows(tmp_path):
+    """Estimates of a fixed tick file in which windows 80-91 hold fewer than
+    two ticks and are skipped, pinned by the digest of everything after the
+    provenance line."""
+    ticks = tmp_path / "ticks.csv"
+    assert run_cli("simulate", "--paths", "40", "--steps", "12", "--seed", "11", "--gammas", "0.8",
+                   "--batch-size", "16", "--skip-theory", "--estimators", "parkinson",
+                   "--emit-ticks", str(ticks), "--out", str(tmp_path / "sim.csv")) == 0
+    lines = ticks.read_text().splitlines()
+    kept = [lines[0]] + [line for i, line in enumerate(lines[1:])
+                         if not 20.0 < float(line.split(",")[0]) < 23.0 and i % 5 != 2]
+    gaps = tmp_path / "gaps.csv"
+    gaps.write_text("\n".join(kept) + "\n")
+    out = tmp_path / "est.csv"
+    assert run_cli("estimate", str(gaps), "--window", "0.25", "--out", str(out)) == 0
+    body = out.read_bytes().split(b"\n", 1)[1]
+    windows = [int(line.split(b",")[0]) for line in body.splitlines()[1:]]
+    assert windows == [w for w in range(160) if not 80 <= w <= 91]
+    assert hashlib.sha256(body).hexdigest() == (
+        "12ca77ca9358f053cf723fb38ccf264614bc61cd3018be4b5889dc5d0f290676"
+    )
+
+
 # ---------------------------------------------------------------------------
 # non-finite and malformed input fails loudly
 # ---------------------------------------------------------------------------
@@ -359,6 +384,25 @@ def test_estimate_non_finite_tick_price_exit_1(tmp_path, capsys, price):
     assert run_cli("estimate", str(f), "--out", str(tmp_path / "o.csv")) == 1
     err = capsys.readouterr().err
     assert "finite" in err and "low <= 0 <= high" not in err
+
+
+def test_estimate_zero_price_exit_1(tmp_path, capsys):
+    # rejected anywhere in the file, even outside every kept window
+    f = tmp_path / "ticks.csv"
+    f.write_text("timestamp,price\n0.0,1.0\n0.5,1.2\n1.0,1.1\n5.0,0.0\n")
+    assert run_cli("estimate", str(f), "--window", "1", "--out", str(tmp_path / "o.csv")) == 1
+    assert "prices must be positive unless --log-prices is set" in capsys.readouterr().err
+    assert run_cli("estimate", str(f), "--window", "1", "--log-prices",
+                   "--out", str(tmp_path / "o.csv")) == 0
+
+
+def test_estimate_window_on_one_timestamp_exit_1(tmp_path, capsys):
+    f = tmp_path / "ticks.csv"
+    f.write_text("timestamp,price\n0.0,1.0\n0.5,1.2\n1.0,1.1\n1.5,1.3\n1.5,1.2\n")
+    out = tmp_path / "o.csv"
+    assert run_cli("estimate", str(f), "--window", "0.2", "--out", str(out)) == 1
+    assert "window ticks must span a positive time interval" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_estimate_non_finite_tick_timestamp_exit_1(tmp_path, capsys):

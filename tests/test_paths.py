@@ -181,6 +181,47 @@ def test_bar_errors():
 
 
 # ---------------------------------------------------------------------------
+# window_extremes: every tick window at once, against bar_from_samples
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("log_input", [False, True], ids=["prices", "log-prices"])
+def test_window_extremes_bit_identical_to_bar_from_samples(log_input):
+    # 0.1-spaced ticks, about half of them repeated at the same timestamp
+    rng = np.random.default_rng(8)
+    t = np.repeat(np.arange(61) / 10.0, rng.integers(1, 3, size=61))
+    p = rng.normal(0.0, 0.02, t.size).cumsum()
+    prices = p if log_input else 100.0 * np.exp(p)
+    ticks = np.column_stack([t, prices])
+    sizes = set()
+    for width in (0.1, 0.3, 1.7):
+        lo = np.arange(int(6.0 / width)) * width
+        starts = np.searchsorted(t, lo, side="left")
+        stops = np.searchsorted(t, lo + width, side="right")
+        # windows that hold one timestamp only (lo * 0.1 rounds past a tick) raise; see below
+        keep = (stops - starts >= 2) & (t[stops - 1] > t[starts])
+        starts, stops = starts[keep], stops[keep]
+        sizes.update((stops - starts).tolist())
+        got = np.array(paths.window_extremes(t, p if log_input else np.log(prices), starts, stops))
+        assert got.shape == (5, keep.sum())
+        assert np.any(starts[1:] < stops[:-1])  # neighbours share boundary ticks
+        for k, w in enumerate(np.flatnonzero(keep)):
+            bar, bridge = bar_from_samples(ticks, (lo[w], lo[w] + width), log_input=log_input)
+            want = np.array([bar.high, bar.low, bar.close, bridge.xi, bridge.zeta])
+            assert got[:, k].tobytes() == want.tobytes()
+    assert min(sizes) == 2 and max(sizes) > 20 and np.any(np.diff(t) == 0)
+
+
+def test_window_extremes_rejects_degenerate_windows():
+    t = np.array([0.0, 1.0, 1.0, 2.0])
+    y = np.array([0.0, 0.1, 0.2, 0.3])
+    high, low, close, xi, zeta = paths.window_extremes(t, y, [0, 1], [2, 4])
+    assert close.tolist() == [0.1, 0.3 - 0.1] and xi.tolist()[0] == zeta.tolist()[0] == 0.0
+    for starts, stops in (([1], [3]), ([0, 2], [2, 3]), ([0], [1])):
+        with pytest.raises(ValueError, match="window ticks must span a positive time interval"):
+            paths.window_extremes(t, y, starts, stops)
+
+
+# ---------------------------------------------------------------------------
 # batch_extremes: block-pruned reduction against the whole-row reduction
 # ---------------------------------------------------------------------------
 
