@@ -9,33 +9,8 @@ reproduces the comparative statistics of all four.
 
 __version__ = "0.1.0"
 
-from .analytics import (
-    IntervalReport,
-    MomentReport,
-    coverage_probability,
-    garman_klass_mean,
-    interval_probability,
-    mean_range_squared_series,
-    relative_bias,
-    rogers_satchell_mean,
-    theoretical_moments,
-)
-from .densities import (
-    DEFAULT_SERIES_CONFIG,
-    DensityValue,
-    NonConvergenceError,
-    SeriesConfig,
-    bridge_estimator_pdf,
-    bridge_hl_joint_pdf,
-    bridge_range_pdf,
-    close_pdf,
-    high_close_joint_pdf,
-    high_pdf,
-    hlc_joint_pdf,
-    parkinson_estimator_pdf,
-    range_close_joint_pdf,
-    range_pdf,
-)
+from importlib import import_module
+
 from .estimators import (
     BRIDGE_FACTOR,
     GK_K1,
@@ -46,20 +21,11 @@ from .estimators import (
     GarmanKlassVariant,
     VolatilityEstimate,
     bridge_estimator,
+    estimator_label,
     garman_klass,
     parkinson,
     physical_estimate,
     rogers_satchell,
-)
-from .montecarlo import (
-    CellStats,
-    ExperimentConfig,
-    ExperimentSummary,
-    estimator_label,
-    goodness_of_fit,
-    histogram_vs_pdf,
-    run_experiment,
-    sample_dump,
 )
 from .paths import (
     BridgeExtremes,
@@ -72,6 +38,38 @@ from .paths import (
     extremes,
     simulate_path,
 )
+
+# The analytic layers need scipy, which takes about a second to import, so
+# their names (and the modules themselves) resolve on first access, through
+# PEP 562.  ``estimate`` and ``simulate --skip-theory`` never touch them.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("analytics", "MomentReport IntervalReport mean_range_squared_series theoretical_moments "
+                      "relative_bias interval_probability coverage_probability "
+                      "garman_klass_mean rogers_satchell_mean"),
+        ("densities", "SeriesConfig DensityValue NonConvergenceError DEFAULT_SERIES_CONFIG "
+                      "close_pdf high_close_joint_pdf high_pdf hlc_joint_pdf "
+                      "range_close_joint_pdf range_pdf bridge_hl_joint_pdf bridge_range_pdf "
+                      "parkinson_estimator_pdf bridge_estimator_pdf"),
+        ("montecarlo", "ExperimentConfig ExperimentSummary CellStats run_experiment "
+                       "histogram_vs_pdf goodness_of_fit sample_dump"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    if name in _LAZY.values():
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_LAZY.values()})
+
 
 __all__ = [
     "__version__",

@@ -4,6 +4,10 @@ Every command writes plot-ready CSV (or JSON) with a provenance comment
 line; fixed seeds and flags give byte-identical output regardless of the
 ``RANGEVOL_THREADS`` worker cap.  Exit codes: 0 success, 1 runtime or
 convergence failure, 2 usage error.
+
+The analytic layers (and with them scipy) are imported only by the
+commands that compute with them, so ``estimate`` and
+``simulate --skip-theory`` start without loading scipy.
 """
 
 from __future__ import annotations
@@ -12,13 +16,18 @@ import argparse
 import json
 import math
 import sys
+import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, analytics, densities, montecarlo
-from .densities import NonConvergenceError, SeriesConfig
-from .estimators import EstimatorKind, GarmanKlassVariant, estimator_value
+from . import __version__
+from .estimators import EstimatorKind, GarmanKlassVariant, estimator_label, estimator_value
 from .paths import batch_paths, window_extremes
+
+if TYPE_CHECKING:
+    from .densities import SeriesConfig
+    from .montecarlo import ExperimentConfig
 
 _KIND_NAMES = {kind.value: kind for kind in EstimatorKind}
 
@@ -66,6 +75,8 @@ def _write_output(args, header, rows, argv):
 
 
 def _series_config(args) -> SeriesConfig:
+    from .densities import SeriesConfig
+
     return SeriesConfig(abs_tol=args.series_tol, max_terms=args.max_terms)
 
 
@@ -118,7 +129,11 @@ def _parse_timestamps(raw, path):
 def _load_ticks(path):
     # fast path: fully numeric CSV
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():  # a header-only file is zero ticks, not a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if data.size == 0:
+            return np.empty(0), np.empty(0)
         if data.shape[1] != 2:
             raise _CliError(f"{path}: tick rows must have exactly two columns")
         return data[:, 0], data[:, 1]
@@ -170,15 +185,15 @@ def _estimate_ticks(args, kinds):
 def _estimate_table(args, kinds, windows, high, low, close, xi=None, zeta=None):
     """Header and rows: each window, its (high, low, close), estimates and warnings."""
     variant = GarmanKlassVariant(args.gk_variant)
-    labels = [montecarlo.estimator_label(kind, variant) for kind in kinds]
+    labels = [estimator_label(kind, variant) for kind in kinds]
     values = [estimator_value(kind, high, low, close, xi, zeta, variant) for kind in kinds]
-    warnings = [
+    flags = [
         "|".join(label + "<0" for label, negative in zip(labels, row) if negative)
         for row in zip(*(v < 0.0 for v in values))
     ]
     columns = [c.tolist() for c in (high, low, close, *values)]
     header = ["window", "high", "low", "close"] + labels + ["warnings"]
-    return header, list(zip(windows, *columns, warnings))
+    return header, list(zip(windows, *columns, flags))
 
 
 def _estimate_ohlc(args, kinds, parser):
@@ -236,7 +251,7 @@ def cmd_estimate(args, parser, argv) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _emit_ticks(cfg: montecarlo.ExperimentConfig, path: str, sigma: float, horizon: float):
+def _emit_ticks(cfg: ExperimentConfig, path: str, sigma: float, horizon: float):
     """Write chained GBM ticks, one window per path, at the first grid drift."""
     scale = sigma * math.sqrt(horizon)
     tau = np.arange(cfg.n_steps + 1) / cfg.n_steps
@@ -262,12 +277,16 @@ def _emit_ticks(cfg: montecarlo.ExperimentConfig, path: str, sigma: float, horiz
 def _theory_columns(label: str, gamma: float, cfg: SeriesConfig):
     if label not in ("parkinson", "bridge"):
         return None, None, None
+    from . import analytics
+
     kind = EstimatorKind(label)
     report = analytics.theoretical_moments(kind, gamma, cfg)
     return report.mean, report.variance, analytics.coverage_probability(kind, gamma, cfg)
 
 
 def cmd_simulate(args, parser, argv) -> int:
+    from . import montecarlo
+
     kinds = _parse_estimators(args.estimators, parser, tuple(EstimatorKind))
     cfg = montecarlo.ExperimentConfig(
         n_steps=args.steps,
@@ -278,7 +297,7 @@ def cmd_simulate(args, parser, argv) -> int:
         histogram_bins=args.bins,
         batch_size=args.batch_size,
     )
-    series_cfg = _series_config(args)
+    series_cfg = None if args.skip_theory else _series_config(args)
     if args.emit_ticks:
         _emit_ticks(cfg, args.emit_ticks, args.sigma, args.horizon)
     summary = montecarlo.run_experiment(cfg)
@@ -310,6 +329,8 @@ def cmd_simulate(args, parser, argv) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_density(args, parser, argv) -> int:
+    from . import densities
+
     cfg = _series_config(args)
     name = args.name
     (gamma,) = _finite_gammas((args.gamma,))
@@ -343,6 +364,9 @@ def cmd_density(args, parser, argv) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_tables(args, parser, argv) -> int:
+    from . import analytics
+    from .densities import NonConvergenceError
+
     cfg = _series_config(args)
     gammas = _finite_gammas(_parse_gammas(args.gammas))
     kinds = _parse_estimators(args.estimators, parser, tuple(EstimatorKind))
@@ -358,7 +382,7 @@ def cmd_tables(args, parser, argv) -> int:
                 gamma = 0.0 if kind is EstimatorKind.BRIDGE else gammas[0]
                 for level in levels:
                     value = analytics.interval_probability(kind, gamma, level, cfg, variant)
-                    rows.append([montecarlo.estimator_label(kind, variant), level, value,
+                    rows.append([estimator_label(kind, variant), level, value,
                                  "quadrature", None])
         else:
             for gamma in gammas:
@@ -368,7 +392,7 @@ def cmd_tables(args, parser, argv) -> int:
                     elif table == "mean" and kind is EstimatorKind.GARMAN_KLASS:
                         for each in GarmanKlassVariant:
                             value = analytics.garman_klass_mean(gamma, cfg, each)
-                            rows.append([montecarlo.estimator_label(kind, each), gamma, value,
+                            rows.append([estimator_label(kind, each), gamma, value,
                                          "quadrature", None])
                         continue
                     elif table == "mean" and kind is EstimatorKind.ROGERS_SATCHELL:
@@ -380,7 +404,7 @@ def cmd_tables(args, parser, argv) -> int:
                             "variance": report.variance,
                             "relative-bias": report.relative_bias,
                         }[table]
-                    rows.append([montecarlo.estimator_label(kind, variant), gamma, value,
+                    rows.append([estimator_label(kind, variant), gamma, value,
                                  "quadrature", None])
     except NonConvergenceError as exc:
         raise _CliError(f"table {table!r}: {exc}") from exc
@@ -469,6 +493,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _failures() -> tuple[type[BaseException], ...]:
+    """The exceptions that exit 1.  A series failure can only come from a
+    loaded density layer, so this never imports one."""
+    densities = sys.modules.get(f"{__package__}.densities")
+    return (_CliError, OSError, ValueError) + ((densities.NonConvergenceError,) if densities else ())
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -482,7 +513,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args, parser, argv)
-    except (_CliError, NonConvergenceError, OSError, ValueError) as exc:
+    except _failures() as exc:
         print(f"rangevol: error: {exc}", file=sys.stderr)
         return 1
 

@@ -37,6 +37,7 @@ __all__ = [
     "EstimatorKind",
     "GarmanKlassVariant",
     "VolatilityEstimate",
+    "estimator_label",
     "parkinson_value",
     "garman_klass_value",
     "rogers_satchell_value",
@@ -80,6 +81,13 @@ class GarmanKlassVariant(enum.Enum):
 
     HIGH_LOW_CROSS = "hl"
     HIGH_CLOSE_CROSS = "hc"
+
+
+def estimator_label(kind: EstimatorKind, gk_variant=GarmanKlassVariant.HIGH_LOW_CROSS) -> str:
+    """Column/row label of an estimator; Garman-Klass carries its variant."""
+    if kind is EstimatorKind.GARMAN_KLASS:
+        return f"{kind.value}-{gk_variant.value}"
+    return kind.value
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,10 @@ so the reduction is independent of completion order.
 batches are split evenly: each worker receives one run of consecutive
 batches, ``ceil(n_batches / workers)`` long, so that no worker is left with
 a short share while another still has a whole chunk to do.
+
+Running an experiment needs no scipy: the histogram fit
+(``histogram_vs_pdf``, ``goodness_of_fit``) imports the density layer and
+``scipy.special`` when it is first called.
 """
 
 from __future__ import annotations
@@ -26,13 +30,15 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.stats import chi2 as _chi2_dist
 
-from . import densities, paths
-from .densities import SeriesConfig
-from .estimators import EstimatorKind, GarmanKlassVariant, estimator_value
+from . import paths
+from .estimators import EstimatorKind, GarmanKlassVariant, estimator_label, estimator_value
+
+if TYPE_CHECKING:
+    from .densities import SeriesConfig
 
 __all__ = [
     "ExperimentConfig",
@@ -51,13 +57,6 @@ _ALL_KINDS = (
     EstimatorKind.ROGERS_SATCHELL,
     EstimatorKind.BRIDGE,
 )
-
-
-def estimator_label(kind: EstimatorKind, gk_variant=GarmanKlassVariant.HIGH_LOW_CROSS) -> str:
-    """Column/row label of an estimator; Garman-Klass carries its variant."""
-    if kind is EstimatorKind.GARMAN_KLASS:
-        return f"{kind.value}-{gk_variant.value}"
-    return kind.value
 
 
 @dataclass(frozen=True)
@@ -324,15 +323,28 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
 def _analytic_bin_density(kind: EstimatorKind, gamma: float, edges: np.ndarray,
                           cfg: SeriesConfig | None = None):
     """Bin-averaged analytic estimator density (5-point Simpson per bin);
-    None for the kinds without one."""
+    None for the kinds without one.
+
+    Adjacent bins share an edge, so each inner edge is evaluated once:
+    ``np.linspace`` returns its end points exactly, and the value at a
+    bin's right edge is the next bin's left-edge value.
+    """
     if kind not in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
         return None
+    from . import densities
+
     law = densities._range_law(kind, gamma, cfg)
+
+    def pdf(x):
+        return densities._estimator_pdf(x, *law).value
+
     out = np.empty(len(edges) - 1)
     weights = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) / 12.0
+    right = pdf(edges[0])
     for i in range(len(edges) - 1):
         xs = np.linspace(edges[i], edges[i + 1], 5)
-        out[i] = float(np.dot(weights, [densities._estimator_pdf(x, *law).value for x in xs]))
+        left, right = right, pdf(xs[4])
+        out[i] = float(np.dot(weights, [left, pdf(xs[1]), pdf(xs[2]), pdf(xs[3]), right]))
     return out
 
 
@@ -376,6 +388,8 @@ def goodness_of_fit(summary: ExperimentSummary, estimator, gamma: float,
     ``min_expected``; mass outside the histogram range forms one extra
     cell.  Returns (chi2, dof, p_value).
     """
+    from scipy.special import chdtrc  # the survival function that chi2.sf wraps
+
     label, kind = _resolve_label(summary, estimator)
     if kind not in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
         raise ValueError(f"no analytic density to test against for {label!r}")
@@ -406,7 +420,7 @@ def goodness_of_fit(summary: ExperimentSummary, estimator, gamma: float,
     exp = np.asarray(pooled_exp)
     chi2 = float(np.sum((obs - exp) ** 2 / exp))
     dof = len(obs) - 1
-    return chi2, dof, float(_chi2_dist.sf(chi2, dof))
+    return chi2, dof, float(chdtrc(dof, chi2))
 
 
 def sample_dump(cfg: ExperimentConfig, count: int):

@@ -1,11 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import rangevol
 from rangevol.cli import main
 
 LN16 = math.log(16.0)
@@ -403,6 +407,25 @@ def test_estimate_window_on_one_timestamp_exit_1(tmp_path, capsys):
     assert run_cli("estimate", str(f), "--window", "0.2", "--out", str(out)) == 1
     assert "window ticks must span a positive time interval" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_estimate_header_only_tick_file_exit_1(tmp_path):
+    f = tmp_path / "ticks.csv"
+    f.write_text("timestamp,price\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rangevol.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "rangevol", "estimate", str(f)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == "rangevol: error: need at least two ticks\n"
+
+
+def test_series_non_convergence_exit_1(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code = run_cli("simulate", "--paths", "64", "--steps", "20", "--gammas", "0",
+                   "--max-terms", "5", "--series-tol", "1e-300", "--out", str(out))
+    assert code == 1
+    assert "no convergence after 5 shells" in capsys.readouterr().err
 
 
 def test_estimate_non_finite_tick_timestamp_exit_1(tmp_path, capsys):

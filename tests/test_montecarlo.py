@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2 as chi2_dist
 
 from rangevol import (
     EstimatorKind,
     GarmanKlassVariant,
     estimator_label,
+    densities,
     goodness_of_fit,
     histogram_vs_pdf,
     montecarlo,
@@ -172,6 +174,39 @@ def test_goodness_of_fit_requires_analytic_kind(desk_summary):
         goodness_of_fit(summary, EstimatorKind.ROGERS_SATCHELL, 0.0)
     chi2, dof, p = goodness_of_fit(summary, EstimatorKind.BRIDGE, 0.0)
     assert chi2 > 0 and dof > 50 and 0.0 <= p <= 1.0
+
+
+def test_goodness_of_fit_p_value_is_chi2_survival(desk_summary):
+    summary, _ = desk_summary
+    cells = [(EstimatorKind.PARKINSON, g) for g in summary.config.gamma_grid]
+    for kind, gamma in cells + [(EstimatorKind.BRIDGE, 0.0)]:
+        chi2, dof, p = goodness_of_fit(summary, kind, gamma)
+        assert p == chi2_dist.sf(chi2, dof)
+
+
+def _five_points_per_bin(kind, gamma, edges):
+    """Bin-averaged density with every bin evaluated at its own 5 points."""
+    law = densities._range_law(kind, gamma, None)
+    weights = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) / 12.0
+    return np.array([
+        float(np.dot(weights, [densities._estimator_pdf(x, *law).value
+                               for x in np.linspace(a, b, 5)]))
+        for a, b in zip(edges[:-1], edges[1:])
+    ])
+
+
+@pytest.mark.parametrize("kind, gamma", [
+    (EstimatorKind.PARKINSON, 0.0), (EstimatorKind.PARKINSON, 1.5), (EstimatorKind.BRIDGE, 0.0),
+])
+def test_analytic_bin_density_evaluates_shared_edges_once(kind, gamma, monkeypatch):
+    edges = np.linspace(0.0, 6.0, 201)
+    expected = _five_points_per_bin(kind, gamma, edges)
+    calls = []
+    pdf = densities._estimator_pdf
+    monkeypatch.setattr(densities, "_estimator_pdf", lambda x, *law: calls.append(x) or pdf(x, *law))
+    got = montecarlo._analytic_bin_density(kind, gamma, edges)
+    assert got.tobytes() == expected.tobytes()
+    assert len(calls) == 4 * 200 + 1
 
 
 def test_sample_dump_shapes_and_determinism():
