@@ -17,13 +17,17 @@ the estimator, a convex quadratic in the low given (high, close).
 
 Quadratures use scipy's adaptive Gauss-Kronrod integrators at 1e-10
 absolute tolerance, with Gaussian-tailed supports truncated where the
-integrand is below 1e-16.
+integrand is below 1e-16.  Every range integral runs over
+[mass floor, cut]: ranges below ``_MASS_FLOOR`` = 0.3 carry under 2e-22 of
+probability at any drift, and the image series returns only round-off
+there, so the quadratures skip that region, where the series needs the
+most shells.  The pointwise densities keep the 0.02 ``small_arg_floor``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -46,6 +50,26 @@ __all__ = [
 ]
 
 _QUAD_OPTS = dict(limit=400, epsabs=1e-10, epsrel=1e-10)
+
+_MASS_FLOOR = 0.3
+"""Smallest range any quadrature visits; below it the laws carry no mass
+at float precision.
+
+At zero drift the range mass below 0.3 is 1.4e-22, and the bridge range's
+is 1.4e-21 (image series summed at 60 digits; Feller 1951 gives the
+small-argument behaviour: a power of 1/d times exp(-pi^2 / (2 d^2))).
+Under drift the (range, close) density is the driftless one times
+exp(gamma c - gamma^2 / 2), and |c| <= delta bounds that factor by
+exp(delta^2 / 2) <= 1.05 below 0.3, so no drift lifts the mass there above
+2e-22.  The float image series returns round-off in that region (a few
+machine epsilons over delta^3) after up to 200 shells per point.
+"""
+
+
+def _mass_cfg(cfg: SeriesConfig) -> SeriesConfig:
+    """``cfg`` with its small-argument floor raised to ``_MASS_FLOOR``: the
+    series config of every quadrature grid and integration bound."""
+    return replace(cfg, small_arg_floor=max(cfg.small_arg_floor, _MASS_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -104,19 +128,27 @@ def _range_integral(
     kind: EstimatorKind,
     gamma: float,
     cfg: SeriesConfig,
-    power: int,
+    power=0,
     lo: float = 0.0,
     hi: float = math.inf,
-) -> float:
+):
     """Integral of delta**power * f(delta) over [lo, hi], f the range density of ``kind``.
 
-    The bounds are clipped to [small_arg_floor, cut]: below the floor the
-    mass is below exp(-10000), above the cut (13 + |gamma| for Parkinson,
-    7 for the bridge) the density is below 1e-16.
+    The bounds are clipped to [mass floor, cut]: below the floor (see
+    ``_MASS_FLOOR``) the mass is below 2e-22, above the cut (13 + |gamma|
+    for Parkinson, 7 for the bridge) the density is below 1e-16.  A tuple
+    of powers is integrated in one adaptive pass (``quad_vec``), which
+    shares the density calls, and gives a tuple of floats.
     """
     density, _ = densities._range_law(kind, gamma, cfg)
     cut = _range_cut(gamma) if kind is EstimatorKind.PARKINSON else 7.0
-    lo, hi = max(lo, cfg.small_arg_floor), min(hi, cut)
+    lo, hi = max(lo, _mass_cfg(cfg).small_arg_floor), min(hi, cut)
+    if isinstance(power, tuple):
+        if lo >= hi:
+            return (0.0,) * len(power)
+        p = np.array(power, dtype=float)
+        val, _ = integrate.quad_vec(lambda d: d**p * density(d).value, lo, hi, **_QUAD_OPTS)
+        return tuple(float(v) for v in val)
     if lo >= hi:
         return 0.0
     val, _ = integrate.quad(lambda d: d**power * density(d).value, lo, hi, **_QUAD_OPTS)
@@ -166,6 +198,7 @@ def _range_close_moments(gamma: float, cfg: SeriesConfig, n_gl: int = 120):
     close factor, so the chi integral is folded onto (0, delta), which also
     sidesteps the |chi| kink.
     """
+    cfg = _mass_cfg(cfg)
     delta, wd = _gl_nodes(cfg.small_arg_floor, _range_cut(gamma), n_gl)
     u, wu = _gl_nodes(0.0, 1.0, n_gl)
     a = delta[:, None] * u[None, :]          # |chi| grid
@@ -239,7 +272,8 @@ def _close_integral(inner, gamma: float, span: float = 8.0):
 def _hlc_moment(weight, gamma: float, cfg: SeriesConfig, n_gl: int = 80, span: float = 8.0):
     """E[weight(h, l, c)] under the (high, low, close) law: adaptive in the
     close, n_gl x n_gl Gauss-Legendre over the extremes within ``span`` of
-    their bounds max(0, c) and min(0, c)."""
+    their bounds max(0, c) and min(0, c), ranges below the mass floor left out."""
+    cfg = _mass_cfg(cfg)
     x, w = _gl_nodes(0.0, span, n_gl)
 
     def inner(chi):
@@ -273,7 +307,9 @@ def _estimator_cdf(kind, gamma: float, xs, cfg: SeriesConfig, variant: GarmanKla
     is the interval of l between its roots, cut at min(0, c).  Its mass kinks
     in h where a root meets min(0, c) and where the roots merge; both are
     roots of quadratics in h, and the Gauss-Legendre rule in h is split there.
+    The low stops at the mass floor below the high.
     """
+    cfg = _mass_cfg(cfg)
     x = np.asarray(xs, dtype=float)[:, None]
     t, w = _gl_nodes(0.0, 1.0, n_gl)
 
@@ -317,8 +353,8 @@ def theoretical_moments(
     cfg = densities._cfg(cfg)
     if kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
         alpha = _alpha(kind)
-        mean = _range_integral(kind, gamma, cfg, 2) / alpha
-        second = _range_integral(kind, gamma, cfg, 4) / alpha**2
+        e_d2, e_d4 = _range_integral(kind, gamma, cfg, (2, 4))
+        mean, second = e_d2 / alpha, e_d4 / alpha**2
     else:
         if kind is EstimatorKind.GARMAN_KLASS:
             mean = garman_klass_mean(gamma, cfg, gk_variant)
@@ -351,6 +387,30 @@ def relative_bias(kind: EstimatorKind, gamma: float = 0.0, **kwargs) -> float:
 # Interval estimation
 # ---------------------------------------------------------------------------
 
+def _interval_probabilities(
+    kind: EstimatorKind,
+    gamma: float,
+    levels,
+    cfg: SeriesConfig | None,
+    gk_variant: GarmanKlassVariant,
+) -> tuple[float, ...]:
+    """:func:`interval_probability` at each level of ``levels``: one range
+    integral per level for Parkinson and bridge, one pass over the
+    (high, low, close) law for all levels of Garman-Klass and Rogers-Satchell."""
+    densities._require_finite("interval_probability", gamma=gamma)
+    levels = tuple(float(level) for level in levels)
+    if not all(level > 0.0 for level in levels):
+        raise ValueError("level must be positive")
+    cfg = densities._cfg(cfg)
+    if kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
+        alpha = _alpha(kind)
+        vals = [_range_integral(kind, gamma, cfg, 0, math.sqrt(alpha / level)) for level in levels]
+    else:
+        below = _estimator_cdf(kind, gamma, [1.0 / level for level in levels], cfg, gk_variant)
+        vals = [1.0 - float(v) for v in below]
+    return tuple(min(max(v, 0.0), 1.0) for v in vals)
+
+
 def interval_probability(
     kind: EstimatorKind,
     gamma: float,
@@ -360,15 +420,7 @@ def interval_probability(
 ) -> float:
     """Pr{ true volatility < level * estimate } = Pr{ estimate > 1/level },
     for Parkinson and bridge the range mass above sqrt(alpha / level)."""
-    densities._require_finite("interval_probability", gamma=gamma)
-    if not level > 0.0:
-        raise ValueError("level must be positive")
-    cfg = densities._cfg(cfg)
-    if kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
-        val = _range_integral(kind, gamma, cfg, 0, math.sqrt(_alpha(kind) / level))
-    else:
-        val = 1.0 - float(_estimator_cdf(kind, gamma, (1.0 / level,), cfg, gk_variant)[0])
-    return min(max(val, 0.0), 1.0)
+    return _interval_probabilities(kind, gamma, (level,), cfg, gk_variant)[0]
 
 
 def coverage_probability(

@@ -380,8 +380,8 @@ def cmd_tables(args, parser, argv) -> int:
             levels = tuple(float(v) for v in args.levels.split(","))
             for kind in kinds:
                 gamma = 0.0 if kind is EstimatorKind.BRIDGE else gammas[0]
-                for level in levels:
-                    value = analytics.interval_probability(kind, gamma, level, cfg, variant)
+                values = analytics._interval_probabilities(kind, gamma, levels, cfg, variant)
+                for level, value in zip(levels, values):
                     rows.append([estimator_label(kind, variant), level, value,
                                  "quadrature", None])
         else:

@@ -12,6 +12,7 @@ from rangevol import (
     analytics,
     bridge_estimator_pdf,
     coverage_probability,
+    densities,
     garman_klass_mean,
     interval_probability,
     mean_range_squared_series,
@@ -318,3 +319,90 @@ def test_public_entries_reject_non_finite_drift(kind):
     ):
         with pytest.raises(ValueError, match=f"^{name}: gamma must be finite, got nan$"):
             call()
+
+
+@pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda k: k.value)
+def test_moment_report_fields_are_python_floats(kind):
+    # the CLI prints these; a numpy scalar would print as np.float64(...)
+    report = theoretical_moments(kind, 0.0)
+    assert type(report.mean) is float
+    assert type(report.variance) is float
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the quadratures over the whole domain, from the 0.02 series floor
+# ---------------------------------------------------------------------------
+
+def _full_domain_integral(kind, gamma, power, lo=0.0, hi=math.inf):
+    """Range integral from small_arg_floor, not the mass floor, one power per quad."""
+    cfg = DEFAULT_SERIES_CONFIG
+    density, _ = densities._range_law(kind, gamma, cfg)
+    cut = 13.0 + abs(gamma) if kind is EstimatorKind.PARKINSON else 7.0
+    lo, hi = max(lo, cfg.small_arg_floor), min(hi, cut)
+    if lo >= hi:
+        return 0.0
+    val, _ = integrate.quad(lambda d: d**power * density(d).value, lo, hi, **ORACLE_QUAD)
+    return val
+
+
+def _full_domain_range_close_moments(gamma, cfg, n_gl=120):
+    """E[d^2] and E[c d] on 120 x 120 Gauss-Legendre nodes, delta from small_arg_floor."""
+    delta, wd = analytics._gl_nodes(cfg.small_arg_floor, 13.0 + abs(gamma), n_gl)
+    u, wu = analytics._gl_nodes(0.0, 1.0, n_gl)
+    a = delta[:, None] * u[None, :]
+    wa = delta[:, None] * wu[None, :]
+    kernel, _ = densities._range_close_series_grid(delta[:, None], a, cfg)
+    fp = np.exp(-0.5 * (a - gamma) ** 2) / math.sqrt(2.0 * math.pi)
+    fm = np.exp(-0.5 * (-a - gamma) ** 2) / math.sqrt(2.0 * math.pi)
+    d = delta[:, None]
+    e_d2 = np.einsum("i,ij->", wd, wa * kernel * d * d * (fp + fm))
+    e_cd = np.einsum("i,ij->", wd, wa * kernel * d * a * (fp - fm))
+    return float(e_d2), float(e_cd)
+
+
+@pytest.mark.parametrize(
+    "kind,gamma",
+    [(EstimatorKind.PARKINSON, g) for g in (0.0, 1.0, 2.0)] + [(EstimatorKind.BRIDGE, 0.0)],
+    ids=["parkinson-0", "parkinson-1", "parkinson-2", "bridge"],
+)
+def test_mass_floor_matches_full_domain_oracle(kind, gamma):
+    alpha = analytics._alpha(kind)
+    for level in ORACLE_LEVELS:
+        expect = _full_domain_integral(kind, gamma, 0, math.sqrt(alpha / level))
+        assert abs(interval_probability(kind, gamma, level) - min(max(expect, 0.0), 1.0)) < 1e-12
+    expect = _full_domain_integral(kind, gamma, 0, math.sqrt(alpha / 2.0), math.sqrt(2.0 * alpha))
+    assert abs(coverage_probability(kind, gamma) - expect) < 1e-12
+    mean = _full_domain_integral(kind, gamma, 2) / alpha
+    second = _full_domain_integral(kind, gamma, 4) / alpha**2
+    report = theoretical_moments(kind, gamma)
+    assert abs(report.mean - mean) < 1e-12
+    assert abs(report.variance - (second - mean * mean)) < 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.0, 2.0])
+def test_gk_means_match_full_domain_oracle(gamma, monkeypatch):
+    variants = tuple(GarmanKlassVariant)
+    means = [garman_klass_mean(gamma, variant=v) for v in variants]
+    monkeypatch.setattr(analytics, "_range_close_moments", _full_domain_range_close_moments)
+    for variant, mean in zip(variants, means):
+        assert abs(mean - garman_klass_mean(gamma, variant=variant)) < 1e-12
+
+
+def test_interval_probabilities_batch_the_joint_law(monkeypatch):
+    levels = (1.0, 2.0, 5.0)
+    variant = GarmanKlassVariant.HIGH_LOW_CROSS
+    kinds = (EstimatorKind.GARMAN_KLASS, EstimatorKind.ROGERS_SATCHELL)
+    single = {kind: [interval_probability(kind, 0.5, level) for level in levels] for kind in kinds}
+    calls = []
+    real = analytics._estimator_cdf
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analytics, "_estimator_cdf", spy)
+    for kind in kinds:
+        batch = analytics._interval_probabilities(kind, 0.5, levels, None, variant)
+        assert all(type(v) is float for v in batch)
+        assert max(abs(a - b) for a, b in zip(batch, single[kind])) < 1e-9
+    assert calls == list(kinds)

@@ -378,6 +378,22 @@ def test_bridge_range_small_argument_policy():
     assert min(near) >= 0.0  # cancellation junk is clamped, never negative
 
 
+def test_below_mass_floor_only_round_off():
+    # Below analytics._MASS_FLOOR the range laws carry under 2e-22 of mass, so
+    # the float series must return round-off only.  Its shell terms sum in
+    # absolute value to about 1/delta^3 (a Gaussian second moment in
+    # m delta), so round-off is a few machine epsilons over delta^3:
+    # 1.3e-13 at the mass floor, 4e-10 at the series floor.
+    assert analytics._MASS_FLOOR == 0.3
+    deltas = np.linspace(0.02, analytics._MASS_FLOOR, 141)
+    bound = 16.0 * np.finfo(float).eps / deltas**3
+    for gamma in (0.0, 1.0, 2.0, 5.0):
+        values = np.array([range_pdf(float(d), gamma).value for d in deltas])
+        assert np.all(np.abs(values) <= bound), gamma
+    values = np.array([bridge_range_pdf(float(d)).value for d in deltas])
+    assert np.all(np.abs(values) <= bound)
+
+
 # ---------------------------------------------------------------------------
 # image-series grid engine against a plain loop
 # ---------------------------------------------------------------------------
@@ -460,7 +476,7 @@ def _reference_range_close(delta, abs_chi, cfg):
 def _series_cases():
     cfg = densities.DEFAULT_SERIES_CONFIG
     cases = []
-    for gamma in (0.0, 2.0):  # the Garman-Klass (range, close) grid
+    for gamma in (0.0, 2.0):  # the full-domain GK oracle grid
         delta, _ = analytics._gl_nodes(cfg.small_arg_floor, analytics._range_cut(gamma), 120)
         u, _ = analytics._gl_nodes(0.0, 1.0, 120)
         args = (delta[:, None], delta[:, None] * u[None, :])
