@@ -45,7 +45,7 @@ from .paths import (
 _LAZY = {
     name: module
     for module, names in (
-        ("analytics", "MomentReport IntervalReport mean_range_squared_series theoretical_moments "
+        ("analytics", "MomentReport mean_range_squared_series theoretical_moments "
                       "relative_bias interval_probability coverage_probability "
                       "garman_klass_mean rogers_satchell_mean"),
         ("densities", "SeriesConfig DensityValue NonConvergenceError DEFAULT_SERIES_CONFIG "
@@ -86,7 +86,7 @@ __all__ = [
     "range_close_joint_pdf", "range_pdf", "bridge_hl_joint_pdf", "bridge_range_pdf",
     "parkinson_estimator_pdf", "bridge_estimator_pdf",
     # analytics
-    "MomentReport", "IntervalReport", "mean_range_squared_series", "theoretical_moments",
+    "MomentReport", "mean_range_squared_series", "theoretical_moments",
     "relative_bias", "interval_probability", "coverage_probability",
     "garman_klass_mean", "rogers_satchell_mean",
     # montecarlo

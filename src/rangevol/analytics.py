@@ -1,12 +1,14 @@
 """Theoretical moments, bias and interval probabilities of the estimators.
 
 Every 1D statistic -- the Parkinson and bridge means and variances, the
-interval probabilities F(N) and the coverage P_delta -- is an integral of
-one range density in the range variable delta, through one helper
-(``_range_integral``).  The estimator is delta^2 / alpha (alpha = ln 16
-for Parkinson, pi^2 / 6 for the bridge), so its moments are the delta^2
-and delta^4 moments over alpha and alpha^2, and Pr{estimator > x} is the
-range mass above sqrt(alpha x).  The Garman-Klass mean reduces to 2D
+interval probabilities F(N) and the coverage P_delta -- is a functional of
+one closed-form range law (``densities._range_law``).  The estimator is
+delta^2 / alpha (alpha = ln 16 for Parkinson, pi^2 / 6 for the bridge), so
+Pr{estimator > x} is one minus the range CDF at sqrt(alpha x), and its
+moments are the delta^2 and delta^4 moments over alpha and alpha^2: for
+the bridge the constants pi^2 / 6 and pi^4 / 30, for Parkinson sums over
+one fixed Gauss-Legendre table (``_range_moments``).  No 1D statistic
+calls an adaptive integrator.  The Garman-Klass mean reduces to 2D
 quadratures of the (high, close) and (range, close) joint densities; the
 Rogers-Satchell mean to 2D quadratures of the closed-form (high, close)
 density alone, with the minimum's share taken from the maximum at the
@@ -15,13 +17,12 @@ the (high, low, close) law: E[estimator^2] by 3D quadrature, and the
 distribution from the closed-form mass of the low between the roots of
 the estimator, a convex quadratic in the low given (high, close).
 
-Quadratures use scipy's adaptive Gauss-Kronrod integrators at 1e-10
-absolute tolerance, with Gaussian-tailed supports truncated where the
-integrand is below 1e-16.  Every range integral runs over
-[mass floor, cut]: ranges below ``_MASS_FLOOR`` = 0.3 carry under 2e-22 of
-probability at any drift, and the image series returns only round-off
-there, so the quadratures skip that region, where the series needs the
-most shells.  The pointwise densities keep the 0.02 ``small_arg_floor``.
+The joint-law quadratures use scipy's adaptive Gauss-Kronrod integrators
+at 1e-10 absolute tolerance, with Gaussian-tailed supports truncated where
+the integrand is below 1e-16.  They leave out ranges below ``_MASS_FLOOR``
+= 0.3, which carry under 2e-22 of probability at any drift, and where the
+joint image series return only round-off after the most shells.  The
+pointwise joint densities keep the 0.02 ``small_arg_floor``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .estimators import GK_K1, GK_K2, GK_K3, EstimatorKind, GarmanKlassVariant, 
 
 __all__ = [
     "MomentReport",
-    "IntervalReport",
     "mean_range_squared_series",
     "theoretical_moments",
     "relative_bias",
@@ -52,8 +52,8 @@ __all__ = [
 _QUAD_OPTS = dict(limit=400, epsabs=1e-10, epsrel=1e-10)
 
 _MASS_FLOOR = 0.3
-"""Smallest range any quadrature visits; below it the laws carry no mass
-at float precision.
+"""Smallest range the quadratures visit -- the joint-law quadratures and the
+Parkinson moment table; below it the laws carry no mass at float precision.
 
 At zero drift the range mass below 0.3 is 1.4e-22, and the bridge range's
 is 1.4e-21 (image series summed at 60 digits; Feller 1951 gives the
@@ -61,8 +61,9 @@ small-argument behaviour: a power of 1/d times exp(-pi^2 / (2 d^2))).
 Under drift the (range, close) density is the driftless one times
 exp(gamma c - gamma^2 / 2), and |c| <= delta bounds that factor by
 exp(delta^2 / 2) <= 1.05 below 0.3, so no drift lifts the mass there above
-2e-22.  The float image series returns round-off in that region (a few
-machine epsilons over delta^3) after up to 200 shells per point.
+2e-22.  The float joint image series return round-off in that region (a
+few machine epsilons over delta^3) after up to 200 shells per point; the
+closed-form range laws need no floor.
 """
 
 
@@ -88,22 +89,6 @@ class MomentReport:
             raise ValueError("variance must be nonnegative")
 
 
-@dataclass(frozen=True)
-class IntervalReport:
-    """Probability that the true volatility is below `level` times the estimate."""
-
-    estimator: EstimatorKind
-    gamma: float
-    level: float
-    probability: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError("probability must lie in [0, 1]")
-        if not self.level > 0.0:
-            raise ValueError("level must be positive")
-
-
 def mean_range_squared_series(terms: int) -> float:
     """Partial sum 2 + sum_{m=1}^{terms} 2 / (m (4 m^2 - 1)).
 
@@ -117,50 +102,36 @@ def mean_range_squared_series(terms: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# 1D quadratures of the range densities
+# Moments of the range laws
 # ---------------------------------------------------------------------------
 
 def _range_cut(gamma: float) -> float:
     return 13.0 + abs(gamma)
 
 
-def _range_integral(
-    kind: EstimatorKind,
-    gamma: float,
-    cfg: SeriesConfig,
-    power=0,
-    lo: float = 0.0,
-    hi: float = math.inf,
-):
-    """Integral of delta**power * f(delta) over [lo, hi], f the range density of ``kind``.
-
-    The bounds are clipped to [mass floor, cut]: below the floor (see
-    ``_MASS_FLOOR``) the mass is below 2e-22, above the cut (13 + |gamma|
-    for Parkinson, 7 for the bridge) the density is below 1e-16.  A tuple
-    of powers is integrated in one adaptive pass (``quad_vec``), which
-    shares the density calls, and gives a tuple of floats.
-    """
-    density, _ = densities._range_law(kind, gamma, cfg)
-    cut = _range_cut(gamma) if kind is EstimatorKind.PARKINSON else 7.0
-    lo, hi = max(lo, _mass_cfg(cfg).small_arg_floor), min(hi, cut)
-    if isinstance(power, tuple):
-        if lo >= hi:
-            return (0.0,) * len(power)
-        p = np.array(power, dtype=float)
-        val, _ = integrate.quad_vec(lambda d: d**p * density(d).value, lo, hi, **_QUAD_OPTS)
-        return tuple(float(v) for v in val)
-    if lo >= hi:
-        return 0.0
-    val, _ = integrate.quad(lambda d: d**power * density(d).value, lo, hi, **_QUAD_OPTS)
-    return val
-
-
 def _alpha(kind: EstimatorKind) -> float:
-    return densities._range_law(kind, 0.0, None)[1]
+    return densities._range_law(kind, 0.0)[1]
+
+
+def _range_moments(kind: EstimatorKind, gamma: float) -> tuple[float, float]:
+    """E d^2 and E d^4 of the range law of ``kind``.
+
+    The bridge range has E s^2 = pi^2 / 6 and E s^4 = pi^4 / 30 (Kuiper's
+    law).  The drifted range takes one fixed table, 16 panels of 24
+    Gauss-Legendre nodes over [mass floor, 13 + |gamma|]; below the floor
+    lies under 2e-22 of the mass, above the cut a density under 1e-16.
+    """
+    if kind is EstimatorKind.BRIDGE:
+        return math.pi**2 / 6.0, math.pi**4 / 30.0
+    law, _ = densities._range_law(kind, gamma)
+    d, w = _gl_nodes(_MASS_FLOOR, _range_cut(gamma), 24, panels=16)
+    mass = w * law(d)[1]
+    d2 = d * d
+    return float(mass @ d2), float(mass @ (d2 * d2))
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre grids for the joint-density quadratures
+# Gauss-Legendre grids for the quadratures
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
@@ -169,10 +140,13 @@ def _leggauss(n: int):
     return x, w
 
 
-def _gl_nodes(a: float, b: float, n: int):
+def _gl_nodes(a: float, b: float, n: int, panels: int = 1):
+    """Nodes and weights of the n-point Gauss-Legendre rule on each of
+    ``panels`` equal panels of [a, b], flattened."""
     x, w = _leggauss(n)
-    half = 0.5 * (b - a)
-    return a + (x + 1.0) * half, w * half
+    half = 0.5 * (b - a) / panels
+    left = a + 2.0 * half * np.arange(panels)[:, None]
+    return (left + (x + 1.0) * half).ravel(), np.tile(w * half, panels)
 
 
 def _high_close_moment(weight, gamma: float, n_gl: int = 160) -> float:
@@ -353,7 +327,7 @@ def theoretical_moments(
     cfg = densities._cfg(cfg)
     if kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
         alpha = _alpha(kind)
-        e_d2, e_d4 = _range_integral(kind, gamma, cfg, (2, 4))
+        e_d2, e_d4 = _range_moments(kind, gamma)
         mean, second = e_d2 / alpha, e_d4 / alpha**2
     else:
         if kind is EstimatorKind.GARMAN_KLASS:
@@ -394,17 +368,17 @@ def _interval_probabilities(
     cfg: SeriesConfig | None,
     gk_variant: GarmanKlassVariant,
 ) -> tuple[float, ...]:
-    """:func:`interval_probability` at each level of ``levels``: one range
-    integral per level for Parkinson and bridge, one pass over the
-    (high, low, close) law for all levels of Garman-Klass and Rogers-Satchell."""
+    """:func:`interval_probability` at each level of ``levels``: one call of
+    the range CDF for Parkinson and bridge, one pass over the
+    (high, low, close) law for Garman-Klass and Rogers-Satchell."""
     densities._require_finite("interval_probability", gamma=gamma)
     levels = tuple(float(level) for level in levels)
     if not all(level > 0.0 for level in levels):
         raise ValueError("level must be positive")
     cfg = densities._cfg(cfg)
     if kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
-        alpha = _alpha(kind)
-        vals = [_range_integral(kind, gamma, cfg, 0, math.sqrt(alpha / level)) for level in levels]
+        law, alpha = densities._range_law(kind, gamma)
+        vals = [1.0 - float(v) for v in law(np.sqrt(alpha / np.array(levels)))[0]]
     else:
         below = _estimator_cdf(kind, gamma, [1.0 / level for level in levels], cfg, gk_variant)
         vals = [1.0 - float(v) for v in below]
@@ -419,7 +393,7 @@ def interval_probability(
     gk_variant: GarmanKlassVariant = GarmanKlassVariant.HIGH_LOW_CROSS,
 ) -> float:
     """Pr{ true volatility < level * estimate } = Pr{ estimate > 1/level },
-    for Parkinson and bridge the range mass above sqrt(alpha / level)."""
+    for Parkinson and bridge one minus the range CDF at sqrt(alpha / level)."""
     return _interval_probabilities(kind, gamma, (level,), cfg, gk_variant)[0]
 
 
@@ -430,11 +404,12 @@ def coverage_probability(
     gk_variant: GarmanKlassVariant = GarmanKlassVariant.HIGH_LOW_CROSS,
 ) -> float:
     """Pr{ estimate/2 < true volatility < 2 * estimate } = Pr{ 1/2 < estimate < 2 },
-    for Parkinson and bridge the range mass over (sqrt(alpha / 2), sqrt(2 alpha))."""
+    for Parkinson and bridge the range CDF difference over (sqrt(alpha / 2), sqrt(2 alpha))."""
     densities._require_finite("coverage_probability", gamma=gamma)
     cfg = densities._cfg(cfg)
     if kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
-        alpha = _alpha(kind)
-        return _range_integral(kind, gamma, cfg, 0, math.sqrt(alpha / 2.0), math.sqrt(2.0 * alpha))
+        law, alpha = densities._range_law(kind, gamma)
+        below_half, below_two = law(np.sqrt([alpha / 2.0, 2.0 * alpha]))[0]
+        return float(below_two - below_half)
     below_half, below_two = _estimator_cdf(kind, gamma, (0.5, 2.0), cfg, gk_variant)
     return float(below_two - below_half)

@@ -274,14 +274,14 @@ def _emit_ticks(cfg: ExperimentConfig, path: str, sigma: float, horizon: float):
             fh.writelines(map("%.12g,%.17g\n".__mod__, zip(times[:, 1:].flat, prices[:, 1:].flat)))
 
 
-def _theory_columns(label: str, gamma: float, cfg: SeriesConfig):
+def _theory_columns(label: str, gamma: float):
     if label not in ("parkinson", "bridge"):
         return None, None, None
     from . import analytics
 
     kind = EstimatorKind(label)
-    report = analytics.theoretical_moments(kind, gamma, cfg)
-    return report.mean, report.variance, analytics.coverage_probability(kind, gamma, cfg)
+    report = analytics.theoretical_moments(kind, gamma)
+    return report.mean, report.variance, analytics.coverage_probability(kind, gamma)
 
 
 def cmd_simulate(args, parser, argv) -> int:
@@ -297,7 +297,6 @@ def cmd_simulate(args, parser, argv) -> int:
         histogram_bins=args.bins,
         batch_size=args.batch_size,
     )
-    series_cfg = None if args.skip_theory else _series_config(args)
     if args.emit_ticks:
         _emit_ticks(cfg, args.emit_ticks, args.sigma, args.horizon)
     summary = montecarlo.run_experiment(cfg)
@@ -312,7 +311,7 @@ def cmd_simulate(args, parser, argv) -> int:
             cell = summary.cell(label, gamma)
             key = (label, 0.0 if label == "bridge" else gamma)
             if not args.skip_theory and key not in theory_cache:
-                theory_cache[key] = _theory_columns(label, gamma, series_cfg)
+                theory_cache[key] = _theory_columns(label, gamma)
             theory = theory_cache.get(key, (None, None, None))
             rows.append(
                 [
@@ -331,7 +330,6 @@ def cmd_simulate(args, parser, argv) -> int:
 def cmd_density(args, parser, argv) -> int:
     from . import densities
 
-    cfg = _series_config(args)
     name = args.name
     (gamma,) = _finite_gammas((args.gamma,))
 
@@ -339,22 +337,20 @@ def cmd_density(args, parser, argv) -> int:
         if name == "close-pdf":
             return densities.DensityValue(densities.close_pdf(x, gamma), 0, True)
         if name == "high-pdf":
-            return densities.high_pdf(x, gamma, cfg)
+            return densities.high_pdf(x, gamma)
         if name == "range-pdf":
-            return densities.range_pdf(x, gamma, cfg)
+            return densities.range_pdf(x, gamma)
         if name == "bridge-range-pdf":
-            return densities.bridge_range_pdf(x, cfg)
+            return densities.bridge_range_pdf(x)
         if name == "park-estimator-pdf":
-            return densities.parkinson_estimator_pdf(x, gamma, cfg)
-        return densities.bridge_estimator_pdf(x, cfg)
+            return densities.parkinson_estimator_pdf(x, gamma)
+        return densities.bridge_estimator_pdf(x)
 
     xs = np.linspace(args.x_min, args.x_max, args.points)
     rows = []
     for x in xs:
         value = evaluate(float(x))
-        rows.append(
-            [float(x), value.value if value.converged else None, value.terms_used]
-        )
+        rows.append([float(x), value.value, value.terms_used])
     _write_output(args, ["x", "value", "terms_used"], rows, argv)
     return 0
 
@@ -470,7 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="window length in time units used with --emit-ticks")
     p_sim.add_argument("--seed", type=int, default=0)
     _add_output(p_sim)
-    _add_series(p_sim)
 
     p_den = subs.add_parser("density", help="tabulate an analytic density")
     p_den.add_argument("name", choices=_DENSITY_NAMES)
@@ -479,7 +474,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_den.add_argument("--x-max", type=float, default=6.0)
     p_den.add_argument("--points", type=int, default=600)
     _add_output(p_den)
-    _add_series(p_den)
 
     p_tab = subs.add_parser("tables", help="theory tables (mean, variance, bias, intervals)")
     p_tab.add_argument("--table", required=True,

@@ -3,32 +3,35 @@
 Everything on a unit window with unit variance: the close c is N(gamma, 1);
 (h, l) are the path's running maximum and minimum; d = h - l its range;
 (xi, zeta) the bridge extremes and s = xi - zeta the bridge range.  The
-joint and marginal densities below are reflection-type image expansions:
+joint densities below are reflection-type image expansions:
 two-sided sums over an image index m whose terms decay like
 exp(-2 m^2 delta^2), plus Gaussian prefactors.
 
-Truncation policy: image shells (+m, -m) are summed outward from m = 1
-until the absolute shell contribution stays below ``abs_tol`` for
-``min_terms`` consecutive shells; reaching ``max_terms`` first raises
-:class:`NonConvergenceError`, and a non-finite shell term (a NaN drift or
-argument) raises ``ValueError`` at once.  The densities a NaN can pass
-through without reaching a shell term -- the close, high, (high, close) and
-(high, low, close) densities -- reject a non-finite argument up front, as
-do the joint means in ``rangevol.analytics``.  On a grid the rule looks at the
-largest shell contribution over all points, and a point stops being
-evaluated once its exponents underflow (exp is exactly 0 below -745.14),
-since its later terms are exactly 0; the sums and shell counts are those
-of evaluating every shell at every point.  The series converge slowly as the range
-argument goes to 0 while the true density vanishes faster than any power,
-so arguments below ``small_arg_floor`` return 0 with ``converged=False``
-instead of burning shells on catastrophic cancellation.  All probability
-mass below the default floor of 0.02 is smaller than exp(-10000) and is
-irrelevant at any tolerance used here.  The quadratures of
-``rangevol.analytics`` go further and integrate over [mass floor, cut]
-only, with a mass floor of 0.3 in the range: the laws carry under 2e-22 of
-probability below it at any drift, and the series there return round-off
-(a few machine epsilons over delta^3) after 20 to 200 shells per point.
-The pointwise densities here still evaluate that region.
+The one-dimensional range laws -- the range d at any drift and the bridge
+range s -- are closed forms: each returns its distribution function and its
+density from a theta dual below ``_SWITCH`` and from its image form above
+it, each with a fixed number of terms (see ``_SWITCH``), to 2e-15 relative
+from d = 0.3 on and with no floor below it.  They take no series config.
+
+Truncation policy of the joint grids: image shells (+m, -m) are summed
+outward from m = 1 until the absolute shell contribution stays below
+``abs_tol`` for ``min_terms`` consecutive shells; reaching ``max_terms``
+first raises :class:`NonConvergenceError`, and a non-finite shell term (a
+NaN drift or argument) raises ``ValueError`` at once.  The densities a NaN
+can pass through without reaching a shell term -- the close, high,
+(high, close) and (high, low, close) densities and the range laws -- reject
+a non-finite argument up front, as do the joint means in
+``rangevol.analytics``.  The rule looks at the largest shell contribution
+over all points of a grid, and a point stops being evaluated once its
+exponents underflow (exp is exactly 0 below -745.14), since its later terms
+are exactly 0; the sums and shell counts are those of evaluating every shell
+at every point.  The joint series converge slowly as the range goes to 0
+while the true density vanishes faster than any power, so ranges below
+``small_arg_floor`` return 0 with ``converged=False`` instead of burning
+shells on catastrophic cancellation.  All probability mass below the
+default floor of 0.02 is smaller than exp(-10000) and is irrelevant at any
+tolerance used here; the joint-law quadratures of ``rangevol.analytics``
+start at a mass floor of 0.3 in the range.
 
 erf/erfc come from scipy.special; products like exp(big) * erfc(big) are
 evaluated through erfcx to stay in range.
@@ -38,9 +41,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf, erfc, erfcx
+from scipy.special import erfc, erfcx
 
 from .estimators import BRIDGE_FACTOR, LN16, EstimatorKind
 from .paths import _require_finite
@@ -64,7 +68,6 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_PI = math.sqrt(2.0 / math.pi)   # sqrt(2/pi)
-_SQRT_8_PI = math.sqrt(8.0 / math.pi)   # sqrt(8/pi)
 
 
 class NonConvergenceError(RuntimeError):
@@ -96,13 +99,15 @@ DEFAULT_SERIES_CONFIG = SeriesConfig()
 class DensityValue:
     """A density evaluation plus its convergence telemetry.
 
-    ``terms_used`` counts image shells (0 for closed forms and for floored
-    or out-of-support arguments).  ``converged`` is False only when the
-    argument fell below the small-argument floor.  ``clamped`` marks a tiny
-    negative round-off result that was clamped to 0.  Values are
-    nonnegative for every self-consistent density; the diagnostic "half"
-    variant of :func:`high_pdf` can go genuinely negative at nonzero drift,
-    which is exactly the inconsistency the validation module records.
+    ``terms_used`` counts image shells, or the fixed terms of a range law
+    (0 for the other closed forms and for floored or out-of-support
+    arguments).  ``converged`` is False only when a joint density's argument
+    fell below the small-argument floor.  ``clamped`` marks a tiny negative
+    round-off result that was clamped to 0; a negative value beyond
+    round-off raises ``ValueError``.  The diagnostic "half" variant of
+    :func:`high_pdf` goes genuinely negative at nonzero drift, which is
+    exactly the inconsistency the validation module records, so it is built
+    without that check.
     """
 
     value: float
@@ -116,29 +121,12 @@ def _cfg(cfg: SeriesConfig | None) -> SeriesConfig:
 
 
 def _finish(value: float, terms: int, cfg: SeriesConfig) -> DensityValue:
-    if value < 0.0 and value > -max(1e-14, 10.0 * cfg.abs_tol):
+    """The density value, with round-off below 0 clamped; beyond round-off it raises."""
+    if value < 0.0:
+        if value < -max(1e-14, 10.0 * cfg.abs_tol):
+            raise ValueError(f"density value {value!r} is negative beyond round-off")
         return DensityValue(0.0, terms, True, clamped=True)
     return DensityValue(value, terms, True)
-
-
-def _sum_shells(shell, cfg: SeriesConfig, context: str) -> tuple[float, int]:
-    """Sum shell(m) for m = 1, 2, ... with the quiet-run stopping rule."""
-    total = 0.0
-    quiet = 0
-    for m in range(1, cfg.max_terms + 1):
-        t = shell(m)
-        total += t
-        if abs(t) < cfg.abs_tol:
-            quiet += 1
-            if quiet >= cfg.min_terms:
-                return total, m
-        else:
-            if not math.isfinite(t):
-                raise ValueError(f"{context}: non-finite shell term at shell {m}")
-            quiet = 0
-    raise NonConvergenceError(
-        f"{context}: no convergence after {cfg.max_terms} shells (abs_tol={cfg.abs_tol})"
-    )
 
 
 # exp(x) is exactly 0.0 in float64 for every x below this.
@@ -148,8 +136,8 @@ _UNDERFLOW = -745.14
 def _image_series(shell, mask, cols, cfg: SeriesConfig, context: str) -> tuple[np.ndarray, int]:
     """Sum shell(m, *cols) for m = 1, 2, ... over the grid points where mask holds.
 
-    The quiet-run rule of :func:`_sum_shells` applies to max|shell| over the
-    grid; points off the mask are 0.  ``shell`` returns the shell's terms and,
+    Shells are summed until max|shell| over the grid stays below ``abs_tol``
+    for ``min_terms`` consecutive shells; points off the mask are 0.  ``shell`` returns the shell's terms and,
     per point, the largest exponent it passed to exp.  Each kernel's exponents
     fall monotonically in m on its support, so once that exponent underflows
     every later term of the point is exactly 0: the point retires with its
@@ -326,7 +314,7 @@ def hlc_joint_pdf(
 
 
 # ---------------------------------------------------------------------------
-# Joint density of (range, close) and the range marginal
+# Joint density of (range, close)
 # ---------------------------------------------------------------------------
 
 def _range_close_series_grid(delta, abs_chi, cfg: SeriesConfig) -> tuple[np.ndarray, int]:
@@ -334,8 +322,7 @@ def _range_close_series_grid(delta, abs_chi, cfg: SeriesConfig) -> tuple[np.ndar
 
     Vectorized over broadcastable ``delta`` and ``abs_chi`` grids (the close
     enters only through its absolute value); the overall factor 4 is
-    included, the Gaussian close density is not.  Used by the moment
-    quadratures; point evaluations go through :func:`range_close_joint_pdf`.
+    included, the Gaussian close density is not.
     """
     delta, abs_chi = np.broadcast_arrays(
         np.asarray(delta, dtype=float), np.asarray(abs_chi, dtype=float)
@@ -358,16 +345,6 @@ def _range_close_series_grid(delta, abs_chi, cfg: SeriesConfig) -> tuple[np.ndar
     return 4.0 * total, shells
 
 
-def _range_close_shell(m: int, delta: float, abs_chi: float) -> float:
-    t = 0.0
-    for mm in (m, -m):
-        u = abs_chi + 2.0 * mm * delta
-        t += mm * (
-            mm * (delta - abs_chi) * (u * u - 1.0) - (mm + 1) * u
-        ) * math.exp(-2.0 * mm * delta * (abs_chi + mm * delta))
-    return t
-
-
 def range_close_joint_pdf(
     delta: float, chi: float, gamma: float, cfg: SeriesConfig | None = None
 ) -> DensityValue:
@@ -381,84 +358,158 @@ def range_close_joint_pdf(
         return DensityValue(0.0, 0, True)
     if delta < cfg.small_arg_floor:
         return DensityValue(0.0, 0, False)
-    ac = abs(chi)
-    total, shells = _sum_shells(
-        lambda m: _range_close_shell(m, delta, ac), cfg, "(range, close) joint density"
-    )
-    return _finish(4.0 * close_pdf(chi, gamma) * total, shells, cfg)
+    series, shells = _range_close_series_grid(np.float64(delta), np.float64(abs(chi)), cfg)
+    return _finish(close_pdf(chi, gamma) * float(series), shells, cfg)
 
 
-def _exp_scaled_erf_diff(delta: float, gamma: float, m: int) -> float:
-    """e^{2 m delta gamma} * [erf((2m d + g)/sqrt2) - erf(((2m+1) d + g)/sqrt2)].
+# ---------------------------------------------------------------------------
+# The range laws: distribution function and density of the range and of the
+# bridge range
+# ---------------------------------------------------------------------------
 
-    Rewritten through erfcx so the exponential prefactor never overflows:
-    2 m d g - A^2 = -2 m^2 d^2 - g^2/2 and
-    2 m d g - B^2 = -(2m+1)^2 d^2/2 - g^2/2 - d g.
+_SWITCH = 1.5
+"""Range at which each law switches from its theta dual to its image form.
+
+The dual terms fall like exp(-n^2 pi^2 / (2 d^2)), so 12 of them reach
+exp(-113) of the first at d = 2.5; under drift they alternate in sign at
+about exp(d^2 / 2) times the law, which costs digits above the switch (the
+CDF is good to 1e-9 relative at d = 6, gamma = 1).  The image terms fall
+like exp(-2 k^2 d^2): with 6 shells the first image left out is below
+exp(-60 d^2) of the law, below round-off from d = 1 on.  Both forms
+therefore hold their term counts fixed, and agree to 1e-14 on [1, 2.5].
+"""
+
+_DUAL_A = (math.pi * np.arange(1.0, 13.0)) ** 2   # a_n = n^2 pi^2, n = 1..12
+_DUAL_SIGN = np.resize([-1.0, 1.0], _DUAL_A.size)  # (-1)^n
+_IMAGE_SHELLS = 6
+_KUIPER_M2 = np.arange(1.0, _IMAGE_SHELLS + 1.0) ** 2
+_LOG_PHI0 = -0.5 * math.log(2.0 * math.pi)        # log of the normal density at 0
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_PI_2 = math.sqrt(0.5 * math.pi)
+
+
+def _column(x, axes: int = 1):
+    """``x`` with ``axes`` trailing axes for the terms of a series: an array
+    of points becomes a column, a scalar stays a scalar."""
+    return x.reshape(x.shape + (1,) * axes) if isinstance(x, np.ndarray) else x
+
+
+def _range_dual(d, gamma: float):
+    """(CDF, density) of the range at d > 0 (a float or an array) from its theta dual.
+
+    The paths that stay in a window of width d, summed over the window's
+    position, give H(d) = E (d - D)^+ in closed form from the eigenfunctions
+    of the window,
+    H(d) = sum_n 4 a_n d (1 - (-1)^n cosh(gamma d)) exp(-a_n / (2 d^2) - gamma^2 / 2)
+    / (gamma^2 d^2 + a_n)^2,
+    so that H' is the CDF and H'' the density.  With u = a_n / d^2,
+    z = gamma^2 d^2, q = z + a_n, m = a_n - 3 z + u q, and C the cosh factor
+    times exp(-gamma^2 / 2), term n of H' is 4 a_n e^{-u/2} / q^3 (m C + q d C').
     """
-    a = (2.0 * m * delta + gamma) / _SQRT2
-    b = (delta + 2.0 * m * delta + gamma) / _SQRT2
-    ea = -2.0 * m * m * delta * delta - 0.5 * gamma * gamma
-    eb = -0.5 * (2 * m + 1) ** 2 * delta * delta - 0.5 * gamma * gamma - delta * gamma
-    if a >= 0.0:
-        return math.exp(eb) * float(erfcx(b)) - math.exp(ea) * float(erfcx(a))
-    if b <= 0.0:
-        return math.exp(ea) * float(erfcx(-a)) - math.exp(eb) * float(erfcx(-b))
-    return math.exp(2.0 * m * delta * gamma) * float(erf(a) - erf(b))
+    dc = _column(d)
+    y = gamma * dc
+    z = y * y
+    h = 0.5 * gamma * gamma
+    f0 = math.exp(-h)
+    fp, fm = 0.5 * np.exp(y - h), 0.5 * np.exp(-y - h)
+    c = f0 - _DUAL_SIGN * (fp + fm)                  # C
+    c1 = _DUAL_SIGN * (y * (fm - fp))                # d C'
+    u = _DUAL_A / (dc * dc)
+    q = _DUAL_A + z
+    w = 4.0 * _DUAL_A * np.exp(-0.5 * u) / (q * q * q)
+    uq = u * q
+    a3 = _DUAL_A - 3.0 * z
+    m = a3 + uq
+    cdf = np.sum(w * (m * c + q * c1), axis=-1)
+    curve = uq * (uq - 3.0 * q + 2.0 * a3) - 12.0 * z * (_DUAL_A - z)
+    pdf = np.sum(w / q * (curve * c + 2.0 * q * m * c1 + q * q * z * (c - f0)), axis=-1) / d
+    return cdf, pdf
 
 
-def _drift_edge_term(delta: float, gamma: float, m: int) -> float:
-    poly = 1.0 + m * (3.0 + gamma * (delta + 2.0 * m * delta + gamma))
-    return poly * _exp_scaled_erf_diff(delta, gamma, m)
+@lru_cache(maxsize=32)
+def _image_terms(gamma: float, shells: int):
+    """The constant parts of the image form at drift gamma: the interval ends
+    2k and 2k + 1 of the images k = 1 - shells .. shells - 1, the drifts
+    g = +-gamma, -2 k g, the parts 1 + 4k and 1 + 2k of p, and the
+    coefficients of phi(v) and phi(b) in the density."""
+    k = np.arange(1.0 - shells, shells)[:, None]
+    g = np.array([gamma, -gamma])
+    k2, g2 = k * k, gamma * gamma
+    coef = np.stack((-(4.0 * g2 + 8.0) * k2, 4.0 * g2 * k2 + (2.0 * k + 1.0) * (4.0 * k + 1.0)))
+    return np.stack((2.0 * k, 2.0 * k + 1.0)), g, -2.0 * k * g, 1.0 + 4.0 * k, 1.0 + 2.0 * k, coef
 
 
-def _range_shell_drift(m: int, delta: float, gamma: float) -> float:
-    g2 = gamma * gamma
-    t = 0.0
-    for mm in (m, -m):
-        e1 = -2.0 * mm * mm * delta * delta - 0.5 * g2
-        e2a = -0.5 * ((1 + 2 * mm) ** 2 * delta * delta + 2.0 * delta * gamma + g2)
-        e2b = -0.5 * ((1 + 2 * mm) ** 2 * delta * delta - 2.0 * delta * gamma + g2)
-        gauss = _SQRT_8_PI * (
-            2.0 * math.exp(e1) * (2.0 * mm * mm * delta * delta - 1.0 - mm * (2.0 + g2))
-            + (math.exp(e2a) + math.exp(e2b)) * (1.0 + mm * (2.0 + g2))
-        )
-        edge = 2.0 * gamma * (
-            _drift_edge_term(delta, gamma, mm) - _drift_edge_term(delta, -gamma, mm)
-        )
-        t += mm * (gauss - edge)
-    return t
+def _range_image(d, gamma: float, shells: int = _IMAGE_SHELLS):
+    """(CDF, density) of the range at d > 0 (a float or an array) from its image form.
 
-
-def _range_shell_zero(m: int, delta: float) -> float:
-    t = 0.0
-    for mm in (m, -m):
-        t += (2 * mm - 1) ** 2 * math.exp(-0.5 * (2 * mm - 1) ** 2 * delta * delta) \
-            - 4.0 * mm * mm * math.exp(-2.0 * mm * mm * delta * delta)
-    return t
-
-
-def range_pdf(delta: float, gamma: float = 0.0, cfg: SeriesConfig | None = None) -> DensityValue:
-    """Density of the range d = h - l; support delta > 0.
-
-    gamma = 0 dispatches to the short zero-drift expansion; other drifts use
-    the general series, whose edge terms go through the erfcx-stabilized
-    erf differences.
+    Summing the images of the killed diffusion over the window's position
+    gives, with g = +-gamma, v = 2 k d - g and b = v + d,
+    CDF = sum_{k, g} [p M - 2 k g e^{-2kdg} phi(b)],  p = 1 + 4k - 2 k b g,
+    M = e^{-2kdg} (Phi(b) - Phi(v)), and the density is its derivative in d.
+    The weighted normal densities and masses are evaluated with their
+    exponents combined (-2 k^2 d^2 - g^2 / 2 at v), the tails through erfcx.
     """
-    cfg = _cfg(cfg)
+    ends, g, kg, p0, p1, coef = _image_terms(gamma, shells)
+    dc = _column(d, 3)
+    x = ends * dc - g                                # v and b
+    log_w = kg * dc
+    phi = np.exp(log_w - 0.5 * x * x + _LOG_PHI0)   # e^{-2kdg} phi(v), e^{-2kdg} phi(b)
+    tail = np.copysign(erfcx(np.abs(x) / _SQRT2), x) * phi
+    v, b = x[..., :1, :, :], x[..., 1:, :, :]
+    mass = (np.exp(np.minimum(log_w, 0.0)) * ((v < 0.0) & (b >= 0.0))
+            + _SQRT_PI_2 * (tail[..., :1, :, :] - tail[..., 1:, :, :]))
+    p = p0 + kg * b
+    axes = (-3, -2, -1)
+    cdf = np.sum(p * mass + kg * phi[..., 1:, :, :], axis=axes)
+    pdf = np.sum(kg * (p + p1) * mass, axis=axes) + np.sum(coef * phi, axis=axes)
+    return cdf, pdf
+
+
+def _bridge_dual(s):
+    """(CDF, density) of the bridge range at s > 0 from the dual of Kuiper's law:
+    CDF = sqrt(2 pi) / s^3 * sum_k a_k exp(-a_k / (2 s^2)), a_k = k^2 pi^2."""
+    r = 1.0 / (s * s)
+    e = np.exp(_DUAL_A * (-0.5 * _column(r)))
+    e1, e2 = e @ _DUAL_A, e @ (_DUAL_A * _DUAL_A)
+    c = _SQRT_2PI * r / s
+    return c * e1, c / s * (r * e2 - 3.0 * e1)
+
+
+def _bridge_image(s):
+    """(CDF, density) of the bridge range at s > 0, Kuiper's law (Kuiper 1960):
+    CDF = 1 - 2 sum_m (4 m^2 s^2 - 1) exp(-2 m^2 s^2)."""
+    s2 = s * s
+    e = np.exp(_KUIPER_M2 * (-2.0 * _column(s2)))
+    e0, e1, e2 = np.sum(e, axis=-1), e @ _KUIPER_M2, e @ (_KUIPER_M2 * _KUIPER_M2)
+    return 1.0 - 2.0 * (4.0 * s2 * e1 - e0), 8.0 * s * (4.0 * s2 * e2 - 3.0 * e1)
+
+
+def _by_switch(d, dual, image):
+    """(CDF, density) at every point of ``d``: the dual up to ``_SWITCH``, the
+    image form above it, 0 at d <= 0 (and at NaN)."""
+    d = np.asarray(d, dtype=float)
+    cdf, pdf = np.zeros(d.shape), np.zeros(d.shape)
+    for part, law in (((d > 0.0) & (d <= _SWITCH), dual), (d > _SWITCH, image)):
+        if part.any():
+            cdf[part], pdf[part] = law(d[part])
+    return cdf, pdf
+
+
+def _density_at(delta: float, dual, image) -> DensityValue:
+    """One density value of a range law, from the form that holds at ``delta``."""
+    delta = float(delta)
     if delta <= 0.0:
         return DensityValue(0.0, 0, True)
-    if delta < cfg.small_arg_floor:
-        return DensityValue(0.0, 0, False)
-    if gamma == 0.0:
-        total, shells = _sum_shells(
-            lambda m: _range_shell_zero(m, delta), cfg, "range density (zero drift)"
-        )
-        total += math.exp(-0.5 * delta * delta)  # m = 0 image
-        return _finish(_SQRT_8_PI * total, shells, cfg)
-    total, shells = _sum_shells(
-        lambda m: _range_shell_drift(m, delta, gamma), cfg, "range density"
+    law, terms = (dual, _DUAL_A.size) if delta <= _SWITCH else (image, _IMAGE_SHELLS)
+    return _finish(float(law(delta)[1]), terms, DEFAULT_SERIES_CONFIG)
+
+
+def range_pdf(delta: float, gamma: float = 0.0) -> DensityValue:
+    """Density of the range d = h - l at drift gamma; support delta > 0."""
+    _require_finite("range_pdf", delta=delta, gamma=gamma)
+    return _density_at(
+        delta, lambda d: _range_dual(d, gamma), lambda d: _range_image(d, gamma)
     )
-    return _finish(total, shells, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -492,40 +543,30 @@ def bridge_hl_joint_pdf(
     return _finish(float(series), shells, cfg)
 
 
-def bridge_range_pdf(delta: float, cfg: SeriesConfig | None = None) -> DensityValue:
+def bridge_range_pdf(delta: float) -> DensityValue:
     """Density of the bridge range s = xi - zeta; support delta > 0."""
-    cfg = _cfg(cfg)
-    if delta <= 0.0:
-        return DensityValue(0.0, 0, True)
-    if delta < cfg.small_arg_floor:
-        return DensityValue(0.0, 0, False)
-    d2 = delta * delta
-
-    def shell(m):
-        return m * m * (4.0 * m * m * d2 - 3.0) * math.exp(-2.0 * m * m * d2)
-
-    total, shells = _sum_shells(shell, cfg, "bridge range density")
-    return _finish(8.0 * delta * total, shells, cfg)
+    _require_finite("bridge_range_pdf", delta=delta)
+    return _density_at(delta, _bridge_dual, _bridge_image)
 
 
 # ---------------------------------------------------------------------------
 # Estimator densities (change of variables x = d^2 / alpha)
 # ---------------------------------------------------------------------------
 
-def _range_law(kind: EstimatorKind, gamma: float, cfg: SeriesConfig | None):
-    """(range density, alpha) of an analytic estimator, which is d^2 / alpha.
+def _range_law(kind: EstimatorKind, gamma: float):
+    """(law, alpha) of an analytic estimator, which is d^2 / alpha.
 
-    Parkinson: the drifted range density and alpha = ln 16; bridge: the
-    bridge range density and alpha = pi^2 / 6, whatever the drift.  The
-    densities are looked up by their module-level names at call time, so a
-    wrapper installed on them (as ``perfbench/spans.py`` does) sees every
-    call.
+    ``law(d)`` maps an array of ranges to arrays of the range CDF and
+    density.  Parkinson: the range at drift gamma and alpha = ln 16; bridge:
+    the bridge range and alpha = pi^2 / 6, whatever the drift.  The laws are
+    private array functions, so the benchmark tracer (``perfbench/spans.py``)
+    sees only the public scalar calls, such as :func:`range_pdf`.
     """
-    cfg = _cfg(cfg)
     if kind is EstimatorKind.PARKINSON:
-        return (lambda d: range_pdf(d, gamma, cfg)), LN16
+        return (lambda d: _by_switch(
+            d, lambda x: _range_dual(x, gamma), lambda x: _range_image(x, gamma))), LN16
     if kind is EstimatorKind.BRIDGE:
-        return (lambda d: bridge_range_pdf(d, cfg)), 1.0 / BRIDGE_FACTOR
+        return (lambda d: _by_switch(d, _bridge_dual, _bridge_image)), 1.0 / BRIDGE_FACTOR
     raise ValueError(f"no analytic estimator density for {kind}")
 
 
@@ -538,13 +579,11 @@ def _estimator_pdf(x: float, range_density, alpha: float) -> DensityValue:
     return DensityValue(scale * inner.value, inner.terms_used, inner.converged, inner.clamped)
 
 
-def parkinson_estimator_pdf(
-    x: float, gamma: float = 0.0, cfg: SeriesConfig | None = None
-) -> DensityValue:
+def parkinson_estimator_pdf(x: float, gamma: float = 0.0) -> DensityValue:
     """Density of the Parkinson estimator d^2 / ln 16 at drift gamma."""
-    return _estimator_pdf(x, *_range_law(EstimatorKind.PARKINSON, gamma, cfg))
+    return _estimator_pdf(x, lambda d: range_pdf(d, gamma), LN16)
 
 
-def bridge_estimator_pdf(x: float, cfg: SeriesConfig | None = None) -> DensityValue:
+def bridge_estimator_pdf(x: float) -> DensityValue:
     """Density of the bridge estimator (6/pi^2) s^2; drift-free."""
-    return _estimator_pdf(x, *_range_law(EstimatorKind.BRIDGE, 0.0, cfg))
+    return _estimator_pdf(x, bridge_range_pdf, 1.0 / BRIDGE_FACTOR)

@@ -30,15 +30,11 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import paths
 from .estimators import EstimatorKind, GarmanKlassVariant, estimator_label, estimator_value
-
-if TYPE_CHECKING:
-    from .densities import SeriesConfig
 
 __all__ = [
     "ExperimentConfig",
@@ -320,32 +316,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
 # Histogram vs analytic density
 # ---------------------------------------------------------------------------
 
-def _analytic_bin_density(kind: EstimatorKind, gamma: float, edges: np.ndarray,
-                          cfg: SeriesConfig | None = None):
-    """Bin-averaged analytic estimator density (5-point Simpson per bin);
-    None for the kinds without one.
+def _analytic_bin_density(kind: EstimatorKind, gamma: float, edges: np.ndarray):
+    """Exact bin-averaged analytic estimator density; None for the kinds
+    without one.
 
-    Adjacent bins share an edge, so each inner edge is evaluated once:
-    ``np.linspace`` returns its end points exactly, and the value at a
-    bin's right edge is the next bin's left-edge value.
+    The estimator is d^2 / alpha, so its mass in a bin is the difference of
+    the range CDF at sqrt(alpha x) between the bin's edges: one evaluation
+    per edge, shared by the two bins it bounds.
     """
     if kind not in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
         return None
     from . import densities
 
-    law = densities._range_law(kind, gamma, cfg)
-
-    def pdf(x):
-        return densities._estimator_pdf(x, *law).value
-
-    out = np.empty(len(edges) - 1)
-    weights = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) / 12.0
-    right = pdf(edges[0])
-    for i in range(len(edges) - 1):
-        xs = np.linspace(edges[i], edges[i + 1], 5)
-        left, right = right, pdf(xs[4])
-        out[i] = float(np.dot(weights, [left, pdf(xs[1]), pdf(xs[2]), pdf(xs[3]), right]))
-    return out
+    law, alpha = densities._range_law(kind, gamma)
+    cdf, _ = law(np.sqrt(alpha * np.maximum(edges, 0.0)))
+    return np.diff(cdf) / np.diff(edges)
 
 
 def _resolve_label(summary: ExperimentSummary, estimator) -> tuple[str, EstimatorKind]:
@@ -357,12 +342,11 @@ def _resolve_label(summary: ExperimentSummary, estimator) -> tuple[str, Estimato
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
-def histogram_vs_pdf(summary: ExperimentSummary, estimator, gamma: float,
-                     cfg: SeriesConfig | None = None):
+def histogram_vs_pdf(summary: ExperimentSummary, estimator, gamma: float):
     """Rows of (bin_center, empirical_density, analytic_density).
 
-    The analytic column holds bin-averaged values of the exact estimator
-    density for Parkinson and bridge and None for the others.  Raises if
+    The analytic column holds the exact bin-averaged estimator density
+    for Parkinson and bridge and None for the others.  Raises if
     the requested cell was not simulated.
     """
     label, kind = _resolve_label(summary, estimator)
@@ -371,7 +355,7 @@ def histogram_vs_pdf(summary: ExperimentSummary, estimator, gamma: float,
     widths = np.diff(edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     empirical = cell.hist / (cell.n * widths)
-    analytic = _analytic_bin_density(kind, gamma, edges, cfg)
+    analytic = _analytic_bin_density(kind, gamma, edges)
     rows = []
     for i, center in enumerate(centers):
         rows.append(
@@ -381,7 +365,7 @@ def histogram_vs_pdf(summary: ExperimentSummary, estimator, gamma: float,
 
 
 def goodness_of_fit(summary: ExperimentSummary, estimator, gamma: float,
-                    cfg: SeriesConfig | None = None, min_expected: float = 5.0):
+                    min_expected: float = 5.0):
     """Chi-square test of the sampled histogram against the analytic density.
 
     Adjacent bins are pooled until each expected count reaches
@@ -396,7 +380,7 @@ def goodness_of_fit(summary: ExperimentSummary, estimator, gamma: float,
     cell = summary.cell(label, gamma)
     edges = summary.hist_edges
     widths = np.diff(edges)
-    expected = _analytic_bin_density(kind, gamma, edges, cfg) * widths * cell.n
+    expected = _analytic_bin_density(kind, gamma, edges) * widths * cell.n
     observed = cell.hist.astype(float)
 
     pooled_obs, pooled_exp = [], []

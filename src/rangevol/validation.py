@@ -62,13 +62,17 @@ _REL_GATE = 0.15
 
 
 def _high_pdf_half(eta: float, gamma: float, cfg: SeriesConfig | None = None) -> DensityValue:
-    """The refuted reading of :func:`densities.high_pdf`: erfc((eta + gamma) / 2)."""
-    cfg = densities._cfg(cfg)
+    """The refuted reading of :func:`densities.high_pdf`: erfc((eta + gamma) / 2).
+
+    It goes genuinely negative at nonzero drift, so its value is built
+    directly, past the negativity check of ``densities._finish``; ``cfg`` is
+    unused and kept so that it is called like ``high_pdf``.
+    """
     if eta <= 0.0:
         return DensityValue(0.0, 0, True)
     base = densities._SQRT_2_PI * math.exp(-0.5 * (eta - gamma) ** 2)
     corr = gamma * densities._exp_times_erfc(2.0 * gamma * eta, (eta + gamma) / 2.0)
-    return densities._finish(base - corr, 0, cfg)
+    return DensityValue(base - corr, 0, True)
 
 
 def validate_high_density_variants(

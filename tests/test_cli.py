@@ -223,12 +223,15 @@ def test_density_high_pdf_nonnegative_under_drift(tmp_path):
     assert all(float(r[1]) >= 0.0 for r in rows)
 
 
-def test_density_below_floor_rows_empty_value(tmp_path):
+def test_density_below_old_floor_rows_hold_true_density(tmp_path):
+    # the range laws have no small-argument floor: rows below 0.02 hold the
+    # true density, which underflows to 0 below about 0.06
     out = tmp_path / "d.csv"
-    assert run_cli("density", "range-pdf", "--x-min", "0.001", "--x-max", "0.01",
+    assert run_cli("density", "range-pdf", "--x-min", "0.001", "--x-max", "0.1",
                    "--points", "3", "--out", str(out)) == 0
     _, rows = read_table(out)
-    assert all(r[1] == "" for r in rows)
+    assert [float(r[1]) for r in rows] == [0.0, 0.0, rangevol.range_pdf(0.1).value]
+    assert 0.0 < float(rows[-1][1]) < 1e-200
 
 
 def test_density_unknown_name_exit_2():
@@ -241,6 +244,10 @@ def test_density_unknown_name_exit_2():
     ("estimate", "ticks.csv", "--seed", "1"),
     ("estimate", "ticks.csv", "--series-tol", "1e-9"),
     ("estimate", "ticks.csv", "--max-terms", "10"),
+    ("simulate", "--series-tol", "1e-9"),
+    ("simulate", "--max-terms", "10"),
+    ("density", "range-pdf", "--series-tol", "1e-9"),
+    ("density", "range-pdf", "--max-terms", "10"),
     ("density", "range-pdf", "--seed", "1"),
     ("density", "range-pdf", "--gk-variant", "hc"),
     ("simulate", "--gk-variant", "hc"),
@@ -421,9 +428,11 @@ def test_estimate_header_only_tick_file_exit_1(tmp_path):
 
 
 def test_series_non_convergence_exit_1(tmp_path, capsys):
+    # the Rogers-Satchell variance runs the (high, low, close) series
     out = tmp_path / "s.csv"
-    code = run_cli("simulate", "--paths", "64", "--steps", "20", "--gammas", "0",
-                   "--max-terms", "5", "--series-tol", "1e-300", "--out", str(out))
+    code = run_cli("tables", "--table", "variance", "--estimators", "rogers-satchell",
+                   "--gammas", "0", "--max-terms", "5", "--series-tol", "1e-300",
+                   "--out", str(out))
     assert code == 1
     assert "no convergence after 5 shells" in capsys.readouterr().err
 

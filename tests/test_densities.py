@@ -1,6 +1,7 @@
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -245,16 +246,97 @@ def test_range_pdf_normalization_and_moments():
 
 
 def test_range_pdf_drift_form_matches_zero_drift_form():
-    grid = np.linspace(0.1, 5.0, 100)
-    cfg = SeriesConfig()
+    # the drifted image form at gamma = 0, with shells enough to converge
+    # down to d = 0.1, against the zero-drift law
     worst = 0.0
-    for d in grid:
-        zero = range_pdf(float(d), 0.0, cfg).value
-        general = densities._sum_shells(
-            lambda m: densities._range_shell_drift(m, float(d), 0.0), cfg, "check"
-        )[0]
-        worst = max(worst, abs(zero - general))
+    for d in np.linspace(0.1, 5.0, 100):
+        general = float(densities._range_image(float(d), 0.0, shells=64)[1])
+        worst = max(worst, abs(range_pdf(float(d), 0.0).value - general))
     assert worst < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the range laws against 60-digit references
+# ---------------------------------------------------------------------------
+
+def _mp_range_h(d, gamma):
+    """H(d) = E (d - D)^+ of the range at drift gamma, theta dual at 60 digits."""
+    d, g = mp.mpf(d), mp.mpf(gamma)
+    return mp.fsum(
+        4 * a * d * (1 - (-1) ** n * mp.cosh(g * d)) * mp.exp(-a / (2 * d * d) - g * g / 2)
+        / (g * g * d * d + a) ** 2
+        for n in range(1, int(12 * d) + 13) for a in [(mp.pi * n) ** 2]
+    )
+
+
+def _mp_bridge_cdf(s):
+    """Kuiper's law at 60 digits: the image sum from s = 0.5, its dual below."""
+    if s >= 0.5:
+        return 1 - 2 * mp.nsum(
+            lambda m: (4 * m * m * s * s - 1) * mp.exp(-2 * m * m * s * s), [1, mp.inf])
+    return mp.sqrt(2 * mp.pi) * mp.pi**2 / s**3 * mp.nsum(
+        lambda k: k * k * mp.exp(-mp.pi**2 * k * k / (2 * s * s)), [1, mp.inf])
+
+
+_SWITCH_EPS = 1e-9
+_LAW_POINTS = (0.1, 0.3, 0.5, 1.0, densities._SWITCH - _SWITCH_EPS,
+               densities._SWITCH + _SWITCH_EPS, 2.0, 4.0)
+
+
+def _law_tolerance(d):
+    # exp(-pi^2 / (2 d^2)) carries the relative error of its exponent,
+    # pi^2 / (2 d^2) ulps: 5.5e-14 at d = 0.1
+    return 2e-15 * (4.0 + math.pi**2 / (2.0 * d * d))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.25, 1.0, 2.0, -1.0])
+def test_range_law_matches_60_digit_reference(gamma):
+    # H' is the CDF and H'' the density; the derivatives are taken
+    # numerically at 60 digits, independently of the closed forms
+    law, _ = densities._range_law(densities.EstimatorKind.PARKINSON, gamma)
+    cdf, pdf = law(np.array(_LAW_POINTS))
+    with mp.workdps(60):
+        for i, d in enumerate(_LAW_POINTS):
+            ref_cdf = mp.diff(lambda t: _mp_range_h(t, gamma), d, 1)
+            ref_pdf = mp.diff(lambda t: _mp_range_h(t, gamma), d, 2)
+            tol = _law_tolerance(d)
+            assert abs(cdf[i] - ref_cdf) <= tol * ref_cdf, (d, cdf[i], ref_cdf)
+            assert abs(1.0 - cdf[i] - (1 - ref_cdf)) <= 1e-15, d
+            assert abs(pdf[i] - ref_pdf) <= tol * ref_pdf, (d, pdf[i], ref_pdf)
+            assert range_pdf(d, gamma).value == pytest.approx(pdf[i], rel=1e-15)
+
+
+def test_bridge_law_matches_60_digit_reference():
+    law, _ = densities._range_law(densities.EstimatorKind.BRIDGE, 0.0)
+    cdf, pdf = law(np.array(_LAW_POINTS))
+    with mp.workdps(60):
+        for i, s in enumerate(_LAW_POINTS):
+            ref_cdf = _mp_bridge_cdf(mp.mpf(s))
+            ref_pdf = mp.diff(_mp_bridge_cdf, mp.mpf(s))
+            tol = _law_tolerance(s)
+            assert abs(cdf[i] - ref_cdf) <= tol * ref_cdf, (s, cdf[i], ref_cdf)
+            assert abs(1.0 - cdf[i] - (1 - ref_cdf)) <= 1e-15, s
+            assert abs(pdf[i] - ref_pdf) <= tol * ref_pdf, (s, pdf[i], ref_pdf)
+            assert bridge_range_pdf(s).value == pytest.approx(pdf[i], rel=1e-15)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.25, 1.0, 2.0, -1.0])
+def test_range_dual_and_image_agree_on_overlap(gamma):
+    d = np.linspace(1.0, 2.5, 151)
+    for dual, image in ((densities._range_dual(d, gamma), densities._range_image(d, gamma)),
+                        (densities._bridge_dual(d), densities._bridge_image(d))):
+        assert np.max(np.abs(dual[0] - image[0])) < 1e-14
+        assert np.max(np.abs(dual[1] - image[1])) < 1e-14
+
+
+def test_range_laws_are_the_cdf_derivative():
+    # the density is the derivative of the CDF on both sides of the switch
+    d = np.array([0.4, 0.9, 1.45, 1.55, 2.5, 5.0])
+    h = 1e-5
+    for gamma in (0.0, 1.5):
+        law, _ = densities._range_law(densities.EstimatorKind.PARKINSON, gamma)
+        slope = (law(d + h)[0] - law(d - h)[0]) / (2.0 * h)
+        assert np.max(np.abs(slope - law(d)[1])) < 1e-9
 
 
 def test_range_pdf_normalizes_under_drift():
@@ -266,20 +348,44 @@ def test_range_pdf_normalizes_under_drift():
 
 
 def test_range_pdf_edge_cases():
+    # no floor: below the old 0.02 series floor the law returns its true
+    # value, which underflows to 0 there, and is converged everywhere
     assert range_pdf(-1.0).value == 0.0 and range_pdf(-1.0).converged
-    floored = range_pdf(0.01)
-    assert floored.value == 0.0 and not floored.converged
-    with pytest.raises(NonConvergenceError):
-        range_pdf(0.05, 0.0, SeriesConfig(min_terms=1, max_terms=3))
+    assert range_pdf(0.0).value == 0.0 and range_pdf(0.0).terms_used == 0
+    for gamma in (0.0, 2.0):
+        tiny = range_pdf(0.01, gamma)
+        assert tiny.value == 0.0 and tiny.converged and not tiny.clamped
+    small = range_pdf(0.05)
+    assert small.converged and small.terms_used == densities._DUAL_A.size
+    assert 0.0 < range_pdf(0.1).value == pytest.approx(3.812527e-208, rel=1e-6)
+    assert range_pdf(3.0).terms_used == densities._IMAGE_SHELLS
+    law, _ = densities._range_law(densities.EstimatorKind.PARKINSON, 1.0)
+    cdf, pdf = law(np.array([-1.0, 0.0, math.nan, 0.01]))
+    assert not cdf.any() and not pdf.any()
 
 
 @pytest.mark.parametrize("args", [(1.0, math.nan), (math.nan,)], ids=["nan-drift", "nan-range"])
 def test_range_pdf_non_finite_input_raises_fast(args):
-    # a NaN shell term is never quiet; it must not spin to max_terms shells
     t0 = time.perf_counter()
-    with pytest.raises(ValueError, match="non-finite shell term"):
+    with pytest.raises(ValueError, match="range_pdf: (gamma|delta) must be finite, got nan"):
         range_pdf(*args)
+    with pytest.raises(ValueError, match="bridge_range_pdf: delta must be finite"):
+        bridge_range_pdf(args[-1])
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_finish_rejects_negative_value_beyond_round_off():
+    # round-off is max(1e-14, 10 * abs_tol) below 0: 1e-11 at the default
+    cfg = densities.DEFAULT_SERIES_CONFIG
+    clamped = densities._finish(-5e-12, 3, cfg)
+    assert clamped.value == 0.0 and clamped.clamped and clamped.terms_used == 3
+    with pytest.raises(ValueError, match="negative beyond round-off"):
+        densities._finish(-2e-11, 3, cfg)
+    with pytest.raises(ValueError, match="negative beyond round-off"):
+        densities._finish(-2e-14, 3, SeriesConfig(abs_tol=1e-20))
+    with pytest.raises(ValueError, match="negative beyond round-off"):
+        densities._finish(-1e-3, 0, SeriesConfig(abs_tol=1e-6))
+    assert not densities._finish(-1e-6, 0, SeriesConfig(abs_tol=1e-6)).value
 
 
 NON_FINITE_CASES = [
@@ -323,12 +429,22 @@ def test_range_pdf_nonnegative_on_grid():
 
 
 def test_shell_magnitudes_eventually_monotone():
-    # beyond m = ceil(2/delta) the shell sizes decrease monotonically
-    for delta in (0.5, 1.0, 2.0):
-        shells = [abs(densities._range_shell_zero(m, delta)) for m in range(1, 25)]
-        start = math.ceil(2.0 / delta)
-        tail = shells[start:]
-        assert all(a >= b for a, b in zip(tail, tail[1:]))
+    # beyond m = ceil(2/delta) the contribution of image shell m (the images
+    # k = +-m) to the range density falls monotonically until it reaches
+    # round-off, and the shells the law leaves out are below round-off from
+    # d = 1 on
+    round_off = 8.0 * np.finfo(float).eps
+    for gamma in (0.0, 1.0, 2.0):
+        for delta in (1.0, 1.5, 2.0, 4.0):
+            sums = [densities._range_image(delta, gamma, shells)[1] for shells in range(1, 12)]
+            tail = np.abs(np.diff(sums))[math.ceil(2.0 / delta) - 1:]
+            live = int(np.argmax(tail <= round_off)) if (tail <= round_off).any() else tail.size
+            assert np.all(tail[live:] <= round_off)
+            assert all(a >= b for a, b in zip(tail[:live], tail[1:live]))
+            assert live < densities._IMAGE_SHELLS
+            full = densities._range_image(delta, gamma, 30)
+            law = densities._range_image(delta, gamma)
+            assert abs(law[1] - full[1]) <= round_off and abs(law[0] - full[0]) <= round_off
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +488,19 @@ def test_bridge_range_moments():
 
 
 def test_bridge_range_small_argument_policy():
+    # no floor: the dual form returns the true density near 0, positive and
+    # increasing where it does not underflow, and converged
     below = bridge_range_pdf(0.015)
-    assert below.value == 0.0 and not below.converged
-    near = [bridge_range_pdf(float(d)).value for d in np.linspace(0.02, 0.3, 50)]
-    assert min(near) >= 0.0  # cancellation junk is clamped, never negative
+    assert below.value == 0.0 and below.converged and not below.clamped
+    near = [bridge_range_pdf(float(d)) for d in np.linspace(0.1, 0.3, 50)]
+    values = [v.value for v in near]
+    assert all(v.converged and not v.clamped for v in near)
+    assert 0.0 < values[0] and all(a < b for a, b in zip(values, values[1:]))
+    s = 0.3
+    dual = math.sqrt(2 * math.pi) * sum(
+        k * k * math.pi**2 * (math.pi**2 * k * k / s**2 - 3.0) * math.exp(-math.pi**2 * k * k / (2 * s * s))
+        for k in range(1, 4)) / s**4
+    assert bridge_range_pdf(s).value == pytest.approx(dual, rel=1e-13)
 
 
 def test_below_mass_floor_only_round_off():
@@ -541,6 +666,8 @@ def test_series_config_validation():
         SeriesConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
         SeriesConfig(min_terms=10, max_terms=5)
+    with pytest.raises(NonConvergenceError):
+        range_close_joint_pdf(0.05, 0.01, 0.0, SeriesConfig(min_terms=1, max_terms=3))
 
 
 def test_density_value_telemetry():

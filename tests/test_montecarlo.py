@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.stats import chi2 as chi2_dist
 
 from rangevol import (
@@ -184,29 +185,33 @@ def test_goodness_of_fit_p_value_is_chi2_survival(desk_summary):
         assert p == chi2_dist.sf(chi2, dof)
 
 
-def _five_points_per_bin(kind, gamma, edges):
-    """Bin-averaged density with every bin evaluated at its own 5 points."""
-    law = densities._range_law(kind, gamma, None)
-    weights = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) / 12.0
-    return np.array([
-        float(np.dot(weights, [densities._estimator_pdf(x, *law).value
-                               for x in np.linspace(a, b, 5)]))
-        for a, b in zip(edges[:-1], edges[1:])
-    ])
-
-
 @pytest.mark.parametrize("kind, gamma", [
     (EstimatorKind.PARKINSON, 0.0), (EstimatorKind.PARKINSON, 1.5), (EstimatorKind.BRIDGE, 0.0),
 ])
 def test_analytic_bin_density_evaluates_shared_edges_once(kind, gamma, monkeypatch):
+    # exact bin masses: CDF differences at the n + 1 edges, one law call
     edges = np.linspace(0.0, 6.0, 201)
-    expected = _five_points_per_bin(kind, gamma, edges)
-    calls = []
-    pdf = densities._estimator_pdf
-    monkeypatch.setattr(densities, "_estimator_pdf", lambda x, *law: calls.append(x) or pdf(x, *law))
+    law, alpha = densities._range_law(kind, gamma)
+    points = []
+
+    def spy(k, g):
+        assert (k, g) == (kind, gamma)
+        return (lambda d: points.append(np.size(d)) or law(d)), alpha
+
+    monkeypatch.setattr(densities, "_range_law", spy)
     got = montecarlo._analytic_bin_density(kind, gamma, edges)
-    assert got.tobytes() == expected.tobytes()
-    assert len(calls) == 4 * 200 + 1
+    assert points == [201]
+    masses = got * np.diff(edges)
+    cdf = law(np.sqrt(alpha * edges))[0]
+    assert np.all(masses >= 0.0)
+    assert abs(masses.sum() - (cdf[-1] - cdf[0])) < 1e-15
+    # each bin mass is the integral of the estimator density over the bin
+    pdf = densities.parkinson_estimator_pdf if kind is EstimatorKind.PARKINSON else (
+        lambda x, g: densities.bridge_estimator_pdf(x))
+    for i in (0, 10, 35, 120, 199):
+        mass, _ = integrate.quad(lambda x: pdf(x, gamma).value, edges[i], edges[i + 1],
+                                 epsabs=1e-14, epsrel=1e-12)
+        assert abs(masses[i] - mass) < 1e-13
 
 
 def test_sample_dump_shapes_and_determinism():
