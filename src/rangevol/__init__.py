@@ -48,8 +48,7 @@ _LAZY = {
         ("analytics", "MomentReport mean_range_squared_series theoretical_moments "
                       "relative_bias interval_probability coverage_probability "
                       "garman_klass_mean rogers_satchell_mean"),
-        ("densities", "SeriesConfig DensityValue NonConvergenceError DEFAULT_SERIES_CONFIG "
-                      "close_pdf high_close_joint_pdf high_pdf hlc_joint_pdf "
+        ("densities", "DensityValue close_pdf high_close_joint_pdf high_pdf hlc_joint_pdf "
                       "range_close_joint_pdf range_pdf bridge_hl_joint_pdf bridge_range_pdf "
                       "parkinson_estimator_pdf bridge_estimator_pdf"),
         ("montecarlo", "ExperimentConfig ExperimentSummary CellStats run_experiment "
@@ -81,8 +80,7 @@ __all__ = [
     "EstimatorKind", "GarmanKlassVariant", "VolatilityEstimate",
     "parkinson", "garman_klass", "rogers_satchell", "bridge_estimator", "physical_estimate",
     # densities
-    "SeriesConfig", "DensityValue", "NonConvergenceError", "DEFAULT_SERIES_CONFIG",
-    "close_pdf", "high_close_joint_pdf", "high_pdf", "hlc_joint_pdf",
+    "DensityValue", "close_pdf", "high_close_joint_pdf", "high_pdf", "hlc_joint_pdf",
     "range_close_joint_pdf", "range_pdf", "bridge_hl_joint_pdf", "bridge_range_pdf",
     "parkinson_estimator_pdf", "bridge_estimator_pdf",
     # analytics

@@ -19,23 +19,25 @@ the estimator, a convex quadratic in the low given (high, close).
 
 The joint-law quadratures use scipy's adaptive Gauss-Kronrod integrators
 at 1e-10 absolute tolerance, with Gaussian-tailed supports truncated where
-the integrand is below 1e-16.  They leave out ranges below ``_MASS_FLOOR``
-= 0.3, which carry under 2e-22 of probability at any drift, and where the
-joint image series return only round-off after the most shells.  The
-pointwise joint densities keep the 0.02 ``small_arg_floor``.
+the integrand is below 1e-16.  They leave out ranges below
+``densities._MASS_FLOOR`` = 0.3, the one floor of the joint image series,
+which carry under 2e-22 of probability at any drift.  ``MomentReport.method``
+and the ``method`` column of ``rangevol tables`` say ``closed-form`` for the
+bridge moments and for every Parkinson and bridge F(N) and P_delta, and
+``quadrature`` for the Parkinson moments and every Garman-Klass and
+Rogers-Satchell statistic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
 
 from . import densities
-from .densities import SeriesConfig
 from .estimators import GK_K1, GK_K2, GK_K3, EstimatorKind, GarmanKlassVariant, estimator_value
 
 __all__ = [
@@ -50,28 +52,6 @@ __all__ = [
 ]
 
 _QUAD_OPTS = dict(limit=400, epsabs=1e-10, epsrel=1e-10)
-
-_MASS_FLOOR = 0.3
-"""Smallest range the quadratures visit -- the joint-law quadratures and the
-Parkinson moment table; below it the laws carry no mass at float precision.
-
-At zero drift the range mass below 0.3 is 1.4e-22, and the bridge range's
-is 1.4e-21 (image series summed at 60 digits; Feller 1951 gives the
-small-argument behaviour: a power of 1/d times exp(-pi^2 / (2 d^2))).
-Under drift the (range, close) density is the driftless one times
-exp(gamma c - gamma^2 / 2), and |c| <= delta bounds that factor by
-exp(delta^2 / 2) <= 1.05 below 0.3, so no drift lifts the mass there above
-2e-22.  The float joint image series return round-off in that region (a
-few machine epsilons over delta^3) after up to 200 shells per point; the
-closed-form range laws need no floor.
-"""
-
-
-def _mass_cfg(cfg: SeriesConfig) -> SeriesConfig:
-    """``cfg`` with its small-argument floor raised to ``_MASS_FLOOR``: the
-    series config of every quadrature grid and integration bound."""
-    return replace(cfg, small_arg_floor=max(cfg.small_arg_floor, _MASS_FLOOR))
-
 
 @dataclass(frozen=True)
 class MomentReport:
@@ -124,7 +104,7 @@ def _range_moments(kind: EstimatorKind, gamma: float) -> tuple[float, float]:
     if kind is EstimatorKind.BRIDGE:
         return math.pi**2 / 6.0, math.pi**4 / 30.0
     law, _ = densities._range_law(kind, gamma)
-    d, w = _gl_nodes(_MASS_FLOOR, _range_cut(gamma), 24, panels=16)
+    d, w = _gl_nodes(densities._MASS_FLOOR, _range_cut(gamma), 24, panels=16)
     mass = w * law(d)[1]
     d2 = d * d
     return float(mass @ d2), float(mass @ (d2 * d2))
@@ -165,19 +145,18 @@ def _high_close_moment(weight, gamma: float, n_gl: int = 160) -> float:
     return float(np.einsum("i,ij->", weta, wc * q * weight(e, c)))
 
 
-def _range_close_moments(gamma: float, cfg: SeriesConfig, n_gl: int = 120):
+def _range_close_moments(gamma: float, n_gl: int = 120):
     """E[d^2] and E[c d] from the (range, close) joint density.
 
     The density depends on the close only through |close| and the Gaussian
     close factor, so the chi integral is folded onto (0, delta), which also
     sidesteps the |chi| kink.
     """
-    cfg = _mass_cfg(cfg)
-    delta, wd = _gl_nodes(cfg.small_arg_floor, _range_cut(gamma), n_gl)
+    delta, wd = _gl_nodes(densities._MASS_FLOOR, _range_cut(gamma), n_gl)
     u, wu = _gl_nodes(0.0, 1.0, n_gl)
     a = delta[:, None] * u[None, :]          # |chi| grid
     wa = delta[:, None] * wu[None, :]
-    kernel, _ = densities._range_close_series_grid(delta[:, None], a, cfg)
+    kernel, _ = densities._range_close_series_grid(delta[:, None], a)
     fp = np.exp(-0.5 * (a - gamma) ** 2) / math.sqrt(2.0 * math.pi)
     fm = np.exp(-0.5 * (-a - gamma) ** 2) / math.sqrt(2.0 * math.pi)
     d = delta[:, None]
@@ -188,7 +167,7 @@ def _range_close_moments(gamma: float, cfg: SeriesConfig, n_gl: int = 120):
 
 def garman_klass_mean(
     gamma: float = 0.0,
-    cfg: SeriesConfig | None = None,
+    _positional: None = None,
     variant: GarmanKlassVariant = GarmanKlassVariant.HIGH_LOW_CROSS,
 ) -> float:
     """Mean of the canonical Garman-Klass estimator by 2D quadrature.
@@ -196,10 +175,13 @@ def garman_klass_mean(
     Uses E[d^2], E[cd] from the (range, close) density; E[h^2] and E[hc]
     from the (high, close) density; E[l^2] via the drift-flip symmetry of
     the minimum; and E[hl] = (E[h^2] + E[l^2] - E[d^2]) / 2.
+    ``_positional`` accepts only None: it keeps ``variant`` third for
+    callers that pass it by position.
     """
+    if _positional is not None:
+        raise TypeError("garman_klass_mean takes variant by keyword")
     densities._require_finite("garman_klass_mean", gamma=gamma)
-    cfg = densities._cfg(cfg)
-    e_d2, e_cd = _range_close_moments(gamma, cfg)
+    e_d2, e_cd = _range_close_moments(gamma)
     e_h2 = _high_close_moment(lambda e, c: e * e, gamma)
     e_c2 = 1.0 + gamma * gamma
     if variant is GarmanKlassVariant.HIGH_LOW_CROSS:
@@ -243,16 +225,15 @@ def _close_integral(inner, gamma: float, span: float = 8.0):
     )[0]
 
 
-def _hlc_moment(weight, gamma: float, cfg: SeriesConfig, n_gl: int = 80, span: float = 8.0):
+def _hlc_moment(weight, gamma: float, n_gl: int = 80, span: float = 8.0):
     """E[weight(h, l, c)] under the (high, low, close) law: adaptive in the
     close, n_gl x n_gl Gauss-Legendre over the extremes within ``span`` of
     their bounds max(0, c) and min(0, c), ranges below the mass floor left out."""
-    cfg = _mass_cfg(cfg)
     x, w = _gl_nodes(0.0, span, n_gl)
 
     def inner(chi):
         e, l = (max(0.0, chi) + x)[:, None], (min(0.0, chi) - x)[None, :]
-        series, _ = densities._hlc_series_grid(e, l, chi, cfg)
+        series, _ = densities._hlc_series_grid(e, l, chi)
         return np.einsum("i,j,ij->", w, w, series * weight(e, l, chi))
 
     return float(_close_integral(inner, gamma, span))
@@ -273,7 +254,7 @@ def _roots(f):
     return np.minimum(r1, r2), np.maximum(r1, r2), disc
 
 
-def _estimator_cdf(kind, gamma: float, xs, cfg: SeriesConfig, variant: GarmanKlassVariant,
+def _estimator_cdf(kind, gamma: float, xs, variant: GarmanKlassVariant,
                    n_gl: int = 32, span: float = 8.0):
     """Pr{estimator <= x} for each x of ``xs``, Garman-Klass or Rogers-Satchell.
 
@@ -283,7 +264,6 @@ def _estimator_cdf(kind, gamma: float, xs, cfg: SeriesConfig, variant: GarmanKla
     roots of quadratics in h, and the Gauss-Legendre rule in h is split there.
     The low stops at the mass floor below the high.
     """
-    cfg = _mass_cfg(cfg)
     x = np.asarray(xs, dtype=float)[:, None]
     t, w = _gl_nodes(0.0, 1.0, n_gl)
 
@@ -302,7 +282,7 @@ def _estimator_cdf(kind, gamma: float, xs, cfg: SeriesConfig, variant: GarmanKla
         edges = np.hstack([np.full_like(x, h0), cuts, np.full_like(x, h0 + span)])
         width = np.diff(edges, axis=1)[:, :, None]
         h = (edges[:, :-1, None] + width * t).reshape(len(x), -1)
-        mass, _ = densities._hlc_low_mass_grid(h, *in_low(h)[:2], chi, cfg)
+        mass, _ = densities._hlc_low_mass_grid(h, *in_low(h)[:2], chi)
         return np.sum((width * w).reshape(len(x), -1) * mass, axis=1)
 
     return _close_integral(inner, gamma, span)
@@ -315,7 +295,6 @@ def _estimator_cdf(kind, gamma: float, xs, cfg: SeriesConfig, variant: GarmanKla
 def theoretical_moments(
     kind: EstimatorKind,
     gamma: float = 0.0,
-    cfg: SeriesConfig | None = None,
     gk_variant: GarmanKlassVariant = GarmanKlassVariant.HIGH_LOW_CROSS,
 ) -> MomentReport:
     """Mean/variance/relative-bias report for one canonical estimator.
@@ -324,18 +303,17 @@ def theoretical_moments(
     from the (high, low, close) law.
     """
     densities._require_finite("theoretical_moments", gamma=gamma)
-    cfg = densities._cfg(cfg)
     if kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
         alpha = _alpha(kind)
         e_d2, e_d4 = _range_moments(kind, gamma)
         mean, second = e_d2 / alpha, e_d4 / alpha**2
     else:
         if kind is EstimatorKind.GARMAN_KLASS:
-            mean = garman_klass_mean(gamma, cfg, gk_variant)
+            mean = garman_klass_mean(gamma, variant=gk_variant)
         else:
             mean = rogers_satchell_mean(gamma)
         second = _hlc_moment(
-            lambda h, l, c: estimator_value(kind, h, l, c, variant=gk_variant) ** 2, gamma, cfg
+            lambda h, l, c: estimator_value(kind, h, l, c, variant=gk_variant) ** 2, gamma
         )
     var = second - mean * mean
     rho = (mean - 1.0) / math.sqrt(var) if var > 0.0 else math.nan
@@ -345,7 +323,7 @@ def theoretical_moments(
         mean=mean,
         variance=var,
         relative_bias=rho,
-        method="quadrature",
+        method="closed-form" if kind is EstimatorKind.BRIDGE else "quadrature",
     )
 
 
@@ -365,7 +343,6 @@ def _interval_probabilities(
     kind: EstimatorKind,
     gamma: float,
     levels,
-    cfg: SeriesConfig | None,
     gk_variant: GarmanKlassVariant,
 ) -> tuple[float, ...]:
     """:func:`interval_probability` at each level of ``levels``: one call of
@@ -375,12 +352,11 @@ def _interval_probabilities(
     levels = tuple(float(level) for level in levels)
     if not all(level > 0.0 for level in levels):
         raise ValueError("level must be positive")
-    cfg = densities._cfg(cfg)
     if kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
         law, alpha = densities._range_law(kind, gamma)
         vals = [1.0 - float(v) for v in law(np.sqrt(alpha / np.array(levels)))[0]]
     else:
-        below = _estimator_cdf(kind, gamma, [1.0 / level for level in levels], cfg, gk_variant)
+        below = _estimator_cdf(kind, gamma, [1.0 / level for level in levels], gk_variant)
         vals = [1.0 - float(v) for v in below]
     return tuple(min(max(v, 0.0), 1.0) for v in vals)
 
@@ -389,27 +365,24 @@ def interval_probability(
     kind: EstimatorKind,
     gamma: float,
     level: float,
-    cfg: SeriesConfig | None = None,
     gk_variant: GarmanKlassVariant = GarmanKlassVariant.HIGH_LOW_CROSS,
 ) -> float:
     """Pr{ true volatility < level * estimate } = Pr{ estimate > 1/level },
     for Parkinson and bridge one minus the range CDF at sqrt(alpha / level)."""
-    return _interval_probabilities(kind, gamma, (level,), cfg, gk_variant)[0]
+    return _interval_probabilities(kind, gamma, (level,), gk_variant)[0]
 
 
 def coverage_probability(
     kind: EstimatorKind,
     gamma: float = 0.0,
-    cfg: SeriesConfig | None = None,
     gk_variant: GarmanKlassVariant = GarmanKlassVariant.HIGH_LOW_CROSS,
 ) -> float:
     """Pr{ estimate/2 < true volatility < 2 * estimate } = Pr{ 1/2 < estimate < 2 },
     for Parkinson and bridge the range CDF difference over (sqrt(alpha / 2), sqrt(2 alpha))."""
     densities._require_finite("coverage_probability", gamma=gamma)
-    cfg = densities._cfg(cfg)
     if kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
         law, alpha = densities._range_law(kind, gamma)
         below_half, below_two = law(np.sqrt([alpha / 2.0, 2.0 * alpha]))[0]
         return float(below_two - below_half)
-    below_half, below_two = _estimator_cdf(kind, gamma, (0.5, 2.0), cfg, gk_variant)
+    below_half, below_two = _estimator_cdf(kind, gamma, (0.5, 2.0), gk_variant)
     return float(below_two - below_half)

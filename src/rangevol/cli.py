@@ -2,8 +2,8 @@
 
 Every command writes plot-ready CSV (or JSON) with a provenance comment
 line; fixed seeds and flags give byte-identical output regardless of the
-``RANGEVOL_THREADS`` worker cap.  Exit codes: 0 success, 1 runtime or
-convergence failure, 2 usage error.
+``RANGEVOL_THREADS`` worker cap.  Exit codes: 0 success, 1 runtime
+failure, 2 usage error.
 
 The analytic layers (and with them scipy) are imported only by the
 commands that compute with them, so ``estimate`` and
@@ -26,7 +26,6 @@ from .estimators import EstimatorKind, GarmanKlassVariant, estimator_label, esti
 from .paths import batch_paths, window_extremes
 
 if TYPE_CHECKING:
-    from .densities import SeriesConfig
     from .montecarlo import ExperimentConfig
 
 _KIND_NAMES = {kind.value: kind for kind in EstimatorKind}
@@ -72,12 +71,6 @@ def _write_output(args, header, rows, argv):
     else:
         with open(args.out, "w") as fh:
             fh.write(body)
-
-
-def _series_config(args) -> SeriesConfig:
-    from .densities import SeriesConfig
-
-    return SeriesConfig(abs_tol=args.series_tol, max_terms=args.max_terms)
 
 
 def _finite_gammas(gammas: tuple[float, ...]) -> tuple[float, ...]:
@@ -361,9 +354,7 @@ def cmd_density(args, parser, argv) -> int:
 
 def cmd_tables(args, parser, argv) -> int:
     from . import analytics
-    from .densities import NonConvergenceError
 
-    cfg = _series_config(args)
     gammas = _finite_gammas(_parse_gammas(args.gammas))
     kinds = _parse_estimators(args.estimators, parser, tuple(EstimatorKind))
     variant = GarmanKlassVariant(args.gk_variant)
@@ -371,39 +362,40 @@ def cmd_tables(args, parser, argv) -> int:
     rows = []
     table = args.table
 
-    try:
-        if table == "interval":
-            levels = tuple(float(v) for v in args.levels.split(","))
+    def cdf_method(kind):  # F(N) and P_delta of the range laws are CDF differences
+        closed = kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE)
+        return "closed-form" if closed else "quadrature"
+
+    if table == "interval":
+        levels = tuple(float(v) for v in args.levels.split(","))
+        for kind in kinds:
+            gamma = 0.0 if kind is EstimatorKind.BRIDGE else gammas[0]
+            values = analytics._interval_probabilities(kind, gamma, levels, variant)
+            for level, value in zip(levels, values):
+                rows.append([estimator_label(kind, variant), level, value, cdf_method(kind), None])
+    else:
+        for gamma in gammas:
             for kind in kinds:
-                gamma = 0.0 if kind is EstimatorKind.BRIDGE else gammas[0]
-                values = analytics._interval_probabilities(kind, gamma, levels, cfg, variant)
-                for level, value in zip(levels, values):
-                    rows.append([estimator_label(kind, variant), level, value,
-                                 "quadrature", None])
-        else:
-            for gamma in gammas:
-                for kind in kinds:
-                    if table == "coverage":
-                        value = analytics.coverage_probability(kind, gamma, cfg, variant)
-                    elif table == "mean" and kind is EstimatorKind.GARMAN_KLASS:
-                        for each in GarmanKlassVariant:
-                            value = analytics.garman_klass_mean(gamma, cfg, each)
-                            rows.append([estimator_label(kind, each), gamma, value,
-                                         "quadrature", None])
-                        continue
-                    elif table == "mean" and kind is EstimatorKind.ROGERS_SATCHELL:
-                        value = analytics.rogers_satchell_mean(gamma)
-                    else:
-                        report = analytics.theoretical_moments(kind, gamma, cfg, variant)
-                        value = {
-                            "mean": report.mean,
-                            "variance": report.variance,
-                            "relative-bias": report.relative_bias,
-                        }[table]
-                    rows.append([estimator_label(kind, variant), gamma, value,
-                                 "quadrature", None])
-    except NonConvergenceError as exc:
-        raise _CliError(f"table {table!r}: {exc}") from exc
+                method = "quadrature"
+                if table == "coverage":
+                    value = analytics.coverage_probability(kind, gamma, variant)
+                    method = cdf_method(kind)
+                elif table == "mean" and kind is EstimatorKind.GARMAN_KLASS:
+                    for each in GarmanKlassVariant:
+                        value = analytics.garman_klass_mean(gamma, variant=each)
+                        rows.append([estimator_label(kind, each), gamma, value, method, None])
+                    continue
+                elif table == "mean" and kind is EstimatorKind.ROGERS_SATCHELL:
+                    value = analytics.rogers_satchell_mean(gamma)
+                else:
+                    report = analytics.theoretical_moments(kind, gamma, variant)
+                    value = {
+                        "mean": report.mean,
+                        "variance": report.variance,
+                        "relative-bias": report.relative_bias,
+                    }[table]
+                    method = report.method
+                rows.append([estimator_label(kind, variant), gamma, value, method, None])
     _write_output(args, header, rows, argv)
     return 0
 
@@ -415,12 +407,6 @@ def cmd_tables(args, parser, argv) -> int:
 def _add_output(sub):
     sub.add_argument("--out", default="-", help="output file (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
-def _add_series(sub):
-    sub.add_argument("--series-tol", type=float, default=1e-12,
-                     help="absolute truncation tolerance of the image series")
-    sub.add_argument("--max-terms", type=int, default=1_000_000)
 
 
 def _add_gk_variant(sub):
@@ -482,16 +468,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--levels", default="1,1.5,2,3,5,10",
                        help="levels N for the interval table")
     p_tab.add_argument("--estimators", default=None)
-    for add in (_add_output, _add_series, _add_gk_variant):
+    for add in (_add_output, _add_gk_variant):
         add(p_tab)
     return parser
-
-
-def _failures() -> tuple[type[BaseException], ...]:
-    """The exceptions that exit 1.  A series failure can only come from a
-    loaded density layer, so this never imports one."""
-    densities = sys.modules.get(f"{__package__}.densities")
-    return (_CliError, OSError, ValueError) + ((densities.NonConvergenceError,) if densities else ())
 
 
 def main(argv=None) -> int:
@@ -507,7 +486,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args, parser, argv)
-    except _failures() as exc:
+    except (_CliError, OSError, ValueError) as exc:
         print(f"rangevol: error: {exc}", file=sys.stderr)
         return 1
 

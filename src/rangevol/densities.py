@@ -11,27 +11,19 @@ The one-dimensional range laws -- the range d at any drift and the bridge
 range s -- are closed forms: each returns its distribution function and its
 density from a theta dual below ``_SWITCH`` and from its image form above
 it, each with a fixed number of terms (see ``_SWITCH``), to 2e-15 relative
-from d = 0.3 on and with no floor below it.  They take no series config.
+from d = 0.3 on and with no floor below it.
 
 Truncation policy of the joint grids: image shells (+m, -m) are summed
-outward from m = 1 until the absolute shell contribution stays below
-``abs_tol`` for ``min_terms`` consecutive shells; reaching ``max_terms``
-first raises :class:`NonConvergenceError`, and a non-finite shell term (a
-NaN drift or argument) raises ``ValueError`` at once.  The densities a NaN
-can pass through without reaching a shell term -- the close, high,
-(high, close) and (high, low, close) densities and the range laws -- reject
-a non-finite argument up front, as do the joint means in
-``rangevol.analytics``.  The rule looks at the largest shell contribution
-over all points of a grid, and a point stops being evaluated once its
-exponents underflow (exp is exactly 0 below -745.14), since its later terms
-are exactly 0; the sums and shell counts are those of evaluating every shell
-at every point.  The joint series converge slowly as the range goes to 0
-while the true density vanishes faster than any power, so ranges below
-``small_arg_floor`` return 0 with ``converged=False`` instead of burning
-shells on catastrophic cancellation.  All probability mass below the
-default floor of 0.02 is smaller than exp(-10000) and is irrelevant at any
-tolerance used here; the joint-law quadratures of ``rangevol.analytics``
-start at a mass floor of 0.3 in the range.
+outward from m = 1, and each grid point stops once the largest exponent its
+shell passed to exp falls below ``_CUTOFF``; every later term of the point
+is then below exp(-50) times a polynomial in m, since each kernel's
+exponents fall monotonically in m on its support.  The loop ends when every
+point has stopped, so it needs no tolerance and no term cap.  A non-finite
+shell term (a NaN drift or argument) raises ``ValueError`` at once, and the
+joint densities and the joint means in ``rangevol.analytics`` reject a
+non-finite argument up front.  Every joint series starts at the one floor
+``_MASS_FLOOR`` = 0.3 in the range: the pointwise joint densities return 0
+with ``converged=False`` below it, and the grids leave those points out.
 
 erf/erfc come from scipy.special; products like exp(big) * erfc(big) are
 evaluated through erfcx to stay in range.
@@ -50,10 +42,7 @@ from .estimators import BRIDGE_FACTOR, LN16, EstimatorKind
 from .paths import _require_finite
 
 __all__ = [
-    "SeriesConfig",
     "DensityValue",
-    "NonConvergenceError",
-    "DEFAULT_SERIES_CONFIG",
     "close_pdf",
     "high_close_joint_pdf",
     "high_pdf",
@@ -70,44 +59,19 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2_PI = math.sqrt(2.0 / math.pi)   # sqrt(2/pi)
 
 
-class NonConvergenceError(RuntimeError):
-    """A series did not meet abs_tol within max_terms shells."""
-
-
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Truncation and small-argument policy for the image series."""
-
-    abs_tol: float = 1e-12
-    min_terms: int = 5
-    max_terms: int = 1_000_000
-    small_arg_floor: float = 0.02
-
-    def __post_init__(self):
-        if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be positive")
-        if not 1 <= self.min_terms <= self.max_terms:
-            raise ValueError("need 1 <= min_terms <= max_terms")
-        if not self.small_arg_floor > 0.0:
-            raise ValueError("small_arg_floor must be positive")
-
-
-DEFAULT_SERIES_CONFIG = SeriesConfig()
-
-
 @dataclass(frozen=True)
 class DensityValue:
     """A density evaluation plus its convergence telemetry.
 
     ``terms_used`` counts image shells, or the fixed terms of a range law
     (0 for the other closed forms and for floored or out-of-support
-    arguments).  ``converged`` is False only when a joint density's argument
-    fell below the small-argument floor.  ``clamped`` marks a tiny negative
-    round-off result that was clamped to 0; a negative value beyond
-    round-off raises ``ValueError``.  The diagnostic "half" variant of
-    :func:`high_pdf` goes genuinely negative at nonzero drift, which is
-    exactly the inconsistency the validation module records, so it is built
-    without that check.
+    arguments).  ``converged`` is False only when a joint density's range
+    fell below the mass floor ``_MASS_FLOOR`` = 0.3, where it returns 0.
+    ``clamped`` marks a tiny negative round-off result that was clamped to
+    0; a negative value beyond round-off (``_ROUND_OFF``) raises
+    ``ValueError``.  The diagnostic "half" variant of :func:`high_pdf` goes
+    genuinely negative at nonzero drift, which is exactly the inconsistency
+    the validation module records, so it is built without that check.
     """
 
     value: float
@@ -116,68 +80,66 @@ class DensityValue:
     clamped: bool = False
 
 
-def _cfg(cfg: SeriesConfig | None) -> SeriesConfig:
-    return DEFAULT_SERIES_CONFIG if cfg is None else cfg
+_MASS_FLOOR = 0.3
+"""The one floor of the joint series: the smallest range they are summed at,
+pointwise and in every quadrature; below it the laws carry no mass at float
+precision.
+
+At zero drift the range mass below 0.3 is 1.4e-22, and the bridge range's
+is 1.4e-21 (image series summed at 60 digits; Feller 1951 gives the
+small-argument behaviour: a power of 1/d times exp(-pi^2 / (2 d^2))).
+Under drift the (range, close) density is the driftless one times
+exp(gamma c - gamma^2 / 2), and |c| <= delta bounds that factor by
+exp(delta^2 / 2) <= 1.05 below 0.3, so no drift lifts the mass there above
+2e-22.  The float joint image series return only round-off in that region
+(+-1.5e-11 at range 0.02, a few machine epsilons over delta^3); the
+closed-form range laws need no floor.
+"""
+
+_ROUND_OFF = 1e-11
+"""Largest negative density value taken as round-off and clamped to 0."""
 
 
-def _finish(value: float, terms: int, cfg: SeriesConfig) -> DensityValue:
+def _finish(value: float, terms: int) -> DensityValue:
     """The density value, with round-off below 0 clamped; beyond round-off it raises."""
     if value < 0.0:
-        if value < -max(1e-14, 10.0 * cfg.abs_tol):
+        if value < -_ROUND_OFF:
             raise ValueError(f"density value {value!r} is negative beyond round-off")
         return DensityValue(0.0, terms, True, clamped=True)
     return DensityValue(value, terms, True)
 
 
-# exp(x) is exactly 0.0 in float64 for every x below this.
-_UNDERFLOW = -745.14
+_CUTOFF = -50.0
+"""A grid point stops summing once its shell's largest exponent is below this."""
 
 
-def _image_series(shell, mask, cols, cfg: SeriesConfig, context: str) -> tuple[np.ndarray, int]:
+def _image_series(shell, mask, cols, context: str) -> tuple[np.ndarray, int]:
     """Sum shell(m, *cols) for m = 1, 2, ... over the grid points where mask holds.
 
-    Shells are summed until max|shell| over the grid stays below ``abs_tol``
-    for ``min_terms`` consecutive shells; points off the mask are 0.  ``shell`` returns the shell's terms and,
-    per point, the largest exponent it passed to exp.  Each kernel's exponents
-    fall monotonically in m on its support, so once that exponent underflows
-    every later term of the point is exactly 0: the point retires with its
-    sum final and drops out of the evaluation.  When every point has retired,
-    the zero shells that complete the quiet run are counted, not evaluated.
+    ``shell`` returns the shell's terms and, per point, the largest exponent
+    it passed to exp.  A point stops, its sum final, after the first shell
+    whose exponent is below ``_CUTOFF``, and drops out of the evaluation; the
+    loop ends when every point has stopped.  Points off the mask are 0.
+    Returns the sums and the number of shells evaluated.
     """
     total = np.zeros(mask.shape)
-    if not mask.any():
-        return total, 0
     live = np.flatnonzero(mask)
     cols = [c[mask] for c in cols]
     acc = np.zeros(live.size)
-    quiet = 0
-    for m in range(1, cfg.max_terms + 1):
+    m = 0
+    while live.size:
+        m += 1
         t, top = shell(m, *cols)
+        if not math.isfinite(np.max(np.abs(t))):
+            raise ValueError(f"{context}: non-finite shell term at shell {m}")
         acc += t
-        big = np.max(np.abs(t))
-        if big < cfg.abs_tol:
-            quiet += 1
-            if quiet >= cfg.min_terms:
-                total.flat[live] = acc
-                return total, m
-        else:
-            if not math.isfinite(big):
-                raise ValueError(f"{context}: non-finite shell term at shell {m}")
-            quiet = 0
-        done = top < _UNDERFLOW
+        done = top < _CUTOFF
         if done.any():
             total.flat[live[done]] = acc[done]
             keep = ~done
             live, acc = live[keep], acc[keep]
             cols = [c[keep] for c in cols]
-            if live.size == 0:
-                m += cfg.min_terms - quiet
-                if m <= cfg.max_terms:
-                    return total, m
-                break
-    raise NonConvergenceError(
-        f"{context}: no convergence after {cfg.max_terms} shells (abs_tol={cfg.abs_tol})"
-    )
+    return total, m
 
 
 def _reflection_shell(kernel):
@@ -210,16 +172,13 @@ def close_pdf(chi: float, gamma: float) -> float:
     return math.exp(-0.5 * (chi - gamma) ** 2) / math.sqrt(2.0 * math.pi)
 
 
-def high_close_joint_pdf(
-    eta: float, chi: float, gamma: float, cfg: SeriesConfig | None = None
-) -> DensityValue:
+def high_close_joint_pdf(eta: float, chi: float, gamma: float) -> DensityValue:
     """Joint density of (high, close); closed form, support chi < eta, eta > 0."""
     _require_finite("high_close_joint_pdf", eta=eta, chi=chi, gamma=gamma)
-    cfg = _cfg(cfg)
     if eta <= 0.0 or chi >= eta:
         return DensityValue(0.0, 0, True)
     expo = 2.0 * gamma * eta - 0.5 * (2.0 * eta - chi + gamma) ** 2
-    return _finish(_SQRT_2_PI * (2.0 * eta - chi) * math.exp(expo), 0, cfg)
+    return _finish(_SQRT_2_PI * (2.0 * eta - chi) * math.exp(expo), 0)
 
 
 def _exp_times_erfc(log_factor: float, a: float) -> float:
@@ -229,7 +188,7 @@ def _exp_times_erfc(log_factor: float, a: float) -> float:
     return math.exp(log_factor) * float(erfc(a))
 
 
-def high_pdf(eta: float, gamma: float, cfg: SeriesConfig | None = None) -> DensityValue:
+def high_pdf(eta: float, gamma: float) -> DensityValue:
     """Density of the high, support eta > 0.
 
     The drift correction term is gamma * exp(2*gamma*eta) *
@@ -238,19 +197,18 @@ def high_pdf(eta: float, gamma: float, cfg: SeriesConfig | None = None) -> Densi
     The refuted reading with divisor 2 is kept by ``rangevol.validation``.
     """
     _require_finite("high_pdf", eta=eta, gamma=gamma)
-    cfg = _cfg(cfg)
     if eta <= 0.0:
         return DensityValue(0.0, 0, True)
     base = _SQRT_2_PI * math.exp(-0.5 * (eta - gamma) ** 2)
     corr = gamma * _exp_times_erfc(2.0 * gamma * eta, (eta + gamma) / _SQRT2)
-    return _finish(base - corr, 0, cfg)
+    return _finish(base - corr, 0)
 
 
 # ---------------------------------------------------------------------------
 # Joint density of (high, low, close)
 # ---------------------------------------------------------------------------
 
-def _hlc_series_grid(eta, ell, chi: float, cfg: SeriesConfig) -> tuple[np.ndarray, int]:
+def _hlc_series_grid(eta, ell, chi: float) -> tuple[np.ndarray, int]:
     """Image series of the (h, l) density conditional on close = chi, vectorized.
 
     ``eta`` and ``ell`` are broadcastable arrays; the support mask and the
@@ -259,28 +217,28 @@ def _hlc_series_grid(eta, ell, chi: float, cfg: SeriesConfig) -> tuple[np.ndarra
     ``rangevol.validation``).  Returns (values, shells_used).
     """
     eta, ell = np.broadcast_arrays(np.asarray(eta, dtype=float), np.asarray(ell, dtype=float))
-    mask = (eta > max(0.0, chi)) & (ell < min(0.0, chi)) & (eta - ell >= cfg.small_arg_floor)
+    mask = (eta > max(0.0, chi)) & (ell < min(0.0, chi)) & (eta - ell >= _MASS_FLOOR)
 
     def kernel(u):
         x = 2.0 * u * (chi - u)
         return ((chi - 2.0 * u) ** 2 - 1.0) * np.exp(x), x
 
     total, shells = _image_series(
-        _reflection_shell(kernel), mask, (eta - ell, ell), cfg, "(h,l,c) joint density"
+        _reflection_shell(kernel), mask, (eta - ell, ell), "(h,l,c) joint density"
     )
     return 4.0 * total, shells
 
 
-def _hlc_low_mass_grid(eta, lo, hi, chi: float, cfg: SeriesConfig) -> tuple[np.ndarray, int]:
+def _hlc_low_mass_grid(eta, lo, hi, chi: float) -> tuple[np.ndarray, int]:
     """Integral of :func:`_hlc_series_grid` over the low in [lo, hi], vectorized.
 
     K(u) is G'(u) / 2 with G(u) = (chi - 2u) exp(2u(chi - u)), so image term
     mm integrates to mm / 2 [G(mm d + l) - G(mm d)] (d = eta - l) between the
     ends, with the density's own exponents.  ``hi`` is clipped to the support
-    and to range ``small_arg_floor``; ``lo`` must be finite; NaN ends give 0.
+    and to range ``_MASS_FLOOR``; ``lo`` must be finite; NaN ends give 0.
     """
     eta, lo, hi = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (eta, lo, hi)))
-    hi = np.minimum(hi, np.minimum(min(0.0, chi), eta - cfg.small_arg_floor))
+    hi = np.minimum(hi, np.minimum(min(0.0, chi), eta - _MASS_FLOOR))
     mask = (eta > max(0.0, chi)) & (lo < hi)
 
     def shell(m, e, a, b):
@@ -294,30 +252,27 @@ def _hlc_low_mass_grid(eta, lo, hi, chi: float, cfg: SeriesConfig) -> tuple[np.n
                     top = np.maximum(top, x)
         return t, top
 
-    total, shells = _image_series(shell, mask, (eta, lo, hi), cfg, "(h,l,c) low mass")
+    total, shells = _image_series(shell, mask, (eta, lo, hi), "(h,l,c) low mass")
     return 4.0 * total, shells
 
 
-def hlc_joint_pdf(
-    eta: float, ell: float, chi: float, gamma: float, cfg: SeriesConfig | None = None
-) -> DensityValue:
+def hlc_joint_pdf(eta: float, ell: float, chi: float, gamma: float) -> DensityValue:
     """Joint density of (high, low, close); support ell < chi < eta with
     eta > max(0, chi) and ell < min(0, chi)."""
     _require_finite("hlc_joint_pdf", eta=eta, ell=ell, chi=chi, gamma=gamma)
-    cfg = _cfg(cfg)
     if not (ell < chi < eta) or eta <= max(0.0, chi) or ell >= min(0.0, chi):
         return DensityValue(0.0, 0, True)
-    if eta - ell < cfg.small_arg_floor:
+    if eta - ell < _MASS_FLOOR:
         return DensityValue(0.0, 0, False)
-    series, shells = _hlc_series_grid(np.float64(eta), np.float64(ell), chi, cfg)
-    return _finish(close_pdf(chi, gamma) * float(series), shells, cfg)
+    series, shells = _hlc_series_grid(np.float64(eta), np.float64(ell), chi)
+    return _finish(close_pdf(chi, gamma) * float(series), shells)
 
 
 # ---------------------------------------------------------------------------
 # Joint density of (range, close)
 # ---------------------------------------------------------------------------
 
-def _range_close_series_grid(delta, abs_chi, cfg: SeriesConfig) -> tuple[np.ndarray, int]:
+def _range_close_series_grid(delta, abs_chi) -> tuple[np.ndarray, int]:
     """Image series of the (range, close) density without the close factor.
 
     Vectorized over broadcastable ``delta`` and ``abs_chi`` grids (the close
@@ -327,7 +282,7 @@ def _range_close_series_grid(delta, abs_chi, cfg: SeriesConfig) -> tuple[np.ndar
     delta, abs_chi = np.broadcast_arrays(
         np.asarray(delta, dtype=float), np.asarray(abs_chi, dtype=float)
     )
-    mask = (delta > abs_chi) & (delta >= cfg.small_arg_floor)
+    mask = (delta > abs_chi) & (delta >= _MASS_FLOOR)
 
     def shell(m, d, a):
         t = 0.0
@@ -340,26 +295,24 @@ def _range_close_series_grid(delta, abs_chi, cfg: SeriesConfig) -> tuple[np.ndar
         return t, top
 
     total, shells = _image_series(
-        shell, mask, (delta, abs_chi), cfg, "(range, close) joint density"
+        shell, mask, (delta, abs_chi), "(range, close) joint density"
     )
     return 4.0 * total, shells
 
 
-def range_close_joint_pdf(
-    delta: float, chi: float, gamma: float, cfg: SeriesConfig | None = None
-) -> DensityValue:
+def range_close_joint_pdf(delta: float, chi: float, gamma: float) -> DensityValue:
     """Joint density of (range, close); support delta > |chi|.
 
     Depends on chi only through |chi| (apart from the Gaussian close
     factor), so it is symmetric in chi at gamma = 0.
     """
-    cfg = _cfg(cfg)
+    _require_finite("range_close_joint_pdf", delta=delta, chi=chi, gamma=gamma)
     if delta <= abs(chi):
         return DensityValue(0.0, 0, True)
-    if delta < cfg.small_arg_floor:
+    if delta < _MASS_FLOOR:
         return DensityValue(0.0, 0, False)
-    series, shells = _range_close_series_grid(np.float64(delta), np.float64(abs(chi)), cfg)
-    return _finish(close_pdf(chi, gamma) * float(series), shells, cfg)
+    series, shells = _range_close_series_grid(np.float64(delta), np.float64(abs(chi)))
+    return _finish(close_pdf(chi, gamma) * float(series), shells)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +454,7 @@ def _density_at(delta: float, dual, image) -> DensityValue:
     if delta <= 0.0:
         return DensityValue(0.0, 0, True)
     law, terms = (dual, _DUAL_A.size) if delta <= _SWITCH else (image, _IMAGE_SHELLS)
-    return _finish(float(law(delta)[1]), terms, DEFAULT_SERIES_CONFIG)
+    return _finish(float(law(delta)[1]), terms)
 
 
 def range_pdf(delta: float, gamma: float = 0.0) -> DensityValue:
@@ -516,31 +469,29 @@ def range_pdf(delta: float, gamma: float = 0.0) -> DensityValue:
 # Bridge extremes and bridge range
 # ---------------------------------------------------------------------------
 
-def _bridge_hl_series_grid(eta, ell, cfg: SeriesConfig) -> tuple[np.ndarray, int]:
+def _bridge_hl_series_grid(eta, ell) -> tuple[np.ndarray, int]:
     """Joint density of the bridge (high, low), vectorized over grids."""
     eta, ell = np.broadcast_arrays(np.asarray(eta, dtype=float), np.asarray(ell, dtype=float))
-    mask = (eta > 0.0) & (ell < 0.0) & (eta - ell >= cfg.small_arg_floor)
+    mask = (eta > 0.0) & (ell < 0.0) & (eta - ell >= _MASS_FLOOR)
 
     def kernel(u):
         x = -2.0 * u * u
         return 4.0 * (4.0 * u * u - 1.0) * np.exp(x), x
 
     return _image_series(
-        _reflection_shell(kernel), mask, (eta - ell, ell), cfg, "bridge (high, low) density"
+        _reflection_shell(kernel), mask, (eta - ell, ell), "bridge (high, low) density"
     )
 
 
-def bridge_hl_joint_pdf(
-    eta: float, ell: float, cfg: SeriesConfig | None = None
-) -> DensityValue:
+def bridge_hl_joint_pdf(eta: float, ell: float) -> DensityValue:
     """Joint density of the bridge extremes (xi, zeta); support eta > 0 > ell."""
-    cfg = _cfg(cfg)
+    _require_finite("bridge_hl_joint_pdf", eta=eta, ell=ell)
     if eta <= 0.0 or ell >= 0.0:
         return DensityValue(0.0, 0, True)
-    if eta - ell < cfg.small_arg_floor:
+    if eta - ell < _MASS_FLOOR:
         return DensityValue(0.0, 0, False)
-    series, shells = _bridge_hl_series_grid(np.float64(eta), np.float64(ell), cfg)
-    return _finish(float(series), shells, cfg)
+    series, shells = _bridge_hl_series_grid(np.float64(eta), np.float64(ell))
+    return _finish(float(series), shells)
 
 
 def bridge_range_pdf(delta: float) -> DensityValue:

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import integrate
 
 from . import analytics, densities
-from .densities import DensityValue, SeriesConfig
+from .densities import DensityValue
 from .estimators import GarmanKlassVariant, garman_klass_value
 from .paths import batch_extremes
 
@@ -61,12 +61,11 @@ class ValidationCheck:
 _REL_GATE = 0.15
 
 
-def _high_pdf_half(eta: float, gamma: float, cfg: SeriesConfig | None = None) -> DensityValue:
+def _high_pdf_half(eta: float, gamma: float) -> DensityValue:
     """The refuted reading of :func:`densities.high_pdf`: erfc((eta + gamma) / 2).
 
     It goes genuinely negative at nonzero drift, so its value is built
-    directly, past the negativity check of ``densities._finish``; ``cfg`` is
-    unused and kept so that it is called like ``high_pdf``.
+    directly, past the negativity check of ``densities._finish``.
     """
     if eta <= 0.0:
         return DensityValue(0.0, 0, True)
@@ -80,14 +79,12 @@ def validate_high_density_variants(
     n_paths: int = 200_000,
     n_steps: int = 2_000,
     seed=4201,
-    cfg: SeriesConfig | None = None,
 ) -> ValidationCheck:
     """Which erfc argument scaling makes the high density a density."""
-    cfg = densities._cfg(cfg)
 
     def norm_of(pdf):
         val, _ = integrate.quad(
-            lambda e: pdf(e, gamma, cfg).value,
+            lambda e: pdf(e, gamma).value,
             0.0, 14.0 + abs(gamma), limit=300, epsabs=1e-10,
         )
         return val
@@ -100,11 +97,11 @@ def validate_high_density_variants(
     dev_half = dev_sqrt2 = 0.0
     for eta in etas:
         marg, _ = integrate.quad(
-            lambda c: densities.high_close_joint_pdf(eta, c, gamma, cfg).value,
+            lambda c: densities.high_close_joint_pdf(eta, c, gamma).value,
             -12.0, eta, limit=300, epsabs=1e-11,
         )
-        dev_half = max(dev_half, abs(_high_pdf_half(eta, gamma, cfg).value - marg))
-        dev_sqrt2 = max(dev_sqrt2, abs(densities.high_pdf(eta, gamma, cfg).value - marg))
+        dev_half = max(dev_half, abs(_high_pdf_half(eta, gamma).value - marg))
+        dev_sqrt2 = max(dev_sqrt2, abs(densities.high_pdf(eta, gamma).value - marg))
 
     # binned simulation check
     h, _, _ = batch_extremes(seed, n_paths, n_steps, (gamma,), bridge=False)[0][0]
@@ -114,7 +111,7 @@ def validate_high_density_variants(
         emp = float(((h >= lo) & (h < hi)).mean())
         for pdf, rels in ((_high_pdf_half, rel_half), (densities.high_pdf, rel_sqrt2)):
             prob, _ = integrate.quad(
-                lambda e: pdf(e, gamma, cfg).value, lo, hi, epsabs=1e-11
+                lambda e: pdf(e, gamma).value, lo, hi, epsabs=1e-11
             )
             rels.append(emp / prob - 1.0 if prob > 0.0 else math.inf)
     max_rel_half = max(abs(r) for r in rel_half)
@@ -150,14 +147,12 @@ def validate_high_close_reading(
     n_paths: int = 200_000,
     n_steps: int = 2_000,
     seed=4202,
-    cfg: SeriesConfig | None = None,
 ) -> ValidationCheck:
     """The stray exponent symbol in the (high, close) density: close or high?"""
-    cfg = densities._cfg(cfg)
 
     def mass_close_reading():
         val, _ = integrate.dblquad(
-            lambda c, e: densities.high_close_joint_pdf(e, c, gamma, cfg).value,
+            lambda c, e: densities.high_close_joint_pdf(e, c, gamma).value,
             0.0, 12.0 + abs(gamma), lambda e: -12.0, lambda e: e, epsabs=1e-9,
         )
         return val
@@ -186,7 +181,7 @@ def validate_high_close_reading(
     for e_lo, e_hi, c_lo, c_hi in boxes:
         emp = float(((h >= e_lo) & (h < e_hi) & (c >= c_lo) & (c < c_hi)).mean())
         prob, _ = integrate.dblquad(
-            lambda cc, ee: densities.high_close_joint_pdf(ee, cc, gamma, cfg).value,
+            lambda cc, ee: densities.high_close_joint_pdf(ee, cc, gamma).value,
             e_lo, e_hi, lambda e: c_lo, lambda e: min(c_hi, e), epsabs=1e-10,
         )
         rels.append(emp / prob - 1.0)
@@ -212,16 +207,14 @@ def validate_hlc_normalization(
     n_paths: int = 200_000,
     n_steps: int = 2_000,
     seed=4203,
-    cfg: SeriesConfig | None = None,
 ) -> ValidationCheck:
     """The factor 4 in the (high, low, close) image kernel."""
-    cfg = densities._cfg(cfg)
 
     def conditional_mass(chi: float) -> float:
         # integral of the implemented (already x4) kernel over the extremes
         x, w = analytics._gl_nodes(0.0, 8.0, 96)
         eta, ell = max(0.0, chi) + x[:, None], min(0.0, chi) - x[None, :]
-        series, _ = densities._hlc_series_grid(eta, ell, chi, cfg)
+        series, _ = densities._hlc_series_grid(eta, ell, chi)
         return float(np.einsum("i,j,ij->", w, w, series))
 
     masses = {chi: conditional_mass(chi) for chi in (-1.0, 0.3, 1.0)}
@@ -240,7 +233,7 @@ def validate_hlc_normalization(
         ell, wl = analytics._gl_nodes(l_lo, l_hi, 32)
         total = 0.0
         for chi, wchi in zip(chis, wc):
-            series, _ = densities._hlc_series_grid(eta[:, None], ell[None, :], chi, cfg)
+            series, _ = densities._hlc_series_grid(eta[:, None], ell[None, :], chi)
             total += wchi * densities.close_pdf(chi, 0.0) * float(
                 np.einsum("i,j,ij->", we, wl, series)
             )
@@ -276,10 +269,10 @@ def _gk_1980(h, l, c):
     return 0.511 * (h - l) ** 2 - 0.019 * (c * (h + l) - 2.0 * h * l) - 0.383 * c * c
 
 
-def _gk_1980_mean(gamma: float, cfg: SeriesConfig) -> float:
+def _gk_1980_mean(gamma: float) -> float:
     """Mean of :func:`_gk_1980` from the 2D moments; E[l^2] and E[c l] at
     drift gamma are E[h^2] and E[c h] at -gamma (reflect the path)."""
-    e_d2, _ = analytics._range_close_moments(gamma, cfg)
+    e_d2, _ = analytics._range_close_moments(gamma)
     e_h2, e_l2 = (analytics._high_close_moment(lambda e, c: e * e, g) for g in (gamma, -gamma))
     e_ch, e_cl = (analytics._high_close_moment(lambda e, c: e * c, g) for g in (gamma, -gamma))
     e_hl = 0.5 * (e_h2 + e_l2 - e_d2)
@@ -290,21 +283,19 @@ def validate_gk_variants(
     n_paths: int = 200_000,
     n_steps: int = 5_000,
     seed=4204,
-    cfg: SeriesConfig | None = None,
 ) -> ValidationCheck:
     """Means of the two Garman-Klass cross-term variants beside the 1980 form."""
-    cfg = densities._cfg(cfg)
     details = {}
     for gamma in (0.0, 1.0):
         details[f"quadrature_mean_hl_gamma{gamma:g}"] = analytics.garman_klass_mean(
-            gamma, cfg, GarmanKlassVariant.HIGH_LOW_CROSS
+            gamma, variant=GarmanKlassVariant.HIGH_LOW_CROSS
         )
         details[f"quadrature_mean_hc_gamma{gamma:g}"] = analytics.garman_klass_mean(
-            gamma, cfg, GarmanKlassVariant.HIGH_CLOSE_CROSS
+            gamma, variant=GarmanKlassVariant.HIGH_CLOSE_CROSS
         )
-        details[f"quadrature_mean_1980_gamma{gamma:g}"] = _gk_1980_mean(gamma, cfg)
+        details[f"quadrature_mean_1980_gamma{gamma:g}"] = _gk_1980_mean(gamma)
     mean = details["quadrature_mean_1980_gamma0"]
-    var = analytics._hlc_moment(lambda h, l, c: _gk_1980(h, l, c) ** 2, 0.0, cfg) - mean * mean
+    var = analytics._hlc_moment(lambda h, l, c: _gk_1980(h, l, c) ** 2, 0.0) - mean * mean
     details["quadrature_variance_1980_gamma0"] = var
     details["efficiency_1980_gamma0"] = 2.0 / var  # against the close-to-close c^2
     h, l, c = batch_extremes(seed, n_paths, n_steps, (0.0,), bridge=False)[0][0]
@@ -332,14 +323,13 @@ def formula_validation_report(
     n_paths: int = 200_000,
     n_steps: int = 2_000,
     seed=4200,
-    cfg: SeriesConfig | None = None,
 ) -> list[ValidationCheck]:
     """Run all formula cross-validations at the given simulation scale."""
     return [
-        validate_high_density_variants(1.0, n_paths, n_steps, seed + 1, cfg),
-        validate_high_close_reading(1.0, n_paths, n_steps, seed + 2, cfg),
-        validate_hlc_normalization(n_paths, n_steps, seed + 3, cfg),
-        validate_gk_variants(n_paths, max(n_steps, 2_000), seed + 4, cfg),
+        validate_high_density_variants(1.0, n_paths, n_steps, seed + 1),
+        validate_high_close_reading(1.0, n_paths, n_steps, seed + 2),
+        validate_hlc_normalization(n_paths, n_steps, seed + 3),
+        validate_gk_variants(n_paths, max(n_steps, 2_000), seed + 4),
     ]
 
 

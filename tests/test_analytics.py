@@ -6,7 +6,6 @@ import pytest
 from scipy import integrate
 
 from rangevol import (
-    DEFAULT_SERIES_CONFIG,
     EstimatorKind,
     GarmanKlassVariant,
     analytics,
@@ -82,6 +81,7 @@ def test_bridge_moments():
     report = theoretical_moments(EstimatorKind.BRIDGE, 0.0)
     assert abs(report.mean - 1.0) < 1e-8
     assert abs(report.variance - 0.2) < 1e-6
+    assert report.method == "closed-form"
 
 
 def test_bridge_moments_drift_independent():
@@ -207,14 +207,13 @@ def test_coverage_probability_exact_kinds():
 def test_gk_rs_laws_have_unit_mass(gamma):
     # the whole (high, low, close) law, through the distribution function
     # of each estimator and through the 3D moment
-    cfg = DEFAULT_SERIES_CONFIG
     for kind, variant in ((EstimatorKind.ROGERS_SATCHELL, GarmanKlassVariant.HIGH_LOW_CROSS),
                           (EstimatorKind.GARMAN_KLASS, GarmanKlassVariant.HIGH_LOW_CROSS),
                           (EstimatorKind.GARMAN_KLASS, GarmanKlassVariant.HIGH_CLOSE_CROSS)):
-        below, above = analytics._estimator_cdf(kind, gamma, (-1e6, 1e6), cfg, variant)
+        below, above = analytics._estimator_cdf(kind, gamma, (-1e6, 1e6), variant)
         assert below == 0.0
         assert abs(above - 1.0) < 1e-10
-    assert abs(analytics._hlc_moment(lambda h, l, c: 1.0, gamma, cfg) - 1.0) < 1e-10
+    assert abs(analytics._hlc_moment(lambda h, l, c: 1.0, gamma) - 1.0) < 1e-10
 
 
 def test_gk_rs_laws_match_simulation_with_shifted_extremes():
@@ -259,10 +258,11 @@ def test_moment_report_validates():
 
 ORACLE_QUAD = dict(limit=400, epsabs=1e-10, epsrel=1e-10)
 ORACLE_LEVELS = (1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
+ORACLE_FLOOR = 0.02  # the oracles start far below the mass floor of 0.3
 
 
 def _x_space(kind, gamma):
-    """Estimator pdf, support cut and small-argument floor in x = d^2 / alpha."""
+    """Estimator pdf, support cut and the oracle floor in x = d^2 / alpha."""
     if kind is EstimatorKind.PARKINSON:
         alpha, cut = LN16, 13.0 + abs(gamma)
 
@@ -273,7 +273,7 @@ def _x_space(kind, gamma):
 
         def pdf(x):
             return bridge_estimator_pdf(x).value
-    return pdf, cut * cut / alpha, DEFAULT_SERIES_CONFIG.small_arg_floor**2 / alpha
+    return pdf, cut * cut / alpha, ORACLE_FLOOR**2 / alpha
 
 
 def _x_integral(kind, gamma, power, lo, hi=None):
@@ -326,32 +326,52 @@ def test_moment_report_fields_are_python_floats(kind):
 
 
 # ---------------------------------------------------------------------------
-# Oracle: the quadratures over the whole domain, from the 0.02 series floor
+# Oracle: the quadratures over the whole domain, from range 0.02
 # ---------------------------------------------------------------------------
 
 def _full_domain_integral(kind, gamma, power, lo=0.0, hi=math.inf):
-    """Range integral from small_arg_floor, not the mass floor, one power per quad."""
-    cfg = DEFAULT_SERIES_CONFIG
+    """Range integral from ORACLE_FLOOR, not the mass floor, one power per quad."""
     if kind is EstimatorKind.PARKINSON:
         def density(d):
             return densities.range_pdf(d, gamma)
     else:
         density = densities.bridge_range_pdf
     cut = 13.0 + abs(gamma) if kind is EstimatorKind.PARKINSON else 7.0
-    lo, hi = max(lo, cfg.small_arg_floor), min(hi, cut)
+    lo, hi = max(lo, ORACLE_FLOOR), min(hi, cut)
     if lo >= hi:
         return 0.0
     val, _ = integrate.quad(lambda d: d**power * density(d).value, lo, hi, **ORACLE_QUAD)
     return val
 
 
-def _full_domain_range_close_moments(gamma, cfg, n_gl=120):
-    """E[d^2] and E[c d] on 120 x 120 Gauss-Legendre nodes, delta from small_arg_floor."""
-    delta, wd = analytics._gl_nodes(cfg.small_arg_floor, 13.0 + abs(gamma), n_gl)
+def _range_close_series_to_underflow(d, a):
+    """The (range, close) image series without the close factor at d > a:
+    a plain loop over every shell until all its terms underflow, with no floor."""
+    total = np.zeros(np.broadcast(d, a).shape)
+    m = 0
+    while True:
+        m += 1
+        top = -np.inf
+        for mm in (m, -m):
+            u = a + 2.0 * mm * d
+            x = -2.0 * mm * d * (a + mm * d)
+            total += mm * (mm * (d - a) * (u * u - 1.0) - (mm + 1) * u) * np.exp(x)
+            top = max(top, float(np.max(x)))
+        if top < -745.14:  # exp is exactly 0 below this
+            return 4.0 * total
+
+
+def _full_domain_range_close_moments(gamma, n_gl=120):
+    """E[d^2] and E[c d] on 120 x 120 Gauss-Legendre nodes, delta from ORACLE_FLOOR;
+    below the mass floor the series comes from the plain loop above."""
+    delta, wd = analytics._gl_nodes(ORACLE_FLOOR, 13.0 + abs(gamma), n_gl)
     u, wu = analytics._gl_nodes(0.0, 1.0, n_gl)
     a = delta[:, None] * u[None, :]
     wa = delta[:, None] * wu[None, :]
-    kernel, _ = densities._range_close_series_grid(delta[:, None], a, cfg)
+    kernel, _ = densities._range_close_series_grid(delta[:, None], a)
+    low = delta < densities._MASS_FLOOR
+    assert low.any() and not kernel[low].any()
+    kernel[low] = _range_close_series_to_underflow(delta[low, None], a[low])
     fp = np.exp(-0.5 * (a - gamma) ** 2) / math.sqrt(2.0 * math.pi)
     fm = np.exp(-0.5 * (-a - gamma) ** 2) / math.sqrt(2.0 * math.pi)
     d = delta[:, None]
@@ -402,7 +422,7 @@ def test_interval_probabilities_batch_the_joint_law(monkeypatch):
 
     monkeypatch.setattr(analytics, "_estimator_cdf", spy)
     for kind in kinds:
-        batch = analytics._interval_probabilities(kind, 0.5, levels, None, variant)
+        batch = analytics._interval_probabilities(kind, 0.5, levels, variant)
         assert all(type(v) is float for v in batch)
         assert max(abs(a - b) for a, b in zip(batch, single[kind])) < 1e-9
     assert calls == list(kinds)

@@ -254,6 +254,8 @@ def test_density_unknown_name_exit_2():
     ("tables", "--table", "mean", "--seed", "1"),
     ("tables", "--table", "variance", "--mc-paths", "1"),
     ("tables", "--table", "coverage", "--mc-steps", "1"),
+    ("tables", "--table", "mean", "--series-tol", "1e-9"),
+    ("tables", "--table", "mean", "--max-terms", "10"),
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_subcommand_rejects_flags_it_does_not_read(argv):
     with pytest.raises(SystemExit) as exc:
@@ -282,7 +284,11 @@ def test_tables_interval_lists_all_estimators(tmp_path):
     _, rows = read_table(out)
     values = {r[0]: float(r[2]) for r in rows}
     assert set(values) == {"parkinson", "garman-klass-hl", "rogers-satchell", "bridge"}
-    assert all(r[3] == "quadrature" for r in rows)
+    # F(N) of the range laws is a CDF difference; of GK and RS a quadrature
+    assert {r[0]: r[3] for r in rows} == {
+        "parkinson": "closed-form", "bridge": "closed-form",
+        "garman-klass-hl": "quadrature", "rogers-satchell": "quadrature",
+    }
     # F(2): the bridge covers best, Parkinson worst
     assert values["bridge"] > values["garman-klass-hl"] > values["rogers-satchell"] > values["parkinson"]
 
@@ -295,7 +301,8 @@ def test_tables_variance_analytic_rows(tmp_path):
     values = {r[0]: float(r[2]) for r in rows}
     assert values["parkinson"] == pytest.approx(0.407, abs=1e-3)
     assert values["bridge"] == pytest.approx(0.2, abs=1e-6)
-    assert all(r[3] == "quadrature" for r in rows)
+    # the Parkinson moments are one Gauss-Legendre table; the bridge's are constants
+    assert {r[0]: r[3] for r in rows} == {"parkinson": "quadrature", "bridge": "closed-form"}
 
 
 def test_tables_relative_bias_zero_drift(tmp_path):
@@ -310,7 +317,7 @@ def test_tables_relative_bias_zero_drift(tmp_path):
                    "--out", str(out)) == 0
     _, rows = read_table(out)
     by_name = {r[0]: r for r in rows}
-    assert all(r[3] == "quadrature" for r in rows)
+    assert all(r[3] == ("closed-form" if r[0] == "bridge" else "quadrature") for r in rows)
     for name in ("parkinson", "bridge", "rogers-satchell"):
         assert abs(float(by_name[name][2])) < 2e-2
     assert float(by_name["garman-klass-hl"][2]) == pytest.approx(0.048, abs=1e-3)
@@ -324,6 +331,8 @@ def test_tables_coverage_ordering(tmp_path):
     for gamma in ("0.0", "1.0"):
         sub = {r[0]: float(r[2]) for r in rows if r[1] == gamma}
         assert all(sub["bridge"] > v for k, v in sub.items() if k != "bridge")
+    closed = {"parkinson", "bridge"}
+    assert all(r[3] == ("closed-form" if r[0] in closed else "quadrature") for r in rows)
 
 
 def test_tables_mean_reports_both_gk_variants(tmp_path):
@@ -425,16 +434,6 @@ def test_estimate_header_only_tick_file_exit_1(tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 1
     assert proc.stderr == "rangevol: error: need at least two ticks\n"
-
-
-def test_series_non_convergence_exit_1(tmp_path, capsys):
-    # the Rogers-Satchell variance runs the (high, low, close) series
-    out = tmp_path / "s.csv"
-    code = run_cli("tables", "--table", "variance", "--estimators", "rogers-satchell",
-                   "--gammas", "0", "--max-terms", "5", "--series-tol", "1e-300",
-                   "--out", str(out))
-    assert code == 1
-    assert "no convergence after 5 shells" in capsys.readouterr().err
 
 
 def test_estimate_non_finite_tick_timestamp_exit_1(tmp_path, capsys):

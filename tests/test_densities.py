@@ -10,8 +10,6 @@ from scipy.special import zeta
 from rangevol import (
     LN16,
     DensityValue,
-    NonConvergenceError,
-    SeriesConfig,
     analytics,
     bridge_estimator_pdf,
     bridge_hl_joint_pdf,
@@ -110,7 +108,7 @@ def test_hlc_double_marginal_is_close_density():
             e0, l0 = max(0.0, chi), min(0.0, chi)
             eta = e0 + (x + 1) * span / 2
             ell = l0 - (x + 1) * span / 2
-            series, _ = densities._hlc_series_grid(eta[:, None], ell[None, :], chi, densities.DEFAULT_SERIES_CONFIG)
+            series, _ = densities._hlc_series_grid(eta[:, None], ell[None, :], chi)
             mass = float(np.einsum("i,j,ij->", w, w, series)) * (span / 2) ** 2
             total = mass * close_pdf(chi, gamma)
             assert abs(total - close_pdf(chi, gamma)) < 1e-6
@@ -132,14 +130,13 @@ def test_hlc_bin_against_simulation(extremes_samples):
     chis, wc = at(c_lo, c_hi)
     prob = 0.0
     for chi, wchi in zip(chis, wc):
-        series, _ = densities._hlc_series_grid(eta[:, None], ell[None, :], chi, densities.DEFAULT_SERIES_CONFIG)
+        series, _ = densities._hlc_series_grid(eta[:, None], ell[None, :], chi)
         prob += wchi * close_pdf(chi, 0.0) * float(np.einsum("i,j,ij->", we, wl, series))
     assert abs(_bin_z(count, h.size, prob)) < 3.0
 
 
 def test_hlc_scalar_matches_grid():
-    cfg = densities.DEFAULT_SERIES_CONFIG
-    series, _ = densities._hlc_series_grid(np.array([1.0]), np.array([-1.0]), 0.3, cfg)
+    series, _ = densities._hlc_series_grid(np.array([1.0]), np.array([-1.0]), 0.3)
     assert hlc_joint_pdf(1.0, -1.0, 0.3, 0.0).value == pytest.approx(
         float(series[0]) * close_pdf(0.3, 0.0), rel=1e-12
     )
@@ -152,7 +149,6 @@ def _rogers_satchell_mean_3d(gamma):
     their bound; an independent route to the Rogers-Satchell mean, which is
     1 at any drift.
     """
-    cfg = densities.DEFAULT_SERIES_CONFIG
     x, w = np.polynomial.legendre.leggauss(80)
     span = 8.0
     half = span / 2
@@ -160,7 +156,7 @@ def _rogers_satchell_mean_3d(gamma):
     def inner(chi):
         e = (max(0.0, chi) + (x + 1) * half)[:, None]
         l = (min(0.0, chi) - (x + 1) * half)[None, :]
-        series, _ = densities._hlc_series_grid(e, l, chi, cfg)
+        series, _ = densities._hlc_series_grid(e, l, chi)
         g = e * (e - chi) + l * (l - chi)
         return float(np.einsum("i,j,ij->", w, w, series * g)) * half * half * close_pdf(chi, gamma)
 
@@ -169,19 +165,17 @@ def _rogers_satchell_mean_3d(gamma):
 
 
 def test_hlc_low_mass_is_the_integral_of_the_series():
-    cfg = densities.DEFAULT_SERIES_CONFIG
-
     def series(eta, ell, chi):
-        return float(densities._hlc_series_grid(np.float64(eta), np.float64(ell), chi, cfg)[0])
+        return float(densities._hlc_series_grid(np.float64(eta), np.float64(ell), chi)[0])
 
     for eta, chi, lo, hi in [(1.1, 0.3, -0.8, -0.2), (0.7, -0.4, -2.0, -0.5), (2.0, 1.0, -3.0, 0.0)]:
-        mass, _ = densities._hlc_low_mass_grid(eta, lo, hi, chi, cfg)
+        mass, _ = densities._hlc_low_mass_grid(eta, lo, hi, chi)
         expect, _ = integrate.quad(lambda l: series(eta, l, chi), lo, hi,
                                    epsabs=1e-14, epsrel=1e-14, limit=200)
         assert abs(float(mass) - expect) < 1e-12
     # over the whole low: the (high, close) density over the close density
     for eta, chi, gamma in [(1.1, 0.3, 0.0), (0.5, -1.2, 1.0), (2.5, 1.5, -2.0)]:
-        mass, _ = densities._hlc_low_mass_grid(eta, -60.0, 0.0, chi, cfg)
+        mass, _ = densities._hlc_low_mass_grid(eta, -60.0, 0.0, chi)
         expect = high_close_joint_pdf(eta, chi, gamma).value / close_pdf(chi, gamma)
         assert abs(float(mass) - expect) < 1e-12
 
@@ -228,8 +222,7 @@ def test_range_close_bin_against_simulation(extremes_samples):
 
 
 def test_range_close_grid_matches_scalar():
-    cfg = densities.DEFAULT_SERIES_CONFIG
-    grid, _ = densities._range_close_series_grid(np.array([1.5, 0.9]), np.array([0.3, 0.2]), cfg)
+    grid, _ = densities._range_close_series_grid(np.array([1.5, 0.9]), np.array([0.3, 0.2]))
     for i, (d, a) in enumerate([(1.5, 0.3), (0.9, 0.2)]):
         assert range_close_joint_pdf(d, a, 0.0).value == pytest.approx(
             float(grid[i]) * close_pdf(a, 0.0), rel=1e-12
@@ -375,17 +368,11 @@ def test_range_pdf_non_finite_input_raises_fast(args):
 
 
 def test_finish_rejects_negative_value_beyond_round_off():
-    # round-off is max(1e-14, 10 * abs_tol) below 0: 1e-11 at the default
-    cfg = densities.DEFAULT_SERIES_CONFIG
-    clamped = densities._finish(-5e-12, 3, cfg)
+    # round-off is 1e-11 below 0
+    clamped = densities._finish(-5e-12, 3)
     assert clamped.value == 0.0 and clamped.clamped and clamped.terms_used == 3
     with pytest.raises(ValueError, match="negative beyond round-off"):
-        densities._finish(-2e-11, 3, cfg)
-    with pytest.raises(ValueError, match="negative beyond round-off"):
-        densities._finish(-2e-14, 3, SeriesConfig(abs_tol=1e-20))
-    with pytest.raises(ValueError, match="negative beyond round-off"):
-        densities._finish(-1e-3, 0, SeriesConfig(abs_tol=1e-6))
-    assert not densities._finish(-1e-6, 0, SeriesConfig(abs_tol=1e-6)).value
+        densities._finish(-2e-11, 3)
 
 
 NON_FINITE_CASES = [
@@ -395,6 +382,9 @@ NON_FINITE_CASES = [
     (high_close_joint_pdf, (1.0, -math.inf, 0.5), "chi"),
     (hlc_joint_pdf, (1.0, -0.5, 0.2, math.nan), "gamma"),
     (hlc_joint_pdf, (1.0, math.nan, 0.2, 0.5), "ell"),
+    (range_close_joint_pdf, (math.nan, 0.1, 0.0), "delta"),
+    (bridge_hl_joint_pdf, (math.nan, -0.1), "eta"),
+    (bridge_hl_joint_pdf, (0.5, math.nan), "ell"),
     (close_pdf, (0.2, math.nan), "gamma"),
     (close_pdf, (math.inf, 0.0), "chi"),
     (analytics.rogers_satchell_mean, (math.nan,), "gamma"),
@@ -418,7 +408,7 @@ def test_image_series_non_finite_term_raises():
 
     mask = np.array([True, True])
     with pytest.raises(ValueError, match="toy series: non-finite"):
-        densities._image_series(shell, mask, (np.array([0.5, 2.0]),), SeriesConfig(), "toy series")
+        densities._image_series(shell, mask, (np.array([0.5, 2.0]),), "toy series")
 
 
 def test_range_pdf_nonnegative_on_grid():
@@ -504,13 +494,13 @@ def test_bridge_range_small_argument_policy():
 
 
 def test_below_mass_floor_only_round_off():
-    # Below analytics._MASS_FLOOR the range laws carry under 2e-22 of mass, so
+    # Below densities._MASS_FLOOR the range laws carry under 2e-22 of mass, so
     # the float series must return round-off only.  Its shell terms sum in
     # absolute value to about 1/delta^3 (a Gaussian second moment in
     # m delta), so round-off is a few machine epsilons over delta^3:
     # 1.3e-13 at the mass floor, 4e-10 at the series floor.
-    assert analytics._MASS_FLOOR == 0.3
-    deltas = np.linspace(0.02, analytics._MASS_FLOOR, 141)
+    assert densities._MASS_FLOOR == 0.3
+    deltas = np.linspace(0.02, densities._MASS_FLOOR, 141)
     bound = 16.0 * np.finfo(float).eps / deltas**3
     for gamma in (0.0, 1.0, 2.0, 5.0):
         values = np.array([range_pdf(float(d), gamma).value for d in deltas])
@@ -523,86 +513,114 @@ def test_below_mass_floor_only_round_off():
 # image-series grid engine against a plain loop
 # ---------------------------------------------------------------------------
 
-def _reference_series(shell, mask, factor, cfg):
-    """Every shell at every masked point until the quiet run.
+_UNDERFLOW = -745.14  # exp(x) is exactly 0.0 in float64 for every x below this
 
-    Returns (factor * sum on the mask and 0 off it, shells, max|t| per shell).
+
+def _reference_series(shell, mask, factor, cutoff):
+    """Every shell at every masked point; a point stops adding after the
+    first shell whose largest exponent is below ``cutoff``, and the loop
+    ends when every point has stopped.
+
+    Returns (factor * sum on the mask and 0 off it, shells).
     """
     acc = 0.0
-    quiet = 0
-    peaks = []
-    for m in range(1, cfg.max_terms + 1):
-        t = shell(m)
-        acc = acc + t
-        peaks.append(float(np.max(np.abs(t))))
-        if peaks[-1] < cfg.abs_tol:
-            quiet += 1
-            if quiet >= cfg.min_terms:
-                total = np.zeros(mask.shape)
-                total[mask] = factor * acc
-                return total, m, peaks
-        else:
-            quiet = 0
-    raise NonConvergenceError("reference loop did not converge")
+    live = np.ones(int(mask.sum()), dtype=bool)
+    m = 0
+    while live.any():
+        m += 1
+        t, top = shell(m)
+        acc = np.where(live, acc + t, acc)
+        live &= top >= cutoff
+    total = np.zeros(mask.shape)
+    total[mask] = factor * acc
+    return total, m
 
 
-def _reference_reflection(kernel, eta, ell, mask, factor, cfg):
+def _reference_reflection(kernel, eta, ell, mask, factor, cutoff):
     e = eta[mask]
     l = ell[mask]
     d = e - l
 
     def shell(m):
         t = np.zeros_like(d)
+        top = np.full_like(d, -np.inf)
         for mm in (m, -m):
-            t += mm * (mm * kernel(mm * d) + (1 - mm) * kernel(mm * d + l))
-        return t
+            (k1, x1), (k2, x2) = kernel(mm * d), kernel(mm * d + l)
+            t += mm * (mm * k1 + (1 - mm) * k2)
+            top = np.maximum(top, np.maximum(x1, x2))
+        return t, top
 
-    return _reference_series(shell, mask, factor, cfg)
+    return _reference_series(shell, mask, factor, cutoff)
 
 
-def _reference_hlc(eta, ell, chi, cfg):
+def _reference_hlc(eta, ell, chi, cutoff=densities._CUTOFF):
     eta, ell = np.broadcast_arrays(eta, ell)
-    mask = (eta > max(0.0, chi)) & (ell < min(0.0, chi)) & (eta - ell >= cfg.small_arg_floor)
+    mask = (eta > max(0.0, chi)) & (ell < min(0.0, chi)) & (eta - ell >= densities._MASS_FLOOR)
 
     def kernel(u):
-        return ((chi - 2.0 * u) ** 2 - 1.0) * np.exp(2.0 * u * (chi - u))
+        x = 2.0 * u * (chi - u)
+        return ((chi - 2.0 * u) ** 2 - 1.0) * np.exp(x), x
 
-    return _reference_reflection(kernel, eta, ell, mask, 4.0, cfg)
+    return _reference_reflection(kernel, eta, ell, mask, 4.0, cutoff)
 
 
-def _reference_bridge_hl(eta, ell, cfg):
+def _reference_bridge_hl(eta, ell, cutoff=densities._CUTOFF):
     eta, ell = np.broadcast_arrays(eta, ell)
-    mask = (eta > 0.0) & (ell < 0.0) & (eta - ell >= cfg.small_arg_floor)
+    mask = (eta > 0.0) & (ell < 0.0) & (eta - ell >= densities._MASS_FLOOR)
 
     def kernel(u):
-        return 4.0 * (4.0 * u * u - 1.0) * np.exp(-2.0 * u * u)
+        x = -2.0 * u * u
+        return 4.0 * (4.0 * u * u - 1.0) * np.exp(x), x
 
-    return _reference_reflection(kernel, eta, ell, mask, 1.0, cfg)
+    return _reference_reflection(kernel, eta, ell, mask, 1.0, cutoff)
 
 
-def _reference_range_close(delta, abs_chi, cfg):
+def _reference_range_close(delta, abs_chi, cutoff=densities._CUTOFF):
     delta, abs_chi = np.broadcast_arrays(delta, abs_chi)
-    mask = (delta > abs_chi) & (delta >= cfg.small_arg_floor)
+    mask = (delta > abs_chi) & (delta >= densities._MASS_FLOOR)
     d = delta[mask]
     a = abs_chi[mask]
 
     def shell(m):
         t = np.zeros_like(d)
+        top = np.full_like(d, -np.inf)
         for mm in (m, -m):
             u = a + 2.0 * mm * d
-            t += mm * (mm * (d - a) * (u * u - 1.0) - (mm + 1) * u) * np.exp(
-                -2.0 * mm * d * (a + mm * d)
-            )
-        return t
+            x = -2.0 * mm * d * (a + mm * d)
+            t += mm * (mm * (d - a) * (u * u - 1.0) - (mm + 1) * u) * np.exp(x)
+            top = np.maximum(top, x)
+        return t, top
 
-    return _reference_series(shell, mask, 4.0, cfg)
+    return _reference_series(shell, mask, 4.0, cutoff)
+
+
+def _reference_hlc_low_mass(eta, lo, hi, chi, cutoff=densities._CUTOFF):
+    """Image mm of the (h, l, c) series integrates over the low to
+    mm / 2 [G(mm d + l) - G(mm d)], d = eta - l, G(u) = (chi - 2u) exp(2u(chi - u)),
+    taken between the ends lo and hi."""
+    eta, lo, hi = np.broadcast_arrays(eta, lo, hi)
+    hi = np.minimum(hi, np.minimum(min(0.0, chi), eta - densities._MASS_FLOOR))
+    mask = (eta > max(0.0, chi)) & (lo < hi)
+    e, a, b = eta[mask], lo[mask], hi[mask]
+
+    def shell(m):
+        t = np.zeros_like(e)
+        top = np.full_like(e, -np.inf)
+        for mm in (m, -m):
+            for ell, half in ((b, 0.5 * mm), (a, -0.5 * mm)):
+                for u, coef in ((mm * (e - ell) + ell, half), (mm * (e - ell), -half)):
+                    x = 2.0 * u * (chi - u)
+                    t += coef * (chi - 2.0 * u) * np.exp(x)
+                    top = np.maximum(top, x)
+        return t, top
+
+    return _reference_series(shell, mask, 4.0, cutoff)
 
 
 def _series_cases():
-    cfg = densities.DEFAULT_SERIES_CONFIG
     cases = []
-    for gamma in (0.0, 2.0):  # the full-domain GK oracle grid
-        delta, _ = analytics._gl_nodes(cfg.small_arg_floor, analytics._range_cut(gamma), 120)
+    for gamma in (0.0, 2.0):  # the full-domain GK oracle grid, from below the mass floor
+        delta, _ = analytics._gl_nodes(0.02, analytics._range_cut(gamma), 120)
         u, _ = analytics._gl_nodes(0.0, 1.0, 120)
         args = (delta[:, None], delta[:, None] * u[None, :])
         cases.append((f"range-close-{gamma}", densities._range_close_series_grid, _reference_range_close, args))
@@ -616,6 +634,11 @@ def _series_cases():
         e = lo + (x + 1) * (hi - lo) / 2
         args = (e[:, None], -e[None, :])
         cases.append((f"bridge-{lo}-{hi}", densities._bridge_hl_series_grid, _reference_bridge_hl, args))
+    for chi in (0.0, -0.5, 1.0):
+        e = max(0.0, chi) + (x[::2] + 1) * 4.0
+        lo = min(0.0, chi) - (x[::2] + 1) * 4.0
+        args = (e[:, None], lo[None, :], lo[None, :] + 0.7, chi)
+        cases.append((f"hlc-low-mass-{chi}", densities._hlc_low_mass_grid, _reference_hlc_low_mass, args))
     return cases
 
 
@@ -626,15 +649,20 @@ _SERIES_CASES = _series_cases()
     "name,grid,reference,args", _SERIES_CASES, ids=[case[0] for case in _SERIES_CASES]
 )
 def test_series_grid_bit_identical_to_plain_loop(name, grid, reference, args):
-    cfg = densities.DEFAULT_SERIES_CONFIG
-    values, shells = grid(*args, cfg)
-    expect, expect_shells, peaks = reference(*args, cfg)
+    values, shells = grid(*args)
+    expect, expect_shells = reference(*args)
     assert np.array_equal(values, expect)
     assert shells == expect_shells
-    if name == "bridge-3.0-6.0":
-        # every point has retired before the quiet run ends: the engine
-        # counts the last shell without evaluating it
-        assert peaks[-2:] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "name,grid,reference,args", _SERIES_CASES, ids=[case[0] for case in _SERIES_CASES]
+)
+def test_series_grid_matches_sum_to_underflow(name, grid, reference, args):
+    # the cutoff leaves out only terms below exp(-50) at ranges >= the mass floor
+    values, _ = grid(*args)
+    expect, _ = reference(*args, cutoff=_UNDERFLOW)
+    assert np.max(np.abs(values - expect)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -661,18 +689,23 @@ def test_bridge_estimator_pdf_moments():
     assert bridge_estimator_pdf(0.0).value == 0.0
 
 
-def test_series_config_validation():
-    with pytest.raises(ValueError):
-        SeriesConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        SeriesConfig(min_terms=10, max_terms=5)
-    with pytest.raises(NonConvergenceError):
-        range_close_joint_pdf(0.05, 0.01, 0.0, SeriesConfig(min_terms=1, max_terms=3))
-
-
 def test_density_value_telemetry():
     v = range_pdf(1.5)
     assert isinstance(v, DensityValue)
     assert v.terms_used > 0 and v.converged and not v.clamped
     closed = high_pdf(1.0, 0.0)
     assert closed.terms_used == 0
+
+
+def test_joint_densities_start_at_the_mass_floor():
+    # below a range of 0.3 the joint series return only round-off, so the
+    # pointwise joint densities return 0, flagged as not converged
+    floor = densities._MASS_FLOOR
+    for delta, inside in ((floor - 1e-9, False), (floor, True), (0.6, True)):
+        for value in (hlc_joint_pdf(0.5 * delta, -0.5 * delta, 0.0, 1.0),
+                      range_close_joint_pdf(delta, 0.1, 1.0),
+                      bridge_hl_joint_pdf(0.5 * delta, -0.5 * delta)):
+            assert value.converged is inside
+            assert (value.terms_used > 0) is inside
+            if not inside:
+                assert value.value == 0.0
