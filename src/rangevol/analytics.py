@@ -8,14 +8,15 @@ Pr{estimator > x} is one minus the range CDF at sqrt(alpha x), and its
 moments are the delta^2 and delta^4 moments over alpha and alpha^2: for
 the bridge the constants pi^2 / 6 and pi^4 / 30, for Parkinson sums over
 one fixed Gauss-Legendre table (``_range_moments``).  No 1D statistic
-calls an adaptive integrator.  The Garman-Klass mean reduces to 2D
-quadratures of the (high, close) and (range, close) joint densities; the
-Rogers-Satchell mean to 2D quadratures of the closed-form (high, close)
-density alone, with the minimum's share taken from the maximum at the
-flipped drift.  Their second moments and Pr{estimator <= x} come from
-the (high, low, close) law: E[estimator^2] by 3D quadrature, and the
-distribution from the closed-form mass of the low between the roots of
-the estimator, a convex quadratic in the low given (high, close).
+calls an adaptive integrator.  Garman-Klass and Rogers-Satchell are
+quadratic forms in v = (h, l, c), so their means are sum(Q * S) over one
+second-moment matrix S = E[v v^T] (``_quadratic_mean``): E h^2 and E h c
+in closed form from the first-passage law, the low's moments the high's
+at the flipped drift, and E h l from E d^2 of the range law.  Their
+second moments and Pr{estimator <= x} come from the (high, low, close)
+law: E[estimator^2] by 3D quadrature, and the distribution from the
+closed-form mass of the low between the roots of the estimator, a convex
+quadratic in the low given (high, close).
 
 The joint-law quadratures use scipy's adaptive Gauss-Kronrod integrators
 at 1e-10 absolute tolerance, with Gaussian-tailed supports truncated where
@@ -35,10 +36,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from . import densities
-from .estimators import GK_K1, GK_K2, GK_K3, EstimatorKind, GarmanKlassVariant, estimator_value
+from .estimators import (EstimatorKind, GarmanKlassVariant, estimator_value, garman_klass_value,
+                         rogers_satchell_value)
 
 __all__ = [
     "MomentReport",
@@ -129,40 +131,43 @@ def _gl_nodes(a: float, b: float, n: int, panels: int = 1):
     return (left + (x + 1.0) * half).ravel(), np.tile(w * half, panels)
 
 
-def _high_close_moment(weight, gamma: float, n_gl: int = 160) -> float:
-    """Integral of weight(eta, chi) against the (high, close) joint density."""
-    cut = 10.0 + abs(gamma)
-    eta, weta = _gl_nodes(0.0, cut, n_gl)
-    # chi < eta with a Gaussian left tail; integrate chi on (-cut, eta) per eta node
-    chi, wchi = _gl_nodes(0.0, 1.0, n_gl)  # unit nodes, rescaled per eta below
-    lo = -cut
-    span = eta[:, None] - lo
-    c = lo + chi[None, :] * span
-    wc = wchi[None, :] * span
-    e = eta[:, None]
-    expo = 2.0 * gamma * e - 0.5 * (2.0 * e - c + gamma) ** 2
-    q = math.sqrt(2.0 / math.pi) * (2.0 * e - c) * np.exp(expo)
-    return float(np.einsum("i,ij->", weta, wc * q * weight(e, c)))
+def _high_moments(gamma: float) -> tuple[float, float]:
+    """E h^2 and E h c in closed form:
 
+        E h^2 = (2 + gamma^2) Phi(gamma) + gamma phi(gamma)
+                - sign(gamma) P(3/2, gamma^2 / 2) / (2 gamma^2),
+        E h c = E h^2 - 1/2.
 
-def _range_close_moments(gamma: float, n_gl: int = 120):
-    """E[d^2] and E[c d] from the (range, close) joint density.
-
-    The density depends on the close only through |close| and the Gaussian
-    close factor, so the chi integral is folded onto (0, delta), which also
-    sidesteps the |chi| kink.
+    E h^2 integrates 2m against the first-passage tail
+    Pr{h > m} = Phi(gamma - m) + exp(2 gamma m) Phi(-m - gamma), and the
+    Girsanov factor exp(gamma c - gamma^2 / 2) gives E h c = gamma E h +
+    d E h / d gamma.  P is the regularized lower incomplete gamma function,
+    so the last term goes to 0 at gamma = 0 without cancellation.
     """
-    delta, wd = _gl_nodes(densities._MASS_FLOOR, _range_cut(gamma), n_gl)
-    u, wu = _gl_nodes(0.0, 1.0, n_gl)
-    a = delta[:, None] * u[None, :]          # |chi| grid
-    wa = delta[:, None] * wu[None, :]
-    kernel, _ = densities._range_close_series_grid(delta[:, None], a)
-    fp = np.exp(-0.5 * (a - gamma) ** 2) / math.sqrt(2.0 * math.pi)
-    fm = np.exp(-0.5 * (-a - gamma) ** 2) / math.sqrt(2.0 * math.pi)
-    d = delta[:, None]
-    e_d2 = np.einsum("i,ij->", wd, wa * kernel * d * d * (fp + fm))
-    e_cd = np.einsum("i,ij->", wd, wa * kernel * d * a * (fp - fm))
-    return float(e_d2), float(e_cd)
+    g2 = gamma * gamma
+    tail = math.copysign(special.gammainc(1.5, 0.5 * g2) / (2.0 * g2), gamma) if g2 else 0.0
+    phi = math.exp(-0.5 * g2) / math.sqrt(2.0 * math.pi)
+    e_h2 = float((2.0 + g2) * special.ndtr(gamma) + gamma * phi - tail)
+    return e_h2, e_h2 - 0.5
+
+
+def _second_moments(gamma: float) -> np.ndarray:
+    """S = E[v v^T] of v = (h, l, c).  The low's moments are the high's at
+    -gamma (reflect the path); E h l = (E h^2 + E l^2 - E d^2) / 2 with E d^2
+    from the range law."""
+    (e_h2, e_hc), (e_l2, e_lc) = _high_moments(gamma), _high_moments(-gamma)
+    e_hl = 0.5 * (e_h2 + e_l2 - _range_moments(EstimatorKind.PARKINSON, gamma)[0])
+    return np.array([[e_h2, e_hl, e_hc], [e_hl, e_l2, e_lc], [e_hc, e_lc, 1.0 + gamma * gamma]])
+
+
+def _quadratic_mean(form, gamma: float) -> float:
+    """E form(h, l, c) of a quadratic form in (h, l, c): sum(Q * S), with
+    its coefficient matrix Q read off the form at the unit vectors e_i and
+    their sums e_i + e_j, where it takes Q_ii + Q_jj + 2 Q_ij."""
+    f = form(*(np.eye(3)[:, None] + np.eye(3)).transpose(2, 0, 1))
+    q_diag = np.diag(f) / 4.0
+    q = 0.5 * (f - q_diag[:, None] - q_diag)
+    return float(np.sum(q * _second_moments(gamma)))
 
 
 def garman_klass_mean(
@@ -170,45 +175,25 @@ def garman_klass_mean(
     _positional: None = None,
     variant: GarmanKlassVariant = GarmanKlassVariant.HIGH_LOW_CROSS,
 ) -> float:
-    """Mean of the canonical Garman-Klass estimator by 2D quadrature.
-
-    Uses E[d^2], E[cd] from the (range, close) density; E[h^2] and E[hc]
-    from the (high, close) density; E[l^2] via the drift-flip symmetry of
-    the minimum; and E[hl] = (E[h^2] + E[l^2] - E[d^2]) / 2.
+    """Mean of the canonical Garman-Klass estimator, a quadratic form in
+    (h, l, c), from their second-moment matrix (:func:`_quadratic_mean`).
     ``_positional`` accepts only None: it keeps ``variant`` third for
     callers that pass it by position.
     """
     if _positional is not None:
         raise TypeError("garman_klass_mean takes variant by keyword")
     densities._require_finite("garman_klass_mean", gamma=gamma)
-    e_d2, e_cd = _range_close_moments(gamma)
-    e_h2 = _high_close_moment(lambda e, c: e * e, gamma)
-    e_c2 = 1.0 + gamma * gamma
-    if variant is GarmanKlassVariant.HIGH_LOW_CROSS:
-        e_l2 = _high_close_moment(lambda e, c: e * e, -gamma)
-        e_hl = 0.5 * (e_h2 + e_l2 - e_d2)
-        cross = e_cd - 2.0 * e_hl
-    else:
-        e_hc = _high_close_moment(lambda e, c: e * c, gamma)
-        cross = e_cd - 2.0 * e_hc
-    return GK_K1 * e_d2 - GK_K2 * cross - GK_K3 * e_c2
+    return _quadratic_mean(lambda h, l, c: garman_klass_value(h, l, c, variant), gamma)
 
 
 def rogers_satchell_mean(gamma: float = 0.0) -> float:
-    """Mean of the canonical Rogers-Satchell estimator by 2D quadrature.
-
-    E[h(h-c)] from the closed-form (high, close) density, plus E[l(l-c)],
-    which is the same moment at drift -gamma: the minimum is minus the
-    maximum of the reflected path, whose close is -c.  Equals 1 for every
-    drift (the estimator's defining property), which the test suite uses as
-    the accuracy gauge.
+    """Mean of the canonical Rogers-Satchell estimator from the (h, l, c)
+    second-moment matrix.  It is 1 at every drift: E h (h - c) = 1/2 in
+    closed form (:func:`_high_moments`), and E l (l - c) is the same moment
+    at -gamma.
     """
     densities._require_finite("rogers_satchell_mean", gamma=gamma)
-
-    def weight(e, c):
-        return e * (e - c)
-
-    return _high_close_moment(weight, gamma) + _high_close_moment(weight, -gamma)
+    return _quadratic_mean(rogers_satchell_value, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +293,11 @@ def theoretical_moments(
         e_d2, e_d4 = _range_moments(kind, gamma)
         mean, second = e_d2 / alpha, e_d4 / alpha**2
     else:
-        if kind is EstimatorKind.GARMAN_KLASS:
-            mean = garman_klass_mean(gamma, variant=gk_variant)
-        else:
-            mean = rogers_satchell_mean(gamma)
-        second = _hlc_moment(
-            lambda h, l, c: estimator_value(kind, h, l, c, variant=gk_variant) ** 2, gamma
-        )
+        def form(h, l, c):
+            return estimator_value(kind, h, l, c, variant=gk_variant)
+
+        mean = _quadratic_mean(form, gamma)
+        second = _hlc_moment(lambda h, l, c: form(h, l, c) ** 2, gamma)
     var = second - mean * mean
     rho = (mean - 1.0) / math.sqrt(var) if var > 0.0 else math.nan
     return MomentReport(

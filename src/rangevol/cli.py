@@ -80,6 +80,12 @@ def _finite_gammas(gammas: tuple[float, ...]) -> tuple[float, ...]:
     return gammas
 
 
+def _finite_positive(flag: str, value: float) -> float:
+    if not (math.isfinite(value) and value > 0.0):
+        raise _CliError(f"{flag} must be finite and positive, got {value!r}")
+    return value
+
+
 def _parse_gammas(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
 
@@ -152,6 +158,8 @@ def _load_ticks(path):
 
 
 def _estimate_ticks(args, kinds):
+    if args.window is not None:
+        _finite_positive("--window", args.window)
     t, p = _load_ticks(args.input)
     if t.size < 2:
         raise _CliError("need at least two ticks")
@@ -291,7 +299,8 @@ def cmd_simulate(args, parser, argv) -> int:
         batch_size=args.batch_size,
     )
     if args.emit_ticks:
-        _emit_ticks(cfg, args.emit_ticks, args.sigma, args.horizon)
+        _emit_ticks(cfg, args.emit_ticks, _finite_positive("--sigma", args.sigma),
+                    _finite_positive("--horizon", args.horizon))
     summary = montecarlo.run_experiment(cfg)
     header = [
         "estimator", "gamma", "mean", "mean_se", "variance", "variance_se",

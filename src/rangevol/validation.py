@@ -270,13 +270,8 @@ def _gk_1980(h, l, c):
 
 
 def _gk_1980_mean(gamma: float) -> float:
-    """Mean of :func:`_gk_1980` from the 2D moments; E[l^2] and E[c l] at
-    drift gamma are E[h^2] and E[c h] at -gamma (reflect the path)."""
-    e_d2, _ = analytics._range_close_moments(gamma)
-    e_h2, e_l2 = (analytics._high_close_moment(lambda e, c: e * e, g) for g in (gamma, -gamma))
-    e_ch, e_cl = (analytics._high_close_moment(lambda e, c: e * c, g) for g in (gamma, -gamma))
-    e_hl = 0.5 * (e_h2 + e_l2 - e_d2)
-    return 0.511 * e_d2 - 0.019 * (e_ch + e_cl - 2.0 * e_hl) - 0.383 * (1.0 + gamma * gamma)
+    """Mean of :func:`_gk_1980` from the (high, low, close) second moments."""
+    return analytics._quadratic_mean(_gk_1980, gamma)
 
 
 def validate_gk_variants(

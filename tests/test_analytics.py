@@ -1,6 +1,7 @@
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -13,6 +14,7 @@ from rangevol import (
     coverage_probability,
     densities,
     garman_klass_mean,
+    high_close_joint_pdf,
     interval_probability,
     mean_range_squared_series,
     parkinson_estimator_pdf,
@@ -21,7 +23,7 @@ from rangevol import (
     rogers_satchell_mean,
     theoretical_moments,
 )
-from rangevol.estimators import estimator_value
+from rangevol.estimators import GK_K1, GK_K2, GK_K3, estimator_value
 
 LN16 = math.log(16.0)
 
@@ -344,42 +346,6 @@ def _full_domain_integral(kind, gamma, power, lo=0.0, hi=math.inf):
     return val
 
 
-def _range_close_series_to_underflow(d, a):
-    """The (range, close) image series without the close factor at d > a:
-    a plain loop over every shell until all its terms underflow, with no floor."""
-    total = np.zeros(np.broadcast(d, a).shape)
-    m = 0
-    while True:
-        m += 1
-        top = -np.inf
-        for mm in (m, -m):
-            u = a + 2.0 * mm * d
-            x = -2.0 * mm * d * (a + mm * d)
-            total += mm * (mm * (d - a) * (u * u - 1.0) - (mm + 1) * u) * np.exp(x)
-            top = max(top, float(np.max(x)))
-        if top < -745.14:  # exp is exactly 0 below this
-            return 4.0 * total
-
-
-def _full_domain_range_close_moments(gamma, n_gl=120):
-    """E[d^2] and E[c d] on 120 x 120 Gauss-Legendre nodes, delta from ORACLE_FLOOR;
-    below the mass floor the series comes from the plain loop above."""
-    delta, wd = analytics._gl_nodes(ORACLE_FLOOR, 13.0 + abs(gamma), n_gl)
-    u, wu = analytics._gl_nodes(0.0, 1.0, n_gl)
-    a = delta[:, None] * u[None, :]
-    wa = delta[:, None] * wu[None, :]
-    kernel, _ = densities._range_close_series_grid(delta[:, None], a)
-    low = delta < densities._MASS_FLOOR
-    assert low.any() and not kernel[low].any()
-    kernel[low] = _range_close_series_to_underflow(delta[low, None], a[low])
-    fp = np.exp(-0.5 * (a - gamma) ** 2) / math.sqrt(2.0 * math.pi)
-    fm = np.exp(-0.5 * (-a - gamma) ** 2) / math.sqrt(2.0 * math.pi)
-    d = delta[:, None]
-    e_d2 = np.einsum("i,ij->", wd, wa * kernel * d * d * (fp + fm))
-    e_cd = np.einsum("i,ij->", wd, wa * kernel * d * a * (fp - fm))
-    return float(e_d2), float(e_cd)
-
-
 @pytest.mark.parametrize(
     "kind,gamma",
     [(EstimatorKind.PARKINSON, g) for g in (0.0, 1.0, 2.0)] + [(EstimatorKind.BRIDGE, 0.0)],
@@ -399,13 +365,58 @@ def test_mass_floor_matches_full_domain_oracle(kind, gamma):
     assert abs(report.variance - (second - mean * mean)) < 1e-12
 
 
+def _high_close_integral(weight, gamma):
+    """E weight(h, c) by dblquad of the closed-form (high, close) density."""
+    cut = 10.0 + abs(gamma)
+    val, _ = integrate.dblquad(
+        lambda c, h: weight(h, c) * high_close_joint_pdf(h, c, gamma).value,
+        0.0, cut, -cut, lambda h: h, epsabs=1e-14, epsrel=1e-13,
+    )
+    return val
+
+
+def _high_second_moment_mp(gamma):
+    """E h^2 = integral of 2m Pr{h > m} over m > 0, the first-passage tail, in 30 digits."""
+    with mp.workdps(30):
+        g = mp.mpf(gamma)
+
+        def tail(m):
+            return mp.ncdf(g - m) + mp.exp(2 * g * m) * mp.ncdf(-m - g)
+
+        return float(mp.quad(lambda m: 2 * m * tail(m), [0, 1, 3, 6, mp.inf]))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-3, 1.0, 2.0, -1.5])
+def test_high_moments_match_independent_oracles(gamma):
+    e_h2, e_hc = analytics._high_moments(gamma)
+    assert abs(e_h2 - _high_second_moment_mp(gamma)) < 1e-14
+    assert abs(e_hc - _high_close_integral(lambda h, c: h * c, gamma)) < 1e-14
+
+
+def test_high_moments_near_zero_drift_lose_no_digits():
+    e_h2, e_hc = analytics._high_moments(1e-12)
+    assert abs(e_h2 - 1.0) < 1e-11 and abs(e_hc - 0.5) < 1e-11
+
+
 @pytest.mark.parametrize("gamma", [0.0, 2.0])
-def test_gk_means_match_full_domain_oracle(gamma, monkeypatch):
-    variants = tuple(GarmanKlassVariant)
-    means = [garman_klass_mean(gamma, variant=v) for v in variants]
-    monkeypatch.setattr(analytics, "_range_close_moments", _full_domain_range_close_moments)
-    for variant, mean in zip(variants, means):
-        assert abs(mean - garman_klass_mean(gamma, variant=variant)) < 1e-12
+def test_gk_means_match_full_domain_oracle(gamma):
+    # the Garman-Klass combination rebuilt from independent parts: dblquad
+    # (high, close) moments at +-gamma (the low's are the high's at -gamma),
+    # E d^2 integrated from ORACLE_FLOOR, and E c^2 = 1 + gamma^2
+    (e_h2, e_hc), (e_l2, e_lc) = (
+        (_high_close_integral(lambda h, c: h * h, g), _high_close_integral(lambda h, c: h * c, g))
+        for g in (gamma, -gamma)
+    )
+    e_d2 = _full_domain_integral(EstimatorKind.PARKINSON, gamma, 2)
+    e_hl = 0.5 * (e_h2 + e_l2 - e_d2)
+    e_cd = e_hc - e_lc
+    crosses = {
+        GarmanKlassVariant.HIGH_LOW_CROSS: e_cd - 2.0 * e_hl,
+        GarmanKlassVariant.HIGH_CLOSE_CROSS: e_cd - 2.0 * e_hc,
+    }
+    for variant, cross in crosses.items():
+        expect = GK_K1 * e_d2 - GK_K2 * cross - GK_K3 * (1.0 + gamma * gamma)
+        assert abs(garman_klass_mean(gamma, variant=variant) - expect) < 1e-12
 
 
 def test_interval_probabilities_batch_the_joint_law(monkeypatch):

@@ -425,6 +425,17 @@ def test_estimate_window_on_one_timestamp_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("window", ["inf", "nan", "0", "-1"])
+def test_estimate_window_must_be_finite_and_positive(tmp_path, capsys, window):
+    # --window inf used to start the first window at 0 * inf = NaN and print no rows
+    f = tmp_path / "ticks.csv"
+    f.write_text("timestamp,price\n0.0,1.0\n0.5,1.2\n1.0,1.1\n")
+    out = tmp_path / "o.csv"
+    assert run_cli("estimate", str(f), "--window", window, "--out", str(out)) == 1
+    assert f"--window must be finite and positive, got {float(window)!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_estimate_header_only_tick_file_exit_1(tmp_path):
     f = tmp_path / "ticks.csv"
     f.write_text("timestamp,price\n")
@@ -472,6 +483,19 @@ def test_simulate_nan_gamma_exit_1(tmp_path, capsys):
                    "--skip-theory", "--out", str(out)) == 1
     assert "gamma_grid must hold finite drifts" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--sigma", "nan"), ("--sigma", "0"), ("--sigma", "-0.2"),
+    ("--horizon", "0"), ("--horizon", "inf"), ("--horizon", "nan"),
+])
+def test_simulate_emit_ticks_rejects_bad_sigma_and_horizon(tmp_path, capsys, flag, value):
+    # each used to exit 0 with NaN prices or collapsed timestamps in the tick file
+    ticks, out = tmp_path / "ticks.csv", tmp_path / "sim.csv"
+    assert run_cli("simulate", "--paths", "4", "--steps", "4", "--gammas", "0", "--skip-theory",
+                   "--emit-ticks", str(ticks), flag, value, "--out", str(out)) == 1
+    assert f"{flag} must be finite and positive, got {float(value)!r}" in capsys.readouterr().err
+    assert not ticks.exists() and not out.exists()
 
 
 def test_simulate_bad_thread_count_exit_1(tmp_path, capsys, monkeypatch):
