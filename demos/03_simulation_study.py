@@ -3,18 +3,21 @@
 
 Reproduces the comparative tables at a reduced scale (20k paths of 2000
 steps instead of the desk 1e5 x 5000) so it finishes in ~15 seconds:
-sample means and variances per drift with theory overlays where the
-density is known, the factor-2 coverage probability per estimator, and a
-histogram-vs-pdf comparison for the bridge.  Results are deterministic
-for the fixed seed and any RANGEVOL_THREADS.
+sample means and variances per drift with the theory means, the factor-2
+coverage probability per estimator, a histogram-vs-pdf comparison for the
+bridge and chi-square fits of the bridge and Rogers-Satchell histograms.
+Results are deterministic for the fixed seed and any RANGEVOL_THREADS.
 """
 
 from rangevol import (
     EstimatorKind,
     ExperimentConfig,
+    GarmanKlassVariant,
     coverage_probability,
+    garman_klass_mean,
     goodness_of_fit,
     histogram_vs_pdf,
+    rogers_satchell_mean,
     run_experiment,
     theoretical_moments,
 )
@@ -29,20 +32,22 @@ print(f"simulating {cfg.n_paths} paths x {cfg.n_steps} steps x {len(cfg.gamma_gr
 summary = run_experiment(cfg)
 
 print()
-print("sample means (theory in parentheses where analytic)")
+print("sample means (theory in parentheses)")
 header = f"{'gamma':>6s}" + "".join(f"{label:>22s}" for label in cfg.labels())
 print(header)
-park_theory = {g: theoretical_moments(EstimatorKind.PARKINSON, g).mean for g in cfg.gamma_grid}
+
+
+def theory_mean(label, gamma):
+    if label.startswith("garman-klass"):
+        return garman_klass_mean(gamma, variant=GarmanKlassVariant(label.rsplit("-", 1)[1]))
+    if label == "rogers-satchell":
+        return rogers_satchell_mean(gamma)
+    return theoretical_moments(EstimatorKind(label), gamma).mean
+
+
 for gamma in cfg.gamma_grid:
-    cells = []
-    for label in cfg.labels():
-        mean = summary.cell(label, gamma).mean
-        if label == "parkinson":
-            cells.append(f"{mean:9.4f} ({park_theory[gamma]:7.4f})")
-        elif label == "bridge":
-            cells.append(f"{mean:9.4f} ({1.0:7.4f})")
-        else:
-            cells.append(f"{mean:9.4f}          ")
+    cells = [f"{summary.cell(label, gamma).mean:9.4f} ({theory_mean(label, gamma):7.4f})"
+             for label in cfg.labels()]
     print(f"{gamma:6.1f}" + "".join(f"{c:>22s}" for c in cells))
 
 print()
@@ -67,6 +72,7 @@ shown = [r for r in rows if 0.5 <= r[0] <= 1.6][:: max(1, len(rows) // 40)]
 print(f"{'bin center':>12s} {'empirical':>12s} {'analytic':>12s}")
 for center, emp, ana in shown[:12]:
     print(f"{center:12.3f} {emp:12.4f} {ana:12.4f}")
-chi2, dof, p = goodness_of_fit(summary, EstimatorKind.BRIDGE, 0.0)
-print(f"chi-square {chi2:.1f} on {dof} dof -> p = {p:.3g}")
+for kind in (EstimatorKind.BRIDGE, EstimatorKind.ROGERS_SATCHELL):
+    chi2, dof, p = goodness_of_fit(summary, kind, 0.0)
+    print(f"{kind.value} histogram: chi-square {chi2:.1f} on {dof} dof -> p = {p:.3g}")
 print("(the residual misfit is the discrete-sampling shift; it vanishes as steps grow)")

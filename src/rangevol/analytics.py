@@ -1,32 +1,34 @@
 """Theoretical moments, bias and interval probabilities of the estimators.
 
-Every 1D statistic -- the Parkinson and bridge means and variances, the
-interval probabilities F(N) and the coverage P_delta -- is a functional of
-one closed-form range law (``densities._range_law``).  The estimator is
+Every statistic of an estimator's distribution -- the interval
+probabilities F(N) = 1 - CDF(1/N), the coverage P_delta = CDF(2) - CDF(1/2)
+and the histogram bin masses of ``rangevol.montecarlo`` -- reads one
+distribution function, ``_estimator_cdf``, for all four kinds; the one test
+of kind behind it is ``_cdf_method``.  Parkinson and bridge are
 delta^2 / alpha (alpha = ln 16 for Parkinson, pi^2 / 6 for the bridge), so
-Pr{estimator > x} is one minus the range CDF at sqrt(alpha x), and its
-moments are the delta^2 and delta^4 moments over alpha and alpha^2: for
-the bridge the constants pi^2 / 6 and pi^4 / 30, for Parkinson sums over
-one fixed Gauss-Legendre table (``_range_moments``).  No 1D statistic
-calls an adaptive integrator.  Garman-Klass and Rogers-Satchell are
-quadratic forms in v = (h, l, c), so their means are sum(Q * S) over one
-second-moment matrix S = E[v v^T] (``_quadratic_mean``): E h^2 and E h c
-in closed form from the first-passage law, the low's moments the high's
-at the flipped drift, and E h l from E d^2 of the range law.  Their
-second moments and Pr{estimator <= x} come from the (high, low, close)
-law: E[estimator^2] by 3D quadrature, and the distribution from the
-closed-form mass of the low between the roots of the estimator, a convex
-quadratic in the low given (high, close).
+their CDF is the closed-form range law (``densities._range_law``) at
+sqrt(alpha x), and their moments are the delta^2 and delta^4 moments over
+alpha and alpha^2: for the bridge the constants pi^2 / 6 and pi^4 / 30, for
+Parkinson sums over one fixed Gauss-Legendre table (``_range_moments``).
+No 1D statistic calls an adaptive integrator.  Garman-Klass and
+Rogers-Satchell are quadratic forms in v = (h, l, c), so their means are
+sum(Q * S) over one second-moment matrix S = E[v v^T] (``_quadratic_mean``):
+E h^2 and E h c in closed form from the first-passage law, the low's
+moments the high's at the flipped drift, and E h l from E d^2 of the range
+law.  Their second moments and distribution functions come from the
+(high, low, close) law: E[estimator^2] by 3D quadrature, and the CDF from
+the closed-form mass of the low between the roots of the estimator, a
+convex quadratic in the low given (high, close).
 
 The joint-law quadratures use scipy's adaptive Gauss-Kronrod integrators
-at 1e-10 absolute tolerance, with Gaussian-tailed supports truncated where
-the integrand is below 1e-16.  They leave out ranges below
+at 1e-10 absolute tolerance in the close, with Gaussian-tailed supports
+truncated where the integrand is below 1e-16; the CDF's 32-point rule in
+the high is within 1e-9 of a 128-point one.  They leave out ranges below
 ``densities._MASS_FLOOR`` = 0.3, the one floor of the joint image series,
 which carry under 2e-22 of probability at any drift.  ``MomentReport.method``
-and the ``method`` column of ``rangevol tables`` say ``closed-form`` for the
-bridge moments and for every Parkinson and bridge F(N) and P_delta, and
-``quadrature`` for the Parkinson moments and every Garman-Klass and
-Rogers-Satchell statistic.
+says ``closed-form`` for the bridge moments and ``quadrature`` for the
+rest; the ``method`` column of ``rangevol tables`` takes ``_cdf_method``
+for every F(N) and P_delta.
 """
 
 from __future__ import annotations
@@ -239,18 +241,33 @@ def _roots(f):
     return np.minimum(r1, r2), np.maximum(r1, r2), disc
 
 
+def _cdf_method(kind: EstimatorKind) -> str:
+    """How :func:`_estimator_cdf` reads the distribution function of ``kind``:
+    ``closed-form`` from a range law, ``quadrature`` over the (high, low, close) law."""
+    range_law = kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE)
+    return "closed-form" if range_law else "quadrature"
+
+
 def _estimator_cdf(kind, gamma: float, xs, variant: GarmanKlassVariant,
                    n_gl: int = 32, span: float = 8.0):
-    """Pr{estimator <= x} for each x of ``xs``, Garman-Klass or Rogers-Satchell.
+    """Pr{estimator <= x} for each x of ``xs``: the one distribution function
+    of every estimator kind.
 
-    Given (h, c) the estimator is a convex quadratic in the low, so the event
-    is the interval of l between its roots, cut at min(0, c).  Its mass kinks
-    in h where a root meets min(0, c) and where the roots merge; both are
-    roots of quadratics in h, and the Gauss-Legendre rule in h is split there.
-    The low stops at the mass floor below the high.
+    Parkinson and bridge are d^2 / alpha, so this is the range CDF at
+    sqrt(alpha max(x, 0)).  For Garman-Klass and Rogers-Satchell, given
+    (h, c) the estimator is a convex quadratic in the low, so the event is
+    the interval of l between its roots, cut at min(0, c) and at the mass
+    floor below the high.  Its mass kinks in h where a root meets either cut,
+    where the two cuts meet and where the roots merge; all are roots of
+    quadratics in h or constants, and the Gauss-Legendre rule in h is split
+    there.
     """
+    if _cdf_method(kind) == "closed-form":
+        law, alpha = densities._range_law(kind, gamma)
+        return law(np.sqrt(alpha * np.maximum(xs, 0.0)))[0]
     x = np.asarray(xs, dtype=float)[:, None]
     t, w = _gl_nodes(0.0, 1.0, n_gl)
+    floor = densities._MASS_FLOOR
 
     def form(h, l, c):
         return estimator_value(kind, h, l, c, variant=variant) - x
@@ -262,7 +279,8 @@ def _estimator_cdf(kind, gamma: float, xs, variant: GarmanKlassVariant,
             return _roots(lambda l: form(h, l, chi))
 
         cuts = np.hstack(_roots(lambda h: form(h, end, chi))[:2]
-                         + _roots(lambda h: in_low(h)[2])[:2])
+                         + _roots(lambda h: form(h, h - floor, chi))[:2]
+                         + _roots(lambda h: in_low(h)[2])[:2] + (np.full_like(x, end + floor),))
         cuts = np.sort(np.clip(np.nan_to_num(cuts, nan=h0), h0, h0 + span), axis=1)
         edges = np.hstack([np.full_like(x, h0), cuts, np.full_like(x, h0 + span)])
         width = np.diff(edges, axis=1)[:, :, None]
@@ -328,20 +346,14 @@ def _interval_probabilities(
     levels,
     gk_variant: GarmanKlassVariant,
 ) -> tuple[float, ...]:
-    """:func:`interval_probability` at each level of ``levels``: one call of
-    the range CDF for Parkinson and bridge, one pass over the
-    (high, low, close) law for Garman-Klass and Rogers-Satchell."""
+    """:func:`interval_probability` at each level of ``levels``, from one
+    call of the distribution function."""
     densities._require_finite("interval_probability", gamma=gamma)
     levels = tuple(float(level) for level in levels)
     if not all(level > 0.0 for level in levels):
         raise ValueError("level must be positive")
-    if kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
-        law, alpha = densities._range_law(kind, gamma)
-        vals = [1.0 - float(v) for v in law(np.sqrt(alpha / np.array(levels)))[0]]
-    else:
-        below = _estimator_cdf(kind, gamma, [1.0 / level for level in levels], gk_variant)
-        vals = [1.0 - float(v) for v in below]
-    return tuple(min(max(v, 0.0), 1.0) for v in vals)
+    below = _estimator_cdf(kind, gamma, [1.0 / level for level in levels], gk_variant)
+    return tuple(min(max(1.0 - float(v), 0.0), 1.0) for v in below)
 
 
 def interval_probability(
@@ -350,8 +362,7 @@ def interval_probability(
     level: float,
     gk_variant: GarmanKlassVariant = GarmanKlassVariant.HIGH_LOW_CROSS,
 ) -> float:
-    """Pr{ true volatility < level * estimate } = Pr{ estimate > 1/level },
-    for Parkinson and bridge one minus the range CDF at sqrt(alpha / level)."""
+    """Pr{ true volatility < level * estimate } = Pr{ estimate > 1/level }."""
     return _interval_probabilities(kind, gamma, (level,), gk_variant)[0]
 
 
@@ -360,12 +371,7 @@ def coverage_probability(
     gamma: float = 0.0,
     gk_variant: GarmanKlassVariant = GarmanKlassVariant.HIGH_LOW_CROSS,
 ) -> float:
-    """Pr{ estimate/2 < true volatility < 2 * estimate } = Pr{ 1/2 < estimate < 2 },
-    for Parkinson and bridge the range CDF difference over (sqrt(alpha / 2), sqrt(2 alpha))."""
+    """Pr{ estimate/2 < true volatility < 2 * estimate } = Pr{ 1/2 < estimate < 2 }."""
     densities._require_finite("coverage_probability", gamma=gamma)
-    if kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
-        law, alpha = densities._range_law(kind, gamma)
-        below_half, below_two = law(np.sqrt([alpha / 2.0, 2.0 * alpha]))[0]
-        return float(below_two - below_half)
     below_half, below_two = _estimator_cdf(kind, gamma, (0.5, 2.0), gk_variant)
     return float(below_two - below_half)

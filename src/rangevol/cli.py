@@ -367,32 +367,28 @@ def cmd_tables(args, parser, argv) -> int:
     gammas = _finite_gammas(_parse_gammas(args.gammas))
     kinds = _parse_estimators(args.estimators, parser, tuple(EstimatorKind))
     variant = GarmanKlassVariant(args.gk_variant)
-    header = ["estimator", "x", "value", "method", "se"]
+    header = ["estimator", "x", "value", "method"]
     rows = []
     table = args.table
-
-    def cdf_method(kind):  # F(N) and P_delta of the range laws are CDF differences
-        closed = kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE)
-        return "closed-form" if closed else "quadrature"
-
     if table == "interval":
         levels = tuple(float(v) for v in args.levels.split(","))
         for kind in kinds:
             gamma = 0.0 if kind is EstimatorKind.BRIDGE else gammas[0]
             values = analytics._interval_probabilities(kind, gamma, levels, variant)
+            method = analytics._cdf_method(kind)
             for level, value in zip(levels, values):
-                rows.append([estimator_label(kind, variant), level, value, cdf_method(kind), None])
+                rows.append([estimator_label(kind, variant), level, value, method])
     else:
         for gamma in gammas:
             for kind in kinds:
                 method = "quadrature"
                 if table == "coverage":
                     value = analytics.coverage_probability(kind, gamma, variant)
-                    method = cdf_method(kind)
+                    method = analytics._cdf_method(kind)
                 elif table == "mean" and kind is EstimatorKind.GARMAN_KLASS:
                     for each in GarmanKlassVariant:
                         value = analytics.garman_klass_mean(gamma, variant=each)
-                        rows.append([estimator_label(kind, each), gamma, value, method, None])
+                        rows.append([estimator_label(kind, each), gamma, value, method])
                     continue
                 elif table == "mean" and kind is EstimatorKind.ROGERS_SATCHELL:
                     value = analytics.rogers_satchell_mean(gamma)
@@ -404,7 +400,7 @@ def cmd_tables(args, parser, argv) -> int:
                         "relative-bias": report.relative_bias,
                     }[table]
                     method = report.method
-                rows.append([estimator_label(kind, variant), gamma, value, method, None])
+                rows.append([estimator_label(kind, variant), gamma, value, method])
     _write_output(args, header, rows, argv)
     return 0
 

@@ -20,8 +20,9 @@ batches, ``ceil(n_batches / workers)`` long, so that no worker is left with
 a short share while another still has a whole chunk to do.
 
 Running an experiment needs no scipy: the histogram fit
-(``histogram_vs_pdf``, ``goodness_of_fit``) imports the density layer and
-``scipy.special`` when it is first called.
+(``histogram_vs_pdf``, ``goodness_of_fit``) imports ``rangevol.analytics``,
+whose distribution function serves all four kinds, and ``scipy.special``
+when it is first called.
 """
 
 from __future__ import annotations
@@ -316,57 +317,54 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
 # Histogram vs analytic density
 # ---------------------------------------------------------------------------
 
-def _analytic_bin_density(kind: EstimatorKind, gamma: float, edges: np.ndarray):
-    """Exact bin-averaged analytic estimator density; None for the kinds
-    without one.
+def _analytic_bin_density(kind: EstimatorKind, gamma: float, edges: np.ndarray,
+                          variant: GarmanKlassVariant):
+    """Exact bin-averaged analytic estimator density.
 
-    The estimator is d^2 / alpha, so its mass in a bin is the difference of
-    the range CDF at sqrt(alpha x) between the bin's edges: one evaluation
-    per edge, shared by the two bins it bounds.
+    The estimator's mass in a bin is the difference of its distribution
+    function (``analytics._estimator_cdf``) between the bin's edges: one
+    evaluation per edge, shared by the two bins it bounds.
     """
-    if kind not in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
-        return None
-    from . import densities
+    from . import analytics
 
-    law, alpha = densities._range_law(kind, gamma)
-    cdf, _ = law(np.sqrt(alpha * np.maximum(edges, 0.0)))
-    return np.diff(cdf) / np.diff(edges)
+    return np.diff(analytics._estimator_cdf(kind, gamma, edges, variant)) / np.diff(edges)
 
 
-def _resolve_label(summary: ExperimentSummary, estimator) -> tuple[str, EstimatorKind]:
+def _resolve_label(summary: ExperimentSummary, estimator):
+    """(label, kind, Garman-Klass variant) of an estimator kind or label."""
     if isinstance(estimator, EstimatorKind):
-        return estimator_label(estimator, summary.config.gk_variant), estimator
+        variant = summary.config.gk_variant
+        return estimator_label(estimator, variant), estimator, variant
     for kind in _ALL_KINDS:
-        if estimator == kind.value or estimator.startswith(kind.value):
-            return estimator, kind
+        for variant in GarmanKlassVariant:
+            if estimator == estimator_label(kind, variant):
+                return estimator, kind, variant
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
 def histogram_vs_pdf(summary: ExperimentSummary, estimator, gamma: float):
-    """Rows of (bin_center, empirical_density, analytic_density).
+    """Rows of (bin_center, empirical_density, analytic_density) for any of
+    the four kinds.
 
-    The analytic column holds the exact bin-averaged estimator density
-    for Parkinson and bridge and None for the others.  Raises if
-    the requested cell was not simulated.
+    The analytic column holds the exact bin-averaged estimator density.
+    Garman-Klass and Rogers-Satchell integrate their (high, low, close) law
+    at every edge, seconds to minutes per cell.  Raises if the requested
+    cell was not simulated.
     """
-    label, kind = _resolve_label(summary, estimator)
+    label, kind, variant = _resolve_label(summary, estimator)
     cell = summary.cell(label, gamma)
     edges = summary.hist_edges
     widths = np.diff(edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     empirical = cell.hist / (cell.n * widths)
-    analytic = _analytic_bin_density(kind, gamma, edges)
-    rows = []
-    for i, center in enumerate(centers):
-        rows.append(
-            (float(center), float(empirical[i]), None if analytic is None else float(analytic[i]))
-        )
-    return rows
+    analytic = _analytic_bin_density(kind, gamma, edges, variant)
+    return [(float(c), float(e), float(a)) for c, e, a in zip(centers, empirical, analytic)]
 
 
 def goodness_of_fit(summary: ExperimentSummary, estimator, gamma: float,
                     min_expected: float = 5.0):
-    """Chi-square test of the sampled histogram against the analytic density.
+    """Chi-square test of the sampled histogram against the analytic density,
+    for any of the four kinds.
 
     Adjacent bins are pooled until each expected count reaches
     ``min_expected``; mass outside the histogram range forms one extra
@@ -374,13 +372,11 @@ def goodness_of_fit(summary: ExperimentSummary, estimator, gamma: float,
     """
     from scipy.special import chdtrc  # the survival function that chi2.sf wraps
 
-    label, kind = _resolve_label(summary, estimator)
-    if kind not in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
-        raise ValueError(f"no analytic density to test against for {label!r}")
+    label, kind, variant = _resolve_label(summary, estimator)
     cell = summary.cell(label, gamma)
     edges = summary.hist_edges
     widths = np.diff(edges)
-    expected = _analytic_bin_density(kind, gamma, edges) * widths * cell.n
+    expected = _analytic_bin_density(kind, gamma, edges, variant) * widths * cell.n
     observed = cell.hist.astype(float)
 
     pooled_obs, pooled_exp = [], []

@@ -28,13 +28,16 @@ def gof_summary():
     M = 1e5 and 200 bins are fixed by the criterion; the step count must
     grow with M because the test compares continuous-law densities against
     discretely sampled paths (chi-square inflation scales like M/N and
-    only drops below the noise floor for N >~ 5e4 at this M).
+    only drops below the noise floor for N >~ 5e4 at this M).  All four
+    kinds share the paths, so the Parkinson and bridge cells are the same
+    with or without Garman-Klass and Rogers-Satchell.
     """
     cfg = montecarlo.ExperimentConfig(
         n_steps=100_000,
         n_paths=100_000,
         gamma_grid=(0.0,),
-        estimators=(EstimatorKind.PARKINSON, EstimatorKind.BRIDGE),
+        estimators=(EstimatorKind.PARKINSON, EstimatorKind.GARMAN_KLASS,
+                    EstimatorKind.ROGERS_SATCHELL, EstimatorKind.BRIDGE),
         seed=GOF_SEED,
         batch_size=256,
     )

@@ -218,6 +218,17 @@ def test_gk_rs_laws_have_unit_mass(gamma):
     assert abs(analytics._hlc_moment(lambda h, l, c: 1.0, gamma) - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_gk_rs_cdf_converged_in_the_high(gamma):
+    # the rule in the high is split at every kink of the low's mass, so
+    # doubling its order twice moves the distribution function by < 1e-9
+    xs = np.linspace(0.0, 6.0, 13)
+    for kind in (EstimatorKind.ROGERS_SATCHELL, EstimatorKind.GARMAN_KLASS):
+        coarse, fine = (analytics._estimator_cdf(kind, gamma, xs, GarmanKlassVariant.HIGH_LOW_CROSS,
+                                                 n_gl=n) for n in (32, 128))
+        assert np.max(np.abs(coarse - fine)) < 1e-9, kind
+
+
 def test_gk_rs_laws_match_simulation_with_shifted_extremes():
     """Seeded cross-check of the exact laws.  Extremes read off N grid points
     undershoot the continuous ones by about 0.5826 / sqrt(N) per side

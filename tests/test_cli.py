@@ -271,7 +271,8 @@ def test_tables_interval(tmp_path):
     out = tmp_path / "f.csv"
     assert run_cli("tables", "--table", "interval", "--levels", "2", "--gammas", "0",
                    "--estimators", "parkinson,bridge", "--out", str(out)) == 0
-    _, rows = read_table(out)
+    header, rows = read_table(out)
+    assert header == ["estimator", "x", "value", "method"]
     values = {r[0]: float(r[2]) for r in rows}
     assert values["bridge"] == pytest.approx(0.918, abs=1e-3)
     assert values["parkinson"] == pytest.approx(0.813, abs=1e-3)

@@ -8,6 +8,7 @@ from scipy.stats import chi2 as chi2_dist
 from rangevol import (
     EstimatorKind,
     GarmanKlassVariant,
+    analytics,
     estimator_label,
     densities,
     goodness_of_fit,
@@ -157,10 +158,17 @@ def test_histogram_vs_pdf_columns(desk_summary):
     assert abs(emp[peak] - ana[peak]) / ana[peak] < 0.05
 
 
-def test_histogram_vs_pdf_no_analytic_column(desk_summary):
+def test_histogram_vs_pdf_rogers_satchell_column(desk_summary):
+    # the analytic column of GK and RS is the bin-averaged density of their
+    # exact (high, low, close) distribution function
     summary, _ = desk_summary
-    rows = histogram_vs_pdf(summary, EstimatorKind.GARMAN_KLASS, 0.0)
-    assert all(r[2] is None for r in rows)
+    rows = histogram_vs_pdf(summary, EstimatorKind.ROGERS_SATCHELL, 1.0)
+    edges = summary.hist_edges
+    cdf = analytics._estimator_cdf(EstimatorKind.ROGERS_SATCHELL, 1.0, edges,
+                                   summary.config.gk_variant)
+    ana = np.array([r[2] for r in rows])
+    assert np.all(np.isfinite(ana)) and np.all(ana >= 0.0)
+    assert np.array_equal(ana, np.diff(cdf) / np.diff(edges))
 
 
 def test_histogram_vs_pdf_missing_cell_errors(desk_summary):
@@ -169,12 +177,25 @@ def test_histogram_vs_pdf_missing_cell_errors(desk_summary):
         histogram_vs_pdf(summary, EstimatorKind.BRIDGE, 0.123)
 
 
-def test_goodness_of_fit_requires_analytic_kind(desk_summary):
+def test_goodness_of_fit_reads_the_labelled_gk_variant(desk_summary, monkeypatch):
     summary, _ = desk_summary
-    with pytest.raises(ValueError, match="no analytic density"):
-        goodness_of_fit(summary, EstimatorKind.ROGERS_SATCHELL, 0.0)
     chi2, dof, p = goodness_of_fit(summary, EstimatorKind.BRIDGE, 0.0)
     assert chi2 > 0 and dof > 50 and 0.0 <= p <= 1.0
+    seen = []
+
+    def spy(kind, gamma, xs, variant):  # a uniform stand-in law, no joint integral
+        seen.append((kind, gamma, variant))
+        return np.linspace(0.0, 1.0, len(xs))
+
+    monkeypatch.setattr(analytics, "_estimator_cdf", spy)
+    chi2, dof, p = goodness_of_fit(summary, "garman-klass-hc", 0.5)
+    assert 0.0 <= p <= 1.0
+    goodness_of_fit(summary, EstimatorKind.GARMAN_KLASS, 0.5)
+    gk = EstimatorKind.GARMAN_KLASS
+    assert seen == [(gk, 0.5, GarmanKlassVariant.HIGH_CLOSE_CROSS),
+                    (gk, 0.5, summary.config.gk_variant)]
+    with pytest.raises(ValueError, match="unknown estimator"):
+        goodness_of_fit(summary, "garman-klass", 0.5)
 
 
 def test_goodness_of_fit_p_value_is_chi2_survival(desk_summary):
@@ -183,6 +204,14 @@ def test_goodness_of_fit_p_value_is_chi2_survival(desk_summary):
     for kind, gamma in cells + [(EstimatorKind.BRIDGE, 0.0)]:
         chi2, dof, p = goodness_of_fit(summary, kind, gamma)
         assert p == chi2_dist.sf(chi2, dof)
+
+
+def test_goodness_of_fit_joint_law_kinds(gof_summary):
+    # the exact (high, low, close) laws against 1e5 paths of 1e5 steps;
+    # garman-klass-hc is left out for time (one 201-edge GK CDF takes minutes)
+    for label in ("rogers-satchell", "garman-klass-hl"):
+        chi2, dof, p = goodness_of_fit(gof_summary, label, 0.0)
+        assert dof > 100 and p > 1e-3, (label, chi2, dof, p)
 
 
 @pytest.mark.parametrize("kind, gamma", [
@@ -199,7 +228,7 @@ def test_analytic_bin_density_evaluates_shared_edges_once(kind, gamma, monkeypat
         return (lambda d: points.append(np.size(d)) or law(d)), alpha
 
     monkeypatch.setattr(densities, "_range_law", spy)
-    got = montecarlo._analytic_bin_density(kind, gamma, edges)
+    got = montecarlo._analytic_bin_density(kind, gamma, edges, GarmanKlassVariant.HIGH_LOW_CROSS)
     assert points == [201]
     masses = got * np.diff(edges)
     cdf = law(np.sqrt(alpha * edges))[0]
