@@ -120,7 +120,10 @@ def _range_moments(kind: EstimatorKind, gamma: float) -> tuple[float, float]:
 
 @lru_cache(maxsize=8)
 def _leggauss(n: int):
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], read-only:
+    every later call shares them."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 

@@ -10,8 +10,8 @@ exp(-2 m^2 delta^2), plus Gaussian prefactors.
 The one-dimensional range laws -- the range d at any drift and the bridge
 range s -- are closed forms: each returns its distribution function and its
 density from a theta dual below ``_SWITCH`` and from its image form above
-it, each with a fixed number of terms (see ``_SWITCH``), to 2e-15 relative
-from d = 0.3 on and with no floor below it.
+it, each a fixed number of terms on one flat axis (see ``_SWITCH``), to
+2e-15 relative from d = 0.3 on and with no floor below it.
 
 Truncation policy of the joint grids: image shells (+m, -m) are summed
 outward from m = 1, and each grid point stops once the largest exponent its
@@ -341,10 +341,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_PI_2 = math.sqrt(0.5 * math.pi)
 
 
-def _column(x, axes: int = 1):
-    """``x`` with ``axes`` trailing axes for the terms of a series: an array
-    of points becomes a column, a scalar stays a scalar."""
-    return x.reshape(x.shape + (1,) * axes) if isinstance(x, np.ndarray) else x
+def _column(x):
+    """An array of points as a column for the terms of a series; a float as it is."""
+    return x[..., None] if isinstance(x, np.ndarray) else x
 
 
 def _range_dual(d, gamma: float):
@@ -359,37 +358,40 @@ def _range_dual(d, gamma: float):
     z = gamma^2 d^2, q = z + a_n, m = a_n - 3 z + u q, and C the cosh factor
     times exp(-gamma^2 / 2), term n of H' is 4 a_n e^{-u/2} / q^3 (m C + q d C').
     """
+    exp = np.exp if isinstance(d, np.ndarray) else math.exp   # one point's factors are floats
     dc = _column(d)
     y = gamma * dc
     z = y * y
     h = 0.5 * gamma * gamma
     f0 = math.exp(-h)
-    fp, fm = 0.5 * np.exp(y - h), 0.5 * np.exp(-y - h)
+    fp, fm = 0.5 * exp(y - h), 0.5 * exp(-y - h)
     c = f0 - _DUAL_SIGN * (fp + fm)                  # C
     c1 = _DUAL_SIGN * (y * (fm - fp))                # d C'
-    u = _DUAL_A / (dc * dc)
-    q = _DUAL_A + z
-    w = 4.0 * _DUAL_A * np.exp(-0.5 * u) / (q * q * q)
+    u, q = _DUAL_A / (dc * dc), _DUAL_A + z
+    w = _DUAL_A * np.exp(-0.5 * u) / (q * q * q)    # the factor 4 is applied to the sums
     uq = u * q
     a3 = _DUAL_A - 3.0 * z
     m = a3 + uq
-    cdf = np.sum(w * (m * c + q * c1), axis=-1)
+    cdf = 4.0 * np.add.reduce(w * (m * c + q * c1), -1)
     curve = uq * (uq - 3.0 * q + 2.0 * a3) - 12.0 * z * (_DUAL_A - z)
-    pdf = np.sum(w / q * (curve * c + 2.0 * q * m * c1 + q * q * z * (c - f0)), axis=-1) / d
-    return cdf, pdf
+    terms = w / q * (curve * c + 2.0 * q * m * c1 + q * q * z * (c - f0))
+    return cdf, 4.0 * np.add.reduce(terms, -1) / d
 
 
 @lru_cache(maxsize=32)
 def _image_terms(gamma: float, shells: int):
-    """The constant parts of the image form at drift gamma: the interval ends
-    2k and 2k + 1 of the images k = 1 - shells .. shells - 1, the drifts
-    g = +-gamma, -2 k g, the parts 1 + 4k and 1 + 2k of p, and the
-    coefficients of phi(v) and phi(b) in the density."""
-    k = np.arange(1.0 - shells, shells)[:, None]
-    g = np.array([gamma, -gamma])
-    k2, g2 = k * k, gamma * gamma
-    coef = np.stack((-(4.0 * g2 + 8.0) * k2, 4.0 * g2 * k2 + (2.0 * k + 1.0) * (4.0 * k + 1.0)))
-    return np.stack((2.0 * k, 2.0 * k + 1.0)), g, -2.0 * k * g, 1.0 + 4.0 * k, 1.0 + 2.0 * k, coef
+    """Read-only flat vectors over the image terms (k, g), k = 1 - shells ..
+    shells - 1, g = +-gamma: the ends 2k then 2k + 1, g and -2 k g twice,
+    1 + 4k and 1 + 2k of p, and the coefficients of phi(v) then phi(b)."""
+    k = np.repeat(np.arange(1.0 - shells, shells), 2)
+    g = np.resize([gamma, -gamma], k.size)
+    k2, g2, kg = k * k, gamma * gamma, -2.0 * k * g
+    coef = (-(4.0 * g2 + 8.0) * k2, 4.0 * g2 * k2 + (2.0 * k + 1.0) * (4.0 * k + 1.0))
+    tables = (np.concatenate((2.0 * k, 2.0 * k + 1.0)), np.concatenate((g, g)),
+              np.concatenate((kg, kg)), 1.0 + 4.0 * k, 1.0 + 2.0 * k, np.concatenate(coef))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _range_image(d, gamma: float, shells: int = _IMAGE_SHELLS):
@@ -403,18 +405,18 @@ def _range_image(d, gamma: float, shells: int = _IMAGE_SHELLS):
     exponents combined (-2 k^2 d^2 - g^2 / 2 at v), the tails through erfcx.
     """
     ends, g, kg, p0, p1, coef = _image_terms(gamma, shells)
-    dc = _column(d, 3)
-    x = ends * dc - g                                # v and b
+    n = p0.size
+    dc = _column(d)
+    x = ends * dc - g                                # v, then b
     log_w = kg * dc
     phi = np.exp(log_w - 0.5 * x * x + _LOG_PHI0)   # e^{-2kdg} phi(v), e^{-2kdg} phi(b)
     tail = np.copysign(erfcx(np.abs(x) / _SQRT2), x) * phi
-    v, b = x[..., :1, :, :], x[..., 1:, :, :]
-    mass = (np.exp(np.minimum(log_w, 0.0)) * ((v < 0.0) & (b >= 0.0))
-            + _SQRT_PI_2 * (tail[..., :1, :, :] - tail[..., 1:, :, :]))
+    kg, b, below = kg[:n], x[..., n:], x < 0.0
+    mass = (np.exp(np.minimum(log_w[..., :n], 0.0)) * (below[..., :n] > below[..., n:])
+            + _SQRT_PI_2 * (tail[..., :n] - tail[..., n:]))
     p = p0 + kg * b
-    axes = (-3, -2, -1)
-    cdf = np.sum(p * mass + kg * phi[..., 1:, :, :], axis=axes)
-    pdf = np.sum(kg * (p + p1) * mass, axis=axes) + np.sum(coef * phi, axis=axes)
+    cdf = np.add.reduce(p * mass + kg * phi[..., n:], -1)
+    pdf = np.add.reduce(kg * (p + p1) * mass, -1) + np.add.reduce(coef * phi, -1)
     return cdf, pdf
 
 
@@ -433,36 +435,34 @@ def _bridge_image(s):
     CDF = 1 - 2 sum_m (4 m^2 s^2 - 1) exp(-2 m^2 s^2)."""
     s2 = s * s
     e = np.exp(_KUIPER_M2 * (-2.0 * _column(s2)))
-    e0, e1, e2 = np.sum(e, axis=-1), e @ _KUIPER_M2, e @ (_KUIPER_M2 * _KUIPER_M2)
+    e0, e1, e2 = np.add.reduce(e, -1), e @ _KUIPER_M2, e @ (_KUIPER_M2 * _KUIPER_M2)
     return 1.0 - 2.0 * (4.0 * s2 * e1 - e0), 8.0 * s * (4.0 * s2 * e2 - 3.0 * e1)
 
 
-def _by_switch(d, dual, image):
-    """(CDF, density) at every point of ``d``: the dual up to ``_SWITCH``, the
-    image form above it, 0 at d <= 0 (and at NaN)."""
+def _by_switch(d, dual, image, *args):
+    """(CDF, density) at every point of ``d``: ``dual(d, *args)`` up to
+    ``_SWITCH``, ``image(d, *args)`` above it, 0 at d <= 0 (and at NaN)."""
     d = np.asarray(d, dtype=float)
     cdf, pdf = np.zeros(d.shape), np.zeros(d.shape)
     for part, law in (((d > 0.0) & (d <= _SWITCH), dual), (d > _SWITCH, image)):
         if part.any():
-            cdf[part], pdf[part] = law(d[part])
+            cdf[part], pdf[part] = law(d[part], *args)
     return cdf, pdf
 
 
-def _density_at(delta: float, dual, image) -> DensityValue:
+def _density_at(delta: float, dual, image, *args) -> DensityValue:
     """One density value of a range law, from the form that holds at ``delta``."""
     delta = float(delta)
     if delta <= 0.0:
         return DensityValue(0.0, 0, True)
     law, terms = (dual, _DUAL_A.size) if delta <= _SWITCH else (image, _IMAGE_SHELLS)
-    return _finish(float(law(delta)[1]), terms)
+    return _finish(float(law(delta, *args)[1]), terms)
 
 
 def range_pdf(delta: float, gamma: float = 0.0) -> DensityValue:
     """Density of the range d = h - l at drift gamma; support delta > 0."""
     _require_finite("range_pdf", delta=delta, gamma=gamma)
-    return _density_at(
-        delta, lambda d: _range_dual(d, gamma), lambda d: _range_image(d, gamma)
-    )
+    return _density_at(delta, _range_dual, _range_image, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -514,27 +514,27 @@ def _range_law(kind: EstimatorKind, gamma: float):
     sees only the public scalar calls, such as :func:`range_pdf`.
     """
     if kind is EstimatorKind.PARKINSON:
-        return (lambda d: _by_switch(
-            d, lambda x: _range_dual(x, gamma), lambda x: _range_image(x, gamma))), LN16
+        return (lambda d: _by_switch(d, _range_dual, _range_image, gamma)), LN16
     if kind is EstimatorKind.BRIDGE:
         return (lambda d: _by_switch(d, _bridge_dual, _bridge_image)), 1.0 / BRIDGE_FACTOR
     raise ValueError(f"no analytic estimator density for {kind}")
 
 
-def _estimator_pdf(x: float, range_density, alpha: float) -> DensityValue:
-    """Density of d^2 / alpha at x from the range density of d."""
+def _estimator_pdf(name: str, x: float, alpha: float, range_density, **drift) -> DensityValue:
+    """Density of d^2 / alpha at x from ``range_density(d, **drift)``."""
+    _require_finite(name, x=x, **drift)
     if x <= 0.0:
         return DensityValue(0.0, 0, True)
-    inner = range_density(math.sqrt(alpha * x))
+    inner = range_density(math.sqrt(alpha * x), **drift)
     scale = math.sqrt(alpha / (4.0 * x))
     return DensityValue(scale * inner.value, inner.terms_used, inner.converged, inner.clamped)
 
 
 def parkinson_estimator_pdf(x: float, gamma: float = 0.0) -> DensityValue:
     """Density of the Parkinson estimator d^2 / ln 16 at drift gamma."""
-    return _estimator_pdf(x, lambda d: range_pdf(d, gamma), LN16)
+    return _estimator_pdf("parkinson_estimator_pdf", x, LN16, range_pdf, gamma=gamma)
 
 
 def bridge_estimator_pdf(x: float) -> DensityValue:
     """Density of the bridge estimator (6/pi^2) s^2; drift-free."""
-    return _estimator_pdf(x, bridge_range_pdf, 1.0 / BRIDGE_FACTOR)
+    return _estimator_pdf("bridge_estimator_pdf", x, 1.0 / BRIDGE_FACTOR, bridge_range_pdf)

@@ -352,6 +352,10 @@ def test_range_pdf_edge_cases():
     assert small.converged and small.terms_used == densities._DUAL_A.size
     assert 0.0 < range_pdf(0.1).value == pytest.approx(3.812527e-208, rel=1e-6)
     assert range_pdf(3.0).terms_used == densities._IMAGE_SHELLS
+    above = math.nextafter(densities._SWITCH, math.inf)
+    for density in (range_pdf, bridge_range_pdf):
+        assert density(densities._SWITCH).terms_used == densities._DUAL_A.size
+        assert density(above).terms_used == densities._IMAGE_SHELLS
     law, _ = densities._range_law(densities.EstimatorKind.PARKINSON, 1.0)
     cdf, pdf = law(np.array([-1.0, 0.0, math.nan, 0.01]))
     assert not cdf.any() and not pdf.any()
@@ -390,6 +394,9 @@ NON_FINITE_CASES = [
     (analytics.rogers_satchell_mean, (math.nan,), "gamma"),
     (analytics.garman_klass_mean, (math.nan,), "gamma"),
     (analytics.garman_klass_mean, (-math.inf,), "gamma"),
+    (parkinson_estimator_pdf, (-1.0, math.nan), "gamma"),
+    (parkinson_estimator_pdf, (math.nan,), "x"),
+    (bridge_estimator_pdf, (math.nan,), "x"),
 ]
 
 
@@ -687,6 +694,40 @@ def test_bridge_estimator_pdf_moments():
     assert abs(mean - 1.0) < 1e-8
     assert abs(second - 1.2) < 1e-8
     assert bridge_estimator_pdf(0.0).value == 0.0
+
+
+TABLES_GAMMAS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
+
+
+@pytest.mark.parametrize("kind, gamma", [(densities.EstimatorKind.PARKINSON, g)
+                                         for g in TABLES_GAMMAS + (-1.0,)]
+                         + [(densities.EstimatorKind.BRIDGE, 0.0)])
+def test_estimator_pdf_is_the_range_law_on_a_theory_grid(kind, gamma):
+    # the one-point estimator density reads the same form of the same law as
+    # the array law, on the grid shape of the benchmark's theory workload
+    xs = np.sort(np.random.default_rng(7).uniform(0.01, 6.0, 600))
+    law, alpha = densities._range_law(kind, gamma)
+    if kind is densities.EstimatorKind.PARKINSON:
+        def pdf(x):
+            return parkinson_estimator_pdf(x, gamma)
+    else:
+        pdf = bridge_estimator_pdf
+    d = np.sqrt(alpha * xs)
+    expect = np.sqrt(alpha / (4.0 * xs)) * law(d)[1]
+    terms = np.where(d <= densities._SWITCH, densities._DUAL_A.size, densities._IMAGE_SHELLS)
+    for x, value, n in zip(xs, expect, terms):
+        got = pdf(float(x))
+        assert got.value == pytest.approx(value, rel=1e-15, abs=0.0), x
+        assert got.terms_used == n and got.converged and not got.clamped, x
+    for x in (-1.0, 0.0):
+        assert pdf(x) == DensityValue(0.0, 0, True)
+
+
+def test_cached_tables_are_read_only():
+    # every later call with the same arguments shares the cached arrays
+    for table in densities._image_terms(0.75, densities._IMAGE_SHELLS) + analytics._leggauss(24):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
 
 
 def test_density_value_telemetry():
