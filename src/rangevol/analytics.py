@@ -267,7 +267,9 @@ def _estimator_cdf(kind, gamma: float, xs, variant: GarmanKlassVariant,
     """
     if _cdf_method(kind) == "closed-form":
         law, alpha = densities._range_law(kind, gamma)
-        return law(np.sqrt(alpha * np.maximum(xs, 0.0)))[0]
+        with np.errstate(over="ignore"):  # d = inf is past the law's cut, where the CDF is 1
+            d = np.sqrt(alpha * np.maximum(xs, 0.0))
+        return law(d)[0]
     x = np.asarray(xs, dtype=float)[:, None]
     t, w = _gl_nodes(0.0, 1.0, n_gl)
     floor = densities._MASS_FLOOR

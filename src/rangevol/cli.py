@@ -5,6 +5,11 @@ line; fixed seeds and flags give byte-identical output regardless of the
 ``RANGEVOL_THREADS`` worker cap.  Exit codes: 0 success, 1 runtime
 failure, 2 usage error.
 
+``simulate --emit-ticks`` formats its tick rows in a process pool that
+``RANGEVOL_THREADS`` caps as it caps the study; the main process computes
+every number and writes the formatted tasks in order, so the cap never
+changes the bytes (see :func:`_emit_ticks`).
+
 The analytic layers (and with them scipy) are imported only by the
 commands that compute with them, so ``estimate`` and
 ``simulate --skip-theory`` start without loading scipy.
@@ -252,27 +257,71 @@ def cmd_estimate(args, parser, argv) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _emit_ticks(cfg: ExperimentConfig, path: str, sigma: float, horizon: float):
-    """Write chained GBM ticks, one window per path, at the first grid drift."""
+_TASK_TICKS = 1 << 16
+"""Most ticks in one formatting task of ``--emit-ticks``."""
+
+
+def _tick_lines(times, prices) -> str:
+    """The ``timestamp,price`` rows of flat ``times`` and ``prices``."""
+    return "".join(map("%.12g,%.17g\n".__mod__, zip(times.tolist(), prices.tolist())))
+
+
+def _tick_tasks(cfg: ExperimentConfig, sigma: float, horizon: float):
+    """Flat (times, prices) of the emitted ticks in file order, in tasks that
+    each hold rows of one batch: at most ``_TASK_TICKS`` ticks, or one row."""
     scale = sigma * math.sqrt(horizon)
     tau = np.arange(cfg.n_steps + 1) / cfg.n_steps
+    rows = max(1, _TASK_TICKS // cfg.n_steps)
     log_price = 0.0
+    for start in range(0, cfg.n_paths, cfg.batch_size):
+        x = batch_paths(
+            cfg.seed, start // cfg.batch_size, min(cfg.batch_size, cfg.n_paths - start),
+            cfg.n_steps, cfg.gamma_grid[0],
+        )
+        x *= scale  # the log-price moves; each path then adds its window's open
+        opens = np.cumsum(np.concatenate(([log_price], x[:, -1])))
+        log_price = opens[-1]
+        x += opens[:-1, None]
+        prices = np.exp(x, out=x)
+        times = (np.arange(start, start + len(x))[:, None] + tau) * horizon
+        if start == 0:  # every later window opens at the previous window's close
+            yield times[0, :1], prices[0, :1]
+        for lo in range(0, len(x), rows):
+            yield times[lo:lo + rows, 1:].ravel(), prices[lo:lo + rows, 1:].ravel()
+
+
+def _emit_ticks(cfg: ExperimentConfig, path: str, sigma: float, horizon: float):
+    """Write chained GBM ticks, one window per path, at the first grid drift.
+
+    The parent process draws the paths and computes every price and
+    timestamp; the text of the rows is formatted by :func:`_tick_lines` in a
+    process pool, one task per slice of at most ``_TASK_TICKS`` ticks, and
+    written strictly in task order with at most two tasks per worker in
+    flight.  ``RANGEVOL_THREADS`` caps the pool as it caps the study; with
+    one worker, or under ``_TASK_TICKS`` ticks in all, the rows are
+    formatted inline.  The bytes are the same for any worker count.
+    """
+    from collections import deque
+    from concurrent.futures import ProcessPoolExecutor
+
+    from .montecarlo import _worker_count
+
+    tasks = _tick_tasks(cfg, sigma, horizon)
+    workers = _worker_count(-(-cfg.n_paths * cfg.n_steps // _TASK_TICKS))
     with open(path, "w") as fh:
         fh.write("timestamp,price\n")
-        for start in range(0, cfg.n_paths, cfg.batch_size):
-            x = batch_paths(
-                cfg.seed, start // cfg.batch_size, min(cfg.batch_size, cfg.n_paths - start),
-                cfg.n_steps, cfg.gamma_grid[0],
-            )
-            x *= scale  # the log-price moves; each path then adds its window's open
-            opens = np.cumsum(np.concatenate(([log_price], x[:, -1])))
-            log_price = opens[-1]
-            x += opens[:-1, None]
-            prices = np.exp(x, out=x)
-            times = (np.arange(start, start + len(x))[:, None] + tau) * horizon
-            if start == 0:  # every later window opens at the previous window's close
-                fh.write("%.12g,%.17g\n" % (times[0, 0], prices[0, 0]))
-            fh.writelines(map("%.12g,%.17g\n".__mod__, zip(times[:, 1:].flat, prices[:, 1:].flat)))
+        if workers <= 1:
+            for task in tasks:
+                fh.write(_tick_lines(*task))
+            return
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            pending = deque()
+            for task in tasks:
+                if len(pending) == 2 * workers:
+                    fh.write(pending.popleft().result())
+                pending.append(pool.submit(_tick_lines, *task))
+            for future in pending:
+                fh.write(future.result())
 
 
 def _theory_columns(label: str, gamma: float):
@@ -469,7 +518,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tab = subs.add_parser("tables", help="theory tables (mean, variance, bias, intervals)")
     p_tab.add_argument("--table", required=True,
                        choices=("mean", "variance", "relative-bias", "interval", "coverage"))
-    p_tab.add_argument("--gammas", default="0,0.25,0.5,0.75,1,1.25,1.5,1.75,2")
+    p_tab.add_argument("--gammas", default="0,0.25,0.5,0.75,1,1.25,1.5,1.75,2",
+                       help="comma list of drifts; the interval table reads only the first, "
+                            "and the bridge rows are drift-free")
     p_tab.add_argument("--levels", default="1,1.5,2,3,5,10",
                        help="levels N for the interval table")
     p_tab.add_argument("--estimators", default=None)
@@ -491,7 +542,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args, parser, argv)
-    except (_CliError, OSError, ValueError) as exc:
+    except (_CliError, OSError, ValueError, ArithmeticError) as exc:
         print(f"rangevol: error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,9 @@ The one-dimensional range laws -- the range d at any drift and the bridge
 range s -- are closed forms: each returns its distribution function and its
 density from a theta dual below ``_SWITCH`` and from its image form above
 it, each a fixed number of terms on one flat axis (see ``_SWITCH``), to
-2e-15 relative from d = 0.3 on and with no floor below it.
+2e-15 relative from d = 0.3 on and with no floor below it.  Past a cut
+(``_LIMIT``) each returns its limit, CDF 1 and density 0, so huge and
+infinite ranges give no NaN.
 
 Truncation policy of the joint grids: image shells (+m, -m) are summed
 outward from m = 1, and each grid point stops once the largest exponent its
@@ -64,9 +66,10 @@ class DensityValue:
     """A density evaluation plus its convergence telemetry.
 
     ``terms_used`` counts image shells, or the fixed terms of a range law
-    (0 for the other closed forms and for floored or out-of-support
-    arguments).  ``converged`` is False only when a joint density's range
-    fell below the mass floor ``_MASS_FLOOR`` = 0.3, where it returns 0.
+    (0 for the other closed forms, for floored or out-of-support arguments
+    and past a range law's cut ``_LIMIT``).  ``converged`` is False only
+    when a joint density's range fell below the mass floor ``_MASS_FLOOR``
+    = 0.3, where it returns 0.
     ``clamped`` marks a tiny negative round-off result that was clamped to
     0; a negative value beyond round-off (``_ROUND_OFF``) raises
     ``ValueError``.  The diagnostic "half" variant of :func:`high_pdf` goes
@@ -439,21 +442,38 @@ def _bridge_image(s):
     return 1.0 - 2.0 * (4.0 * s2 * e1 - e0), 8.0 * s * (4.0 * s2 * e2 - 3.0 * e1)
 
 
-def _by_switch(d, dual, image, *args):
+_LIMIT = 40.0
+"""Distance past which a range law is its limit: CDF 1, density 0.
+
+The range at drift gamma takes the cut ``_LIMIT + |gamma|`` and the bridge
+range ``_LIMIT``.  Past about 38.6 + |gamma| and 19.3 respectively the float
+laws already evaluate to exactly (1, 0), until squares overflow and they
+turn NaN: from about 7e153 for the bridge range, and from 4e304 to 2e307
+for the range at the ``tables`` drifts.  The cut returns the limit on the
+whole tail, infinity included, and leaves every finite value of the laws
+bit for bit as it was.
+"""
+
+
+def _by_switch(d, cut: float, dual, image, *args):
     """(CDF, density) at every point of ``d``: ``dual(d, *args)`` up to
-    ``_SWITCH``, ``image(d, *args)`` above it, 0 at d <= 0 (and at NaN)."""
+    ``_SWITCH``, ``image(d, *args)`` above it up to ``cut``, (1, 0) past
+    ``cut``, and 0 at d <= 0 (and at NaN)."""
     d = np.asarray(d, dtype=float)
     cdf, pdf = np.zeros(d.shape), np.zeros(d.shape)
-    for part, law in (((d > 0.0) & (d <= _SWITCH), dual), (d > _SWITCH, image)):
+    far = d > cut
+    for part, law in (((d > 0.0) & (d <= _SWITCH), dual), ((d > _SWITCH) & ~far, image)):
         if part.any():
             cdf[part], pdf[part] = law(d[part], *args)
+    cdf[far] = 1.0
     return cdf, pdf
 
 
-def _density_at(delta: float, dual, image, *args) -> DensityValue:
-    """One density value of a range law, from the form that holds at ``delta``."""
+def _density_at(delta: float, cut: float, dual, image, *args) -> DensityValue:
+    """One density value of a range law, from the form that holds at ``delta``;
+    0 from no terms at delta <= 0 and past ``cut``."""
     delta = float(delta)
-    if delta <= 0.0:
+    if delta <= 0.0 or delta > cut:
         return DensityValue(0.0, 0, True)
     law, terms = (dual, _DUAL_A.size) if delta <= _SWITCH else (image, _IMAGE_SHELLS)
     return _finish(float(law(delta, *args)[1]), terms)
@@ -462,7 +482,7 @@ def _density_at(delta: float, dual, image, *args) -> DensityValue:
 def range_pdf(delta: float, gamma: float = 0.0) -> DensityValue:
     """Density of the range d = h - l at drift gamma; support delta > 0."""
     _require_finite("range_pdf", delta=delta, gamma=gamma)
-    return _density_at(delta, _range_dual, _range_image, gamma)
+    return _density_at(delta, _LIMIT + abs(gamma), _range_dual, _range_image, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +517,7 @@ def bridge_hl_joint_pdf(eta: float, ell: float) -> DensityValue:
 def bridge_range_pdf(delta: float) -> DensityValue:
     """Density of the bridge range s = xi - zeta; support delta > 0."""
     _require_finite("bridge_range_pdf", delta=delta)
-    return _density_at(delta, _bridge_dual, _bridge_image)
+    return _density_at(delta, _LIMIT, _bridge_dual, _bridge_image)
 
 
 # ---------------------------------------------------------------------------
@@ -514,18 +534,23 @@ def _range_law(kind: EstimatorKind, gamma: float):
     sees only the public scalar calls, such as :func:`range_pdf`.
     """
     if kind is EstimatorKind.PARKINSON:
-        return (lambda d: _by_switch(d, _range_dual, _range_image, gamma)), LN16
+        cut = _LIMIT + abs(gamma)
+        return (lambda d: _by_switch(d, cut, _range_dual, _range_image, gamma)), LN16
     if kind is EstimatorKind.BRIDGE:
-        return (lambda d: _by_switch(d, _bridge_dual, _bridge_image)), 1.0 / BRIDGE_FACTOR
+        return (lambda d: _by_switch(d, _LIMIT, _bridge_dual, _bridge_image)), 1.0 / BRIDGE_FACTOR
     raise ValueError(f"no analytic estimator density for {kind}")
 
 
 def _estimator_pdf(name: str, x: float, alpha: float, range_density, **drift) -> DensityValue:
-    """Density of d^2 / alpha at x from ``range_density(d, **drift)``."""
+    """Density of d^2 / alpha at x from ``range_density(d, **drift)``; 0 at
+    x <= 0 and where d overflows."""
     _require_finite(name, x=x, **drift)
     if x <= 0.0:
         return DensityValue(0.0, 0, True)
-    inner = range_density(math.sqrt(alpha * x), **drift)
+    d = math.sqrt(alpha * x)
+    if d == math.inf:
+        return DensityValue(0.0, 0, True)
+    inner = range_density(d, **drift)
     scale = math.sqrt(alpha / (4.0 * x))
     return DensityValue(scale * inner.value, inner.terms_used, inner.converged, inner.clamped)
 

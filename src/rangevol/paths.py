@@ -330,6 +330,10 @@ def bridge_extremes(path: Path) -> BridgeExtremes:
     return BridgeExtremes(xi=float(z.max()), zeta=float(z.min()))
 
 
+_GROUP_TICKS = 1 << 20
+"""Most gathered ticks :func:`window_extremes` reduces in one array pass."""
+
+
 def window_extremes(times, log_prices, starts, stops):
     """High, low, close and bridge high and low of every tick window at once.
 
@@ -338,7 +342,9 @@ def window_extremes(times, log_prices, starts, stops):
     boundary tick.  Each window is measured from its first log-price, and
     its bridge subtracts the line from its first tick to its last, as in
     :func:`bar_from_samples`.  The gathered windows are reduced with
-    ``np.maximum.reduceat`` and ``np.minimum.reduceat``.
+    ``np.maximum.reduceat`` and ``np.minimum.reduceat``, in groups of
+    consecutive windows that gather at most ``_GROUP_TICKS`` ticks (or one
+    window), so the per-tick temporaries stay bounded on long files.
 
     Returns ``(high, low, close, xi, zeta)``, arrays with one entry per window.
     """
@@ -347,6 +353,21 @@ def window_extremes(times, log_prices, starts, stops):
     counts = stops - starts
     if np.any(counts < 2) or not np.all(times[stops - 1] > times[starts]):
         raise ValueError("window ticks must span a positive time interval")
+    ends = np.cumsum(counts)
+    if not ends.size or ends[-1] <= _GROUP_TICKS:
+        return _group_extremes(times, log_prices, starts, stops)
+    groups = []
+    lo = 0
+    while lo < counts.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + _GROUP_TICKS, "right")))
+        groups.append(_group_extremes(times, log_prices, starts[lo:hi], stops[lo:hi]))
+        lo = hi
+    return tuple(np.concatenate(parts) for parts in zip(*groups))
+
+
+def _group_extremes(times, log_prices, starts, stops):
+    """:func:`window_extremes` of checked windows, in one array pass."""
+    counts = stops - starts
     first = np.cumsum(counts) - counts
     idx = np.repeat(starts - first, counts)
     idx += np.arange(idx.size)

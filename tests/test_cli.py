@@ -137,6 +137,16 @@ def test_simulate_byte_deterministic(tmp_path, monkeypatch):
     assert out.read_bytes() == first
 
 
+def test_cli_import_loads_no_process_pool():
+    # the --emit-ticks pool is imported by the command, not by the module
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rangevol.__file__)))
+    code = "import sys, rangevol, rangevol.cli; print(sorted(m for m in sys.modules if 'concurrent' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_simulate_row_per_estimator(tmp_path):
     out = tmp_path / "sim.csv"
     assert run_cli("simulate", "--paths", "2", "--steps", "4", "--seed", "7",
@@ -232,6 +242,14 @@ def test_density_below_old_floor_rows_hold_true_density(tmp_path):
     _, rows = read_table(out)
     assert [float(r[1]) for r in rows] == [0.0, 0.0, rangevol.range_pdf(0.1).value]
     assert 0.0 < float(rows[-1][1]) < 1e-200
+
+
+def test_density_overflow_exit_1(tmp_path, capsys):
+    # high_pdf squares eta - gamma, which overflows a float at eta = 1e156
+    assert run_cli("density", "high-pdf", "--gamma", "1", "--x-min", "1e155", "--x-max", "1e156",
+                   "--points", "2", "--out", str(tmp_path / "d.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rangevol: error: ") and "Traceback" not in err
 
 
 def test_density_unknown_name_exit_2():

@@ -723,6 +723,34 @@ def test_estimator_pdf_is_the_range_law_on_a_theory_grid(kind, gamma):
         assert pdf(x) == DensityValue(0.0, 0, True)
 
 
+_LAW_CASES = [(densities.EstimatorKind.PARKINSON, g) for g in TABLES_GAMMAS + (-1.0,)] + [
+    (densities.EstimatorKind.BRIDGE, 0.0)]
+
+
+@pytest.mark.parametrize("kind, gamma", _LAW_CASES, ids=lambda v: getattr(v, "value", v))
+def test_range_laws_are_exactly_their_limit_at_the_cut(kind, gamma):
+    # the float law is already exactly (1, 0) where the cut takes over
+    law, _ = densities._range_law(kind, gamma)
+    cut = densities._LIMIT + (abs(gamma) if kind is densities.EstimatorKind.PARKINSON else 0.0)
+    cdf, pdf = law(np.array([cut - 1.0, cut, math.nextafter(cut, math.inf)]))
+    assert cdf.tolist() == [1.0] * 3 and pdf.tolist() == [0.0] * 3
+
+
+@pytest.mark.parametrize("x", [1e154, 1e300, 1e308, math.inf])
+def test_range_laws_give_their_limit_at_huge_ranges(x):
+    for kind, gamma in _LAW_CASES:
+        law, _ = densities._range_law(kind, gamma)
+        cdf, pdf = law(np.array([x]))
+        assert (cdf[0], pdf[0]) == (1.0, 0.0), (kind, gamma)
+        assert analytics._estimator_cdf(kind, gamma, [x], None)[0] == 1.0, (kind, gamma)
+    if math.isfinite(x):
+        for gamma in TABLES_GAMMAS + (-1.0,):
+            assert range_pdf(x, gamma) == DensityValue(0.0, 0, True)
+            assert parkinson_estimator_pdf(x, gamma) == DensityValue(0.0, 0, True)
+        assert bridge_range_pdf(x) == DensityValue(0.0, 0, True)
+        assert bridge_estimator_pdf(x) == DensityValue(0.0, 0, True)
+
+
 def test_cached_tables_are_read_only():
     # every later call with the same arguments shares the cached arrays
     for table in densities._image_terms(0.75, densities._IMAGE_SHELLS) + analytics._leggauss(24):

@@ -211,6 +211,20 @@ def test_window_extremes_bit_identical_to_bar_from_samples(log_input):
     assert min(sizes) == 2 and max(sizes) > 20 and np.any(np.diff(t) == 0)
 
 
+def test_window_extremes_groups_match_one_pass(monkeypatch):
+    # groups of at most 50 gathered ticks, a 121-tick window on its own
+    rng = np.random.default_rng(9)
+    t = np.arange(400) / 100.0
+    y = rng.normal(0.0, 0.02, t.size).cumsum()
+    stops = np.array([3, 30, 150, 151, 200, 260, 300, 399])
+    starts = np.concatenate(([0], stops[:-1] - 1))
+    whole = paths.window_extremes(t, y, starts, stops)
+    monkeypatch.setattr(paths, "_GROUP_TICKS", 50)
+    grouped = paths.window_extremes(t, y, starts, stops)
+    for a, b in zip(whole, grouped):
+        assert a.tobytes() == b.tobytes() and a.size == starts.size
+
+
 def test_window_extremes_rejects_degenerate_windows():
     t = np.array([0.0, 1.0, 1.0, 2.0])
     y = np.array([0.0, 0.1, 0.2, 0.3])

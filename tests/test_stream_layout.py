@@ -57,6 +57,21 @@ def test_emitted_ticks_digest(tmp_path):
     )
 
 
+def test_emitted_ticks_do_not_depend_on_worker_count(tmp_path, monkeypatch):
+    # 13 rows of 5000 steps make one formatting task, so each 16-path batch
+    # splits into two tasks, written in order by three workers
+    files = []
+    for workers in ("1", "3"):
+        monkeypatch.setenv("RANGEVOL_THREADS", workers)
+        ticks = tmp_path / f"ticks-{workers}.csv"
+        assert main(["simulate", "--paths", "40", "--steps", "5000", "--batch-size", "16",
+                     "--gammas", "0.7", "--skip-theory", "--emit-ticks", str(ticks),
+                     "--out", str(tmp_path / "sim.csv")]) == 0
+        files.append(ticks.read_bytes())
+    assert files[0] == files[1]
+    assert files[0].count(b"\n") == 1 + 40 * 5000 + 1
+
+
 @pytest.mark.parametrize("gamma", [0.0, 1.3])
 def test_simulate_path_is_row_zero_of_batch_zero(gamma):
     n, seed = 300, 42
