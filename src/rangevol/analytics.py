@@ -10,7 +10,7 @@ their CDF is the closed-form range law (``densities._range_law``) at
 sqrt(alpha x), and their moments are the delta^2 and delta^4 moments over
 alpha and alpha^2: for the bridge the constants pi^2 / 6 and pi^4 / 30, for
 Parkinson sums over one fixed Gauss-Legendre table (``_range_moments``).
-No 1D statistic calls an adaptive integrator.  Garman-Klass and
+Garman-Klass and
 Rogers-Satchell are quadratic forms in v = (h, l, c), so their means are
 sum(Q * S) over one second-moment matrix S = E[v v^T] (``_quadratic_mean``):
 E h^2 and E h c in closed form from the first-passage law, the low's
@@ -20,12 +20,13 @@ law.  Their second moments and distribution functions come from the
 the closed-form mass of the low between the roots of the estimator, a
 convex quadratic in the low given (high, close).
 
-The joint-law quadratures use scipy's adaptive Gauss-Kronrod integrators
-at 1e-10 absolute tolerance in the close, with Gaussian-tailed supports
-truncated where the integrand is below 1e-16; the CDF's 32-point rule in
-the high is within 1e-9 of a 128-point one.  They leave out ranges below
-``densities._MASS_FLOOR`` = 0.3, the one floor of the joint image series,
-which carry under 2e-22 of probability at any drift.  ``MomentReport.method``
+No statistic calls an adaptive integrator: the joint-law quadratures are
+fixed Gauss-Legendre rules, in the close (``_close_rule``) within 1e-11 of
+quad_vec at 1e-12, and in the high within 1e-9 of a 128-point rule.  The
+close is one more array axis of the joint kernels.  The rules leave out
+ranges below ``densities._MASS_FLOOR`` = 0.3, the one floor of the joint
+image series, which carry under 2e-22 of probability at any drift.
+``MomentReport.method``
 says ``closed-form`` for the bridge moments and ``quadrature`` for the
 rest; the ``method`` column of ``rangevol tables`` takes ``_cdf_method``
 for every F(N) and P_delta.
@@ -38,7 +39,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+# integrate is unused here; perfbench/spans.py proxies analytics.integrate in --trace 1 runs
+from scipy import integrate, special  # noqa: F401
 
 from . import densities
 from .estimators import (EstimatorKind, GarmanKlassVariant, estimator_value, garman_klass_value,
@@ -54,8 +56,6 @@ __all__ = [
     "garman_klass_mean",
     "rogers_satchell_mean",
 ]
-
-_QUAD_OPTS = dict(limit=400, epsabs=1e-10, epsrel=1e-10)
 
 @dataclass(frozen=True)
 class MomentReport:
@@ -136,6 +136,15 @@ def _gl_nodes(a: float, b: float, n: int, panels: int = 1):
     return (left + (x + 1.0) * half).ravel(), np.tile(w * half, panels)
 
 
+def _panel_rule(edges, n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on each panel between
+    consecutive ``edges`` (last axis), flattened per row; empty panels weigh 0."""
+    t, w = _gl_nodes(0.0, 1.0, n)
+    width = np.diff(edges, axis=-1)[..., None]
+    shape = edges.shape[:-1] + (-1,)
+    return (edges[..., :-1, None] + width * t).reshape(shape), (width * w).reshape(shape)
+
+
 def _high_moments(gamma: float) -> tuple[float, float]:
     """E h^2 and E h c in closed form:
 
@@ -205,28 +214,37 @@ def rogers_satchell_mean(gamma: float = 0.0) -> float:
 # The (high, low, close) law: second moments and distribution functions
 # ---------------------------------------------------------------------------
 
-def _close_integral(inner, gamma: float, span: float = 8.0):
-    """Integral of inner(chi) (maybe an array) against the close density N(gamma, 1),
-    adaptive, with a breakpoint at 0, where max(0, chi) and min(0, chi) kink."""
-    lo, hi = gamma - span, gamma + span
-    return integrate.quad_vec(
-        lambda chi: inner(chi) * densities.close_pdf(chi, gamma), lo, hi,
-        points=(0.0,) if lo < 0.0 < hi else None, **_QUAD_OPTS,
-    )[0]
+_SPAN = 8.0  # the close within 8 of gamma, each extreme within 8 of its bound
+_CLOSE_EDGES = np.array([-8.0, -4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 8.0])
+_CLOSE_NODES = 16
+_CDF_BLOCK, _MOMENT_BLOCK = 8, 4   # thresholds, close nodes per evaluated block
 
 
-def _hlc_moment(weight, gamma: float, n_gl: int = 80, span: float = 8.0):
-    """E[weight(h, l, c)] under the (high, low, close) law: adaptive in the
-    close, n_gl x n_gl Gauss-Legendre over the extremes within ``span`` of
-    their bounds max(0, c) and min(0, c), ranges below the mass floor left out."""
-    x, w = _gl_nodes(0.0, span, n_gl)
+def _close_rule(gamma: float, cuts):
+    """Nodes and weights, the close density N(gamma, 1) folded in, of the fixed
+    rule in the close: ``_CLOSE_NODES``-node panels between gamma + ``_CLOSE_EDGES``,
+    each row split again at 0 and at its ``cuts`` (last axis); a NaN cut or one
+    off the span makes an empty panel."""
+    lo, hi = gamma - _SPAN, gamma + _SPAN
+    fixed = np.union1d(gamma + _CLOSE_EDGES, 0.0)
+    edges = np.concatenate([np.broadcast_to(fixed, cuts.shape[:-1] + fixed.shape), cuts], axis=-1)
+    c, w = _panel_rule(np.sort(np.clip(np.nan_to_num(edges, nan=lo), lo, hi), -1), _CLOSE_NODES)
+    return c, w * np.exp(-0.5 * (c - gamma) ** 2) / math.sqrt(2.0 * math.pi)
 
-    def inner(chi):
-        e, l = (max(0.0, chi) + x)[:, None], (min(0.0, chi) - x)[None, :]
-        series, _ = densities._hlc_series_grid(e, l, chi)
-        return np.einsum("i,j,ij->", w, w, series * weight(e, l, chi))
 
-    return float(_close_integral(inner, gamma, span))
+def _hlc_moment(weight, gamma: float, n_gl: int = 80):
+    """E[weight(h, l, c)] under the (high, low, close) law: the rule in the close,
+    ``_MOMENT_BLOCK`` nodes at a time, by n_gl x n_gl Gauss-Legendre over the extremes
+    within ``_SPAN`` of max(0, c) and min(0, c), ranges below the mass floor left out."""
+    x, w = _gl_nodes(0.0, _SPAN, n_gl)
+    chi, wc = _close_rule(gamma, np.empty(0))
+    total = 0.0
+    for k in range(0, chi.size, _MOMENT_BLOCK):
+        c = chi[k:k + _MOMENT_BLOCK, None, None]
+        e, l = np.maximum(0.0, c) + x[:, None], np.minimum(0.0, c) - x
+        series, _ = densities._hlc_series_grid(e, l, c)
+        total += np.einsum("k,i,j,kij->", wc[k:k + _MOMENT_BLOCK], w, w, series * weight(e, l, c))
+    return float(total)
 
 
 def _roots(f):
@@ -251,49 +269,51 @@ def _cdf_method(kind: EstimatorKind) -> str:
     return "closed-form" if range_law else "quadrature"
 
 
-def _estimator_cdf(kind, gamma: float, xs, variant: GarmanKlassVariant,
-                   n_gl: int = 32, span: float = 8.0):
-    """Pr{estimator <= x} for each x of ``xs``: the one distribution function
-    of every estimator kind.
+def _cdf_given_close(kind, x, c, variant: GarmanKlassVariant, n_gl: int = 32):
+    """Pr{estimator <= x | close = c} of Garman-Klass or Rogers-Satchell at the broadcast
+    points of ``x`` and ``c``.  Given (h, c) the estimator is a convex quadratic in the low,
+    so the event is an interval of l, cut at min(0, c) and at the mass floor below the high;
+    the rule in the high is split where that mass kinks, all at roots of quadratics in h."""
+    x, c = (a[..., None] for a in np.broadcast_arrays(x, c))
+    floor = densities._MASS_FLOOR
 
-    Parkinson and bridge are d^2 / alpha, so this is the range CDF at
-    sqrt(alpha max(x, 0)).  For Garman-Klass and Rogers-Satchell, given
-    (h, c) the estimator is a convex quadratic in the low, so the event is
-    the interval of l between its roots, cut at min(0, c) and at the mass
-    floor below the high.  Its mass kinks in h where a root meets either cut,
-    where the two cuts meet and where the roots merge; all are roots of
-    quadratics in h or constants, and the Gauss-Legendre rule in h is split
-    there.
+    def form(h, l):
+        return estimator_value(kind, h, l, c, variant=variant) - x
+
+    def in_low(h):
+        return _roots(lambda l: form(h, l))
+
+    h0, end = np.maximum(0.0, c), np.minimum(0.0, c)
+    cuts = (_roots(lambda h: form(h, end))[:2] + _roots(lambda h: form(h, h - floor))[:2]
+            + _roots(lambda h: in_low(h)[2])[:2] + (end + floor,))
+    cuts = np.sort(np.clip(np.nan_to_num(np.concatenate(cuts, -1), nan=h0), h0, h0 + _SPAN), -1)
+    h, w = _panel_rule(np.concatenate([h0, cuts, h0 + _SPAN], axis=-1), n_gl)
+    mass, _ = densities._hlc_low_mass_grid(h, *in_low(h)[:2], c)
+    return np.sum(w * mass, axis=-1)
+
+
+def _estimator_cdf(kind, gamma: float, xs, variant: GarmanKlassVariant, n_gl: int = 32):
+    """Pr{estimator <= x} for each x of ``xs``: the one distribution function of every kind.
+
+    Parkinson and bridge are d^2 / alpha: the range CDF at sqrt(alpha max(x, 0)).
+    Garman-Klass and Rogers-Satchell integrate :func:`_cdf_given_close` by the rule in the
+    close, ``_CDF_BLOCK`` thresholds at a time, split where the estimator at the support
+    corner, (c, 0, c) for c > 0 and (0, c, c) for c < 0, crosses x: it kinks there in c.
     """
     if _cdf_method(kind) == "closed-form":
         law, alpha = densities._range_law(kind, gamma)
         with np.errstate(over="ignore"):  # d = inf is past the law's cut, where the CDF is 1
             d = np.sqrt(alpha * np.maximum(xs, 0.0))
         return law(d)[0]
-    x = np.asarray(xs, dtype=float)[:, None]
-    t, w = _gl_nodes(0.0, 1.0, n_gl)
-    floor = densities._MASS_FLOOR
-
-    def form(h, l, c):
-        return estimator_value(kind, h, l, c, variant=variant) - x
-
-    def inner(chi):
-        h0, end = max(0.0, chi), min(0.0, chi)
-
-        def in_low(h):
-            return _roots(lambda l: form(h, l, chi))
-
-        cuts = np.hstack(_roots(lambda h: form(h, end, chi))[:2]
-                         + _roots(lambda h: form(h, h - floor, chi))[:2]
-                         + _roots(lambda h: in_low(h)[2])[:2] + (np.full_like(x, end + floor),))
-        cuts = np.sort(np.clip(np.nan_to_num(cuts, nan=h0), h0, h0 + span), axis=1)
-        edges = np.hstack([np.full_like(x, h0), cuts, np.full_like(x, h0 + span)])
-        width = np.diff(edges, axis=1)[:, :, None]
-        h = (edges[:, :-1, None] + width * t).reshape(len(x), -1)
-        mass, _ = densities._hlc_low_mass_grid(h, *in_low(h)[:2], chi)
-        return np.sum((width * w).reshape(len(x), -1) * mass, axis=1)
-
-    return _close_integral(inner, gamma, span)
+    xs = np.asarray(xs, dtype=float)
+    cdf = np.empty(xs.shape)
+    for k in range(0, xs.size, _CDF_BLOCK):
+        x = xs[k:k + _CDF_BLOCK]
+        up = _roots(lambda c: estimator_value(kind, c, 0.0, c, variant=variant) - x)[1]
+        down = _roots(lambda c: estimator_value(kind, 0.0, c, c, variant=variant) - x)[0]
+        cs, wc = _close_rule(gamma, np.stack([up, down], -1))
+        cdf[k:k + _CDF_BLOCK] = (wc * _cdf_given_close(kind, x[:, None], cs, variant, n_gl)).sum(-1)
+    return cdf
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,13 @@ def _finish(value: float, terms: int) -> DensityValue:
 _CUTOFF = -50.0
 """A grid point stops summing once its shell's largest exponent is below this."""
 
+_ZERO_EXPONENT = -800.0
+"""An exponent below which exp is exactly 0 in floats (it underflows below
+about -745.13).  Each closed-form and joint density returns its limit 0,
+from no terms, where the largest exponent of its terms lies below this: its
+float value is already exactly 0 there, and huge arguments would overflow
+the squares in its terms."""
+
 
 def _image_series(shell, mask, cols, context: str) -> tuple[np.ndarray, int]:
     """Sum shell(m, *cols) for m = 1, 2, ... over the grid points where mask holds.
@@ -148,16 +155,16 @@ def _image_series(shell, mask, cols, context: str) -> tuple[np.ndarray, int]:
 def _reflection_shell(kernel):
     """Shell m of sum over mm = +-m of mm * (mm K(mm d) + (1 - mm) K(mm d + l)).
 
-    ``kernel(u)`` returns K(u) and the exponent it passed to exp; the shell
-    takes (m, d, l) and returns its terms and their largest exponent.
+    ``kernel(u, *extra)`` returns K(u) and the exponent it passed to exp; the shell
+    takes (m, d, l, *extra) and returns its terms and their largest exponent.
     """
 
-    def shell(m, d, l):
+    def shell(m, d, l, *extra):
         t = 0.0
         top = -np.inf
         for mm in (m, -m):
-            k1, x1 = kernel(mm * d)
-            k2, x2 = kernel(mm * d + l)
+            k1, x1 = kernel(mm * d, *extra)
+            k2, x2 = kernel(mm * d + l, *extra)
             t = t + mm * (mm * k1 + (1 - mm) * k2)
             top = np.maximum(top, np.maximum(x1, x2))
         return t, top
@@ -172,13 +179,18 @@ def _reflection_shell(kernel):
 def close_pdf(chi: float, gamma: float) -> float:
     """Density of the close: N(gamma, 1)."""
     _require_finite("close_pdf", chi=chi, gamma=gamma)
-    return math.exp(-0.5 * (chi - gamma) ** 2) / math.sqrt(2.0 * math.pi)
+    z = chi - gamma
+    if -0.5 * z * z < _ZERO_EXPONENT:
+        return 0.0
+    return math.exp(-0.5 * z ** 2) / math.sqrt(2.0 * math.pi)
 
 
 def high_close_joint_pdf(eta: float, chi: float, gamma: float) -> DensityValue:
     """Joint density of (high, close); closed form, support chi < eta, eta > 0."""
     _require_finite("high_close_joint_pdf", eta=eta, chi=chi, gamma=gamma)
-    if eta <= 0.0 or chi >= eta:
+    # the exponent below is -2 eta (eta - chi) - (chi - gamma)^2 / 2
+    if (eta <= 0.0 or chi >= eta
+            or -2.0 * eta * (eta - chi) - 0.5 * (chi - gamma) * (chi - gamma) < _ZERO_EXPONENT):
         return DensityValue(0.0, 0, True)
     expo = 2.0 * gamma * eta - 0.5 * (2.0 * eta - chi + gamma) ** 2
     return _finish(_SQRT_2_PI * (2.0 * eta - chi) * math.exp(expo), 0)
@@ -200,9 +212,11 @@ def high_pdf(eta: float, gamma: float) -> DensityValue:
     The refuted reading with divisor 2 is kept by ``rangevol.validation``.
     """
     _require_finite("high_pdf", eta=eta, gamma=gamma)
-    if eta <= 0.0:
+    # both terms carry exp(-(eta - gamma)^2 / 2), the drift term only while eta + gamma >= 0
+    far = -0.5 * (eta - gamma) * (eta - gamma) < _ZERO_EXPONENT
+    if eta <= 0.0 or (far and eta + gamma >= 0.0):
         return DensityValue(0.0, 0, True)
-    base = _SQRT_2_PI * math.exp(-0.5 * (eta - gamma) ** 2)
+    base = 0.0 if far else _SQRT_2_PI * math.exp(-0.5 * (eta - gamma) ** 2)
     corr = gamma * _exp_times_erfc(2.0 * gamma * eta, (eta + gamma) / _SQRT2)
     return _finish(base - corr, 0)
 
@@ -211,40 +225,40 @@ def high_pdf(eta: float, gamma: float) -> DensityValue:
 # Joint density of (high, low, close)
 # ---------------------------------------------------------------------------
 
-def _hlc_series_grid(eta, ell, chi: float) -> tuple[np.ndarray, int]:
+def _hlc_kernel(u, chi):
+    x = 2.0 * u * (chi - u)
+    return ((chi - 2.0 * u) ** 2 - 1.0) * np.exp(x), x
+
+
+def _hlc_series_grid(eta, ell, chi) -> tuple[np.ndarray, int]:
     """Image series of the (h, l) density conditional on close = chi, vectorized.
 
-    ``eta`` and ``ell`` are broadcastable arrays; the support mask and the
-    overall factor 4 are applied (the factor is fixed by normalization: the
-    double integral over (eta, ell) must be 1 for every chi; see
+    ``eta``, ``ell`` and ``chi`` are broadcastable arrays; the support mask and
+    the overall factor 4 are applied (the factor is fixed by normalization:
+    the double integral over (eta, ell) must be 1 for every chi; see
     ``rangevol.validation``).  Returns (values, shells_used).
     """
-    eta, ell = np.broadcast_arrays(np.asarray(eta, dtype=float), np.asarray(ell, dtype=float))
-    mask = (eta > max(0.0, chi)) & (ell < min(0.0, chi)) & (eta - ell >= _MASS_FLOOR)
-
-    def kernel(u):
-        x = 2.0 * u * (chi - u)
-        return ((chi - 2.0 * u) ** 2 - 1.0) * np.exp(x), x
-
+    eta, ell, chi = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (eta, ell, chi)))
+    mask = (eta > np.maximum(0.0, chi)) & (ell < np.minimum(0.0, chi)) & (eta - ell >= _MASS_FLOOR)
     total, shells = _image_series(
-        _reflection_shell(kernel), mask, (eta - ell, ell), "(h,l,c) joint density"
+        _reflection_shell(_hlc_kernel), mask, (eta - ell, ell, chi), "(h,l,c) joint density"
     )
     return 4.0 * total, shells
 
 
-def _hlc_low_mass_grid(eta, lo, hi, chi: float) -> tuple[np.ndarray, int]:
+def _hlc_low_mass_grid(eta, lo, hi, chi) -> tuple[np.ndarray, int]:
     """Integral of :func:`_hlc_series_grid` over the low in [lo, hi], vectorized.
 
     K(u) is G'(u) / 2 with G(u) = (chi - 2u) exp(2u(chi - u)), so image term
     mm integrates to mm / 2 [G(mm d + l) - G(mm d)] (d = eta - l) between the
-    ends, with the density's own exponents.  ``hi`` is clipped to the support
-    and to range ``_MASS_FLOOR``; ``lo`` must be finite; NaN ends give 0.
+    ends, with the density's own exponents.  The arguments broadcast; ``hi`` is clipped to the
+    support and to range ``_MASS_FLOOR``; ``lo`` must be finite; NaN ends give 0.
     """
-    eta, lo, hi = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (eta, lo, hi)))
-    hi = np.minimum(hi, np.minimum(min(0.0, chi), eta - _MASS_FLOOR))
-    mask = (eta > max(0.0, chi)) & (lo < hi)
+    eta, lo, hi, chi = np.broadcast_arrays(*(np.asarray(a, float) for a in (eta, lo, hi, chi)))
+    hi = np.minimum(hi, np.minimum(np.minimum(0.0, chi), eta - _MASS_FLOOR))
+    mask = (eta > np.maximum(0.0, chi)) & (lo < hi)
 
-    def shell(m, e, a, b):
+    def shell(m, e, a, b, chi):
         t = 0.0
         top = -np.inf
         for mm in (m, -m):
@@ -255,7 +269,7 @@ def _hlc_low_mass_grid(eta, lo, hi, chi: float) -> tuple[np.ndarray, int]:
                     top = np.maximum(top, x)
         return t, top
 
-    total, shells = _image_series(shell, mask, (eta, lo, hi), "(h,l,c) low mass")
+    total, shells = _image_series(shell, mask, (eta, lo, hi, chi), "(h,l,c) low mass")
     return 4.0 * total, shells
 
 
@@ -263,7 +277,9 @@ def hlc_joint_pdf(eta: float, ell: float, chi: float, gamma: float) -> DensityVa
     """Joint density of (high, low, close); support ell < chi < eta with
     eta > max(0, chi) and ell < min(0, chi)."""
     _require_finite("hlc_joint_pdf", eta=eta, ell=ell, chi=chi, gamma=gamma)
-    if not (ell < chi < eta) or eta <= max(0.0, chi) or ell >= min(0.0, chi):
+    # no image exponent exceeds -2 eta (eta - chi) or -2 ell (ell - chi)
+    if (not (ell < chi < eta) or eta <= max(0.0, chi) or ell >= min(0.0, chi)
+            or -2.0 * max(eta * (eta - chi), ell * (ell - chi)) < _ZERO_EXPONENT):
         return DensityValue(0.0, 0, True)
     if eta - ell < _MASS_FLOOR:
         return DensityValue(0.0, 0, False)
@@ -310,7 +326,8 @@ def range_close_joint_pdf(delta: float, chi: float, gamma: float) -> DensityValu
     factor), so it is symmetric in chi at gamma = 0.
     """
     _require_finite("range_close_joint_pdf", delta=delta, chi=chi, gamma=gamma)
-    if delta <= abs(chi):
+    # 0 off the support and where the largest image exponent is below _ZERO_EXPONENT
+    if delta <= abs(chi) or -2.0 * delta * (delta - abs(chi)) < _ZERO_EXPONENT:
         return DensityValue(0.0, 0, True)
     if delta < _MASS_FLOOR:
         return DensityValue(0.0, 0, False)
@@ -452,17 +469,24 @@ turn NaN: from about 7e153 for the bridge range, and from 4e304 to 2e307
 for the range at the ``tables`` drifts.  The cut returns the limit on the
 whole tail, infinity included, and leaves every finite value of the laws
 bit for bit as it was.
+
+At the other end both laws are exactly 0 below 1 / ``_LIMIT`` (0.025),
+where the first exponent of the theta dual, -pi^2 / (2 d^2), is below -7800;
+below about 1e-103 the dual's own factors overflow and it turns NaN.  So the
+laws are 0 from no terms below that cut too.
 """
+
+_LOW = 1.0 / _LIMIT
 
 
 def _by_switch(d, cut: float, dual, image, *args):
     """(CDF, density) at every point of ``d``: ``dual(d, *args)`` up to
     ``_SWITCH``, ``image(d, *args)`` above it up to ``cut``, (1, 0) past
-    ``cut``, and 0 at d <= 0 (and at NaN)."""
+    ``cut``, and 0 below ``_LOW`` (and at NaN)."""
     d = np.asarray(d, dtype=float)
     cdf, pdf = np.zeros(d.shape), np.zeros(d.shape)
     far = d > cut
-    for part, law in (((d > 0.0) & (d <= _SWITCH), dual), ((d > _SWITCH) & ~far, image)):
+    for part, law in (((d >= _LOW) & (d <= _SWITCH), dual), ((d > _SWITCH) & ~far, image)):
         if part.any():
             cdf[part], pdf[part] = law(d[part], *args)
     cdf[far] = 1.0
@@ -471,9 +495,9 @@ def _by_switch(d, cut: float, dual, image, *args):
 
 def _density_at(delta: float, cut: float, dual, image, *args) -> DensityValue:
     """One density value of a range law, from the form that holds at ``delta``;
-    0 from no terms at delta <= 0 and past ``cut``."""
+    0 from no terms below ``_LOW`` and past ``cut``."""
     delta = float(delta)
-    if delta <= 0.0 or delta > cut:
+    if delta < _LOW or delta > cut:
         return DensityValue(0.0, 0, True)
     law, terms = (dual, _DUAL_A.size) if delta <= _SWITCH else (image, _IMAGE_SHELLS)
     return _finish(float(law(delta, *args)[1]), terms)
@@ -506,7 +530,8 @@ def _bridge_hl_series_grid(eta, ell) -> tuple[np.ndarray, int]:
 def bridge_hl_joint_pdf(eta: float, ell: float) -> DensityValue:
     """Joint density of the bridge extremes (xi, zeta); support eta > 0 > ell."""
     _require_finite("bridge_hl_joint_pdf", eta=eta, ell=ell)
-    if eta <= 0.0 or ell >= 0.0:
+    # 0 off the support and where the largest image exponent is below _ZERO_EXPONENT
+    if eta <= 0.0 or ell >= 0.0 or -2.0 * (eta - ell) * (eta - ell) < _ZERO_EXPONENT:
         return DensityValue(0.0, 0, True)
     if eta - ell < _MASS_FLOOR:
         return DensityValue(0.0, 0, False)
@@ -551,6 +576,8 @@ def _estimator_pdf(name: str, x: float, alpha: float, range_density, **drift) ->
     if d == math.inf:
         return DensityValue(0.0, 0, True)
     inner = range_density(d, **drift)
+    if inner.value == 0.0:  # the scale below overflows at subnormal x
+        return inner
     scale = math.sqrt(alpha / (4.0 * x))
     return DensityValue(scale * inner.value, inner.terms_used, inner.converged, inner.clamped)
 

@@ -210,14 +210,11 @@ def validate_hlc_normalization(
 ) -> ValidationCheck:
     """The factor 4 in the (high, low, close) image kernel."""
 
-    def conditional_mass(chi: float) -> float:
-        # integral of the implemented (already x4) kernel over the extremes
-        x, w = analytics._gl_nodes(0.0, 8.0, 96)
-        eta, ell = max(0.0, chi) + x[:, None], min(0.0, chi) - x[None, :]
-        series, _ = densities._hlc_series_grid(eta, ell, chi)
-        return float(np.einsum("i,j,ij->", w, w, series))
-
-    masses = {chi: conditional_mass(chi) for chi in (-1.0, 0.3, 1.0)}
+    # integral of the implemented (already x4) kernel over the extremes, per close value
+    c = np.array([-1.0, 0.3, 1.0])[:, None, None]
+    x, w = analytics._gl_nodes(0.0, 8.0, 96)
+    series, _ = densities._hlc_series_grid(np.maximum(c, 0) + x[:, None], np.minimum(c, 0) - x, c)
+    masses = dict(zip(c.ravel().tolist(), np.einsum("i,j,kij->k", w, w, series).tolist()))
 
     h, l, c = batch_extremes(seed, n_paths, n_steps, (0.0,), bridge=False)[0][0]
     # wide central box: first-order discretization shifts largely cancel
@@ -227,19 +224,12 @@ def validate_hlc_normalization(
         ((h >= e_lo) & (h < e_hi) & (l >= l_lo) & (l < l_hi) & (c >= c_lo) & (c < c_hi)).mean()
     )
 
-    def box_prob() -> float:
-        chis, wc = analytics._gl_nodes(c_lo, c_hi, 32)
-        eta, we = analytics._gl_nodes(e_lo, e_hi, 32)
-        ell, wl = analytics._gl_nodes(l_lo, l_hi, 32)
-        total = 0.0
-        for chi, wchi in zip(chis, wc):
-            series, _ = densities._hlc_series_grid(eta[:, None], ell[None, :], chi)
-            total += wchi * densities.close_pdf(chi, 0.0) * float(
-                np.einsum("i,j,ij->", we, wl, series)
-            )
-        return total
-
-    prob = box_prob()
+    chis, wc = analytics._gl_nodes(c_lo, c_hi, 32)
+    eta, we = analytics._gl_nodes(e_lo, e_hi, 32)
+    ell, wl = analytics._gl_nodes(l_lo, l_hi, 32)
+    series, _ = densities._hlc_series_grid(eta[:, None], ell, chis[:, None, None])
+    wc = wc * np.array([densities.close_pdf(chi, 0.0) for chi in chis])
+    prob = float(np.einsum("k,i,j,kij->", wc, we, wl, series))
     rel_scaled = emp / prob - 1.0
     rel_raw = emp / (prob / 4.0) - 1.0
 

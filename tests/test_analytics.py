@@ -11,6 +11,7 @@ from rangevol import (
     GarmanKlassVariant,
     analytics,
     bridge_estimator_pdf,
+    close_pdf,
     coverage_probability,
     densities,
     garman_klass_mean,
@@ -227,6 +228,61 @@ def test_gk_rs_cdf_converged_in_the_high(gamma):
         coarse, fine = (analytics._estimator_cdf(kind, gamma, xs, GarmanKlassVariant.HIGH_LOW_CROSS,
                                                  n_gl=n) for n in (32, 128))
         assert np.max(np.abs(coarse - fine)) < 1e-9, kind
+
+
+_JOINT_KINDS = ((EstimatorKind.ROGERS_SATCHELL, GarmanKlassVariant.HIGH_LOW_CROSS),
+                (EstimatorKind.GARMAN_KLASS, GarmanKlassVariant.HIGH_LOW_CROSS),
+                (EstimatorKind.GARMAN_KLASS, GarmanKlassVariant.HIGH_CLOSE_CROSS))
+
+
+def _second_moment(kind, variant, gamma):
+    return analytics._hlc_moment(
+        lambda h, l, c: estimator_value(kind, h, l, c, variant=variant) ** 2, gamma)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.25, 2.0])
+def test_gk_rs_fixed_rule_matches_adaptive_quadrature(gamma):
+    # the fixed rule in the close against quad_vec at 1e-12 over the same
+    # integrands; the CDF's breakpoints are 0 and the corner kinks, without
+    # which quad_vec misses GK-hl at gamma 0.25, x 2 by 5.8e-11
+    xs = np.array([0.1, 0.5, 1.0, 2.0, 4.0])
+    x, w = analytics._gl_nodes(0.0, 8.0, 80)
+    opts = dict(epsabs=1e-12, epsrel=1e-12, limit=2000)
+    for kind, variant in _JOINT_KINDS:
+        def form(h, l, c):
+            return estimator_value(kind, h, l, c, variant=variant)
+
+        corner = np.concatenate([analytics._roots(lambda c: form(c, 0.0, c) - xs)[1],
+                                 analytics._roots(lambda c: form(0.0, c, c) - xs)[0]])
+        points = [0.0] + [p for p in corner if abs(p - gamma) < 8.0]
+        cdf, _ = integrate.quad_vec(
+            lambda c: analytics._cdf_given_close(kind, xs, np.array(c), variant) * close_pdf(c, gamma),
+            gamma - 8.0, gamma + 8.0, points=points, **opts)
+        assert np.max(np.abs(analytics._estimator_cdf(kind, gamma, xs, variant) - cdf)) < 1e-11, kind
+
+        def second(c):
+            e, l = max(0.0, c) + x[:, None], min(0.0, c) - x
+            series, _ = densities._hlc_series_grid(e, l, c)
+            return np.einsum("i,j,ij->", w, w, series * form(e, l, c) ** 2) * close_pdf(c, gamma)
+
+        m2, _ = integrate.quad_vec(second, gamma - 8.0, gamma + 8.0, points=(0.0,), **opts)
+        assert abs(_second_moment(kind, variant, gamma) - m2) < 1e-11, kind
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_gk_rs_converged_in_the_close(gamma, monkeypatch):
+    # doubling the nodes of every panel of the rule in the close moves the
+    # distribution function and E[estimator^2] by < 1e-13
+    xs = np.linspace(0.0, 6.0, 13)
+
+    def statistics():
+        return np.concatenate([np.append(analytics._estimator_cdf(kind, gamma, xs, variant),
+                                          _second_moment(kind, variant, gamma))
+                               for kind, variant in _JOINT_KINDS])
+
+    coarse = statistics()
+    monkeypatch.setattr(analytics, "_CLOSE_NODES", 2 * analytics._CLOSE_NODES)
+    assert np.max(np.abs(statistics() - coarse)) < 1e-13
 
 
 def test_gk_rs_laws_match_simulation_with_shifted_extremes():

@@ -244,12 +244,14 @@ def test_density_below_old_floor_rows_hold_true_density(tmp_path):
     assert 0.0 < float(rows[-1][1]) < 1e-200
 
 
-def test_density_overflow_exit_1(tmp_path, capsys):
-    # high_pdf squares eta - gamma, which overflows a float at eta = 1e156
+def test_density_huge_grid_gives_the_limit(tmp_path):
+    # eta - gamma squared would overflow a float at eta = 1e156; the density
+    # returns its limit 0 there without evaluating its terms
+    out = tmp_path / "d.csv"
     assert run_cli("density", "high-pdf", "--gamma", "1", "--x-min", "1e155", "--x-max", "1e156",
-                   "--points", "2", "--out", str(tmp_path / "d.csv")) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("rangevol: error: ") and "Traceback" not in err
+                   "--points", "2", "--out", str(out)) == 0
+    _, rows = read_table(out)
+    assert [(float(r[1]), int(r[2])) for r in rows] == [(0.0, 0), (0.0, 0)]
 
 
 def test_density_unknown_name_exit_2():

@@ -751,6 +751,19 @@ def test_range_laws_give_their_limit_at_huge_ranges(x):
         assert bridge_estimator_pdf(x) == DensityValue(0.0, 0, True)
 
 
+@pytest.mark.parametrize("x", [1e154, 1e200, 1e308])
+def test_public_densities_give_their_limit_at_huge_arguments(x):
+    # past a cut where every exponent is below -800 the float value is
+    # already 0; the squares of such arguments would overflow
+    zero = DensityValue(0.0, 0, True)
+    assert close_pdf(x, 0.0) == 0.0 and close_pdf(-x, 1.0) == 0.0
+    assert high_pdf(x, 1.0) == zero and high_pdf(x, -1.0) == zero
+    assert high_close_joint_pdf(x, 0.0, 0.0) == zero and high_close_joint_pdf(1.0, -x, 0.0) == zero
+    assert hlc_joint_pdf(x, -1.0, 0.0, 0.0) == zero and hlc_joint_pdf(0.5, -x, 0.0, 0.0) == zero
+    assert range_close_joint_pdf(x, 0.0, 0.0) == zero
+    assert bridge_hl_joint_pdf(x, -x) == zero and bridge_hl_joint_pdf(0.5, -x) == zero
+
+
 def test_cached_tables_are_read_only():
     # every later call with the same arguments shares the cached arrays
     for table in densities._image_terms(0.75, densities._IMAGE_SHELLS) + analytics._leggauss(24):

@@ -207,9 +207,8 @@ def test_goodness_of_fit_p_value_is_chi2_survival(desk_summary):
 
 
 def test_goodness_of_fit_joint_law_kinds(gof_summary):
-    # the exact (high, low, close) laws against 1e5 paths of 1e5 steps;
-    # garman-klass-hc is left out for time (one 201-edge GK CDF takes minutes)
-    for label in ("rogers-satchell", "garman-klass-hl"):
+    # the exact (high, low, close) laws against 1e5 paths of 1e5 steps
+    for label in ("rogers-satchell", "garman-klass-hl", "garman-klass-hc"):
         chi2, dof, p = goodness_of_fit(gof_summary, label, 0.0)
         assert dof > 100 and p > 1e-3, (label, chi2, dof, p)
 

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangevol import EstimatorKind, GarmanKlassVariant, paths
+from rangevol import EstimatorKind, GarmanKlassVariant, analytics, densities, paths
 from rangevol.estimators import estimator_value
 from rangevol.montecarlo import _CellAccumulator
 
@@ -80,3 +80,38 @@ def test_estimators_are_scale_equivariant(h, l, frac, xi, zeta, alpha):
                                      alpha * xi, alpha * zeta, variant)
             # the floor covers results that land among the subnormals
             assert abs(scaled - alpha**2 * base) <= 1e-13 * bound + TINY, (kind, variant)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+drift = st.floats(-1e3, 1e3)  # far past the paper's; from about 1e8 the closed forms cancel
+DENSITIES = (  # each public scalar density, its point arguments, and whether a drift follows
+    (densities.close_pdf, 1, True), (densities.high_pdf, 1, True),
+    (densities.high_close_joint_pdf, 2, True), (densities.hlc_joint_pdf, 3, True),
+    (densities.range_close_joint_pdf, 2, True), (densities.range_pdf, 1, True),
+    (densities.bridge_hl_joint_pdf, 2, False), (densities.bridge_range_pdf, 1, False),
+    (densities.parkinson_estimator_pdf, 1, True), (densities.bridge_estimator_pdf, 1, False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_public_densities_are_finite_and_nonnegative(data):
+    # every point argument over the whole finite float range
+    for density, points, drifted in DENSITIES:
+        args = data.draw(st.tuples(*[finite] * points, *[drift] * drifted), label=density.__name__)
+        value = density(*args)
+        value = value if isinstance(value, float) else value.value
+        assert math.isfinite(value) and value >= 0.0, (density.__name__, args, value)
+
+
+@QUICK
+@given(points=st.lists(st.floats(allow_nan=False), max_size=40), gamma=drift)
+def test_range_law_cdfs_are_monotone_in_the_unit_interval(points, gamma):
+    # the array laws and the estimator CDFs on them, with +-inf always included;
+    # the dual and image forms meet at d = 1.5 to within 1e-14
+    x = np.sort(np.array(points + [-math.inf, math.inf]))
+    for kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
+        law, _ = densities._range_law(kind, gamma)
+        for cdf in (law(x)[0], analytics._estimator_cdf(kind, gamma, x, None)):
+            assert cdf[0] == 0.0 and cdf[-1] == 1.0
+            assert np.all((cdf >= 0.0) & (cdf <= 1.0)) and np.all(np.diff(cdf) >= -1e-14)
