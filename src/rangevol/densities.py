@@ -152,26 +152,6 @@ def _image_series(shell, mask, cols, context: str) -> tuple[np.ndarray, int]:
     return total, m
 
 
-def _reflection_shell(kernel):
-    """Shell m of sum over mm = +-m of mm * (mm K(mm d) + (1 - mm) K(mm d + l)).
-
-    ``kernel(u, *extra)`` returns K(u) and the exponent it passed to exp; the shell
-    takes (m, d, l, *extra) and returns its terms and their largest exponent.
-    """
-
-    def shell(m, d, l, *extra):
-        t = 0.0
-        top = -np.inf
-        for mm in (m, -m):
-            k1, x1 = kernel(mm * d, *extra)
-            k2, x2 = kernel(mm * d + l, *extra)
-            t = t + mm * (mm * k1 + (1 - mm) * k2)
-            top = np.maximum(top, np.maximum(x1, x2))
-        return t, top
-
-    return shell
-
-
 # ---------------------------------------------------------------------------
 # Close and high
 # ---------------------------------------------------------------------------
@@ -225,9 +205,20 @@ def high_pdf(eta: float, gamma: float) -> DensityValue:
 # Joint density of (high, low, close)
 # ---------------------------------------------------------------------------
 
-def _hlc_kernel(u, chi):
-    x = 2.0 * u * (chi - u)
-    return ((chi - 2.0 * u) ** 2 - 1.0) * np.exp(x), x
+def _hlc_shell(m, d, l, chi):
+    """Shell m of the (h, l, c) image series, the sum over mm = +-m of
+    mm * (mm K(mm d) + (1 - mm) K(mm d + l)) with
+    K(u) = ((chi - 2u)^2 - 1) exp(2u(chi - u)): its terms and largest exponent."""
+    t = 0.0
+    top = -np.inf
+    for mm in (m, -m):
+        u1, u2 = mm * d, mm * d + l
+        x1, x2 = 2.0 * u1 * (chi - u1), 2.0 * u2 * (chi - u2)
+        k1 = ((chi - 2.0 * u1) ** 2 - 1.0) * np.exp(x1)
+        k2 = ((chi - 2.0 * u2) ** 2 - 1.0) * np.exp(x2)
+        t = t + mm * (mm * k1 + (1 - mm) * k2)
+        top = np.maximum(top, np.maximum(x1, x2))
+    return t, top
 
 
 def _hlc_series_grid(eta, ell, chi) -> tuple[np.ndarray, int]:
@@ -240,9 +231,7 @@ def _hlc_series_grid(eta, ell, chi) -> tuple[np.ndarray, int]:
     """
     eta, ell, chi = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (eta, ell, chi)))
     mask = (eta > np.maximum(0.0, chi)) & (ell < np.minimum(0.0, chi)) & (eta - ell >= _MASS_FLOOR)
-    total, shells = _image_series(
-        _reflection_shell(_hlc_kernel), mask, (eta - ell, ell, chi), "(h,l,c) joint density"
-    )
+    total, shells = _image_series(_hlc_shell, mask, (eta - ell, ell, chi), "(h,l,c) joint density")
     return 4.0 * total, shells
 
 
@@ -513,20 +502,6 @@ def range_pdf(delta: float, gamma: float = 0.0) -> DensityValue:
 # Bridge extremes and bridge range
 # ---------------------------------------------------------------------------
 
-def _bridge_hl_series_grid(eta, ell) -> tuple[np.ndarray, int]:
-    """Joint density of the bridge (high, low), vectorized over grids."""
-    eta, ell = np.broadcast_arrays(np.asarray(eta, dtype=float), np.asarray(ell, dtype=float))
-    mask = (eta > 0.0) & (ell < 0.0) & (eta - ell >= _MASS_FLOOR)
-
-    def kernel(u):
-        x = -2.0 * u * u
-        return 4.0 * (4.0 * u * u - 1.0) * np.exp(x), x
-
-    return _image_series(
-        _reflection_shell(kernel), mask, (eta - ell, ell), "bridge (high, low) density"
-    )
-
-
 def bridge_hl_joint_pdf(eta: float, ell: float) -> DensityValue:
     """Joint density of the bridge extremes (xi, zeta); support eta > 0 > ell."""
     _require_finite("bridge_hl_joint_pdf", eta=eta, ell=ell)
@@ -535,7 +510,8 @@ def bridge_hl_joint_pdf(eta: float, ell: float) -> DensityValue:
         return DensityValue(0.0, 0, True)
     if eta - ell < _MASS_FLOOR:
         return DensityValue(0.0, 0, False)
-    series, shells = _bridge_hl_series_grid(np.float64(eta), np.float64(ell))
+    # the bridge is the path conditioned on close 0: the (h, l, c) series at close 0
+    series, shells = _hlc_series_grid(np.float64(eta), np.float64(ell), 0.0)
     return _finish(float(series), shells)
 
 

@@ -8,6 +8,9 @@ batch, never what it contains).  Within a batch every estimator and every
 drift value consume the same shock matrix (common random numbers), and the
 bridge samples are bit-identical across the drift grid.
 
+One table, ``_CELLS``, maps each label to its (kind, Garman-Klass variant):
+Garman-Klass always gives both variants; a bare Garman-Klass kind reads hl.
+
 Summaries are streamed: central moments up to order four per cell
 (mean/variance plus their standard errors), the factor-two coverage count,
 and a fixed-bin histogram with explicit underflow/overflow counters.
@@ -48,12 +51,24 @@ __all__ = [
     "sample_dump",
 ]
 
-_ALL_KINDS = (
-    EstimatorKind.PARKINSON,
-    EstimatorKind.GARMAN_KLASS,
-    EstimatorKind.ROGERS_SATCHELL,
-    EstimatorKind.BRIDGE,
-)
+# The resource cap on n_paths * n_steps, the normal draws of one experiment.
+_MAX_DRAWS = 200_000_000_000
+# The histogram range of every cell.
+_HISTOGRAM_RANGE = (0.0, 6.0)
+# The smallest expected count of a pooled goodness-of-fit cell.
+_MIN_EXPECTED = 5.0
+
+# label -> (kind, Garman-Klass variant) of every cell an experiment can report
+_CELLS = {
+    estimator_label(kind, variant): (kind, variant)
+    for kind in EstimatorKind
+    for variant in (GarmanKlassVariant if kind is EstimatorKind.GARMAN_KLASS
+                    else (GarmanKlassVariant.HIGH_LOW_CROSS,))
+}
+
+
+def _hist_edges(bins: int) -> np.ndarray:
+    return np.linspace(*_HISTOGRAM_RANGE, bins + 1)
 
 
 @dataclass(frozen=True)
@@ -62,23 +77,18 @@ class ExperimentConfig:
 
     ``batch_size`` is part of the stream layout: changing it changes which
     shocks each path receives (but never breaks determinism for a fixed
-    value).  ``gk_both_variants`` reports the two Garman-Klass cross-term
-    variants side by side whenever Garman-Klass is requested.  ``shocks``
-    is a test hook: a fixed (n_paths, n_steps) shock matrix that replaces
-    the RNG entirely.
+    value).  Garman-Klass reports both cross-term variants, and histograms
+    span [0, 6].  ``shocks`` is a test hook: a fixed (n_paths, n_steps)
+    shock matrix that replaces the RNG entirely.
     """
 
     n_steps: int = 5_000
     n_paths: int = 100_000
     gamma_grid: tuple[float, ...] = (0.0, 0.5, 1.0, 1.5, 2.0)
     seed: int = 0
-    estimators: tuple[EstimatorKind, ...] = _ALL_KINDS
-    gk_variant: GarmanKlassVariant = GarmanKlassVariant.HIGH_LOW_CROSS
-    gk_both_variants: bool = True
+    estimators: tuple[EstimatorKind, ...] = tuple(EstimatorKind)
     histogram_bins: int = 200
-    histogram_range: tuple[float, float] = (0.0, 6.0)
     batch_size: int = 512
-    max_draws: int = 200_000_000_000
     shocks: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -88,31 +98,23 @@ class ExperimentConfig:
             raise ValueError("n_paths must be >= 2")
         if self.histogram_bins < 1:
             raise ValueError("histogram_bins must be >= 1")
-        if not self.histogram_range[1] > self.histogram_range[0]:
-            raise ValueError("histogram_range must be increasing")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not self.gamma_grid:
             raise ValueError("gamma_grid must not be empty")
         if not all(math.isfinite(g) for g in self.gamma_grid):
             raise ValueError(f"gamma_grid must hold finite drifts, got {self.gamma_grid}")
-        if self.n_paths * self.n_steps > self.max_draws:
+        if self.n_paths * self.n_steps > _MAX_DRAWS:
             raise ValueError(
                 f"resource limit exceeded: n_paths * n_steps = {self.n_paths * self.n_steps} "
-                f"> max_draws = {self.max_draws}"
+                f"> {_MAX_DRAWS}, the cap"
             )
         if self.shocks is not None and self.shocks.shape != (self.n_paths, self.n_steps):
             raise ValueError("shocks must have shape (n_paths, n_steps)")
 
     def labels(self) -> tuple[str, ...]:
-        out = []
-        for kind in self.estimators:
-            if kind is EstimatorKind.GARMAN_KLASS and self.gk_both_variants:
-                out.append(estimator_label(kind, GarmanKlassVariant.HIGH_LOW_CROSS))
-                out.append(estimator_label(kind, GarmanKlassVariant.HIGH_CLOSE_CROSS))
-            else:
-                out.append(estimator_label(kind, self.gk_variant))
-        return tuple(out)
+        return tuple(label for kind in self.estimators
+                     for label, (k, _) in _CELLS.items() if k is kind)
 
 
 @dataclass
@@ -212,8 +214,7 @@ class ExperimentSummary:
 
     @property
     def hist_edges(self) -> np.ndarray:
-        lo, hi = self.config.histogram_range
-        return np.linspace(lo, hi, self.config.histogram_bins + 1)
+        return _hist_edges(self.config.histogram_bins)
 
 
 def _batch_samples(cfg: ExperimentConfig, batch_index: int):
@@ -228,12 +229,9 @@ def _batch_samples(cfg: ExperimentConfig, batch_index: int):
     xi, zeta = (None, None) if xz is None else xz
     out = {}
     for gamma, (h, l, c) in zip(cfg.gamma_grid, hlc):
-        for kind in cfg.estimators:
-            gk_both = kind is EstimatorKind.GARMAN_KLASS and cfg.gk_both_variants
-            for var in tuple(GarmanKlassVariant) if gk_both else (cfg.gk_variant,):
-                out[(estimator_label(kind, var), gamma)] = estimator_value(
-                    kind, h, l, c, xi, zeta, var
-                )
+        for label in cfg.labels():
+            kind, variant = _CELLS[label]
+            out[(label, gamma)] = estimator_value(kind, h, l, c, xi, zeta, variant)
     return out
 
 
@@ -267,8 +265,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     bit-identical summaries for any worker count.
     """
     n_batches = (cfg.n_paths + cfg.batch_size - 1) // cfg.batch_size
-    lo, hi = cfg.histogram_range
-    edges = np.linspace(lo, hi, cfg.histogram_bins + 1)
+    edges = _hist_edges(cfg.histogram_bins)
     tasks = [(cfg, b, edges) for b in range(n_batches)]
     workers = _worker_count(n_batches)
     results = []
@@ -330,16 +327,12 @@ def _analytic_bin_density(kind: EstimatorKind, gamma: float, edges: np.ndarray,
     return np.diff(analytics._estimator_cdf(kind, gamma, edges, variant)) / np.diff(edges)
 
 
-def _resolve_label(summary: ExperimentSummary, estimator):
+def _resolve_label(estimator):
     """(label, kind, Garman-Klass variant) of an estimator kind or label."""
-    if isinstance(estimator, EstimatorKind):
-        variant = summary.config.gk_variant
-        return estimator_label(estimator, variant), estimator, variant
-    for kind in _ALL_KINDS:
-        for variant in GarmanKlassVariant:
-            if estimator == estimator_label(kind, variant):
-                return estimator, kind, variant
-    raise ValueError(f"unknown estimator {estimator!r}")
+    label = estimator_label(estimator) if isinstance(estimator, EstimatorKind) else estimator
+    if label not in _CELLS:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    return (label, *_CELLS[label])
 
 
 def histogram_vs_pdf(summary: ExperimentSummary, estimator, gamma: float):
@@ -351,7 +344,7 @@ def histogram_vs_pdf(summary: ExperimentSummary, estimator, gamma: float):
     at every edge, seconds to minutes per cell.  Raises if the requested
     cell was not simulated.
     """
-    label, kind, variant = _resolve_label(summary, estimator)
+    label, kind, variant = _resolve_label(estimator)
     cell = summary.cell(label, gamma)
     edges = summary.hist_edges
     widths = np.diff(edges)
@@ -361,18 +354,17 @@ def histogram_vs_pdf(summary: ExperimentSummary, estimator, gamma: float):
     return [(float(c), float(e), float(a)) for c, e, a in zip(centers, empirical, analytic)]
 
 
-def goodness_of_fit(summary: ExperimentSummary, estimator, gamma: float,
-                    min_expected: float = 5.0):
+def goodness_of_fit(summary: ExperimentSummary, estimator, gamma: float):
     """Chi-square test of the sampled histogram against the analytic density,
     for any of the four kinds.
 
-    Adjacent bins are pooled until each expected count reaches
-    ``min_expected``; mass outside the histogram range forms one extra
-    cell.  Returns (chi2, dof, p_value).
+    Adjacent bins are pooled until each expected count reaches 5; mass
+    outside the histogram range forms one extra cell.  Returns (chi2, dof,
+    p_value).
     """
     from scipy.special import chdtrc  # the survival function that chi2.sf wraps
 
-    label, kind, variant = _resolve_label(summary, estimator)
+    label, kind, variant = _resolve_label(estimator)
     cell = summary.cell(label, gamma)
     edges = summary.hist_edges
     widths = np.diff(edges)
@@ -384,7 +376,7 @@ def goodness_of_fit(summary: ExperimentSummary, estimator, gamma: float,
     for o, e in zip(observed, expected):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= _MIN_EXPECTED:
             pooled_obs.append(acc_o)
             pooled_exp.append(acc_e)
             acc_o = acc_e = 0.0
@@ -393,7 +385,7 @@ def goodness_of_fit(summary: ExperimentSummary, estimator, gamma: float,
         pooled_exp[-1] += acc_e
     out_obs = cell.n - sum(pooled_obs)
     out_exp = cell.n - sum(pooled_exp)
-    if out_exp >= min_expected:
+    if out_exp >= _MIN_EXPECTED:
         pooled_obs.append(out_obs)
         pooled_exp.append(out_exp)
     obs = np.asarray(pooled_obs)
@@ -407,24 +399,21 @@ def sample_dump(cfg: ExperimentConfig, count: int):
     """First ``count`` per-path samples of each estimator (shared paths).
 
     Drift-dependent estimators are evaluated at the first grid drift;
-    Garman-Klass uses ``cfg.gk_variant``.  Returns (labels, array of shape
-    (count, len(labels))).  Deterministic for a fixed seed.
+    Garman-Klass gives its high-low variant.  Returns (labels, array of
+    shape (count, len(labels))).  Deterministic for a fixed seed.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     if count > cfg.n_paths:
         raise ValueError(f"count={count} exceeds n_paths={cfg.n_paths}")
     gamma = cfg.gamma_grid[0]
-    labels = [estimator_label(kind, cfg.gk_variant) for kind in cfg.estimators]
+    labels = [_resolve_label(kind)[0] for kind in cfg.estimators]
     out = np.empty((count, len(labels)))
-    done = 0
-    batch = 0
-    single = replace(cfg, gk_both_variants=False, gamma_grid=cfg.gamma_grid[:1])
-    while done < count:
-        samples = _batch_samples(single, batch)
-        take = min(count - done, next(iter(samples.values())).size)
+    first = replace(cfg, gamma_grid=(gamma,))
+    for batch in range(-(-count // cfg.batch_size)):
+        samples = _batch_samples(first, batch)
+        start = batch * cfg.batch_size
+        take = min(count - start, cfg.batch_size)
         for j, label in enumerate(labels):
-            out[done : done + take, j] = samples[(label, gamma)][:take]
-        done += take
-        batch += 1
+            out[start : start + take, j] = samples[(label, gamma)][:take]
     return labels, out

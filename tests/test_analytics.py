@@ -107,6 +107,25 @@ def test_rogers_satchell_mean_is_unit_for_all_drifts():
         assert abs(rogers_satchell_mean(gamma) - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("gamma", [300.0, -300.0, 1000.0, -1000.0])
+def test_range_moments_hold_the_mass_at_large_drifts(gamma, monkeypatch):
+    # the range is at least |c| with c ~ N(gamma, 1), so its mass lies within
+    # about 10 of |gamma|; a 256-panel rule over the whole range is the oracle
+    law, _ = densities._range_law(EstimatorKind.PARKINSON, gamma)
+    d, w = analytics._gl_nodes(densities._MASS_FLOOR, analytics._range_cut(gamma), 24, panels=256)
+    mass = w * law(d)[1]
+    e_d2, e_d4 = float(mass @ (d * d)), float(mass @ (d * d) ** 2)
+    parkinson = theoretical_moments(EstimatorKind.PARKINSON, gamma).mean
+    assert parkinson == pytest.approx(e_d2 / LN16, rel=1e-9)
+    if abs(gamma) == 1000.0:  # E d^2 = gamma^2 + 3 + O(1 / gamma^2)
+        assert parkinson == pytest.approx(360_674.8423, rel=1e-9)
+    means = [garman_klass_mean(gamma, variant=v) for v in GarmanKlassVariant]
+    monkeypatch.setattr(analytics, "_range_moments", lambda kind, g: (e_d2, e_d4))
+    for variant, mean in zip(GarmanKlassVariant, means):
+        assert mean > 0.0
+        assert mean == pytest.approx(garman_klass_mean(gamma, variant=variant), rel=1e-9)
+
+
 # Variances from the exact (high, low, close) law at gamma = 0, 1, 2; the
 # zero-drift Rogers-Satchell value is the 0.331 of Rogers, Satchell & Yoon
 # (1994).  Garman-Klass is the default high-low cross-term variant.

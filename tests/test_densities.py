@@ -637,10 +637,14 @@ def _series_cases():
         l = min(0.0, chi) - (x + 1) * 4.0
         args = (e[:, None], l[None, :], chi)
         cases.append((f"hlc-{chi}", densities._hlc_series_grid, _reference_hlc, args))
+
+    def bridge_grid(eta, ell):  # the bridge (high, low) series is the (h, l, c) one at close 0
+        return densities._hlc_series_grid(eta, ell, 0.0)
+
     for lo, hi in ((0.0, 3.0), (3.0, 6.0)):
         e = lo + (x + 1) * (hi - lo) / 2
         args = (e[:, None], -e[None, :])
-        cases.append((f"bridge-{lo}-{hi}", densities._bridge_hl_series_grid, _reference_bridge_hl, args))
+        cases.append((f"bridge-{lo}-{hi}", bridge_grid, _reference_bridge_hl, args))
     for chi in (0.0, -0.5, 1.0):
         e = max(0.0, chi) + (x[::2] + 1) * 4.0
         lo = min(0.0, chi) - (x[::2] + 1) * 4.0

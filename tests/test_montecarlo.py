@@ -53,7 +53,6 @@ def test_two_forced_paths_match_hand_computation():
     shocks = np.array([[1.0, -2.0, 1.5, 0.5], [-0.5, 0.25, 0.0, 1.0]])
     cfg = ExperimentConfig(
         n_steps=4, n_paths=2, gamma_grid=(0.0, 1.0), shocks=shocks,
-        gk_both_variants=False,
     )
     summary = run_experiment(cfg)
     for gamma in (0.0, 1.0):
@@ -136,11 +135,6 @@ def test_labels_report_both_gk_variants():
     assert cfg.labels() == (
         "parkinson", "garman-klass-hl", "garman-klass-hc", "rogers-satchell", "bridge",
     )
-    single = ExperimentConfig(
-        n_steps=8, n_paths=4, gk_both_variants=False,
-        gk_variant=GarmanKlassVariant.HIGH_CLOSE_CROSS,
-    )
-    assert "garman-klass-hc" in single.labels() and "garman-klass-hl" not in single.labels()
 
 
 def test_histogram_vs_pdf_columns(desk_summary):
@@ -165,7 +159,7 @@ def test_histogram_vs_pdf_rogers_satchell_column(desk_summary):
     rows = histogram_vs_pdf(summary, EstimatorKind.ROGERS_SATCHELL, 1.0)
     edges = summary.hist_edges
     cdf = analytics._estimator_cdf(EstimatorKind.ROGERS_SATCHELL, 1.0, edges,
-                                   summary.config.gk_variant)
+                                   GarmanKlassVariant.HIGH_LOW_CROSS)
     ana = np.array([r[2] for r in rows])
     assert np.all(np.isfinite(ana)) and np.all(ana >= 0.0)
     assert np.array_equal(ana, np.diff(cdf) / np.diff(edges))
@@ -193,7 +187,7 @@ def test_goodness_of_fit_reads_the_labelled_gk_variant(desk_summary, monkeypatch
     goodness_of_fit(summary, EstimatorKind.GARMAN_KLASS, 0.5)
     gk = EstimatorKind.GARMAN_KLASS
     assert seen == [(gk, 0.5, GarmanKlassVariant.HIGH_CLOSE_CROSS),
-                    (gk, 0.5, summary.config.gk_variant)]
+                    (gk, 0.5, GarmanKlassVariant.HIGH_LOW_CROSS)]
     with pytest.raises(ValueError, match="unknown estimator"):
         goodness_of_fit(summary, "garman-klass", 0.5)
 
@@ -261,6 +255,16 @@ def test_sample_dump_prefix_stable():
     _, small = sample_dump(cfg, 50)
     _, large = sample_dump(cfg, 1_500)
     assert np.array_equal(small, large[:50])
+
+
+def test_sample_dump_columns_are_the_high_low_cells_of_the_batches():
+    # the dump reads the cells of the run at the first drift; Garman-Klass gives hl
+    cfg = ExperimentConfig(n_steps=50, n_paths=150, gamma_grid=(0.4, 1.2), seed=13, batch_size=64)
+    labels, dump = sample_dump(cfg, 150)
+    assert labels == ["parkinson", "garman-klass-hl", "rogers-satchell", "bridge"]
+    batches = [montecarlo._batch_samples(cfg, b) for b in range(3)]
+    for j, label in enumerate(labels):
+        assert np.array_equal(dump[:, j], np.concatenate([s[(label, 0.4)] for s in batches]))
 
 
 def test_estimator_label():
