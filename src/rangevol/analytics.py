@@ -331,7 +331,8 @@ def theoretical_moments(
     Garman-Klass and Rogers-Satchell combine the 2D mean with E[estimator^2]
     from the (high, low, close) law.  The variance is E[est^2] - mean^2, so
     it loses digits to that cancellation as |gamma| grows: for Parkinson,
-    E d^4 - (E d^2)^2 is good to 2.7e-6 relative at |gamma| = 1000.
+    E d^4 - (E d^2)^2 is good to 2.7e-6 relative at |gamma| = 1000, and
+    from about 1e5 it comes out negative, which raises ``ValueError``.
     """
     densities._require_finite("theoretical_moments", gamma=gamma)
     if kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
@@ -345,6 +346,11 @@ def theoretical_moments(
         mean = _quadratic_mean(form, gamma)
         second = _hlc_moment(lambda h, l, c: form(h, l, c) ** 2, gamma)
     var = second - mean * mean
+    if var < 0.0:
+        raise ValueError(
+            f"theoretical_moments: the {kind.value} variance at drift {gamma!r} is {var:.6g}: "
+            "E[est^2] - mean^2 cancelled"
+        )
     rho = (mean - 1.0) / math.sqrt(var) if var > 0.0 else math.nan
     return MomentReport(
         estimator=kind,

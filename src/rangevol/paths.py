@@ -27,8 +27,17 @@ consecutive batches to their extremes at a drift grid, and
 :func:`simulate_path` is row 0 of batch 0.  Changing any step above changes
 every seeded result; ``tests/test_stream_layout.py`` pins the layout.
 
+:func:`batch_extremes` draws and reduces each batch in chunks of
+consecutive rows, at most ``_CHUNK_SHOCKS`` shocks each, through reused
+shock and sums buffers.  The chunks consume the batch's generator in the
+order of one whole-batch draw, and every step is row by row, so the stream
+layout is unchanged.  Besides its results, its working set depends on
+neither ``n_paths``, ``batch_size`` nor ``n_steps`` (up to
+``_CHUNK_SHOCKS`` steps).  :func:`_partial_sums` is the one owner of the
+draw, the cumsum and the scaling, for a chunk or a whole batch.
+
 The reduction to extremes is block-pruned on long rows: the driftless sums
-are reduced to per-block extremes once per batch, and each drift (and the
+are reduced to per-block extremes once per chunk, and each drift (and the
 bridge) evaluates only the blocks whose bound can hold the row's extreme.
 It is exact -- every value it keeps is computed with the same operations
 as the whole row, and max and min do not round -- so it returns the
@@ -153,34 +162,71 @@ def batch_paths(seed, batch_index: int, size: int, n_steps: int, gamma: float = 
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     _require_finite("batch_paths", drift=gamma)
-    if shocks is not None:
-        eps = np.asarray(shocks, dtype=float)
-        if eps.shape != (size, n_steps):
-            raise ValueError(f"shocks must have shape ({size}, {n_steps})")
-    else:
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, batch_index]))
-        eps = gen.standard_normal((size, n_steps))
     x = np.empty((size, n_steps + 1))
-    x[:, 0] = 0.0
-    np.cumsum(eps, axis=1, out=x[:, 1:])
-    x[:, 1:] /= math.sqrt(n_steps)
+    if shocks is not None:
+        _partial_sums(_checked_shocks(shocks, size, n_steps), x)
+    else:
+        _partial_sums(np.empty((size, n_steps)), x, _generator(seed, batch_index))
     if gamma != 0.0:
         x += gamma * (np.arange(n_steps + 1) / n_steps)
     return x
+
+
+def _generator(seed, batch_index: int) -> np.random.Generator:
+    """The generator of batch ``batch_index``: Philox keyed by ``seed``."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, batch_index]))
+
+
+def _checked_shocks(shocks, rows: int, n_steps: int) -> np.ndarray:
+    """The ``shocks`` test hook as a float ``(rows, n_steps)`` array."""
+    eps = np.asarray(shocks, dtype=float)
+    if eps.shape != (rows, n_steps):
+        raise ValueError(f"shocks must have shape ({rows}, {n_steps})")
+    return eps
+
+
+def _partial_sums(eps, out, gen=None) -> None:
+    """Write the driftless sums of the rows of ``eps`` into ``out``.
+
+    ``out`` holds one more column than ``eps``: a leading 0, then
+    ``cumsum(eps) / sqrt(N)`` along each row.  With ``gen`` the rows of
+    ``eps`` are first drawn from it, row-major, so consecutive calls on
+    consecutive rows consume the stream as one whole-batch draw would.
+    """
+    if gen is not None:
+        gen.standard_normal(out=eps)
+    out[:, 0] = 0.0
+    np.cumsum(eps, axis=1, out=out[:, 1:])
+    out[:, 1:] /= math.sqrt(eps.shape[1])
+
+
+_CHUNK_SHOCKS = 1 << 19
+"""Most shocks :func:`batch_extremes` draws and reduces at once (one row at least).
+
+Measured on one desk batch (512 x 5000, five drifts), one process on 2
+vCPUs: 2^19-2^20 shocks take 79-90 ms, as fast as the whole batch (84-96
+ms); 2^17 take 87-101 ms and 2^15 153 ms, because the pruned reduction has
+a fixed cost per chunk."""
 
 
 def batch_extremes(seed, n_paths: int, n_steps: int, gammas, batch_size: int = 1024,
                    first_batch: int = 0, shocks=None, bridge: bool = True):
     """Extremes of ``n_paths`` paths, drawn batch by batch from ``first_batch`` on.
 
-    Each batch holds ``batch_size`` paths (the last one may hold fewer) and
-    is reduced, one drift at a time, before the next is drawn, so memory
-    does not grow with ``n_paths`` or the length of the grid.  ``shocks``
-    replaces the RNG with a fixed ``(n_paths, n_steps)`` matrix.
+    Each batch holds ``batch_size`` paths (the last one may hold fewer).  A
+    batch is drawn and reduced in chunks of consecutive rows, at most
+    ``_CHUNK_SHOCKS`` shocks (or one row) each: a chunk's rows are drawn
+    from the batch's generator into one reused shock buffer, summed into one
+    reused sums buffer, and reduced at every drift before the next chunk is
+    drawn.  The generator is consumed in the order of one whole-batch draw,
+    so the stream layout is unchanged.  Besides the returned arrays the
+    working set is one chunk, whatever ``n_paths``, ``batch_size``,
+    ``n_steps`` (up to ``_CHUNK_SHOCKS``) or the length of the grid.
+    ``shocks`` replaces the RNG with a fixed ``(n_paths, n_steps)`` matrix.
 
     On rows of at least ``_MIN_PRUNED_COLS`` values the reduction works on
     blocks of ``_BLOCK`` columns: the block max and min of the driftless
-    sums are taken once per batch, zero drift reads its extremes off them,
+    sums are taken once per chunk, zero drift reads its extremes off them,
     and every other drift and the bridge evaluate only the blocks that can
     hold an extreme (see :func:`_drifted_extremes`).  Shorter rows are
     reduced whole.  Both give the whole-row extremes bit for bit.
@@ -190,21 +236,32 @@ def batch_extremes(seed, n_paths: int, n_steps: int, gammas, batch_size: int = 1
     the bridge high and low (shape ``(2, n_paths)``), or is None when
     ``bridge`` is false.
     """
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
     for gamma in gammas:
         _require_finite("batch_extremes", drift=gamma)
+    if shocks is not None:
+        shocks = _checked_shocks(shocks, n_paths, n_steps)
     tau = np.arange(n_steps + 1) / n_steps
     hlc = np.empty((len(gammas), 3, n_paths))
     xz = np.empty((2, n_paths)) if bridge else None
+    chunk = max(1, _CHUNK_SHOCKS // n_steps)
+    rows = min(chunk, batch_size, n_paths)
+    eps_buf = np.empty((rows, n_steps)) if shocks is None else None
+    s_buf = np.empty((rows, n_steps + 1))
     for lo in range(0, n_paths, batch_size):
         hi = min(lo + batch_size, n_paths)
-        s = batch_paths(seed, first_batch + lo // batch_size, hi - lo, n_steps,
-                        shocks=None if shocks is None else shocks[lo:hi])
-        blocks = _block_extremes(s) if n_steps + 1 >= _MIN_PRUNED_COLS else None
-        if bridge:
-            xz[:, lo:hi] = _drifted_extremes(s, tau, -s[:, -1:], blocks)
-        for g, gamma in enumerate(gammas):
-            hlc[g, :2, lo:hi] = _drifted_extremes(s, tau, gamma, blocks)
-            hlc[g, 2, lo:hi] = s[:, -1] + gamma if gamma != 0.0 else s[:, -1]
+        gen = None if shocks is not None else _generator(seed, first_batch + lo // batch_size)
+        for a in range(lo, hi, chunk):
+            b = min(a + chunk, hi)
+            s = s_buf[:b - a]
+            _partial_sums(eps_buf[:b - a] if gen is not None else shocks[a:b], s, gen)
+            blocks = _block_extremes(s) if n_steps + 1 >= _MIN_PRUNED_COLS else None
+            if bridge:
+                xz[:, a:b] = _drifted_extremes(s, tau, -s[:, -1:], blocks)
+            for g, gamma in enumerate(gammas):
+                hlc[g, :2, a:b] = _drifted_extremes(s, tau, gamma, blocks)
+                hlc[g, 2, a:b] = s[:, -1] + gamma if gamma != 0.0 else s[:, -1]
     return hlc, xz
 
 

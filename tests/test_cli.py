@@ -326,6 +326,17 @@ def test_tables_variance_analytic_rows(tmp_path):
     assert {r[0]: r[3] for r in rows} == {"parkinson": "quadrature", "bridge": "closed-form"}
 
 
+def test_tables_variance_cancellation_names_its_cause(tmp_path, capsys):
+    # at this drift E[est^2] - mean^2 comes out negative
+    out = tmp_path / "v.csv"
+    assert run_cli("tables", "--table", "variance", "--gammas", "100000",
+                   "--estimators", "parkinson", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "parkinson variance at drift 100000.0" in err
+    assert "E[est^2] - mean^2 cancelled" in err
+    assert not out.exists()
+
+
 def test_tables_relative_bias_zero_drift(tmp_path):
     """Zero-drift relative bias of the continuous-time estimators.
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,14 +243,14 @@ def test_window_extremes_rejects_degenerate_windows():
 PRUNE_GAMMAS = (0.0, 0.5, -0.5, 2.0, -2.0, 5.0, -5.0)
 
 
-def _whole_row_batch_extremes(seed, n_paths, n_steps, gammas, batch_size, shocks):
+def _whole_row_batch_extremes(seed, n_paths, n_steps, gammas, batch_size, shocks, first_batch=0):
     """``batch_extremes`` as a plain loop over every value of every row."""
     tau = np.arange(n_steps + 1) / n_steps
     hlc = np.empty((len(gammas), 3, n_paths))
     xz = np.empty((2, n_paths))
     for b, lo in enumerate(range(0, n_paths, batch_size)):
         hi = min(lo + batch_size, n_paths)
-        s = paths.batch_paths(seed, b, hi - lo, n_steps,
+        s = paths.batch_paths(seed, first_batch + b, hi - lo, n_steps,
                               shocks=None if shocks is None else shocks[lo:hi])
         z = s - tau[None, :] * s[:, -1:]
         xz[:, lo:hi] = z.max(axis=1), z.min(axis=1)
@@ -260,19 +261,49 @@ def _whole_row_batch_extremes(seed, n_paths, n_steps, gammas, batch_size, shocks
 
 
 @pytest.mark.parametrize("zero_shocks", [False, True], ids=["random", "zero-shocks"])
-@pytest.mark.parametrize("n_steps", [1, 20, 63, 64, 65, 638, 639, 640, 702, 5000])
+@pytest.mark.parametrize("n_steps", [1, 20, 63, 64, 65, 638, 639, 640, 702, 5000, 20000])
 def test_batch_extremes_bit_identical_to_whole_rows(n_steps, zero_shocks):
     # Rows of fewer than 640 values are reduced whole; 639, 640 and 702 steps
     # give pruned rows whose last block holds 64, 1 and 63 columns.  150
     # paths in batches of 64: the last batch holds 22.  Zero shocks put
     # every block's extreme exactly on its bound (bridge: every value is 0).
+    # At 20 000 steps a chunk holds 26 rows, so each full batch is drawn and
+    # reduced in chunks of 26, 26 and 12 rows.
     n_paths, batch = 150, 64
     shocks = np.zeros((n_paths, n_steps)) if zero_shocks else None
-    hlc, xz = _whole_row_batch_extremes(7, n_paths, n_steps, PRUNE_GAMMAS, batch, shocks)
-    got_hlc, got_xz = paths.batch_extremes(7, n_paths, n_steps, PRUNE_GAMMAS, batch, shocks=shocks)
-    assert got_hlc.tobytes() == hlc.tobytes()
-    assert got_xz.tobytes() == xz.tobytes()
-    no_bridge, none = paths.batch_extremes(7, n_paths, n_steps, PRUNE_GAMMAS, batch,
-                                           shocks=shocks, bridge=False)
-    assert none is None and no_bridge.tobytes() == hlc.tobytes()
+    for first_batch in (0, 3):
+        hlc, xz = _whole_row_batch_extremes(7, n_paths, n_steps, PRUNE_GAMMAS, batch, shocks,
+                                            first_batch)
+        got_hlc, got_xz = paths.batch_extremes(7, n_paths, n_steps, PRUNE_GAMMAS, batch,
+                                               first_batch, shocks=shocks)
+        assert got_hlc.tobytes() == hlc.tobytes()
+        assert got_xz.tobytes() == xz.tobytes()
+        no_bridge, none = paths.batch_extremes(7, n_paths, n_steps, PRUNE_GAMMAS, batch,
+                                               first_batch, shocks=shocks, bridge=False)
+        assert none is None and no_bridge.tobytes() == hlc.tobytes()
+    if n_steps == 20000:
+        assert paths._CHUNK_SHOCKS // n_steps == 26
 
+
+def _peak_mb(fn) -> float:
+    """Peak of the memory traced while ``fn()`` runs, in MB (numpy reports
+    its buffers to ``tracemalloc``)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("size, n_steps", [(512, 5000), (64, 100_000)], ids=["desk", "long-rows"])
+def test_batch_extremes_working_set_is_bounded(size, n_steps):
+    # one whole batch at once peaked at 39.9 MB (desk) and 98.4 MB (long rows)
+    gammas = (0.0, 0.5, 1.0, 2.0, -1.0)
+    peak = _peak_mb(lambda: paths.batch_extremes(3, size, n_steps, gammas, size))
+    assert peak < 16.0
