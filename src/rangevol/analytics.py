@@ -110,7 +110,7 @@ def _range_moments(kind: EstimatorKind, gamma: float) -> tuple[float, float]:
         return math.pi**2 / 6.0, math.pi**4 / 30.0
     law, _ = densities._range_law(kind, gamma)
     d, w = _gl_nodes(max(densities._MASS_FLOOR, abs(gamma) - 10.0), _range_cut(gamma), 24, 16)
-    mass = w * law(d)[1]
+    mass = w * law(d, density=True)
     d2 = d * d
     return float(mass @ d2), float(mass @ (d2 * d2))
 
@@ -305,7 +305,7 @@ def _estimator_cdf(kind, gamma: float, xs, variant: GarmanKlassVariant, n_gl: in
         law, alpha = densities._range_law(kind, gamma)
         with np.errstate(over="ignore"):  # d = inf is past the law's cut, where the CDF is 1
             d = np.sqrt(alpha * np.maximum(xs, 0.0))
-        return law(d)[0]
+        return law(d, density=False)
     xs = np.asarray(xs, dtype=float)
     cdf = np.empty(xs.shape)
     for k in range(0, xs.size, _CDF_BLOCK):

@@ -8,12 +8,22 @@ two-sided sums over an image index m whose terms decay like
 exp(-2 m^2 delta^2), plus Gaussian prefactors.
 
 The one-dimensional range laws -- the range d at any drift and the bridge
-range s -- are closed forms: each returns its distribution function and its
+range s -- are closed forms: each gives its distribution function and its
 density from a theta dual below ``_SWITCH`` and from its image form above
 it, each a fixed number of terms on one flat axis (see ``_SWITCH``), to
-2e-15 relative from d = 0.3 on and with no floor below it.  Past a cut
-(``_LIMIT``) each returns its limit, CDF 1 and density 0, so huge and
-infinite ranges give no NaN.
+2e-15 relative from d = 0.3 on and with no floor below it.  Each kernel
+returns only the half its caller asks for (``density``): the distribution
+functions of ``rangevol.analytics`` read the CDF, the moments and the point
+densities the density.  Past a cut (``_LIMIT``) each returns its limit,
+CDF 1 and density 0, so huge and infinite ranges give no NaN.
+
+One point of a range law is one kernel call on a float: :func:`range_pdf`,
+:func:`bridge_range_pdf` and the two estimator densities each make one
+finiteness check, one call of :func:`_density_at` (which picks the form)
+and one ``DensityValue``.  At 12-44 terms a point its cost is numpy's
+per-call overhead, so the one-point image form hands its ufuncs 0-d array
+operands, which skip numpy's slower path for Python-float operands with
+the same values bit for bit.
 
 Truncation policy of the joint grids: image shells (+m, -m) are summed
 outward from m = 1, and each grid point stops once the largest exponent its
@@ -345,9 +355,11 @@ _DUAL_A = (math.pi * np.arange(1.0, 13.0)) ** 2   # a_n = n^2 pi^2, n = 1..12
 _DUAL_SIGN = np.resize([-1.0, 1.0], _DUAL_A.size)  # (-1)^n
 _IMAGE_SHELLS = 6
 _KUIPER_M2 = np.arange(1.0, _IMAGE_SHELLS + 1.0) ** 2
-_LOG_PHI0 = -0.5 * math.log(2.0 * math.pi)        # log of the normal density at 0
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_SQRT_PI_2 = math.sqrt(0.5 * math.pi)
+# the constants of the image form, as 0-d arrays (see _range_image)
+_HALF, _ZERO, _SQRT2_A = np.array(0.5), np.array(0.0), np.array(_SQRT2)
+_LOG_PHI0 = np.array(-0.5 * math.log(2.0 * math.pi))   # log of the normal density at 0
+_SQRT_PI_2 = np.array(math.sqrt(0.5 * math.pi))
 
 
 def _column(x):
@@ -355,8 +367,9 @@ def _column(x):
     return x[..., None] if isinstance(x, np.ndarray) else x
 
 
-def _range_dual(d, gamma: float):
-    """(CDF, density) of the range at d > 0 (a float or an array) from its theta dual.
+def _range_dual(d, gamma: float, *, density: bool):
+    """The CDF, or with ``density`` the density, of the range at d > 0 (a
+    float or an array) from its theta dual.
 
     The paths that stay in a window of width d, summed over the window's
     position, give H(d) = E (d - D)^+ in closed form from the eigenfunctions
@@ -381,10 +394,11 @@ def _range_dual(d, gamma: float):
     uq = u * q
     a3 = _DUAL_A - 3.0 * z
     m = a3 + uq
-    cdf = 4.0 * np.add.reduce(w * (m * c + q * c1), -1)
+    if not density:
+        return 4.0 * np.add.reduce(w * (m * c + q * c1), -1)
     curve = uq * (uq - 3.0 * q + 2.0 * a3) - 12.0 * z * (_DUAL_A - z)
     terms = w / q * (curve * c + 2.0 * q * m * c1 + q * q * z * (c - f0))
-    return cdf, 4.0 * np.add.reduce(terms, -1) / d
+    return 4.0 * np.add.reduce(terms, -1) / d
 
 
 @lru_cache(maxsize=32)
@@ -403,8 +417,9 @@ def _image_terms(gamma: float, shells: int):
     return tables
 
 
-def _range_image(d, gamma: float, shells: int = _IMAGE_SHELLS):
-    """(CDF, density) of the range at d > 0 (a float or an array) from its image form.
+def _range_image(d, gamma: float, shells: int = _IMAGE_SHELLS, *, density: bool):
+    """The CDF, or with ``density`` the density, of the range at d > 0 (a
+    float or an array) from its image form.
 
     Summing the images of the killed diffusion over the window's position
     gives, with g = +-gamma, v = 2 k d - g and b = v + d,
@@ -412,40 +427,48 @@ def _range_image(d, gamma: float, shells: int = _IMAGE_SHELLS):
     M = e^{-2kdg} (Phi(b) - Phi(v)), and the density is its derivative in d.
     The weighted normal densities and masses are evaluated with their
     exponents combined (-2 k^2 d^2 - g^2 / 2 at v), the tails through erfcx.
+    One point's d and the constants enter as 0-d arrays: a ufunc with a
+    Python float operand takes numpy's slower scalar path, and the values
+    are the same.
     """
     ends, g, kg, p0, p1, coef = _image_terms(gamma, shells)
     n = p0.size
-    dc = _column(d)
+    dc = d[..., None] if isinstance(d, np.ndarray) else np.array(d)
     x = ends * dc - g                                # v, then b
     log_w = kg * dc
-    phi = np.exp(log_w - 0.5 * x * x + _LOG_PHI0)   # e^{-2kdg} phi(v), e^{-2kdg} phi(b)
-    tail = np.copysign(erfcx(np.abs(x) / _SQRT2), x) * phi
-    kg, b, below = kg[:n], x[..., n:], x < 0.0
-    mass = (np.exp(np.minimum(log_w[..., :n], 0.0)) * (below[..., :n] > below[..., n:])
+    phi = np.exp(log_w - _HALF * x * x + _LOG_PHI0)  # e^{-2kdg} phi(v), e^{-2kdg} phi(b)
+    tail = np.copysign(erfcx(np.abs(x) / _SQRT2_A), x) * phi
+    kg, b, below = kg[:n], x[..., n:], x < _ZERO
+    mass = (np.exp(np.minimum(log_w[..., :n], _ZERO)) * (below[..., :n] > below[..., n:])
             + _SQRT_PI_2 * (tail[..., :n] - tail[..., n:]))
     p = p0 + kg * b
-    cdf = np.add.reduce(p * mass + kg * phi[..., n:], -1)
-    pdf = np.add.reduce(kg * (p + p1) * mass, -1) + np.add.reduce(coef * phi, -1)
-    return cdf, pdf
+    if not density:
+        return np.add.reduce(p * mass + kg * phi[..., n:], -1)
+    return np.add.reduce(kg * (p + p1) * mass, -1) + np.add.reduce(coef * phi, -1)
 
 
-def _bridge_dual(s):
-    """(CDF, density) of the bridge range at s > 0 from the dual of Kuiper's law:
+def _bridge_dual(s, *, density: bool):
+    """The CDF, or with ``density`` the density, of the bridge range at s > 0
+    from the dual of Kuiper's law:
     CDF = sqrt(2 pi) / s^3 * sum_k a_k exp(-a_k / (2 s^2)), a_k = k^2 pi^2."""
     r = 1.0 / (s * s)
     e = np.exp(_DUAL_A * (-0.5 * _column(r)))
-    e1, e2 = e @ _DUAL_A, e @ (_DUAL_A * _DUAL_A)
+    e1 = e @ _DUAL_A
     c = _SQRT_2PI * r / s
-    return c * e1, c / s * (r * e2 - 3.0 * e1)
+    if not density:
+        return c * e1
+    return c / s * (r * (e @ (_DUAL_A * _DUAL_A)) - 3.0 * e1)
 
 
-def _bridge_image(s):
-    """(CDF, density) of the bridge range at s > 0, Kuiper's law (Kuiper 1960):
-    CDF = 1 - 2 sum_m (4 m^2 s^2 - 1) exp(-2 m^2 s^2)."""
+def _bridge_image(s, *, density: bool):
+    """The CDF, or with ``density`` the density, of the bridge range at s > 0,
+    Kuiper's law (Kuiper 1960): CDF = 1 - 2 sum_m (4 m^2 s^2 - 1) exp(-2 m^2 s^2)."""
     s2 = s * s
     e = np.exp(_KUIPER_M2 * (-2.0 * _column(s2)))
-    e0, e1, e2 = np.add.reduce(e, -1), e @ _KUIPER_M2, e @ (_KUIPER_M2 * _KUIPER_M2)
-    return 1.0 - 2.0 * (4.0 * s2 * e1 - e0), 8.0 * s * (4.0 * s2 * e2 - 3.0 * e1)
+    e1 = e @ _KUIPER_M2
+    if not density:
+        return 1.0 - 2.0 * (4.0 * s2 * e1 - np.add.reduce(e, -1))
+    return 8.0 * s * (4.0 * s2 * (e @ (_KUIPER_M2 * _KUIPER_M2)) - 3.0 * e1)
 
 
 _LIMIT = 40.0
@@ -468,34 +491,36 @@ laws are 0 from no terms below that cut too.
 _LOW = 1.0 / _LIMIT
 
 
-def _by_switch(d, cut: float, dual, image, *args):
-    """(CDF, density) at every point of ``d``: ``dual(d, *args)`` up to
-    ``_SWITCH``, ``image(d, *args)`` above it up to ``cut``, (1, 0) past
-    ``cut``, and 0 below ``_LOW`` (and at NaN)."""
+def _by_switch(d, cut: float, density: bool, dual, image, *args):
+    """The CDF, or with ``density`` the density, at every point of ``d``:
+    ``dual(d, *args)`` up to ``_SWITCH``, ``image(d, *args)`` above it up to
+    ``cut``, the limit (CDF 1, density 0) past ``cut``, and 0 below ``_LOW``
+    (and at NaN)."""
     d = np.asarray(d, dtype=float)
-    cdf, pdf = np.zeros(d.shape), np.zeros(d.shape)
-    far = d > cut
-    for part, law in (((d >= _LOW) & (d <= _SWITCH), dual), ((d > _SWITCH) & ~far, image)):
+    out = np.zeros(d.shape)
+    for part, law in (((d >= _LOW) & (d <= _SWITCH), dual), ((d > _SWITCH) & (d <= cut), image)):
         if part.any():
-            cdf[part], pdf[part] = law(d[part], *args)
-    cdf[far] = 1.0
-    return cdf, pdf
+            out[part] = law(d[part], *args, density=density)
+    if not density:
+        out[d > cut] = 1.0
+    return out
 
 
-def _density_at(delta: float, cut: float, dual, image, *args) -> DensityValue:
-    """One density value of a range law, from the form that holds at ``delta``;
-    0 from no terms below ``_LOW`` and past ``cut``."""
-    delta = float(delta)
+def _density_at(delta: float, cut: float, dual, image, *args) -> tuple[float, int]:
+    """One density value of a range law and its term count, from the form
+    that holds at ``delta``; 0 from no terms below ``_LOW`` and past ``cut``."""
     if delta < _LOW or delta > cut:
-        return DensityValue(0.0, 0, True)
-    law, terms = (dual, _DUAL_A.size) if delta <= _SWITCH else (image, _IMAGE_SHELLS)
-    return _finish(float(law(delta, *args)[1]), terms)
+        return 0.0, 0
+    if delta <= _SWITCH:
+        return float(dual(delta, *args, density=True)), _DUAL_A.size
+    return float(image(delta, *args, density=True)), _IMAGE_SHELLS
 
 
 def range_pdf(delta: float, gamma: float = 0.0) -> DensityValue:
     """Density of the range d = h - l at drift gamma; support delta > 0."""
     _require_finite("range_pdf", delta=delta, gamma=gamma)
-    return _density_at(delta, _LIMIT + abs(gamma), _range_dual, _range_image, gamma)
+    cut = _LIMIT + abs(gamma)
+    return _finish(*_density_at(float(delta), cut, _range_dual, _range_image, gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +543,7 @@ def bridge_hl_joint_pdf(eta: float, ell: float) -> DensityValue:
 def bridge_range_pdf(delta: float) -> DensityValue:
     """Density of the bridge range s = xi - zeta; support delta > 0."""
     _require_finite("bridge_range_pdf", delta=delta)
-    return _density_at(delta, _LIMIT, _bridge_dual, _bridge_image)
+    return _finish(*_density_at(float(delta), _LIMIT, _bridge_dual, _bridge_image))
 
 
 # ---------------------------------------------------------------------------
@@ -528,41 +553,41 @@ def bridge_range_pdf(delta: float) -> DensityValue:
 def _range_law(kind: EstimatorKind, gamma: float):
     """(law, alpha) of an analytic estimator, which is d^2 / alpha.
 
-    ``law(d)`` maps an array of ranges to arrays of the range CDF and
-    density.  Parkinson: the range at drift gamma and alpha = ln 16; bridge:
-    the bridge range and alpha = pi^2 / 6, whatever the drift.  The laws are
-    private array functions, so the benchmark tracer (``perfbench/spans.py``)
-    sees only the public scalar calls, such as :func:`range_pdf`.
+    ``law(d, density=...)`` maps an array of ranges to an array of the range
+    CDF, or with ``density`` of the range density.  Parkinson: the range at
+    drift gamma and alpha = ln 16; bridge: the bridge range and alpha =
+    pi^2 / 6, whatever the drift.  The laws are private array functions, so
+    the benchmark tracer (``perfbench/spans.py``) sees only the public scalar
+    calls, such as :func:`parkinson_estimator_pdf`.
     """
     if kind is EstimatorKind.PARKINSON:
         cut = _LIMIT + abs(gamma)
-        return (lambda d: _by_switch(d, cut, _range_dual, _range_image, gamma)), LN16
+        return (lambda d, *, density: _by_switch(d, cut, density, _range_dual, _range_image,
+                                                 gamma)), LN16
     if kind is EstimatorKind.BRIDGE:
-        return (lambda d: _by_switch(d, _LIMIT, _bridge_dual, _bridge_image)), 1.0 / BRIDGE_FACTOR
+        return ((lambda d, *, density: _by_switch(d, _LIMIT, density, _bridge_dual, _bridge_image)),
+                1.0 / BRIDGE_FACTOR)
     raise ValueError(f"no analytic estimator density for {kind}")
 
 
-def _estimator_pdf(name: str, x: float, alpha: float, range_density, **drift) -> DensityValue:
-    """Density of d^2 / alpha at x from ``range_density(d, **drift)``; 0 at
-    x <= 0 and where d overflows."""
-    _require_finite(name, x=x, **drift)
+def _estimator_pdf(x: float, alpha: float, cut: float, dual, image, *args) -> DensityValue:
+    """Density of d^2 / alpha at x from the range law that :func:`_density_at`
+    evaluates at d; 0 at x <= 0 and where d overflows (past ``cut``)."""
     if x <= 0.0:
         return DensityValue(0.0, 0, True)
-    d = math.sqrt(alpha * x)
-    if d == math.inf:
-        return DensityValue(0.0, 0, True)
-    inner = range_density(d, **drift)
-    if inner.value == 0.0:  # the scale below overflows at subnormal x
-        return inner
-    scale = math.sqrt(alpha / (4.0 * x))
-    return DensityValue(scale * inner.value, inner.terms_used, inner.converged, inner.clamped)
+    value, terms = _density_at(math.sqrt(alpha * x), cut, dual, image, *args)
+    if value > 0.0:  # the scale overflows at subnormal x, where the law is 0
+        value = math.sqrt(alpha / (4.0 * x)) * value
+    return _finish(value, terms)
 
 
 def parkinson_estimator_pdf(x: float, gamma: float = 0.0) -> DensityValue:
     """Density of the Parkinson estimator d^2 / ln 16 at drift gamma."""
-    return _estimator_pdf("parkinson_estimator_pdf", x, LN16, range_pdf, gamma=gamma)
+    _require_finite("parkinson_estimator_pdf", x=x, gamma=gamma)
+    return _estimator_pdf(x, LN16, _LIMIT + abs(gamma), _range_dual, _range_image, gamma)
 
 
 def bridge_estimator_pdf(x: float) -> DensityValue:
     """Density of the bridge estimator (6/pi^2) s^2; drift-free."""
-    return _estimator_pdf("bridge_estimator_pdf", x, 1.0 / BRIDGE_FACTOR, bridge_range_pdf)
+    _require_finite("bridge_estimator_pdf", x=x)
+    return _estimator_pdf(x, 1.0 / BRIDGE_FACTOR, _LIMIT, _bridge_dual, _bridge_image)

@@ -22,8 +22,9 @@ number in the package depends on:
   computed from the driftless sums, which makes it bit-identical across
   drifts.
 
-:func:`batch_paths` draws one batch, :func:`batch_extremes` reduces
-consecutive batches to their extremes at a drift grid, and
+:func:`batch_paths` draws one batch, :func:`_path_chunks` draws the same
+rows in chunks (for ``simulate --emit-ticks``), :func:`batch_extremes`
+reduces consecutive batches to their extremes at a drift grid, and
 :func:`simulate_path` is row 0 of batch 0.  Changing any step above changes
 every seeded result; ``tests/test_stream_layout.py`` pins the layout.
 
@@ -170,6 +171,23 @@ def batch_paths(seed, batch_index: int, size: int, n_steps: int, gamma: float = 
     if gamma != 0.0:
         x += gamma * (np.arange(n_steps + 1) / n_steps)
     return x
+
+
+def _path_chunks(seed, batch_index: int, size: int, n_steps: int, gamma: float, rows: int):
+    """The rows of :func:`batch_paths` bit for bit, as a new array for each
+    chunk of at most ``rows`` >= 1 consecutive paths.
+
+    The chunks consume the batch's generator in the order of one whole-batch
+    draw, so the working set is one chunk whatever ``size``.
+    """
+    gen = _generator(seed, batch_index)
+    tau = np.arange(n_steps + 1) / n_steps
+    for lo in range(0, size, rows):
+        x = np.empty((min(rows, size - lo), n_steps + 1))
+        _partial_sums(np.empty((len(x), n_steps)), x, gen)
+        if gamma != 0.0:
+            x += gamma * tau
+        yield x
 
 
 def _generator(seed, batch_index: int) -> np.random.Generator:

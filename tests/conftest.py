@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 
@@ -42,6 +43,22 @@ def gof_summary():
         batch_size=256,
     )
     return montecarlo.run_experiment(cfg)
+
+
+def peak_mb(fn) -> float:
+    """Peak of the memory traced while ``fn()`` runs, in MB (numpy reports
+    its buffers to ``tracemalloc``)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def sample_extremes(n_paths, n_steps, gamma, seed, batch=1024):

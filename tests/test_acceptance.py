@@ -115,7 +115,7 @@ def test_criterion_6_drift_form_consistency():
     worst = 0.0
     for d in np.linspace(0.1, 5.0, 100):
         zero = range_pdf(float(d), 0.0).value
-        general = float(densities._range_image(float(d), 0.0, shells=64)[1])
+        general = float(densities._range_image(float(d), 0.0, shells=64, density=True))
         worst = max(worst, abs(zero - general))
     _report("6 (general vs zero-drift range density)", worst < 1e-10, f"max |diff| = {worst:.2e}")
 

@@ -113,7 +113,7 @@ def test_range_moments_hold_the_mass_at_large_drifts(gamma, monkeypatch):
     # about 10 of |gamma|; a 256-panel rule over the whole range is the oracle
     law, _ = densities._range_law(EstimatorKind.PARKINSON, gamma)
     d, w = analytics._gl_nodes(densities._MASS_FLOOR, analytics._range_cut(gamma), 24, panels=256)
-    mass = w * law(d)[1]
+    mass = w * law(d, density=True)
     e_d2, e_d4 = float(mass @ (d * d)), float(mass @ (d * d) ** 2)
     parkinson = theoretical_moments(EstimatorKind.PARKINSON, gamma).mean
     assert parkinson == pytest.approx(e_d2 / LN16, rel=1e-9)

@@ -8,8 +8,10 @@ import time
 
 import numpy as np
 import pytest
+from conftest import peak_mb
 
 import rangevol
+from rangevol import cli, montecarlo
 from rangevol.cli import main
 
 LN16 = math.log(16.0)
@@ -400,6 +402,28 @@ def test_simulate_emit_ticks_estimate_recovers_volatility(tmp_path):
     # per-window canonical estimates match the simulate summary mean exactly
     _, sim_rows = read_table(sim_out)
     assert float(sim_rows[0][2]) == pytest.approx(mean / 0.04, rel=1e-9)
+
+
+def test_tick_lines_match_per_row_formatting():
+    # one % over the interleaved values gives the bytes of one % per row
+    edge = [5e-324, -2.5e-310, np.finfo(float).tiny, -0.0, 0.0, 1e300, -1e300, 1.0, 2.0, 1e16,
+            123456789012345.0, 2.0**53 + 2.0, math.pi, np.finfo(float).max]
+    times, prices = np.array(edge), np.array(edge[::-1])
+    rows = "".join("%.12g,%.17g\n" % row for row in zip(times.tolist(), prices.tolist()))
+    assert cli._tick_lines(times, prices) == rows
+    assert cli._tick_lines(times[:1], prices[:1]) == "4.94065645841e-324,1.7976931348623157e+308\n"
+    assert cli._tick_lines(np.empty(0), np.empty(0)) == ""
+
+
+@pytest.mark.parametrize("size, n_steps", [(512, 5000), (64, 100_000)], ids=["desk", "long-rows"])
+def test_tick_tasks_working_set_is_bounded(size, n_steps):
+    # drawing each batch whole peaked at 41.1 MB (desk) and 99.4 MB (long rows)
+    cfg = montecarlo.ExperimentConfig(n_steps=n_steps, n_paths=size, batch_size=512,
+                                      gamma_grid=(0.7,), seed=3)
+    ticks = []
+    peak = peak_mb(lambda: ticks.extend(t.size for t, _ in cli._tick_tasks(cfg, 0.2, 1.0)))
+    assert sum(ticks) == size * n_steps + 1
+    assert peak < 12.0
 
 
 def test_estimate_digest_with_skipped_windows(tmp_path):

@@ -243,7 +243,7 @@ def test_range_pdf_drift_form_matches_zero_drift_form():
     # down to d = 0.1, against the zero-drift law
     worst = 0.0
     for d in np.linspace(0.1, 5.0, 100):
-        general = float(densities._range_image(float(d), 0.0, shells=64)[1])
+        general = float(densities._range_image(float(d), 0.0, shells=64, density=True))
         worst = max(worst, abs(range_pdf(float(d), 0.0).value - general))
     assert worst < 1e-10
 
@@ -287,7 +287,7 @@ def test_range_law_matches_60_digit_reference(gamma):
     # H' is the CDF and H'' the density; the derivatives are taken
     # numerically at 60 digits, independently of the closed forms
     law, _ = densities._range_law(densities.EstimatorKind.PARKINSON, gamma)
-    cdf, pdf = law(np.array(_LAW_POINTS))
+    cdf, pdf = (law(np.array(_LAW_POINTS), density=half) for half in (False, True))
     with mp.workdps(60):
         for i, d in enumerate(_LAW_POINTS):
             ref_cdf = mp.diff(lambda t: _mp_range_h(t, gamma), d, 1)
@@ -301,7 +301,7 @@ def test_range_law_matches_60_digit_reference(gamma):
 
 def test_bridge_law_matches_60_digit_reference():
     law, _ = densities._range_law(densities.EstimatorKind.BRIDGE, 0.0)
-    cdf, pdf = law(np.array(_LAW_POINTS))
+    cdf, pdf = (law(np.array(_LAW_POINTS), density=half) for half in (False, True))
     with mp.workdps(60):
         for i, s in enumerate(_LAW_POINTS):
             ref_cdf = _mp_bridge_cdf(mp.mpf(s))
@@ -316,10 +316,12 @@ def test_bridge_law_matches_60_digit_reference():
 @pytest.mark.parametrize("gamma", [0.0, 0.25, 1.0, 2.0, -1.0])
 def test_range_dual_and_image_agree_on_overlap(gamma):
     d = np.linspace(1.0, 2.5, 151)
-    for dual, image in ((densities._range_dual(d, gamma), densities._range_image(d, gamma)),
-                        (densities._bridge_dual(d), densities._bridge_image(d))):
-        assert np.max(np.abs(dual[0] - image[0])) < 1e-14
-        assert np.max(np.abs(dual[1] - image[1])) < 1e-14
+    for density in (False, True):
+        for dual, image in ((densities._range_dual(d, gamma, density=density),
+                             densities._range_image(d, gamma, density=density)),
+                            (densities._bridge_dual(d, density=density),
+                             densities._bridge_image(d, density=density))):
+            assert np.max(np.abs(dual - image)) < 1e-14
 
 
 def test_range_laws_are_the_cdf_derivative():
@@ -328,8 +330,8 @@ def test_range_laws_are_the_cdf_derivative():
     h = 1e-5
     for gamma in (0.0, 1.5):
         law, _ = densities._range_law(densities.EstimatorKind.PARKINSON, gamma)
-        slope = (law(d + h)[0] - law(d - h)[0]) / (2.0 * h)
-        assert np.max(np.abs(slope - law(d)[1])) < 1e-9
+        slope = (law(d + h, density=False) - law(d - h, density=False)) / (2.0 * h)
+        assert np.max(np.abs(slope - law(d, density=True))) < 1e-9
 
 
 def test_range_pdf_normalizes_under_drift():
@@ -357,8 +359,8 @@ def test_range_pdf_edge_cases():
         assert density(densities._SWITCH).terms_used == densities._DUAL_A.size
         assert density(above).terms_used == densities._IMAGE_SHELLS
     law, _ = densities._range_law(densities.EstimatorKind.PARKINSON, 1.0)
-    cdf, pdf = law(np.array([-1.0, 0.0, math.nan, 0.01]))
-    assert not cdf.any() and not pdf.any()
+    for density in (False, True):
+        assert not law(np.array([-1.0, 0.0, math.nan, 0.01]), density=density).any()
 
 
 @pytest.mark.parametrize("args", [(1.0, math.nan), (math.nan,)], ids=["nan-drift", "nan-range"])
@@ -433,15 +435,17 @@ def test_shell_magnitudes_eventually_monotone():
     round_off = 8.0 * np.finfo(float).eps
     for gamma in (0.0, 1.0, 2.0):
         for delta in (1.0, 1.5, 2.0, 4.0):
-            sums = [densities._range_image(delta, gamma, shells)[1] for shells in range(1, 12)]
+            sums = [densities._range_image(delta, gamma, shells, density=True)
+                    for shells in range(1, 12)]
             tail = np.abs(np.diff(sums))[math.ceil(2.0 / delta) - 1:]
             live = int(np.argmax(tail <= round_off)) if (tail <= round_off).any() else tail.size
             assert np.all(tail[live:] <= round_off)
             assert all(a >= b for a, b in zip(tail[:live], tail[1:live]))
             assert live < densities._IMAGE_SHELLS
-            full = densities._range_image(delta, gamma, 30)
-            law = densities._range_image(delta, gamma)
-            assert abs(law[1] - full[1]) <= round_off and abs(law[0] - full[0]) <= round_off
+            for density in (False, True):
+                full = densities._range_image(delta, gamma, 30, density=density)
+                law = densities._range_image(delta, gamma, density=density)
+                assert abs(law - full) <= round_off
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +721,7 @@ def test_estimator_pdf_is_the_range_law_on_a_theory_grid(kind, gamma):
     else:
         pdf = bridge_estimator_pdf
     d = np.sqrt(alpha * xs)
-    expect = np.sqrt(alpha / (4.0 * xs)) * law(d)[1]
+    expect = np.sqrt(alpha / (4.0 * xs)) * law(d, density=True)
     terms = np.where(d <= densities._SWITCH, densities._DUAL_A.size, densities._IMAGE_SHELLS)
     for x, value, n in zip(xs, expect, terms):
         got = pdf(float(x))
@@ -736,16 +740,17 @@ def test_range_laws_are_exactly_their_limit_at_the_cut(kind, gamma):
     # the float law is already exactly (1, 0) where the cut takes over
     law, _ = densities._range_law(kind, gamma)
     cut = densities._LIMIT + (abs(gamma) if kind is densities.EstimatorKind.PARKINSON else 0.0)
-    cdf, pdf = law(np.array([cut - 1.0, cut, math.nextafter(cut, math.inf)]))
-    assert cdf.tolist() == [1.0] * 3 and pdf.tolist() == [0.0] * 3
+    d = np.array([cut - 1.0, cut, math.nextafter(cut, math.inf)])
+    assert law(d, density=False).tolist() == [1.0] * 3
+    assert law(d, density=True).tolist() == [0.0] * 3
 
 
 @pytest.mark.parametrize("x", [1e154, 1e300, 1e308, math.inf])
 def test_range_laws_give_their_limit_at_huge_ranges(x):
     for kind, gamma in _LAW_CASES:
         law, _ = densities._range_law(kind, gamma)
-        cdf, pdf = law(np.array([x]))
-        assert (cdf[0], pdf[0]) == (1.0, 0.0), (kind, gamma)
+        d = np.array([x])
+        assert (law(d, density=False)[0], law(d, density=True)[0]) == (1.0, 0.0), (kind, gamma)
         assert analytics._estimator_cdf(kind, gamma, [x], None)[0] == 1.0, (kind, gamma)
     if math.isfinite(x):
         for gamma in TABLES_GAMMAS + (-1.0,):

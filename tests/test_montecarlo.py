@@ -218,13 +218,13 @@ def test_analytic_bin_density_evaluates_shared_edges_once(kind, gamma, monkeypat
 
     def spy(k, g):
         assert (k, g) == (kind, gamma)
-        return (lambda d: points.append(np.size(d)) or law(d)), alpha
+        return (lambda d, density: points.append(np.size(d)) or law(d, density=density)), alpha
 
     monkeypatch.setattr(densities, "_range_law", spy)
     got = montecarlo._analytic_bin_density(kind, gamma, edges, GarmanKlassVariant.HIGH_LOW_CROSS)
     assert points == [201]
     masses = got * np.diff(edges)
-    cdf = law(np.sqrt(alpha * edges))[0]
+    cdf = law(np.sqrt(alpha * edges), density=False)
     assert np.all(masses >= 0.0)
     assert abs(masses.sum() - (cdf[-1] - cdf[0])) < 1e-15
     # each bin mass is the integral of the estimator density over the bin

@@ -1,8 +1,8 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import peak_mb
 from scipy import integrate
 
 from rangevol import (
@@ -285,25 +285,19 @@ def test_batch_extremes_bit_identical_to_whole_rows(n_steps, zero_shocks):
         assert paths._CHUNK_SHOCKS // n_steps == 26
 
 
-def _peak_mb(fn) -> float:
-    """Peak of the memory traced while ``fn()`` runs, in MB (numpy reports
-    its buffers to ``tracemalloc``)."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
-    finally:
-        if started:
-            tracemalloc.stop()
+@pytest.mark.parametrize("rows", [1, 3, 7, 50])
+def test_path_chunks_are_the_rows_of_the_batch(rows):
+    # each chunk is the next rows of one whole-batch draw, bit for bit
+    for gamma in (0.0, 0.7):
+        whole = paths.batch_paths(5, 2, 7, 300, gamma)
+        chunks = list(paths._path_chunks(5, 2, 7, 300, gamma, rows))
+        assert [len(c) for c in chunks] == [min(rows, 7 - lo) for lo in range(0, 7, rows)]
+        assert np.concatenate(chunks).tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("size, n_steps", [(512, 5000), (64, 100_000)], ids=["desk", "long-rows"])
 def test_batch_extremes_working_set_is_bounded(size, n_steps):
     # one whole batch at once peaked at 39.9 MB (desk) and 98.4 MB (long rows)
     gammas = (0.0, 0.5, 1.0, 2.0, -1.0)
-    peak = _peak_mb(lambda: paths.batch_extremes(3, size, n_steps, gammas, size))
+    peak = peak_mb(lambda: paths.batch_extremes(3, size, n_steps, gammas, size))
     assert peak < 16.0

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,6 +113,32 @@ def test_range_law_cdfs_are_monotone_in_the_unit_interval(points, gamma):
     x = np.sort(np.array(points + [-math.inf, math.inf]))
     for kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
         law, _ = densities._range_law(kind, gamma)
-        for cdf in (law(x)[0], analytics._estimator_cdf(kind, gamma, x, None)):
+        for cdf in (law(x, density=False), analytics._estimator_cdf(kind, gamma, x, None)):
             assert cdf[0] == 0.0 and cdf[-1] == 1.0
             assert np.all((cdf >= 0.0) & (cdf <= 1.0)) and np.all(np.diff(cdf) >= -1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(0.01, 20.0), gamma=st.floats(-3.0, 3.0))
+def test_one_point_densities_are_the_array_law(x, gamma):
+    # each scalar range and estimator density reads the form of the array
+    # law that holds at its range, with that form's term count (no range
+    # here reaches a law's cut, 40 or more)
+    def expect(law, d):
+        terms = (0 if d < densities._LOW else densities._DUAL_A.size
+                 if d <= densities._SWITCH else densities._IMAGE_SHELLS)
+        return float(law(np.array([d]), density=True)[0]), terms
+
+    for kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
+        law, alpha = densities._range_law(kind, gamma)
+        if kind is EstimatorKind.PARKINSON:
+            ranged = densities.range_pdf(x, gamma)
+            estimator = densities.parkinson_estimator_pdf(x, gamma)
+        else:
+            ranged, estimator = densities.bridge_range_pdf(x), densities.bridge_estimator_pdf(x)
+        value, terms = expect(law, x)
+        scaled, scaled_terms = expect(law, math.sqrt(alpha * x))
+        for got, want, n in ((ranged, value, terms),
+                             (estimator, math.sqrt(alpha / (4.0 * x)) * scaled, scaled_terms)):
+            assert got.value == pytest.approx(want, rel=1e-15, abs=0.0), (kind, got, want)
+            assert got.terms_used == n and got.converged and not got.clamped, (kind, got)
