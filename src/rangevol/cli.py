@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .estimators import EstimatorKind, GarmanKlassVariant, estimator_label, estimator_value
-from .paths import _path_chunks, window_extremes
+from .paths import _sum_chunks, window_extremes
 
 if TYPE_CHECKING:
     from .montecarlo import ExperimentConfig
@@ -272,29 +272,28 @@ def _tick_tasks(cfg: ExperimentConfig, sigma: float, horizon: float):
     """Flat (times, prices) of the emitted ticks in file order, in tasks that
     each hold rows of one batch: at most ``_TASK_TICKS`` ticks, or one row.
 
-    Each task's rows are drawn as one chunk of their batch
-    (``paths._path_chunks``), with the running log-price carried from chunk
-    to chunk, so the working set is one task whatever the batch size.
+    Each task's rows are one chunk of driftless sums from
+    ``paths._sum_chunks``, with the running log-price carried from chunk to
+    chunk, so the working set is one task whatever the batch size.  The
+    chunk lives in a reused buffer, so every task is computed in fresh
+    arrays: a pool pickles a submitted task only later.
     """
     scale = sigma * math.sqrt(horizon)
+    gamma = cfg.gamma_grid[0]
     tau = np.arange(cfg.n_steps + 1) / cfg.n_steps
-    rows = max(1, _TASK_TICKS // cfg.n_steps)
     log_price = 0.0
-    start = 0  # the first path of the chunk
-    for first in range(0, cfg.n_paths, cfg.batch_size):
-        for x in _path_chunks(cfg.seed, first // cfg.batch_size,
-                              min(cfg.batch_size, cfg.n_paths - first), cfg.n_steps,
-                              cfg.gamma_grid[0], rows):
-            x *= scale  # the log-price moves; each path then adds its window's open
-            opens = np.cumsum(np.concatenate(([log_price], x[:, -1])))
-            log_price = opens[-1]
-            x += opens[:-1, None]
-            prices = np.exp(x, out=x)
-            times = (np.arange(start, start + len(x))[:, None] + tau) * horizon
-            if start == 0:  # every later window opens at the previous window's close
-                yield times[0, :1], prices[0, :1]
-            yield times[:, 1:].ravel(), prices[:, 1:].ravel()
-            start += len(x)
+    for start, s in _sum_chunks(cfg.seed, cfg.n_paths, cfg.n_steps, cfg.batch_size,
+                                max(1, _TASK_TICKS // cfg.n_steps)):
+        x = s + gamma * tau if gamma != 0.0 else s.copy()
+        x *= scale  # the log-price moves; each path then adds its window's open
+        opens = np.cumsum(np.concatenate(([log_price], x[:, -1])))
+        log_price = opens[-1]
+        x += opens[:-1, None]
+        prices = np.exp(x, out=x)
+        times = (np.arange(start, start + len(x))[:, None] + tau) * horizon
+        if start == 0:  # every later window opens at the previous window's close
+            yield times[0, :1], prices[0, :1]
+        yield times[:, 1:].ravel(), prices[:, 1:].ravel()
 
 
 def _emit_ticks(cfg: ExperimentConfig, path: str, sigma: float, horizon: float):

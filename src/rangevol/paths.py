@@ -22,20 +22,20 @@ number in the package depends on:
   computed from the driftless sums, which makes it bit-identical across
   drifts.
 
-:func:`batch_paths` draws one batch, :func:`_path_chunks` draws the same
-rows in chunks (for ``simulate --emit-ticks``), :func:`batch_extremes`
-reduces consecutive batches to their extremes at a drift grid, and
+:func:`_sum_chunks` is the one place that draws: it yields the driftless
+sums of consecutive batches in chunks of at most a given number of rows of
+one batch, drawn into one reused shock buffer and summed into one reused
+sums buffer.  The chunks consume each batch's generator in the order of one
+whole-batch draw, so the chunk size never changes a number.  Its callers
+add the drift: :func:`batch_extremes` reduces each chunk to its extremes at
+a drift grid, ``simulate --emit-ticks`` turns chunks into ticks, and
 :func:`simulate_path` is row 0 of batch 0.  Changing any step above changes
 every seeded result; ``tests/test_stream_layout.py`` pins the layout.
 
-:func:`batch_extremes` draws and reduces each batch in chunks of
-consecutive rows, at most ``_CHUNK_SHOCKS`` shocks each, through reused
-shock and sums buffers.  The chunks consume the batch's generator in the
-order of one whole-batch draw, and every step is row by row, so the stream
-layout is unchanged.  Besides its results, its working set depends on
-neither ``n_paths``, ``batch_size`` nor ``n_steps`` (up to
-``_CHUNK_SHOCKS`` steps).  :func:`_partial_sums` is the one owner of the
-draw, the cumsum and the scaling, for a chunk or a whole batch.
+:func:`batch_extremes` takes chunks of at most ``_CHUNK_SHOCKS`` shocks
+(or one row), so besides its results its working set depends on neither
+``n_paths``, ``batch_size`` nor ``n_steps`` (up to ``_CHUNK_SHOCKS``
+steps).
 
 The reduction to extremes is block-pruned on long rows: the driftless sums
 are reduced to per-block extremes once per chunk, and each drift (and the
@@ -64,7 +64,6 @@ __all__ = [
     "BridgeExtremes",
     "PhysicalBar",
     "simulate_path",
-    "batch_paths",
     "batch_extremes",
     "bridge_transform",
     "extremes",
@@ -151,71 +150,42 @@ class PhysicalBar:
             raise ValueError("horizon must be positive")
 
 
-def batch_paths(seed, batch_index: int, size: int, n_steps: int, gamma: float = 0.0,
-                shocks=None) -> np.ndarray:
-    """Batch ``batch_index`` of the stream: ``size`` paths as a ``(size, n_steps + 1)`` array.
+def _sum_chunks(seed, n_paths: int, n_steps: int, batch_size: int, rows: int,
+                first_batch: int = 0, shocks=None):
+    """The driftless sums of ``n_paths`` paths, as ``(first_row, sums)`` for
+    each chunk of at most ``rows`` consecutive rows of one batch.
 
-    Row ``k`` holds path ``k`` of the batch on the grid n/N, starting at 0,
-    with drift ``gamma`` (the default 0 gives the driftless partial sums).
-    ``shocks`` is a test hook: a fixed ``(size, n_steps)`` eps-matrix used
-    instead of drawing from the RNG.
+    The rows from ``b * batch_size`` on are batch ``first_batch + b`` of
+    the stream, drawn from Philox keyed by ``seed`` with counter
+    ``[0, 0, 0, first_batch + b]``.  A chunk's shocks are the next rows of
+    its batch's generator, so the chunks consume it as one whole-batch draw
+    would.  ``sums`` holds a leading 0, then ``cumsum(eps) / sqrt(N)`` along
+    each row.  ``shocks`` is a test hook: a float ``(n_paths, n_steps)``
+    matrix used instead of the generators.
+
+    Every chunk is drawn into one reused shock buffer and summed into one
+    reused sums buffer, so the next chunk overwrites ``sums``: a caller that
+    keeps it copies it.  A generator's body runs only at the first
+    ``next()``, so callers check their arguments before they call.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    _require_finite("batch_paths", drift=gamma)
-    x = np.empty((size, n_steps + 1))
-    if shocks is not None:
-        _partial_sums(_checked_shocks(shocks, size, n_steps), x)
-    else:
-        _partial_sums(np.empty((size, n_steps)), x, _generator(seed, batch_index))
-    if gamma != 0.0:
-        x += gamma * (np.arange(n_steps + 1) / n_steps)
-    return x
-
-
-def _path_chunks(seed, batch_index: int, size: int, n_steps: int, gamma: float, rows: int):
-    """The rows of :func:`batch_paths` bit for bit, as a new array for each
-    chunk of at most ``rows`` >= 1 consecutive paths.
-
-    The chunks consume the batch's generator in the order of one whole-batch
-    draw, so the working set is one chunk whatever ``size``.
-    """
-    gen = _generator(seed, batch_index)
-    tau = np.arange(n_steps + 1) / n_steps
-    for lo in range(0, size, rows):
-        x = np.empty((min(rows, size - lo), n_steps + 1))
-        _partial_sums(np.empty((len(x), n_steps)), x, gen)
-        if gamma != 0.0:
-            x += gamma * tau
-        yield x
-
-
-def _generator(seed, batch_index: int) -> np.random.Generator:
-    """The generator of batch ``batch_index``: Philox keyed by ``seed``."""
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, batch_index]))
-
-
-def _checked_shocks(shocks, rows: int, n_steps: int) -> np.ndarray:
-    """The ``shocks`` test hook as a float ``(rows, n_steps)`` array."""
-    eps = np.asarray(shocks, dtype=float)
-    if eps.shape != (rows, n_steps):
-        raise ValueError(f"shocks must have shape ({rows}, {n_steps})")
-    return eps
-
-
-def _partial_sums(eps, out, gen=None) -> None:
-    """Write the driftless sums of the rows of ``eps`` into ``out``.
-
-    ``out`` holds one more column than ``eps``: a leading 0, then
-    ``cumsum(eps) / sqrt(N)`` along each row.  With ``gen`` the rows of
-    ``eps`` are first drawn from it, row-major, so consecutive calls on
-    consecutive rows consume the stream as one whole-batch draw would.
-    """
-    if gen is not None:
-        gen.standard_normal(out=eps)
-    out[:, 0] = 0.0
-    np.cumsum(eps, axis=1, out=out[:, 1:])
-    out[:, 1:] /= math.sqrt(eps.shape[1])
+    size = min(rows, batch_size, n_paths)
+    eps = np.empty((size, n_steps)) if shocks is None else None
+    buf = np.empty((size, n_steps + 1))
+    for lo in range(0, n_paths, batch_size):
+        hi = min(lo + batch_size, n_paths)
+        if shocks is None:
+            gen = np.random.Generator(
+                np.random.Philox(key=seed, counter=[0, 0, 0, first_batch + lo // batch_size]))
+        for a in range(lo, hi, rows):
+            sums = buf[:min(rows, hi - a)]
+            if shocks is None:
+                e = gen.standard_normal(out=eps[:len(sums)])
+            else:
+                e = shocks[a:a + len(sums)]
+            sums[:, 0] = 0.0
+            np.cumsum(e, axis=1, out=sums[:, 1:])
+            sums[:, 1:] /= math.sqrt(n_steps)
+            yield a, sums
 
 
 _CHUNK_SHOCKS = 1 << 19
@@ -231,13 +201,10 @@ def batch_extremes(seed, n_paths: int, n_steps: int, gammas, batch_size: int = 1
                    first_batch: int = 0, shocks=None, bridge: bool = True):
     """Extremes of ``n_paths`` paths, drawn batch by batch from ``first_batch`` on.
 
-    Each batch holds ``batch_size`` paths (the last one may hold fewer).  A
-    batch is drawn and reduced in chunks of consecutive rows, at most
-    ``_CHUNK_SHOCKS`` shocks (or one row) each: a chunk's rows are drawn
-    from the batch's generator into one reused shock buffer, summed into one
-    reused sums buffer, and reduced at every drift before the next chunk is
-    drawn.  The generator is consumed in the order of one whole-batch draw,
-    so the stream layout is unchanged.  Besides the returned arrays the
+    Each batch holds ``batch_size`` paths (the last one may hold fewer).
+    The batches are drawn by :func:`_sum_chunks` in chunks of at most
+    ``_CHUNK_SHOCKS`` shocks (or one row), and each chunk is reduced at
+    every drift before the next is drawn.  Besides the returned arrays the
     working set is one chunk, whatever ``n_paths``, ``batch_size``,
     ``n_steps`` (up to ``_CHUNK_SHOCKS``) or the length of the grid.
     ``shocks`` replaces the RNG with a fixed ``(n_paths, n_steps)`` matrix.
@@ -256,30 +223,26 @@ def batch_extremes(seed, n_paths: int, n_steps: int, gammas, batch_size: int = 1
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     for gamma in gammas:
         _require_finite("batch_extremes", drift=gamma)
     if shocks is not None:
-        shocks = _checked_shocks(shocks, n_paths, n_steps)
+        shocks = np.asarray(shocks, dtype=float)
+        if shocks.shape != (n_paths, n_steps):
+            raise ValueError(f"shocks must have shape ({n_paths}, {n_steps})")
     tau = np.arange(n_steps + 1) / n_steps
     hlc = np.empty((len(gammas), 3, n_paths))
     xz = np.empty((2, n_paths)) if bridge else None
-    chunk = max(1, _CHUNK_SHOCKS // n_steps)
-    rows = min(chunk, batch_size, n_paths)
-    eps_buf = np.empty((rows, n_steps)) if shocks is None else None
-    s_buf = np.empty((rows, n_steps + 1))
-    for lo in range(0, n_paths, batch_size):
-        hi = min(lo + batch_size, n_paths)
-        gen = None if shocks is not None else _generator(seed, first_batch + lo // batch_size)
-        for a in range(lo, hi, chunk):
-            b = min(a + chunk, hi)
-            s = s_buf[:b - a]
-            _partial_sums(eps_buf[:b - a] if gen is not None else shocks[a:b], s, gen)
-            blocks = _block_extremes(s) if n_steps + 1 >= _MIN_PRUNED_COLS else None
-            if bridge:
-                xz[:, a:b] = _drifted_extremes(s, tau, -s[:, -1:], blocks)
-            for g, gamma in enumerate(gammas):
-                hlc[g, :2, a:b] = _drifted_extremes(s, tau, gamma, blocks)
-                hlc[g, 2, a:b] = s[:, -1] + gamma if gamma != 0.0 else s[:, -1]
+    for a, s in _sum_chunks(seed, n_paths, n_steps, batch_size,
+                            max(1, _CHUNK_SHOCKS // n_steps), first_batch, shocks):
+        b = a + len(s)
+        blocks = _block_extremes(s) if n_steps + 1 >= _MIN_PRUNED_COLS else None
+        if bridge:
+            xz[:, a:b] = _drifted_extremes(s, tau, -s[:, -1:], blocks)
+        for g, gamma in enumerate(gammas):
+            hlc[g, :2, a:b] = _drifted_extremes(s, tau, gamma, blocks)
+            hlc[g, 2, a:b] = s[:, -1] + gamma if gamma != 0.0 else s[:, -1]
     return hlc, xz
 
 
@@ -371,12 +334,16 @@ def simulate_path(n_steps: int, gamma: float, seed, shocks=None) -> Path:
     -------
     Path
     """
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    _require_finite("simulate_path", drift=gamma)
     if shocks is not None:
         shocks = np.asarray(shocks, dtype=float)
         if shocks.shape != (n_steps,):
             raise ValueError(f"shocks must have shape ({n_steps},)")
         shocks = shocks[None, :]
-    values = batch_paths(seed, 0, 1, n_steps, gamma, shocks)[0]
+    _, s = next(_sum_chunks(seed, 1, n_steps, 1, 1, shocks=shocks))
+    values = s[0] if gamma == 0.0 else s[0] + gamma * (np.arange(n_steps + 1) / n_steps)
     return Path(values=values, n_steps=n_steps, gamma=gamma)
 
 

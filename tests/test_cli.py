@@ -426,6 +426,18 @@ def test_tick_tasks_working_set_is_bounded(size, n_steps):
     assert peak < 12.0
 
 
+def test_tick_tasks_own_their_memory():
+    # at 70 000 steps each task holds one row, so a task that viewed the
+    # reused sums buffer would be overwritten by the next chunk
+    cfg = montecarlo.ExperimentConfig(n_steps=70_000, n_paths=3, batch_size=2,
+                                      gamma_grid=(0.7,), seed=3)
+    streamed = [(t.copy(), p.copy()) for t, p in cli._tick_tasks(cfg, 0.2, 1.0)]
+    listed = list(cli._tick_tasks(cfg, 0.2, 1.0))
+    assert len(listed) == len(streamed) == 1 + 3
+    for (t, p), (t0, p0) in zip(listed, streamed):
+        assert t.tobytes() == t0.tobytes() and p.tobytes() == p0.tobytes()
+
+
 def test_estimate_digest_with_skipped_windows(tmp_path):
     """Estimates of a fixed tick file in which windows 80-91 hold fewer than
     two ticks and are skipped, pinned by the digest of everything after the

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rangevol import (
     bridge_transform,
     densities,
     extremes,
+    montecarlo,
     paths,
     simulate_path,
 )
@@ -45,7 +47,7 @@ def test_simulate_path_rejects_zero_steps():
 def test_path_layer_rejects_non_finite_drift():
     with pytest.raises(ValueError, match="batch_extremes: drift must be finite, got nan"):
         paths.batch_extremes(1, 4, 1000, (math.nan, 1.0))
-    with pytest.raises(ValueError, match="batch_paths: drift must be finite, got nan"):
+    with pytest.raises(ValueError, match="simulate_path: drift must be finite, got nan"):
         simulate_path(100, math.nan, 1)
 
 
@@ -248,10 +250,9 @@ def _whole_row_batch_extremes(seed, n_paths, n_steps, gammas, batch_size, shocks
     tau = np.arange(n_steps + 1) / n_steps
     hlc = np.empty((len(gammas), 3, n_paths))
     xz = np.empty((2, n_paths))
-    for b, lo in enumerate(range(0, n_paths, batch_size)):
-        hi = min(lo + batch_size, n_paths)
-        s = paths.batch_paths(seed, first_batch + b, hi - lo, n_steps,
-                              shocks=None if shocks is None else shocks[lo:hi])
+    for lo, s in paths._sum_chunks(seed, n_paths, n_steps, batch_size, batch_size, first_batch,
+                                   shocks):
+        hi = lo + len(s)
         z = s - tau[None, :] * s[:, -1:]
         xz[:, lo:hi] = z.max(axis=1), z.min(axis=1)
         for g, gamma in enumerate(gammas):
@@ -287,12 +288,32 @@ def test_batch_extremes_bit_identical_to_whole_rows(n_steps, zero_shocks):
 
 @pytest.mark.parametrize("rows", [1, 3, 7, 50])
 def test_path_chunks_are_the_rows_of_the_batch(rows):
-    # each chunk is the next rows of one whole-batch draw, bit for bit
-    for gamma in (0.0, 0.7):
-        whole = paths.batch_paths(5, 2, 7, 300, gamma)
-        chunks = list(paths._path_chunks(5, 2, 7, 300, gamma, rows))
-        assert [len(c) for c in chunks] == [min(rows, 7 - lo) for lo in range(0, 7, rows)]
-        assert np.concatenate(chunks).tobytes() == whole.tobytes()
+    # 12 paths in batches of 7 and 5: each chunk is the next rows of its
+    # batch's whole-batch draw, bit for bit
+    whole = [(lo, s.copy()) for lo, s in paths._sum_chunks(5, 12, 300, 7, 7, 2)]
+    chunks = [(lo, s.copy()) for lo, s in paths._sum_chunks(5, 12, 300, 7, rows, 2)]
+    assert [lo for lo, _ in whole] == [0, 7]
+    assert [lo for lo, _ in chunks] == [*range(0, 7, rows), *range(7, 12, rows)]
+    assert (np.concatenate([s for _, s in chunks]).tobytes()
+            == np.concatenate([s for _, s in whole]).tobytes())
+
+
+@pytest.mark.parametrize("call, shape", [
+    (lambda eps: simulate_path(5, 0.0, 1, shocks=eps), "(5,)"),
+    (lambda eps: paths.batch_extremes(1, 3, 5, (0.0,), shocks=eps), "(3, 5)"),
+    (lambda eps: montecarlo.ExperimentConfig(n_steps=5, n_paths=3, shocks=eps),
+     "(n_paths, n_steps)"),
+], ids=["simulate_path", "batch_extremes", "ExperimentConfig"])
+def test_shocks_hook_rejects_wrong_shape(call, shape):
+    with pytest.raises(ValueError, match=re.escape(f"shocks must have shape {shape}")):
+        call(np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="n_steps must be >= 1"):
+        paths.batch_extremes(1, 4, 0, (0.0,))
+
+
+def test_batch_extremes_rejects_bad_batch_size():
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        paths.batch_extremes(1, 4, 10, (0.0,), batch_size=0)
 
 
 @pytest.mark.parametrize("size, n_steps", [(512, 5000), (64, 100_000)], ids=["desk", "long-rows"])
