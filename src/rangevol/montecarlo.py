@@ -11,16 +11,16 @@ bridge samples are bit-identical across the drift grid.
 One table, ``_CELLS``, maps each label to its (kind, Garman-Klass variant):
 Garman-Klass always gives both variants; a bare Garman-Klass kind reads hl.
 
-Summaries are streamed: central moments up to order four per cell
-(mean/variance plus their standard errors), the factor-two coverage count,
-and a fixed-bin histogram with explicit underflow/overflow counters.
-Batch partials are merged in batch order with the pairwise update rules,
-so the reduction is independent of completion order.
+Summaries are streamed by one accumulator, ``_Cells``, with one row per
+(drift, label) cell: central moments up to order four (mean/variance plus
+their standard errors), the factor-two coverage count, and a fixed-bin
+histogram with underflow/overflow counters, all from a batch's sample
+matrix in a few array calls.  Batches are merged in batch order with the
+pairwise update rules, so the reduction is independent of completion order.
 
-``RANGEVOL_THREADS`` caps the process pool; it affects speed only.  The
-batches are split evenly: each worker receives one run of consecutive
-batches, ``ceil(n_batches / workers)`` long, so that no worker is left with
-a short share while another still has a whole chunk to do.
+Studies of under two workers' worth of shocks (``_WORKER_SHOCKS`` each) run
+in-process.  ``RANGEVOL_THREADS`` caps the pool and affects speed only; each
+worker receives one run of ``ceil(n_batches / workers)`` consecutive batches.
 
 Running an experiment needs no scipy: the histogram fit
 (``histogram_vs_pdf``, ``goodness_of_fit``) imports ``rangevol.analytics``,
@@ -53,6 +53,12 @@ __all__ = [
 
 # The resource cap on n_paths * n_steps, the normal draws of one experiment.
 _MAX_DRAWS = 200_000_000_000
+_WORKER_SHOCKS = 1 << 18
+"""Fewest shocks (n_paths x n_steps) a study gives each pool worker; below
+twice as many it runs in-process.  In-process/two-worker pool in ms, 200-step
+rows then 20-step rows (2 vCPUs, medians of 11): 0.29 Mi shocks 22/37, 60/50;
+0.49 Mi 34/43, 96/69; ~1 Mi 65/56, 185/138; 1.95 Mi (1000 steps) 137/91."""
+
 # The histogram range of every cell.
 _HISTOGRAM_RANGE = (0.0, 6.0)
 # The smallest expected count of a pooled goodness-of-fit cell.
@@ -79,7 +85,7 @@ class ExperimentConfig:
     shocks each path receives (but never breaks determinism for a fixed
     value).  Garman-Klass reports both cross-term variants, and histograms
     span [0, 6].  ``shocks`` is a test hook: a fixed (n_paths, n_steps)
-    shock matrix that replaces the RNG entirely.
+    shock matrix (any array-like) that replaces the RNG entirely.
     """
 
     n_steps: int = 5_000
@@ -109,8 +115,8 @@ class ExperimentConfig:
                 f"resource limit exceeded: n_paths * n_steps = {self.n_paths * self.n_steps} "
                 f"> {_MAX_DRAWS}, the cap"
             )
-        if self.shocks is not None and self.shocks.shape != (self.n_paths, self.n_steps):
-            raise ValueError("shocks must have shape (n_paths, n_steps)")
+        if self.shocks is not None and np.shape(self.shocks) != (self.n_paths, self.n_steps):
+            raise ValueError(f"shocks must have shape ({self.n_paths}, {self.n_steps})")
 
     def labels(self) -> tuple[str, ...]:
         return tuple(label for kind in self.estimators
@@ -118,25 +124,55 @@ class ExperimentConfig:
 
 
 @dataclass
-class _CellAccumulator:
-    """Streaming moments (to order 4), band count and histogram of one cell."""
+class _Cells:
+    """Streaming moments (to order 4), band count and histogram of the cells
+    of a study, one row per cell; every row holds ``n`` samples.
+
+    ``counts`` holds each row's underflow count, its histogram bins and its
+    overflow count.  The empty accumulator (``n == 0``) holds no arrays.
+    """
 
     n: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-    m3: float = 0.0
-    m4: float = 0.0
-    in_band: int = 0
-    hist: np.ndarray | None = None
-    underflow: int = 0
-    overflow: int = 0
+    mean: np.ndarray | None = None
+    m2: np.ndarray | None = None
+    m3: np.ndarray | None = None
+    m4: np.ndarray | None = None
+    in_band: np.ndarray | None = None
+    counts: np.ndarray | None = None
 
-    def merge(self, other: "_CellAccumulator") -> None:
+    @classmethod
+    def of(cls, v: np.ndarray, edges: np.ndarray) -> "_Cells":
+        """The cells of ``v``, one per row of its samples (its last axis).
+
+        A value's counter is 0 below ``edges[0]``, k + 1 for ``edges[k] <= v
+        < edges[k + 1]`` (the last bin holds its right edge too, as in
+        ``np.histogram``), bins + 1 above ``edges[-1]``, and bins + 2, which
+        is dropped, for NaN.  The guess from the bin width is off by at most
+        one near an edge; one comparison each way against the bounds of its
+        counter corrects it.
+        """
+        v = v.reshape(-1, v.shape[-1])
+        bins = len(edges) - 1
+        bounds = np.concatenate(([-np.inf], edges[:-1], [np.nextafter(edges[-1], np.inf), np.nan]))
+        guess = (v - edges[0]) * (bins / (edges[-1] - edges[0])) + 1.0
+        slots = np.fmin(np.fmax(guess, 0.0), bins + 1.0).astype(np.intp)
+        slots -= v < bounds[slots]
+        slots += v >= bounds[slots + 1]
+        slots[np.isnan(v)] = bins + 2
+        slots += (bins + 3) * np.arange(len(v))[:, None]
+        counts = np.bincount(slots.ravel(), minlength=(bins + 3) * len(v)).reshape(-1, bins + 3)
+        mean = v.mean(axis=1)
+        dev = v - mean[:, None]
+        dev2 = dev * dev
+        return cls(v.shape[1], mean, dev2.sum(axis=1), (dev2 * dev).sum(axis=1),
+                   (dev2 * dev2).sum(axis=1), ((v > 0.5) & (v < 2.0)).sum(axis=1),
+                   counts[:, :-1])
+
+    def merge(self, other: "_Cells") -> None:
         if other.n == 0:
             return
         if self.n == 0:
             self.__dict__.update(other.__dict__)
-            self.hist = other.hist.copy()
             return
         n1, n2 = self.n, other.n
         n = n1 + n2
@@ -158,28 +194,8 @@ class _CellAccumulator:
         self.m2 = self.m2 + other.m2 + d2 * n1 * n2 / n
         self.mean = self.mean + d * n2 / n
         self.n = n
-        self.in_band += other.in_band
-        self.hist += other.hist
-        self.underflow += other.underflow
-        self.overflow += other.overflow
-
-    def add_samples(self, v: np.ndarray, edges: np.ndarray) -> None:
-        n = v.size
-        mean = float(v.mean())
-        dev = v - mean
-        dev2 = dev * dev
-        acc = _CellAccumulator(
-            n=n,
-            mean=mean,
-            m2=float(dev2.sum()),
-            m3=float((dev2 * dev).sum()),
-            m4=float((dev2 * dev2).sum()),
-            in_band=int(((v > 0.5) & (v < 2.0)).sum()),
-            hist=np.histogram(v, bins=edges)[0].astype(np.int64),
-            underflow=int((v < edges[0]).sum()),
-            overflow=int((v > edges[-1]).sum()),
-        )
-        self.merge(acc)
+        self.in_band = self.in_band + other.in_band
+        self.counts = self.counts + other.counts
 
 
 @dataclass(frozen=True)
@@ -217,8 +233,12 @@ class ExperimentSummary:
         return _hist_edges(self.config.histogram_bins)
 
 
-def _batch_samples(cfg: ExperimentConfig, batch_index: int):
-    """Estimator samples of one batch: {(label, gamma): values}."""
+def _batch_samples(cfg: ExperimentConfig, batch_index: int) -> np.ndarray:
+    """Estimator samples of one batch, shape (drifts, labels, paths).
+
+    Each label's estimator is evaluated once over the whole drift grid; the
+    bridge's samples are the same at every drift.
+    """
     start = batch_index * cfg.batch_size
     size = min(cfg.batch_size, cfg.n_paths - start)
     shocks = None if cfg.shocks is None else cfg.shocks[start : start + size]
@@ -227,26 +247,18 @@ def _batch_samples(cfg: ExperimentConfig, batch_index: int):
         bridge=EstimatorKind.BRIDGE in cfg.estimators,
     )
     xi, zeta = (None, None) if xz is None else xz
-    out = {}
-    for gamma, (h, l, c) in zip(cfg.gamma_grid, hlc):
-        for label in cfg.labels():
-            kind, variant = _CELLS[label]
-            out[(label, gamma)] = estimator_value(kind, h, l, c, xi, zeta, variant)
+    out = np.empty((len(cfg.gamma_grid), len(cfg.labels()), size))
+    for j, label in enumerate(cfg.labels()):
+        kind, variant = _CELLS[label]
+        out[:, j] = estimator_value(kind, *hlc.swapaxes(0, 1), xi, zeta, variant)
     return out
 
 
-def _batch_partials(args):
-    cfg, batch_index, edges = args
-    samples = _batch_samples(cfg, batch_index)
-    partials = {}
-    for key, v in samples.items():
-        acc = _CellAccumulator()
-        acc.add_samples(v, edges)
-        partials[key] = acc
-    return batch_index, partials
+def _batch_cells(cfg: ExperimentConfig, batch_index: int) -> _Cells:
+    return _Cells.of(_batch_samples(cfg, batch_index), _hist_edges(cfg.histogram_bins))
 
 
-def _worker_count(n_batches: int) -> int:
+def _worker_count(n_tasks: int) -> int:
     env = os.environ.get("RANGEVOL_THREADS")
     if env:
         try:
@@ -255,7 +267,7 @@ def _worker_count(n_batches: int) -> int:
             raise ValueError(f"RANGEVOL_THREADS must be an integer, got {env!r}") from None
     else:
         workers = os.cpu_count() or 1
-    return min(workers, n_batches)
+    return min(workers, n_tasks)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
@@ -265,48 +277,39 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     bit-identical summaries for any worker count.
     """
     n_batches = (cfg.n_paths + cfg.batch_size - 1) // cfg.batch_size
-    edges = _hist_edges(cfg.histogram_bins)
-    tasks = [(cfg, b, edges) for b in range(n_batches)]
-    workers = _worker_count(n_batches)
-    results = []
+    workers = _worker_count(min(n_batches, cfg.n_paths * cfg.n_steps // _WORKER_SHOCKS))
+    acc = _Cells()
     if workers <= 1:
-        for task in tasks:
-            results.append(_batch_partials(task))
+        for b in range(n_batches):
+            acc.merge(_batch_cells(cfg, b))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_batch_partials, tasks, chunksize=-(-n_batches // workers)))
-    results.sort(key=lambda item: item[0])
+            for part in pool.map(_batch_cells, [cfg] * n_batches, range(n_batches),
+                                 chunksize=-(-n_batches // workers)):
+                acc.merge(part)
 
-    merged: dict[tuple, _CellAccumulator] = {}
-    for _, partials in results:
-        for key, acc in partials.items():
-            if key in merged:
-                merged[key].merge(acc)
-            else:
-                merged[key] = acc
-
+    n = acc.n
     cells = {}
-    for gamma in cfg.gamma_grid:
-        for label in cfg.labels():
-            acc = merged[(label, gamma)]
-            n = acc.n
-            variance = acc.m2 / (n - 1)
-            mu2 = acc.m2 / n
-            mu4 = acc.m4 / n
-            var_of_var = max(mu4 - mu2 * mu2 * (n - 3) / (n - 1), 0.0) / n
-            p = acc.in_band / n
-            cells[(label, gamma)] = CellStats(
-                n=n,
-                mean=acc.mean,
-                variance=variance,
-                mean_se=math.sqrt(variance / n),
-                variance_se=math.sqrt(var_of_var),
-                p_delta=p,
-                p_delta_se=math.sqrt(p * (1.0 - p) / n),
-                hist=acc.hist,
-                underflow=acc.underflow,
-                overflow=acc.overflow,
-            )
+    keys = [(label, gamma) for gamma in cfg.gamma_grid for label in cfg.labels()]
+    rows = zip(keys, acc.mean.tolist(), acc.m2.tolist(), acc.m4.tolist(), acc.in_band.tolist(),
+               acc.counts)
+    for key, mean, m2, m4, in_band, counts in rows:
+        variance = m2 / (n - 1)
+        mu2, mu4 = m2 / n, m4 / n
+        var_of_var = max(mu4 - mu2 * mu2 * (n - 3) / (n - 1), 0.0) / n
+        p = in_band / n
+        cells[key] = CellStats(
+            n=n,
+            mean=mean,
+            variance=variance,
+            mean_se=math.sqrt(variance / n),
+            variance_se=math.sqrt(var_of_var),
+            p_delta=p,
+            p_delta_se=math.sqrt(p * (1.0 - p) / n),
+            hist=counts[1:-1],
+            underflow=int(counts[0]),
+            overflow=int(counts[-1]),
+        )
     return ExperimentSummary(config=cfg, cells=cells)
 
 
@@ -410,10 +413,10 @@ def sample_dump(cfg: ExperimentConfig, count: int):
     labels = [_resolve_label(kind)[0] for kind in cfg.estimators]
     out = np.empty((count, len(labels)))
     first = replace(cfg, gamma_grid=(gamma,))
+    rows = [first.labels().index(label) for label in labels]
     for batch in range(-(-count // cfg.batch_size)):
         samples = _batch_samples(first, batch)
         start = batch * cfg.batch_size
         take = min(count - start, cfg.batch_size)
-        for j, label in enumerate(labels):
-            out[start : start + take, j] = samples[(label, gamma)][:take]
+        out[start : start + take] = samples[0, rows, :take].T
     return labels, out

@@ -1,6 +1,9 @@
+import hashlib
 import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 from rangevol import EstimatorKind, montecarlo, paths
@@ -59,6 +62,33 @@ def peak_mb(fn) -> float:
     finally:
         if started:
             tracemalloc.stop()
+
+
+def cells_digest(summary) -> str:
+    """sha256 of every field and histogram of every cell of a study."""
+    h = hashlib.sha256()
+    for key in sorted(summary.cells):
+        c = summary.cells[key]
+        h.update(repr((key, c.n, c.mean, c.variance, c.mean_se, c.variance_se,
+                       c.p_delta, c.p_delta_se, c.underflow, c.overflow)).encode())
+        h.update(np.ascontiguousarray(c.hist).tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture
+def study_pools(monkeypatch):
+    """Send every study of two batches or more to the process pool, however
+    small; the list holds the worker count of each pool a study started."""
+    started = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_WORKER_SHOCKS", 1)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountedPool)
+    return started
 
 
 def sample_extremes(n_paths, n_steps, gamma, seed, batch=1024):

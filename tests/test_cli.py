@@ -126,16 +126,18 @@ def test_estimate_unknown_header(tmp_path, capsys):
 # simulate
 # ---------------------------------------------------------------------------
 
-def test_simulate_byte_deterministic(tmp_path, monkeypatch):
-    # identical flags (including --out) must give identical bytes
+def test_simulate_byte_deterministic(tmp_path, monkeypatch, study_pools):
+    # identical flags (including --out) must give identical bytes, in-process
+    # and from a two-worker pool
     out = tmp_path / "sim.csv"
-    args = ["simulate", "--paths", "400", "--steps", "200", "--seed", "7",
+    args = ["simulate", "--paths", "400", "--steps", "200", "--seed", "7", "--batch-size", "64",
             "--gammas", "0", "--skip-theory", "--out", str(out)]
     monkeypatch.setenv("RANGEVOL_THREADS", "1")
     assert run_cli(*args) == 0
     first = out.read_bytes()
     monkeypatch.setenv("RANGEVOL_THREADS", "2")
     assert run_cli(*args) == 0
+    assert study_pools == [2]
     assert out.read_bytes() == first
 
 

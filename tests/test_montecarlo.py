@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from conftest import cells_digest
 from scipy import integrate
 from scipy.stats import chi2 as chi2_dist
 
@@ -64,12 +66,103 @@ def test_two_forced_paths_match_hand_computation():
             assert cell.n == 2
 
 
-def test_bit_identical_across_worker_counts(monkeypatch):
+def test_shocks_hook_takes_a_list_of_rows():
+    shocks = np.array([[1.0, -2.0, 1.5, 0.5], [-0.5, 0.25, 0.0, 1.0], [0.0, 0.0, 2.0, -1.0]])
+    rows = ExperimentConfig(n_steps=4, n_paths=3, batch_size=2, shocks=shocks.tolist())
+    array = ExperimentConfig(n_steps=4, n_paths=3, batch_size=2, shocks=shocks)
+    assert cells_digest(run_experiment(rows)) == cells_digest(run_experiment(array))
+
+
+def _histogram_rows(bins):
+    # every edge of the histogram, its floating-point neighbours and values
+    # out of range, in order, shuffled and beside uniform draws
+    edges = montecarlo._hist_edges(bins)
+    near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    outside = [-np.inf, -1e300, -1.0, -5e-324, -0.0, 0.0, 6.0 + 1e-9, 7.0, 1e300, np.inf, np.nan]
+    values = np.concatenate([near, outside])
+    rng = np.random.default_rng(3)
+    return edges, np.stack([values, rng.permutation(values), rng.uniform(-1.0, 7.0, values.size)])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in reduce:RuntimeWarning")
+@pytest.mark.parametrize("bins", [200, 11, 1])
+def test_cells_count_as_np_histogram(bins):
+    # the guess from the bin width overshoots some edges at 200 bins and
+    # falls short of some at 11, so both corrections are exercised
+    edges, rows = _histogram_rows(bins)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", message="invalid value encountered in cast")
+        cells = montecarlo._Cells.of(rows, edges)
+    assert cells.n == rows.shape[1] and cells.counts.shape == (3, bins + 2)
+    for row, counts in zip(rows, cells.counts):
+        assert np.array_equal(counts[1:-1], np.histogram(row, bins=edges)[0])
+        assert counts[0] == np.sum(row < edges[0]) and counts[-1] == np.sum(row > edges[-1])
+
+
+def test_cells_of_a_matrix_are_the_cells_of_its_rows():
+    # one row per cell: each row of a (drifts, labels, paths) batch gives,
+    # bit for bit, what the numpy calls on that row alone give
+    v = np.random.default_rng(8).gamma(1.0, 1.2, (2, 3, 300))
+    edges = montecarlo._hist_edges(50)
+    cells = montecarlo._Cells.of(v, edges)
+    assert cells.n == 300
+    for i, row in enumerate(v.reshape(6, 300)):
+        mean = row.mean()
+        dev = row - mean
+        dev2 = dev * dev
+        assert cells.mean[i] == mean
+        assert (cells.m2[i], cells.m3[i], cells.m4[i]) == (
+            dev2.sum(), (dev2 * dev).sum(), (dev2 * dev2).sum())
+        assert cells.in_band[i] == np.sum((row > 0.5) & (row < 2.0))
+        assert np.array_equal(cells.counts[i, 1:-1], np.histogram(row, bins=edges)[0])
+
+
+def test_small_study_runs_without_a_pool(monkeypatch):
+    # the ticks study: 10 000 paths of 20 steps are 2e5 shocks, under the
+    # two workers' worth of shocks that open a pool
+    cfg = ExperimentConfig(n_steps=20, n_paths=10_000, seed=201)
+    assert cfg.n_paths * cfg.n_steps < 2 * montecarlo._WORKER_SHOCKS
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a small study started a process pool")
+
+    monkeypatch.setenv("RANGEVOL_THREADS", "2")
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        inline = run_experiment(cfg)
+    monkeypatch.setattr(montecarlo, "_WORKER_SHOCKS", 1)
+    assert cells_digest(run_experiment(cfg)) == cells_digest(inline)
+
+
+@pytest.mark.parametrize("n_paths, workers", [(199, None), (200, 2), (299, 2), (300, 3), (900, 3)])
+def test_pool_gives_every_worker_its_shocks(monkeypatch, n_paths, workers):
+    # with 100 shocks a worker, 199 shocks run in-process, 200 open a
+    # two-worker pool and 300 a three-worker one; RANGEVOL_THREADS caps it
+    class Started(Exception):
+        pass
+
+    def pool(max_workers):
+        raise Started(max_workers)
+
+    monkeypatch.setattr(montecarlo, "_WORKER_SHOCKS", 100)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", pool)
+    monkeypatch.setenv("RANGEVOL_THREADS", "3")
+    cfg = ExperimentConfig(n_steps=1, n_paths=n_paths, batch_size=10, gamma_grid=(0.0,))
+    if workers is None:
+        assert run_experiment(cfg).cell("parkinson", 0.0).n == n_paths
+    else:
+        with pytest.raises(Started) as started:
+            run_experiment(cfg)
+        assert started.value.args == (workers,)
+
+
+def test_bit_identical_across_worker_counts(monkeypatch, study_pools):
     cfg = ExperimentConfig(n_steps=300, n_paths=2_000, gamma_grid=(0.0, 0.7), seed=99)
     monkeypatch.setenv("RANGEVOL_THREADS", "1")
     one = run_experiment(cfg)
     monkeypatch.setenv("RANGEVOL_THREADS", "2")
     two = run_experiment(cfg)
+    assert study_pools == [2]
     for key, cell in one.cells.items():
         other = two.cells[key]
         assert cell.mean == other.mean
@@ -262,9 +355,9 @@ def test_sample_dump_columns_are_the_high_low_cells_of_the_batches():
     cfg = ExperimentConfig(n_steps=50, n_paths=150, gamma_grid=(0.4, 1.2), seed=13, batch_size=64)
     labels, dump = sample_dump(cfg, 150)
     assert labels == ["parkinson", "garman-klass-hl", "rogers-satchell", "bridge"]
-    batches = [montecarlo._batch_samples(cfg, b) for b in range(3)]
+    batches = np.concatenate([montecarlo._batch_samples(cfg, b) for b in range(3)], axis=-1)
     for j, label in enumerate(labels):
-        assert np.array_equal(dump[:, j], np.concatenate([s[(label, 0.4)] for s in batches]))
+        assert np.array_equal(dump[:, j], batches[0, cfg.labels().index(label)])
 
 
 def test_estimator_label():

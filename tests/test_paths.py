@@ -301,9 +301,10 @@ def test_path_chunks_are_the_rows_of_the_batch(rows):
 @pytest.mark.parametrize("call, shape", [
     (lambda eps: simulate_path(5, 0.0, 1, shocks=eps), "(5,)"),
     (lambda eps: paths.batch_extremes(1, 3, 5, (0.0,), shocks=eps), "(3, 5)"),
-    (lambda eps: montecarlo.ExperimentConfig(n_steps=5, n_paths=3, shocks=eps),
-     "(n_paths, n_steps)"),
-], ids=["simulate_path", "batch_extremes", "ExperimentConfig"])
+    (lambda eps: montecarlo.ExperimentConfig(n_steps=5, n_paths=3, shocks=eps), "(3, 5)"),
+    (lambda eps: montecarlo.ExperimentConfig(n_steps=5, n_paths=3, shocks=eps.tolist()),
+     "(3, 5)"),
+], ids=["simulate_path", "batch_extremes", "ExperimentConfig", "ExperimentConfig-rows"])
 def test_shocks_hook_rejects_wrong_shape(call, shape):
     with pytest.raises(ValueError, match=re.escape(f"shocks must have shape {shape}")):
         call(np.zeros((3, 4)))

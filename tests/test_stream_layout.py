@@ -15,7 +15,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import sample_extremes
+from conftest import cells_digest, sample_extremes
 
 from rangevol import bridge_extremes, extremes, montecarlo, paths, simulate_path
 from rangevol.cli import main
@@ -32,13 +32,30 @@ def test_montecarlo_batch_digest():
     cfg = montecarlo.ExperimentConfig(
         n_steps=200, n_paths=192, batch_size=64, gamma_grid=(0.0, 0.7), seed=11
     )
-    samples = montecarlo._batch_samples(cfg, 2)
-    assert len(samples) == 10
+    matrix = montecarlo._batch_samples(cfg, 2)
+    assert matrix.shape == (2, 5, 64)
+    samples = {(label, gamma): matrix[g, j] for g, gamma in enumerate(cfg.gamma_grid)
+               for j, label in enumerate(cfg.labels())}
     h = hashlib.sha256()
     for key in sorted(samples):
         h.update(repr(key).encode())
         h.update(samples[key].tobytes())
     assert h.hexdigest() == "15d80af5b08faa129dcc39ed52f95eb5c57af091bbcc32dba544fe342b2d23db"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cells_digest(workers, monkeypatch, study_pools):
+    # every CellStats field and histogram of a study with a short last batch
+    # (3000 = 11 x 256 + 184 paths) and three drifts, in-process and pooled
+    monkeypatch.setenv("RANGEVOL_THREADS", workers)
+    cfg = montecarlo.ExperimentConfig(
+        n_steps=200, n_paths=3000, batch_size=256, gamma_grid=(0.0, 0.7, -1.3), seed=5
+    )
+    summary = montecarlo.run_experiment(cfg)
+    assert study_pools == ([2] if workers == "2" else [])
+    assert cells_digest(summary) == (
+        "d3b1aa31598a461f6ebf4ef06430d77e8950681d63a3aaad1b08585dc71331a0"
+    )
 
 
 def test_sample_extremes_digest():
