@@ -3,7 +3,15 @@
 Every command writes plot-ready CSV (or JSON) with a provenance comment
 line; fixed seeds and flags give byte-identical output regardless of the
 ``RANGEVOL_THREADS`` worker cap.  Exit codes: 0 success, 1 runtime
-failure, 2 usage error.
+failure, 2 usage error.  A ``simulate`` cell or an ``estimate`` window
+whose statistic is ``inf`` or ``nan`` is a runtime failure that names it;
+no such value is written.
+
+Each command hands :func:`_write_output` its table as columns.  A CSV
+table is formatted by one ``%`` over all its values (:func:`_csv_rows`),
+as the emitted ticks are (:func:`_tick_lines`), in place of one Python
+call per value; ``%s`` of a float is its ``repr``, so the bytes are those
+of formatting each value on its own.
 
 ``simulate --emit-ticks`` formats its tick rows in a process pool that
 ``RANGEVOL_THREADS`` caps as it caps the study; the main process computes
@@ -22,6 +30,7 @@ import json
 import math
 import sys
 import warnings
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -53,19 +62,33 @@ def _provenance(argv) -> str:
     return f"# rangevol {__version__} " + " ".join(argv)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _rows(spec: str, values, n: int) -> str:
+    """``n`` rows of the row format ``spec``, filled from the flat ``values``
+    by one ``%``."""
+    return (spec * n) % tuple(values)
 
 
-def _write_output(args, header, rows, argv):
-    text_rows = [",".join(_fmt(v) for v in row) for row in rows]
+def _csv_rows(columns) -> str:
+    """The CSV rows of equal-length ``columns`` (arrays or sequences), with
+    ``None`` left blank.
+
+    Every value goes through ``%s``; ``str`` of a float is its ``repr``, the
+    shortest text that reads back to the same double.  Only the sequences
+    are scanned for ``None``, so the numeric arrays of a long ``estimate``
+    table cost no Python step per value.
+    """
+    cells = [c.tolist() if isinstance(c, np.ndarray) else ["" if v is None else v for v in c]
+             for c in columns]
+    spec = "%s," * (len(cells) - 1) + "%s\n"
+    return _rows(spec, chain.from_iterable(zip(*cells)), len(cells[0]))
+
+
+def _write_output(args, header, columns, argv):
+    """Write the table given by its ``columns`` as CSV or JSON."""
     if args.format == "csv":
-        body = "\n".join([_provenance(argv), ",".join(header)] + text_rows) + "\n"
+        body = f"{_provenance(argv)}\n{','.join(header)}\n" + _csv_rows(columns)
     else:
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
         payload = {
             "provenance": _provenance(argv)[2:],
             "rows": [dict(zip(header, row)) for row in rows],
@@ -184,22 +207,33 @@ def _estimate_ticks(args, kinds):
     starts = np.searchsorted(t, t0 + w * window, side="left")
     stops = np.searchsorted(t, t0 + (w + 1) * window, side="right")
     keep = stops - starts >= 2
-    return _estimate_table(args, kinds, w[keep].tolist(),
-                           *window_extremes(t, p, starts[keep], stops[keep]))
+    return _estimate_table(args, kinds, w[keep], *window_extremes(t, p, starts[keep], stops[keep]))
+
+
+def _require_finite(values, names, where) -> None:
+    """Raise naming the first non-finite entry of ``values``, one row per
+    statistic in ``names`` and one column per table row, which ``where(i)``
+    describes."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        j, i = np.argwhere(bad)[0]
+        raise _CliError(f"{where(i)}: {names[j]} is {float(values[j, i])!r}, not finite")
 
 
 def _estimate_table(args, kinds, windows, high, low, close, xi=None, zeta=None):
-    """Header and rows: each window, its (high, low, close), estimates and warnings."""
+    """Header and columns: each window, its (high, low, close), estimates and warnings."""
     variant = GarmanKlassVariant(args.gk_variant)
     labels = [estimator_label(kind, variant) for kind in kinds]
-    values = [estimator_value(kind, high, low, close, xi, zeta, variant) for kind in kinds]
-    flags = [
-        "|".join(label + "<0" for label, negative in zip(labels, row) if negative)
-        for row in zip(*(v < 0.0 for v in values))
-    ]
-    columns = [c.tolist() for c in (high, low, close, *values)]
+    values = np.array([estimator_value(kind, high, low, close, xi, zeta, variant)
+                       for kind in kinds])
     header = ["window", "high", "low", "close"] + labels + ["warnings"]
-    return header, list(zip(windows, *columns, flags))
+    _require_finite(np.vstack((high, low, close, values)), header[1:-1],
+                    lambda i: f"window {windows[i]}")
+    negative = values < 0.0
+    flags = np.full(len(high), "", dtype=object)
+    for i in np.flatnonzero(np.logical_or.reduce(negative)):
+        flags[i] = "|".join(label + "<0" for label, neg in zip(labels, negative[:, i]) if neg)
+    return header, [windows, high, low, close, *values, flags]
 
 
 def _estimate_ohlc(args, kinds, parser):
@@ -239,17 +273,17 @@ def cmd_estimate(args, parser, argv) -> int:
     header_cols = _read_csv_header(args.input)
     if header_cols == ["timestamp", "price"]:
         kinds = _parse_estimators(args.estimators, parser, tuple(EstimatorKind))
-        header, rows = _estimate_ticks(args, kinds)
+        header, columns = _estimate_ticks(args, kinds)
     elif header_cols == ["window_id", "open", "high", "low", "close"]:
         default = tuple(k for k in EstimatorKind if k is not EstimatorKind.BRIDGE)
         kinds = _parse_estimators(args.estimators, parser, default)
-        header, rows = _estimate_ohlc(args, kinds, parser)
+        header, columns = _estimate_ohlc(args, kinds, parser)
     else:
         raise _CliError(
             f"{args.input}: unrecognized header {','.join(header_cols)!r}; expected "
             "'timestamp,price' or 'window_id,open,high,low,close'"
         )
-    _write_output(args, header, rows, argv)
+    _write_output(args, header, columns, argv)
     return 0
 
 
@@ -265,7 +299,7 @@ def _tick_lines(times, prices) -> str:
     """The ``timestamp,price`` rows of flat ``times`` and ``prices``, from one
     ``%`` over the interleaved values."""
     values = np.stack((times, prices), axis=-1).ravel().tolist()
-    return ("%.12g,%.17g\n" * len(times)) % tuple(values)
+    return _rows("%.12g,%.17g\n", values, len(times))
 
 
 def _tick_tasks(cfg: ExperimentConfig, sigma: float, horizon: float):
@@ -357,26 +391,19 @@ def cmd_simulate(args, parser, argv) -> int:
         _emit_ticks(cfg, args.emit_ticks, _finite_positive("--sigma", args.sigma),
                     _finite_positive("--horizon", args.horizon))
     summary = montecarlo.run_experiment(cfg)
-    header = [
-        "estimator", "gamma", "mean", "mean_se", "variance", "variance_se",
-        "p_delta", "p_delta_se", "theory_mean", "theory_variance", "theory_p_delta",
-    ]
+    stats = ("mean", "mean_se", "variance", "variance_se", "p_delta", "p_delta_se")
+    cells = [(label, gamma) for gamma in cfg.gamma_grid for label in cfg.labels()]
+    values = np.array([[getattr(summary.cell(*cell), name) for name in stats] for cell in cells])
+    _require_finite(values.T, stats, lambda i: "%s at drift %r" % cells[i])
     theory_cache = {}
     rows = []
-    for gamma in cfg.gamma_grid:
-        for label in cfg.labels():
-            cell = summary.cell(label, gamma)
-            key = (label, 0.0 if label == "bridge" else gamma)
-            if not args.skip_theory and key not in theory_cache:
-                theory_cache[key] = _theory_columns(label, gamma)
-            theory = theory_cache.get(key, (None, None, None))
-            rows.append(
-                [
-                    label, gamma, cell.mean, cell.mean_se, cell.variance, cell.variance_se,
-                    cell.p_delta, cell.p_delta_se, *theory,
-                ]
-            )
-    _write_output(args, header, rows, argv)
+    for (label, gamma), cell_values in zip(cells, values.tolist()):
+        key = (label, 0.0 if label == "bridge" else gamma)
+        if not args.skip_theory and key not in theory_cache:
+            theory_cache[key] = _theory_columns(label, gamma)
+        rows.append([label, gamma, *cell_values, *theory_cache.get(key, (None, None, None))])
+    header = ["estimator", "gamma", *stats, "theory_mean", "theory_variance", "theory_p_delta"]
+    _write_output(args, header, list(zip(*rows)), argv)
     return 0
 
 
@@ -404,11 +431,9 @@ def cmd_density(args, parser, argv) -> int:
         return densities.bridge_estimator_pdf(x)
 
     xs = np.linspace(args.x_min, args.x_max, args.points)
-    rows = []
-    for x in xs:
-        value = evaluate(float(x))
-        rows.append([float(x), value.value, value.terms_used])
-    _write_output(args, ["x", "value", "terms_used"], rows, argv)
+    values = [evaluate(x) for x in xs.tolist()]
+    _write_output(args, ["x", "value", "terms_used"],
+                  [xs, [v.value for v in values], [v.terms_used for v in values]], argv)
     return 0
 
 
@@ -456,7 +481,7 @@ def cmd_tables(args, parser, argv) -> int:
                     }[table]
                     method = report.method
                 rows.append([estimator_label(kind, variant), gamma, value, method])
-    _write_output(args, header, rows, argv)
+    _write_output(args, header, list(zip(*rows)), argv)
     return 0
 
 

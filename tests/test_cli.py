@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -13,6 +14,7 @@ from conftest import peak_mb
 import rangevol
 from rangevol import cli, montecarlo
 from rangevol.cli import main
+from rangevol.estimators import EstimatorKind
 
 LN16 = math.log(16.0)
 
@@ -417,6 +419,46 @@ def test_tick_lines_match_per_row_formatting():
     assert cli._tick_lines(np.empty(0), np.empty(0)) == ""
 
 
+def _per_value_row(row):
+    # the per-value formatting the table writer replaced
+    return ",".join("" if v is None else repr(v) if isinstance(v, float) else str(v)
+                    for v in row) + "\n"
+
+
+def test_csv_rows_match_per_value_formatting():
+    # one % over the columns gives the bytes of formatting each value on its own
+    edge = [5e-324, -0.0, 0.0, 1e16, 2.0**53 + 2.0, np.finfo(float).max, -1e-5, 0.1, math.pi]
+    floats = np.array(edge)
+    ints = list(range(-4, len(edge) - 4))
+    names = ["w0", "", "a|b", "garman-klass-hl<0", "None", "x y", "-0.0", "1e16", "z"]
+    blanks = [None, 1.5, None, 7, "c", None, 2**53 + 1, None, -0.0]
+    columns = [ints, floats, names, blanks, floats[::-1], np.arange(len(edge))]
+    listed = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    rows = "".join(_per_value_row(row) for row in zip(*listed))
+    assert cli._csv_rows(columns) == rows
+    assert cli._csv_rows([np.array([1e16]), [None], [2**53 + 2]]) == "1e+16,,9007199254740994\n"
+    assert cli._csv_rows([np.empty(0), [], []]) == ""
+    # a numpy float prints as its number; per-value repr gave "np.float64(0.1)"
+    assert cli._csv_rows([[np.float64(0.1), np.float64(-0.0)], [np.int64(3), None]]) == (
+        "0.1,3\n-0.0,\n"
+    )
+
+
+def test_estimate_table_flags_negative_estimates():
+    # high = low = 0 and close = 1 give GK-hl = -0.383 and RS = -0.0, which is
+    # not flagged; high = low = 0.5 and close = 1 also make RS negative
+    high, low = np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.5, -1.0])
+    close = np.array([1.0, 1.0, 0.5])
+    kinds = (EstimatorKind.PARKINSON, EstimatorKind.GARMAN_KLASS, EstimatorKind.ROGERS_SATCHELL)
+    args = argparse.Namespace(gk_variant="hl")
+    header, columns = cli._estimate_table(args, kinds, np.array([3, 4, 7]), high, low, close)
+    assert header == ["window", "high", "low", "close", "parkinson", "garman-klass-hl",
+                      "rogers-satchell", "warnings"]
+    assert list(columns[-1]) == ["garman-klass-hl<0", "garman-klass-hl<0|rogers-satchell<0", ""]
+    assert float(columns[5][0]) == pytest.approx(-0.383, abs=1e-12)
+    assert cli._csv_rows(columns).splitlines()[0].endswith(",-0.383,-0.0,garman-klass-hl<0")
+
+
 @pytest.mark.parametrize("size, n_steps", [(512, 5000), (64, 100_000)], ids=["desk", "long-rows"])
 def test_tick_tasks_working_set_is_bounded(size, n_steps):
     # drawing each batch whole peaked at 41.1 MB (desk) and 99.4 MB (long rows)
@@ -544,6 +586,31 @@ def test_non_finite_drift_exit_1(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", str(out)) == 1
     assert time.perf_counter() - t0 < 1.0
     assert "drift must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_non_finite_cell_exit_1(tmp_path, capsys):
+    # at this drift the Garman-Klass and Parkinson samples overflow
+    out = tmp_path / "sim.csv"
+    assert run_cli("simulate", "--paths", "8", "--steps", "4", "--gammas", "1e200", "--skip-theory",
+                   "--estimators", "garman-klass,parkinson", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "rangevol: error: garman-klass-hl at drift 1e+200: mean is nan, not finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, argv, message", [
+    ("timestamp,price\n0,0\n0.5,1e200\n1,-1e200\n", ("--log-prices",),
+     "window 0: parkinson is inf, not finite"),
+    ("window_id,open,high,low,close\nw0,-1e308,1e308,-1e308,0\n", (),
+     "window w0: high is inf, not finite"),
+], ids=["ticks", "ohlc"])
+def test_estimate_non_finite_estimate_exit_1(tmp_path, capsys, rows, argv, message):
+    # finite input whose extremes or estimates overflow
+    f, out = tmp_path / "in.csv", tmp_path / "o.csv"
+    f.write_text(rows)
+    assert run_cli("estimate", str(f), *argv, "--out", str(out)) == 1
+    assert f"rangevol: error: {message}\n" in capsys.readouterr().err
     assert not out.exists()
 
 
