@@ -8,7 +8,8 @@ variants are genuinely different estimators.  This script dual-evaluates
 every candidate against a fixed-seed simulation oracle and writes the
 verdicts to validation_report.md at the repository root.
 
-Runs in about a minute at the default scale (2e5 paths x 2e3 steps).
+Runs in about 11 s at the default scale (one draw of 2e5 paths x 2e3 steps
+at drifts 0 and 1, on 2 vCPUs).
 """
 
 import pathlib

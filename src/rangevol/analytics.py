@@ -218,6 +218,7 @@ def rogers_satchell_mean(gamma: float = 0.0) -> float:
 _SPAN = 8.0  # the close within 8 of gamma, each extreme within 8 of its bound
 _CLOSE_EDGES = np.array([-8.0, -4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 8.0])
 _CLOSE_NODES = 16
+_HIGH_NODES, _EXTREME_NODES = 32, 80   # nodes of the rule in the high (CDF), per extreme (moment)
 _CDF_BLOCK, _MOMENT_BLOCK = 8, 4   # thresholds, close nodes per evaluated block
 
 
@@ -233,11 +234,11 @@ def _close_rule(gamma: float, cuts):
     return c, w * np.exp(-0.5 * (c - gamma) ** 2) / math.sqrt(2.0 * math.pi)
 
 
-def _hlc_moment(weight, gamma: float, n_gl: int = 80):
+def _hlc_moment(weight, gamma: float):
     """E[weight(h, l, c)] under the (high, low, close) law: the rule in the close,
-    ``_MOMENT_BLOCK`` nodes at a time, by n_gl x n_gl Gauss-Legendre over the extremes
-    within ``_SPAN`` of max(0, c) and min(0, c), ranges below the mass floor left out."""
-    x, w = _gl_nodes(0.0, _SPAN, n_gl)
+    ``_MOMENT_BLOCK`` nodes at a time, by ``_EXTREME_NODES``-point Gauss-Legendre in each
+    extreme within ``_SPAN`` of max(0, c) and min(0, c), ranges below the mass floor left out."""
+    x, w = _gl_nodes(0.0, _SPAN, _EXTREME_NODES)
     chi, wc = _close_rule(gamma, np.empty(0))
     total = 0.0
     for k in range(0, chi.size, _MOMENT_BLOCK):
@@ -270,11 +271,12 @@ def _cdf_method(kind: EstimatorKind) -> str:
     return "closed-form" if range_law else "quadrature"
 
 
-def _cdf_given_close(kind, x, c, variant: GarmanKlassVariant, n_gl: int = 32):
+def _cdf_given_close(kind, x, c, variant: GarmanKlassVariant):
     """Pr{estimator <= x | close = c} of Garman-Klass or Rogers-Satchell at the broadcast
     points of ``x`` and ``c``.  Given (h, c) the estimator is a convex quadratic in the low,
     so the event is an interval of l, cut at min(0, c) and at the mass floor below the high;
-    the rule in the high is split where that mass kinks, all at roots of quadratics in h."""
+    the ``_HIGH_NODES``-node rule in the high is split where that mass kinks, all at roots of
+    quadratics in h."""
     x, c = (a[..., None] for a in np.broadcast_arrays(x, c))
     floor = densities._MASS_FLOOR
 
@@ -288,12 +290,12 @@ def _cdf_given_close(kind, x, c, variant: GarmanKlassVariant, n_gl: int = 32):
     cuts = (_roots(lambda h: form(h, end))[:2] + _roots(lambda h: form(h, h - floor))[:2]
             + _roots(lambda h: in_low(h)[2])[:2] + (end + floor,))
     cuts = np.sort(np.clip(np.nan_to_num(np.concatenate(cuts, -1), nan=h0), h0, h0 + _SPAN), -1)
-    h, w = _panel_rule(np.concatenate([h0, cuts, h0 + _SPAN], axis=-1), n_gl)
+    h, w = _panel_rule(np.concatenate([h0, cuts, h0 + _SPAN], axis=-1), _HIGH_NODES)
     mass, _ = densities._hlc_low_mass_grid(h, *in_low(h)[:2], c)
     return np.sum(w * mass, axis=-1)
 
 
-def _estimator_cdf(kind, gamma: float, xs, variant: GarmanKlassVariant, n_gl: int = 32):
+def _estimator_cdf(kind, gamma: float, xs, variant: GarmanKlassVariant):
     """Pr{estimator <= x} for each x of ``xs``: the one distribution function of every kind.
 
     Parkinson and bridge are d^2 / alpha: the range CDF at sqrt(alpha max(x, 0)).
@@ -313,7 +315,7 @@ def _estimator_cdf(kind, gamma: float, xs, variant: GarmanKlassVariant, n_gl: in
         up = _roots(lambda c: estimator_value(kind, c, 0.0, c, variant=variant) - x)[1]
         down = _roots(lambda c: estimator_value(kind, 0.0, c, c, variant=variant) - x)[0]
         cs, wc = _close_rule(gamma, np.stack([up, down], -1))
-        cdf[k:k + _CDF_BLOCK] = (wc * _cdf_given_close(kind, x[:, None], cs, variant, n_gl)).sum(-1)
+        cdf[k:k + _CDF_BLOCK] = (wc * _cdf_given_close(kind, x[:, None], cs, variant)).sum(-1)
     return cdf
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .estimators import EstimatorKind, GarmanKlassVariant, estimator_label, estimator_value
-from .paths import _sum_chunks, window_extremes
+from .paths import _require_finite_table, _sum_chunks, window_extremes
 
 if TYPE_CHECKING:
     from .montecarlo import ExperimentConfig
@@ -210,25 +210,16 @@ def _estimate_ticks(args, kinds):
     return _estimate_table(args, kinds, w[keep], *window_extremes(t, p, starts[keep], stops[keep]))
 
 
-def _require_finite(values, names, where) -> None:
-    """Raise naming the first non-finite entry of ``values``, one row per
-    statistic in ``names`` and one column per table row, which ``where(i)``
-    describes."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        j, i = np.argwhere(bad)[0]
-        raise _CliError(f"{where(i)}: {names[j]} is {float(values[j, i])!r}, not finite")
-
-
 def _estimate_table(args, kinds, windows, high, low, close, xi=None, zeta=None):
     """Header and columns: each window, its (high, low, close), estimates and warnings."""
     variant = GarmanKlassVariant(args.gk_variant)
     labels = [estimator_label(kind, variant) for kind in kinds]
-    values = np.array([estimator_value(kind, high, low, close, xi, zeta, variant)
-                       for kind in kinds])
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below reports them
+        values = np.array([estimator_value(kind, high, low, close, xi, zeta, variant)
+                           for kind in kinds])
     header = ["window", "high", "low", "close"] + labels + ["warnings"]
-    _require_finite(np.vstack((high, low, close, values)), header[1:-1],
-                    lambda i: f"window {windows[i]}")
+    _require_finite_table(np.vstack((high, low, close, values)), header[1:-1],
+                          lambda i: f"window {windows[i]}")
     negative = values < 0.0
     flags = np.full(len(high), "", dtype=object)
     for i in np.flatnonzero(np.logical_or.reduce(negative)):
@@ -391,10 +382,9 @@ def cmd_simulate(args, parser, argv) -> int:
         _emit_ticks(cfg, args.emit_ticks, _finite_positive("--sigma", args.sigma),
                     _finite_positive("--horizon", args.horizon))
     summary = montecarlo.run_experiment(cfg)
-    stats = ("mean", "mean_se", "variance", "variance_se", "p_delta", "p_delta_se")
+    stats = montecarlo._CELL_STATS
     cells = [(label, gamma) for gamma in cfg.gamma_grid for label in cfg.labels()]
     values = np.array([[getattr(summary.cell(*cell), name) for name in stats] for cell in cells])
-    _require_finite(values.T, stats, lambda i: "%s at drift %r" % cells[i])
     theory_cache = {}
     rows = []
     for (label, gamma), cell_values in zip(cells, values.tolist()):

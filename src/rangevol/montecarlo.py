@@ -59,6 +59,9 @@ twice as many it runs in-process.  In-process/two-worker pool in ms, 200-step
 rows then 20-step rows (2 vCPUs, medians of 11): 0.29 Mi shocks 22/37, 60/50;
 0.49 Mi 34/43, 96/69; ~1 Mi 65/56, 185/138; 1.95 Mi (1000 steps) 137/91."""
 
+_CELL_STATS = ("mean", "mean_se", "variance", "variance_se", "p_delta", "p_delta_se")
+"""The statistics of a cell that must be finite, in the order ``rangevol simulate`` writes them."""
+
 # The histogram range of every cell.
 _HISTOGRAM_RANGE = (0.0, 6.0)
 # The smallest expected count of a pooled goodness-of-fit cell.
@@ -255,7 +258,8 @@ def _batch_samples(cfg: ExperimentConfig, batch_index: int) -> np.ndarray:
 
 
 def _batch_cells(cfg: ExperimentConfig, batch_index: int) -> _Cells:
-    return _Cells.of(_batch_samples(cfg, batch_index), _hist_edges(cfg.histogram_bins))
+    with np.errstate(over="ignore", invalid="ignore"):  # run_experiment reports non-finite cells
+        return _Cells.of(_batch_samples(cfg, batch_index), _hist_edges(cfg.histogram_bins))
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -274,19 +278,22 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     """Run the full estimator comparison described by ``cfg``.
 
     Deterministic: a given (seed, batch_size, n_steps, n_paths) produces
-    bit-identical summaries for any worker count.
+    bit-identical summaries for any worker count.  Raises ``ValueError``
+    naming the first cell and statistic of ``_CELL_STATS`` that is not
+    finite (at huge drifts the samples overflow).
     """
     n_batches = (cfg.n_paths + cfg.batch_size - 1) // cfg.batch_size
     workers = _worker_count(min(n_batches, cfg.n_paths * cfg.n_steps // _WORKER_SHOCKS))
     acc = _Cells()
-    if workers <= 1:
-        for b in range(n_batches):
-            acc.merge(_batch_cells(cfg, b))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_batch_cells, [cfg] * n_batches, range(n_batches),
-                                 chunksize=-(-n_batches // workers)):
-                acc.merge(part)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite cells are reported below
+        if workers <= 1:
+            for b in range(n_batches):
+                acc.merge(_batch_cells(cfg, b))
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for part in pool.map(_batch_cells, [cfg] * n_batches, range(n_batches),
+                                     chunksize=-(-n_batches // workers)):
+                    acc.merge(part)
 
     n = acc.n
     cells = {}
@@ -310,6 +317,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
             underflow=int(counts[0]),
             overflow=int(counts[-1]),
         )
+    paths._require_finite_table(
+        np.array([[getattr(cells[key], name) for key in keys] for name in _CELL_STATS]),
+        _CELL_STATS, lambda i: "%s at drift %r" % keys[i])
     return ExperimentSummary(config=cfg, cells=cells)
 
 

@@ -80,6 +80,16 @@ def _require_finite(context: str, **args: float) -> None:
             raise ValueError(f"{context}: {name} must be finite, got {value!r}")
 
 
+def _require_finite_table(values, names, where) -> None:
+    """Raise ``ValueError`` naming the first non-finite entry of ``values``, one
+    row per statistic in ``names`` and one column per table row, which
+    ``where(i)`` describes."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        j, i = np.argwhere(bad)[0]
+        raise ValueError(f"{where(i)}: {names[j]} is {float(values[j, i])!r}, not finite")
+
+
 @dataclass
 class Path:
     """A discretized path: N+1 values on the uniform grid n/N, starting at 0."""

@@ -11,15 +11,20 @@ and the readings are not equivalent:
    returns 1/4 instead of 1: it is off by an overall factor 4 (its bridge
    counterpart carries the 4 explicitly).
 
-Each check below evaluates every candidate against a fixed-seed Monte
-Carlo oracle and against internal consistency (normalization, marginals)
-and records which candidate survives.  A fourth check tabulates both
-Garman-Klass cross-term variants, which are biased and both carried through
-the rest of the package, beside the form of Garman & Klass (1980), whose
-mean and variance match its source's unbiasedness and efficiency claims.
+Each check below evaluates every candidate against a Monte Carlo oracle and
+against internal consistency (normalization, marginals) and records which
+candidate survives.  A fourth check tabulates both Garman-Klass cross-term
+variants, which are biased and both carried through the rest of the package,
+beside the form of Garman & Klass (1980), whose mean and variance match its
+source's unbiasedness and efficiency claims.
 
-The checks are pure functions of their (seed, scale) arguments; the
-report is deterministic.
+The report draws its paths once: one ``batch_extremes`` call gives the
+(high, low, close) rows of the same paths at drift 0 and at drift ``_GAMMA``,
+and each check reads the rows it needs.  Every integral is a fixed
+Gauss-Legendre rule of ``analytics`` (``_gl_nodes``, ``_panel_rule``): in the
+first two checks ``_PANELS`` panels of ``_NODES`` nodes in each variable,
+within 1e-12 of adaptive quadrature; no check calls an adaptive integrator.
+The report is a pure function of ``(n_paths, n_steps, seed)``.
 """
 
 from __future__ import annotations
@@ -28,22 +33,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import analytics, densities
 from .densities import DensityValue
 from .estimators import GarmanKlassVariant, garman_klass_value
 from .paths import batch_extremes
 
-__all__ = [
-    "ValidationCheck",
-    "validate_high_density_variants",
-    "validate_high_close_reading",
-    "validate_hlc_normalization",
-    "validate_gk_variants",
-    "formula_validation_report",
-    "render_report",
-]
+__all__ = ["ValidationCheck", "formula_validation_report", "render_report"]
 
 
 @dataclass(frozen=True)
@@ -60,6 +56,32 @@ class ValidationCheck:
 # scale-stable: tightening the Monte Carlo only sharpens the contrast.
 _REL_GATE = 0.15
 
+_GAMMA = 1.0  # the nonzero drift of the first two checks
+_NODES, _PANELS = 24, 8  # the fixed rule of every integral in the first two checks
+
+
+def _integral(f, lo: float, hi: float) -> float:
+    """The integral of ``f`` (a function of an array of points) over [lo, hi]."""
+    x, w = analytics._gl_nodes(lo, hi, _NODES, _PANELS)
+    return float(w @ f(x))
+
+
+def _close_integrals(f, e, c_lo: float, c_hi: float):
+    """The integral of f(e, c) over c in [c_lo, min(c_hi, e)] at each high of ``e``."""
+    c, w = analytics._panel_rule(np.linspace(c_lo, np.minimum(c_hi, e), _PANELS + 1, axis=-1),
+                                 _NODES)
+    return np.sum(w * f(e[:, None], c), axis=-1)
+
+
+def _mass(f, e_lo: float, e_hi: float, c_lo: float, c_hi: float) -> float:
+    """The mass of f(e, c) over e in [e_lo, e_hi] and c in [c_lo, min(c_hi, e)]."""
+    return _integral(lambda e: _close_integrals(f, e, c_lo, c_hi), e_lo, e_hi)
+
+
+def _at_drift(pdf):
+    """``pdf(*point, _GAMMA).value`` over broadcast arrays of points."""
+    return np.vectorize(lambda *point: pdf(*point, _GAMMA).value, otypes=[float])
+
 
 def _high_pdf_half(eta: float, gamma: float) -> DensityValue:
     """The refuted reading of :func:`densities.high_pdf`: erfc((eta + gamma) / 2).
@@ -74,48 +96,36 @@ def _high_pdf_half(eta: float, gamma: float) -> DensityValue:
     return DensityValue(base - corr, 0, True)
 
 
-def validate_high_density_variants(
-    gamma: float = 1.0,
-    n_paths: int = 200_000,
-    n_steps: int = 2_000,
-    seed=4201,
-) -> ValidationCheck:
-    """Which erfc argument scaling makes the high density a density."""
+def _high_close_high_reading(e, c):
+    """The refuted reading of :func:`densities.high_close_joint_pdf`, its stray
+    exponent symbol read as the high instead of the close, for c < e, e > 0."""
+    return densities._SQRT_2_PI * (2.0 * e - c) * np.exp(
+        2.0 * _GAMMA * e - 0.5 * (2.0 * e - e + _GAMMA) ** 2)
 
-    def norm_of(pdf):
-        val, _ = integrate.quad(
-            lambda e: pdf(e, gamma).value,
-            0.0, 14.0 + abs(gamma), limit=300, epsabs=1e-10,
-        )
-        return val
 
-    norm_half = norm_of(_high_pdf_half)
-    norm_sqrt2 = norm_of(densities.high_pdf)
+def _high_density_check(h) -> ValidationCheck:
+    """Which erfc argument scaling makes the high density a density; ``h``
+    holds the simulated highs at drift ``_GAMMA``."""
+    half, sqrt2 = _at_drift(_high_pdf_half), _at_drift(densities.high_pdf)
+    norm_half = _integral(half, 0.0, 14.0 + _GAMMA)
+    norm_sqrt2 = _integral(sqrt2, 0.0, 14.0 + _GAMMA)
 
     # pointwise against the marginal of the (high, close) joint density
     etas = np.array([0.3, 0.7, 1.2, 2.0, 3.0])
-    dev_half = dev_sqrt2 = 0.0
-    for eta in etas:
-        marg, _ = integrate.quad(
-            lambda c: densities.high_close_joint_pdf(eta, c, gamma).value,
-            -12.0, eta, limit=300, epsabs=1e-11,
-        )
-        dev_half = max(dev_half, abs(_high_pdf_half(eta, gamma).value - marg))
-        dev_sqrt2 = max(dev_sqrt2, abs(densities.high_pdf(eta, gamma).value - marg))
+    marg = _close_integrals(_at_drift(densities.high_close_joint_pdf), etas, -12.0, math.inf)
+    dev_half = float(np.max(np.abs(half(etas) - marg)))
+    dev_sqrt2 = float(np.max(np.abs(sqrt2(etas) - marg)))
 
     # binned simulation check
-    h, _, _ = batch_extremes(seed, n_paths, n_steps, (gamma,), bridge=False)[0][0]
-    edges = np.array([0.6, 0.9, 1.2, 1.5, 1.8, 2.2])
-    rel_half, rel_sqrt2 = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        emp = float(((h >= lo) & (h < hi)).mean())
-        for pdf, rels in ((_high_pdf_half, rel_half), (densities.high_pdf, rel_sqrt2)):
-            prob, _ = integrate.quad(
-                lambda e: pdf(e, gamma).value, lo, hi, epsabs=1e-11
-            )
-            rels.append(emp / prob - 1.0 if prob > 0.0 else math.inf)
-    max_rel_half = max(abs(r) for r in rel_half)
-    max_rel_sqrt2 = max(abs(r) for r in rel_sqrt2)
+    edges = [0.6, 0.9, 1.2, 1.5, 1.8, 2.2]
+    bins = list(zip(edges[:-1], edges[1:]))
+    emp = [float(((h >= lo) & (h < hi)).mean()) for lo, hi in bins]
+
+    def max_bin_rel_dev(pdf):
+        probs = (_integral(pdf, lo, hi) for lo, hi in bins)
+        return max(abs(m / p - 1.0) if p > 0.0 else math.inf for m, p in zip(emp, probs))
+
+    max_rel_half, max_rel_sqrt2 = max_bin_rel_dev(half), max_bin_rel_dev(sqrt2)
 
     ok = (
         abs(norm_sqrt2 - 1.0) < 1e-6
@@ -131,7 +141,7 @@ def validate_high_density_variants(
             "simulation); half fails at nonzero drift" if ok else "inconclusive"
         ),
         details={
-            "gamma": gamma,
+            "gamma": _GAMMA,
             "norm_half": norm_half,
             "norm_sqrt2": norm_sqrt2,
             "max_marginal_dev_half": dev_half,
@@ -142,49 +152,18 @@ def validate_high_density_variants(
     )
 
 
-def validate_high_close_reading(
-    gamma: float = 1.0,
-    n_paths: int = 200_000,
-    n_steps: int = 2_000,
-    seed=4202,
-) -> ValidationCheck:
-    """The stray exponent symbol in the (high, close) density: close or high?"""
+def _high_close_check(h, c) -> ValidationCheck:
+    """The stray exponent symbol in the (high, close) density: close or high?
+    ``h`` and ``c`` hold the simulated highs and closes at drift ``_GAMMA``."""
+    close_reading = _at_drift(densities.high_close_joint_pdf)
+    mass_close = _mass(close_reading, 0.0, 12.0 + _GAMMA, -12.0, math.inf)
+    mass_high = _mass(_high_close_high_reading, 0.0, 12.0 + _GAMMA, -12.0, math.inf)
 
-    def mass_close_reading():
-        val, _ = integrate.dblquad(
-            lambda c, e: densities.high_close_joint_pdf(e, c, gamma).value,
-            0.0, 12.0 + abs(gamma), lambda e: -12.0, lambda e: e, epsabs=1e-9,
-        )
-        return val
-
-    def mass_high_reading():
-        # exponent read as the high instead of the close
-        def q(e, c):
-            if e <= 0.0 or c >= e:
-                return 0.0
-            return math.sqrt(2.0 / math.pi) * (2.0 * e - c) * math.exp(
-                2.0 * gamma * e - 0.5 * (2.0 * e - e + gamma) ** 2
-            )
-
-        val, _ = integrate.dblquad(
-            lambda c, e: q(e, c), 0.0, 12.0 + abs(gamma), lambda e: -12.0, lambda e: e,
-            epsabs=1e-9,
-        )
-        return val
-
-    mass_close = mass_close_reading()
-    mass_high = mass_high_reading()
-
-    h, _, c = batch_extremes(seed, n_paths, n_steps, (gamma,), bridge=False)[0][0]
     boxes = [(0.8, 1.2, 0.2, 0.6), (1.2, 1.6, 0.6, 1.0), (0.6, 1.0, -0.4, 0.2)]
     rels = []
     for e_lo, e_hi, c_lo, c_hi in boxes:
         emp = float(((h >= e_lo) & (h < e_hi) & (c >= c_lo) & (c < c_hi)).mean())
-        prob, _ = integrate.dblquad(
-            lambda cc, ee: densities.high_close_joint_pdf(ee, cc, gamma).value,
-            e_lo, e_hi, lambda e: c_lo, lambda e: min(c_hi, e), epsabs=1e-10,
-        )
-        rels.append(emp / prob - 1.0)
+        rels.append(emp / _mass(close_reading, e_lo, e_hi, c_lo, c_hi) - 1.0)
     max_rel = max(abs(r) for r in rels)
 
     ok = abs(mass_close - 1.0) < 1e-6 and max_rel < _REL_GATE and abs(mass_high - 1.0) > 0.3
@@ -195,7 +174,7 @@ def validate_high_close_reading(
             "reading it as the high does not normalize" if ok else "inconclusive"
         ),
         details={
-            "gamma": gamma,
+            "gamma": _GAMMA,
             "total_mass_close_reading": mass_close,
             "total_mass_high_reading": mass_high,
             "max_bin_rel_dev_close_reading": max_rel,
@@ -203,20 +182,17 @@ def validate_high_close_reading(
     )
 
 
-def validate_hlc_normalization(
-    n_paths: int = 200_000,
-    n_steps: int = 2_000,
-    seed=4203,
-) -> ValidationCheck:
-    """The factor 4 in the (high, low, close) image kernel."""
+def _hlc_normalization_check(h, l, c) -> ValidationCheck:
+    """The factor 4 in the (high, low, close) image kernel; ``h``, ``l`` and
+    ``c`` hold the simulated extremes and closes at zero drift."""
 
     # integral of the implemented (already x4) kernel over the extremes, per close value
-    c = np.array([-1.0, 0.3, 1.0])[:, None, None]
+    chi = np.array([-1.0, 0.3, 1.0])[:, None, None]
     x, w = analytics._gl_nodes(0.0, 8.0, 96)
-    series, _ = densities._hlc_series_grid(np.maximum(c, 0) + x[:, None], np.minimum(c, 0) - x, c)
-    masses = dict(zip(c.ravel().tolist(), np.einsum("i,j,kij->k", w, w, series).tolist()))
+    series, _ = densities._hlc_series_grid(np.maximum(chi, 0) + x[:, None], np.minimum(chi, 0) - x,
+                                           chi)
+    masses = dict(zip(chi.ravel().tolist(), np.einsum("i,j,kij->k", w, w, series).tolist()))
 
-    h, l, c = batch_extremes(seed, n_paths, n_steps, (0.0,), bridge=False)[0][0]
     # wide central box: first-order discretization shifts largely cancel
     box = (0.3, 1.2, -1.2, -0.3, -0.5, 0.5)  # eta, ell, chi bounds
     e_lo, e_hi, l_lo, l_hi, c_lo, c_hi = box
@@ -228,7 +204,7 @@ def validate_hlc_normalization(
     eta, we = analytics._gl_nodes(e_lo, e_hi, 32)
     ell, wl = analytics._gl_nodes(l_lo, l_hi, 32)
     series, _ = densities._hlc_series_grid(eta[:, None], ell, chis[:, None, None])
-    wc = wc * np.array([densities.close_pdf(chi, 0.0) for chi in chis])
+    wc = wc * np.array([densities.close_pdf(x, 0.0) for x in chis])
     prob = float(np.einsum("k,i,j,kij->", wc, we, wl, series))
     rel_scaled = emp / prob - 1.0
     rel_raw = emp / (prob / 4.0) - 1.0
@@ -246,7 +222,7 @@ def validate_hlc_normalization(
         ),
         details={
             "conditional_mass_scaled": masses,
-            "conditional_mass_raw": {chi: m / 4.0 for chi, m in masses.items()},
+            "conditional_mass_raw": {x: m / 4.0 for x, m in masses.items()},
             "box_rel_dev_scaled": rel_scaled,
             "box_rel_dev_raw": rel_raw,
         },
@@ -264,12 +240,9 @@ def _gk_1980_mean(gamma: float) -> float:
     return analytics._quadratic_mean(_gk_1980, gamma)
 
 
-def validate_gk_variants(
-    n_paths: int = 200_000,
-    n_steps: int = 5_000,
-    seed=4204,
-) -> ValidationCheck:
-    """Means of the two Garman-Klass cross-term variants beside the 1980 form."""
+def _gk_check(h, l, c) -> ValidationCheck:
+    """Means of the two Garman-Klass cross-term variants beside the 1980 form;
+    ``h``, ``l`` and ``c`` hold the simulated extremes and closes at zero drift."""
     details = {}
     for gamma in (0.0, 1.0):
         details[f"quadrature_mean_hl_gamma{gamma:g}"] = analytics.garman_klass_mean(
@@ -283,7 +256,6 @@ def validate_gk_variants(
     var = analytics._hlc_moment(lambda h, l, c: _gk_1980(h, l, c) ** 2, 0.0) - mean * mean
     details["quadrature_variance_1980_gamma0"] = var
     details["efficiency_1980_gamma0"] = 2.0 / var  # against the close-to-close c^2
-    h, l, c = batch_extremes(seed, n_paths, n_steps, (0.0,), bridge=False)[0][0]
     for variant, tag in ((GarmanKlassVariant.HIGH_LOW_CROSS, "hl"),
                          (GarmanKlassVariant.HIGH_CLOSE_CROSS, "hc")):
         v = garman_klass_value(h, l, c, variant)
@@ -309,12 +281,15 @@ def formula_validation_report(
     n_steps: int = 2_000,
     seed=4200,
 ) -> list[ValidationCheck]:
-    """Run all formula cross-validations at the given simulation scale."""
+    """Run all formula cross-validations on one sample of ``n_paths`` paths of
+    ``n_steps`` steps, drawn from ``seed`` at drifts 0 and ``_GAMMA``."""
+    (h0, l0, c0), (h1, _, c1) = batch_extremes(seed, n_paths, n_steps, (0.0, _GAMMA),
+                                               bridge=False)[0]
     return [
-        validate_high_density_variants(1.0, n_paths, n_steps, seed + 1),
-        validate_high_close_reading(1.0, n_paths, n_steps, seed + 2),
-        validate_hlc_normalization(n_paths, n_steps, seed + 3),
-        validate_gk_variants(n_paths, max(n_steps, 2_000), seed + 4),
+        _high_density_check(h1),
+        _high_close_check(h1, c1),
+        _hlc_normalization_check(h0, l0, c0),
+        _gk_check(h0, l0, c0),
     ]
 
 

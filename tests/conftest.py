@@ -48,6 +48,15 @@ def gof_summary():
     return montecarlo.run_experiment(cfg)
 
 
+@pytest.fixture(scope="session")
+def validation_report():
+    """The formula validation report at 60k paths x 1200 steps, shared by
+    tests/test_validation.py and acceptance criterion 12."""
+    from rangevol import validation
+
+    return validation.formula_validation_report(n_paths=60_000, n_steps=1_200, seed=4200)
+
+
 def peak_mb(fn) -> float:
     """Peak of the memory traced while ``fn()`` runs, in MB (numpy reports
     its buffers to ``tracemalloc``)."""

@@ -281,10 +281,10 @@ def test_criterion_11_byte_determinism(tmp_path, monkeypatch):
     )
 
 
-def test_formula_discrepancy_report():
+def test_formula_discrepancy_report(validation_report):
     """The stated deliverable: dual evaluation of the disputed printed forms
     against the simulation oracle, with the surviving form recorded."""
-    checks = validation.formula_validation_report(n_paths=60_000, n_steps=1_200, seed=4200)
+    checks = validation_report
     text = validation.render_report(checks)
     ok = (
         "sqrt2 matches" in checks[0].conclusion

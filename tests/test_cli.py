@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -612,6 +613,21 @@ def test_estimate_non_finite_estimate_exit_1(tmp_path, capsys, rows, argv, messa
     assert run_cli("estimate", str(f), *argv, "--out", str(out)) == 1
     assert f"rangevol: error: {message}\n" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_non_finite_estimates_fail_without_numpy_warnings(tmp_path, capsys):
+    # the one-line error is all a non-finite estimate or cell prints
+    f = tmp_path / "in.csv"
+    f.write_text("timestamp,price\n0,0\n0.5,1e200\n1,-1e200\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("estimate", str(f), "--log-prices") == 1
+        assert run_cli("simulate", "--paths", "8", "--steps", "4", "--batch-size", "4",
+                       "--gammas", "1e200", "--skip-theory", "--estimators",
+                       "garman-klass,parkinson", "--out", str(tmp_path / "sim.csv")) == 1
+    assert capsys.readouterr().err == (
+        "rangevol: error: window 0: parkinson is inf, not finite\n"
+        "rangevol: error: garman-klass-hl at drift 1e+200: mean is nan, not finite\n")
 
 
 def test_simulate_nan_gamma_exit_1(tmp_path, capsys):

@@ -215,6 +215,18 @@ def test_config_validation():
             ExperimentConfig(gamma_grid=(0.0, bad))
 
 
+def test_run_experiment_rejects_non_finite_cells():
+    # at this drift the Garman-Klass and Parkinson samples overflow; two
+    # batches, so their non-finite cells are merged too, without a warning
+    cfg = ExperimentConfig(n_steps=4, n_paths=8, gamma_grid=(1e200,), batch_size=4,
+                           estimators=(EstimatorKind.GARMAN_KLASS, EstimatorKind.PARKINSON))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError) as exc:
+            run_experiment(cfg)
+    assert str(exc.value) == "garman-klass-hl at drift 1e+200: mean is nan, not finite"
+
+
 def test_worker_count_names_bad_env(monkeypatch):
     monkeypatch.setenv("RANGEVOL_THREADS", "abc")
     with pytest.raises(ValueError, match="RANGEVOL_THREADS must be an integer, got 'abc'"):
