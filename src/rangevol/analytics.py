@@ -30,6 +30,13 @@ image series, which carry under 2e-22 of probability at any drift.
 says ``closed-form`` for the bridge moments and ``quadrature`` for the
 rest; the ``method`` column of ``rangevol tables`` takes ``_cdf_method``
 for every F(N) and P_delta.
+
+Two per-drift tables are computed once per drift in a process and shared:
+E d^2 and E d^4 of the range law (``_range_moments``) and the read-only
+matrix S (``_second_moments``).  The Parkinson moments, both Garman-Klass
+means and the Rogers-Satchell mean read them, so a sweep integrates the
+range law once per drift.  Each table keeps its last ``_DRIFT_TABLES`` = 64
+drifts; nothing keyed on density points or histogram bins is kept.
 """
 
 from __future__ import annotations
@@ -97,18 +104,23 @@ def _alpha(kind: EstimatorKind) -> float:
     return densities._range_law(kind, 0.0)[1]
 
 
-def _range_moments(kind: EstimatorKind, gamma: float) -> tuple[float, float]:
-    """E d^2 and E d^4 of the range law of ``kind``.
+# E s^2 and E s^4 of the bridge range (Kuiper's law), at every drift.
+_BRIDGE_RANGE_MOMENTS = (math.pi**2 / 6.0, math.pi**4 / 30.0)
 
-    The bridge range has E s^2 = pi^2 / 6 and E s^4 = pi^4 / 30 (Kuiper's
-    law).  The drifted range takes one fixed table, 16 panels of 24
-    Gauss-Legendre nodes over [max(mass floor, |gamma| - 10), 13 + |gamma|]:
-    the range is at least |c ~ N(gamma, 1)|, so under 2e-22 of the mass lies
-    below the start, and above the cut the density is under 1e-16.
+# Drifts each per-drift table keeps: a sweep's drift grid, with room to spare.
+_DRIFT_TABLES = 64
+
+
+@lru_cache(maxsize=_DRIFT_TABLES)
+def _range_moments(gamma: float) -> tuple[float, float]:
+    """E d^2 and E d^4 of the drifted range law, once per drift.
+
+    One fixed table, 16 panels of 24 Gauss-Legendre nodes over
+    [max(mass floor, |gamma| - 10), 13 + |gamma|]: the range is at least
+    |c ~ N(gamma, 1)|, so under 2e-22 of the mass lies below the start, and
+    above the cut the density is under 1e-16.
     """
-    if kind is EstimatorKind.BRIDGE:
-        return math.pi**2 / 6.0, math.pi**4 / 30.0
-    law, _ = densities._range_law(kind, gamma)
+    law, _ = densities._range_law(EstimatorKind.PARKINSON, gamma)
     d, w = _gl_nodes(max(densities._MASS_FLOOR, abs(gamma) - 10.0), _range_cut(gamma), 24, 16)
     mass = w * law(d, density=True)
     d2 = d * d
@@ -166,13 +178,16 @@ def _high_moments(gamma: float) -> tuple[float, float]:
     return e_h2, e_h2 - 0.5
 
 
+@lru_cache(maxsize=_DRIFT_TABLES)
 def _second_moments(gamma: float) -> np.ndarray:
-    """S = E[v v^T] of v = (h, l, c).  The low's moments are the high's at
-    -gamma (reflect the path); E h l = (E h^2 + E l^2 - E d^2) / 2 with E d^2
-    from the range law."""
+    """S = E[v v^T] of v = (h, l, c), once per drift and read-only.  The low's
+    moments are the high's at -gamma (reflect the path); E h l =
+    (E h^2 + E l^2 - E d^2) / 2 with E d^2 from the range law."""
     (e_h2, e_hc), (e_l2, e_lc) = _high_moments(gamma), _high_moments(-gamma)
-    e_hl = 0.5 * (e_h2 + e_l2 - _range_moments(EstimatorKind.PARKINSON, gamma)[0])
-    return np.array([[e_h2, e_hl, e_hc], [e_hl, e_l2, e_lc], [e_hc, e_lc, 1.0 + gamma * gamma]])
+    e_hl = 0.5 * (e_h2 + e_l2 - _range_moments(gamma)[0])
+    s = np.array([[e_h2, e_hl, e_hc], [e_hl, e_l2, e_lc], [e_hc, e_lc, 1.0 + gamma * gamma]])
+    s.flags.writeable = False
+    return s
 
 
 def _quadratic_mean(form, gamma: float) -> float:
@@ -339,7 +354,7 @@ def theoretical_moments(
     densities._require_finite("theoretical_moments", gamma=gamma)
     if kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
         alpha = _alpha(kind)
-        e_d2, e_d4 = _range_moments(kind, gamma)
+        e_d2, e_d4 = _BRIDGE_RANGE_MOMENTS if kind is EstimatorKind.BRIDGE else _range_moments(gamma)
         mean, second = e_d2 / alpha, e_d4 / alpha**2
     else:
         def form(h, l, c):

@@ -18,7 +18,8 @@ histogram with underflow/overflow counters, all from a batch's sample
 matrix in a few array calls.  Batches are merged in batch order with the
 pairwise update rules, so the reduction is independent of completion order.
 
-Studies of under two workers' worth of shocks (``_WORKER_SHOCKS`` each) run
+Studies of under two workers' worth of work (``_WORKER_SHOCKS`` each, with
+every batch counting ``_BATCH_SHOCKS`` shocks more for its fixed cost) run
 in-process.  ``RANGEVOL_THREADS`` caps the pool and affects speed only; each
 worker receives one run of ``ceil(n_batches / workers)`` consecutive batches.
 
@@ -53,11 +54,19 @@ __all__ = [
 
 # The resource cap on n_paths * n_steps, the normal draws of one experiment.
 _MAX_DRAWS = 200_000_000_000
-_WORKER_SHOCKS = 1 << 18
-"""Fewest shocks (n_paths x n_steps) a study gives each pool worker; below
-twice as many it runs in-process.  In-process/two-worker pool in ms, 200-step
-rows then 20-step rows (2 vCPUs, medians of 11): 0.29 Mi shocks 22/37, 60/50;
-0.49 Mi 34/43, 96/69; ~1 Mi 65/56, 185/138; 1.95 Mi (1000 steps) 137/91."""
+_WORKER_SHOCKS = 1 << 19
+"""Fewest shocks a study gives each pool worker, its n_paths x n_steps plus
+``_BATCH_SHOCKS`` a batch; below twice as many it runs in-process.
+In-process/two-worker pool in ms (2 vCPUs, medians of 11-15, three runs):
+20-step rows, 30 batches (0.29 Mi shocks) 34-35/54-58, 40 batches 44-64/40-54,
+50 batches 56-81/47-64; 200-step rows, 5-8 batches (0.49-0.76 Mi) within 3 ms
+either way save one 46/39, 9-10 batches 45-53/39-44; 1000-step rows, 2 batches,
+0.50 Mi 30/40, 0.67-0.81 Mi within 6 ms, 0.95 Mi 39-54/33-40.  So the pool
+wins from 40 batches of 20 steps, 9 of 200 steps and about 1 Mi of long rows."""
+
+_BATCH_SHOCKS = 1 << 14
+"""The fixed cost of a batch (its draw call, six extreme reductions and the
+cells, about 0.7 ms on 2 vCPUs) in shocks drawn in the same time."""
 
 _CELL_STATS = ("mean", "mean_se", "variance", "variance_se", "p_delta", "p_delta_se")
 """The statistics of a cell that must be finite, in the order ``rangevol simulate`` writes them."""
@@ -283,7 +292,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     finite (at huge drifts the samples overflow).
     """
     n_batches = (cfg.n_paths + cfg.batch_size - 1) // cfg.batch_size
-    workers = _worker_count(min(n_batches, cfg.n_paths * cfg.n_steps // _WORKER_SHOCKS))
+    work = cfg.n_paths * cfg.n_steps + n_batches * _BATCH_SHOCKS
+    workers = _worker_count(min(n_batches, work // _WORKER_SHOCKS))
     acc = _Cells()
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite cells are reported below
         if workers <= 1:

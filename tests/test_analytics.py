@@ -24,6 +24,7 @@ from rangevol import (
     rogers_satchell_mean,
     theoretical_moments,
 )
+from rangevol.cli import main
 from rangevol.estimators import GK_K1, GK_K2, GK_K3, estimator_value
 
 LN16 = math.log(16.0)
@@ -120,10 +121,52 @@ def test_range_moments_hold_the_mass_at_large_drifts(gamma, monkeypatch):
     if abs(gamma) == 1000.0:  # E d^2 = gamma^2 + 3 + O(1 / gamma^2)
         assert parkinson == pytest.approx(360_674.8423, rel=1e-9)
     means = [garman_klass_mean(gamma, variant=v) for v in GarmanKlassVariant]
-    monkeypatch.setattr(analytics, "_range_moments", lambda kind, g: (e_d2, e_d4))
-    for variant, mean in zip(GarmanKlassVariant, means):
-        assert mean > 0.0
-        assert mean == pytest.approx(garman_klass_mean(gamma, variant=variant), rel=1e-9)
+    # S is kept per drift: clear it on both sides, so that the means below are
+    # recomputed from the oracle's E d^2 and no other test reads that S
+    analytics._second_moments.cache_clear()
+    monkeypatch.setattr(analytics, "_range_moments", lambda g: (e_d2, e_d4))
+    try:
+        for variant, mean in zip(GarmanKlassVariant, means):
+            assert mean > 0.0
+            assert mean == pytest.approx(garman_klass_mean(gamma, variant=variant), rel=1e-9)
+        assert analytics._second_moments.cache_info().misses == 1
+    finally:
+        analytics._second_moments.cache_clear()
+
+
+TABLES_DRIFTS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
+PER_DRIFT_TABLES = (analytics._range_moments, analytics._second_moments)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("gamma", TABLES_DRIFTS + (1000.0, -1000.0, -0.0))
+@pytest.mark.parametrize("table", PER_DRIFT_TABLES, ids=lambda t: t.__name__)
+def test_per_drift_tables_keep_their_computation(table, gamma):
+    # the cache returns what the computation returns, bit for bit, and the
+    # computation repeats itself
+    if gamma == 0.0:
+        table(0.0)  # -0.0 shares this key, so it reads this entry
+    kept = table(gamma)
+    assert _bits(kept) == _bits(table.__wrapped__(gamma)) == _bits(table.__wrapped__(gamma))
+
+
+def test_second_moments_are_read_only():
+    s = analytics._second_moments(0.5)
+    assert not s.flags.writeable
+    with pytest.raises(ValueError):
+        s[0, 1] = 0.0
+
+
+def test_tables_mean_integrates_the_range_law_once_per_drift(capsys):
+    for table in PER_DRIFT_TABLES:
+        table.cache_clear()
+    assert main(["tables", "--table", "mean"]) == 0
+    capsys.readouterr()
+    assert analytics._range_moments.cache_info().misses == len(TABLES_DRIFTS)
+    assert analytics._second_moments.cache_info().misses == len(TABLES_DRIFTS)
 
 
 # Variances from the exact (high, low, close) law at gamma = 0, 1, 2; the

@@ -118,10 +118,11 @@ def test_cells_of_a_matrix_are_the_cells_of_its_rows():
 
 
 def test_small_study_runs_without_a_pool(monkeypatch):
-    # the ticks study: 10 000 paths of 20 steps are 2e5 shocks, under the
-    # two workers' worth of shocks that open a pool
+    # the ticks study: 10 000 paths of 20 steps are 2e5 shocks in 20 batches,
+    # under the two workers' worth of shocks that open a pool
     cfg = ExperimentConfig(n_steps=20, n_paths=10_000, seed=201)
-    assert cfg.n_paths * cfg.n_steps < 2 * montecarlo._WORKER_SHOCKS
+    work = cfg.n_paths * cfg.n_steps + 20 * montecarlo._BATCH_SHOCKS
+    assert work < 2 * montecarlo._WORKER_SHOCKS
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a small study started a process pool")
@@ -136,8 +137,8 @@ def test_small_study_runs_without_a_pool(monkeypatch):
 
 @pytest.mark.parametrize("n_paths, workers", [(199, None), (200, 2), (299, 2), (300, 3), (900, 3)])
 def test_pool_gives_every_worker_its_shocks(monkeypatch, n_paths, workers):
-    # with 100 shocks a worker, 199 shocks run in-process, 200 open a
-    # two-worker pool and 300 a three-worker one; RANGEVOL_THREADS caps it
+    # with 100 shocks a worker and no batch cost, 199 shocks run in-process,
+    # 200 open a two-worker pool and 300 a three-worker one; RANGEVOL_THREADS caps it
     class Started(Exception):
         pass
 
@@ -145,6 +146,7 @@ def test_pool_gives_every_worker_its_shocks(monkeypatch, n_paths, workers):
         raise Started(max_workers)
 
     monkeypatch.setattr(montecarlo, "_WORKER_SHOCKS", 100)
+    monkeypatch.setattr(montecarlo, "_BATCH_SHOCKS", 0)
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", pool)
     monkeypatch.setenv("RANGEVOL_THREADS", "3")
     cfg = ExperimentConfig(n_steps=1, n_paths=n_paths, batch_size=10, gamma_grid=(0.0,))
@@ -154,6 +156,30 @@ def test_pool_gives_every_worker_its_shocks(monkeypatch, n_paths, workers):
         with pytest.raises(Started) as started:
             run_experiment(cfg)
         assert started.value.args == (workers,)
+
+
+@pytest.mark.parametrize("n_steps, n_paths, pooled", [
+    (20, 15_000, False), (20, 20_000, True), (200, 4_000, False), (200, 4_600, True),
+    (1000, 850, False), (1000, 1_024, True),
+])
+def test_short_rows_count_their_batches(monkeypatch, n_steps, n_paths, pooled):
+    # the measured crossovers: 20-step studies pool from 40 batches (0.38 Mi
+    # shocks), 200-step ones from 9 batches (0.88 Mi), long rows from about 1 Mi
+    class Started(Exception):
+        pass
+
+    def pool(max_workers):
+        raise Started(max_workers)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", pool)
+    monkeypatch.setenv("RANGEVOL_THREADS", "2")
+    cfg = ExperimentConfig(n_steps=n_steps, n_paths=n_paths, gamma_grid=(0.0,))
+    if pooled:
+        with pytest.raises(Started) as started:
+            run_experiment(cfg)
+        assert started.value.args == (2,)
+    else:
+        assert run_experiment(cfg).cell("parkinson", 0.0).n == n_paths
 
 
 def test_bit_identical_across_worker_counts(monkeypatch, study_pools):
