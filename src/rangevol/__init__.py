@@ -39,9 +39,11 @@ from .paths import (
     simulate_path,
 )
 
-# The analytic layers need scipy, which takes about a second to import, so
-# their names (and the modules themselves) resolve on first access, through
-# PEP 562.  ``estimate`` and ``simulate --skip-theory`` never touch them.
+# The analytic layers need scipy.special: ``import rangevol.analytics`` takes
+# 0.2-0.35 s and 54 MB resident, against 0.07-0.16 s and 29 MB for
+# ``import rangevol, rangevol.cli`` (2 vCPUs, scipy 1.17.1).  So their names
+# (and the modules themselves) resolve on first access, through PEP 562.
+# ``estimate`` and ``simulate --skip-theory`` never touch them.
 _LAZY = {
     name: module
     for module, names in (

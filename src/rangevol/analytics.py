@@ -37,6 +37,16 @@ matrix S (``_second_moments``).  The Parkinson moments, both Garman-Klass
 means and the Rogers-Satchell mean read them, so a sweep integrates the
 range law once per drift.  Each table keeps its last ``_DRIFT_TABLES`` = 64
 drifts; nothing keyed on density points or histogram bins is kept.
+
+The only scipy module the statistics load is ``scipy.special``.  The
+module attribute ``integrate`` is a lazy hook (PEP 562 ``__getattr__``): it
+returns ``scipy.integrate``, and imports it, only when something reads
+``analytics.integrate``.  Nothing here does; the benchmark's tracer
+(``perfbench/spans.py``) swaps it for a proxy in ``--trace 1`` runs, so the
+hook stays until the tracer drops that proxy.  Loading ``scipy.integrate``
+eagerly pulled in optimize, sparse, linalg and more: about 26 MB resident
+and 0.1-0.3 s of import time in every process of the analytic layer
+(2 vCPUs, scipy 1.17.1).
 """
 
 from __future__ import annotations
@@ -46,8 +56,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-# integrate is unused here; perfbench/spans.py proxies analytics.integrate in --trace 1 runs
-from scipy import integrate, special  # noqa: F401
+from scipy import special
 
 from . import densities
 from .estimators import (EstimatorKind, GarmanKlassVariant, estimator_value, garman_klass_value,
@@ -63,6 +72,18 @@ __all__ = [
     "garman_klass_mean",
     "rogers_satchell_mean",
 ]
+
+
+def __getattr__(name):
+    if name == "integrate":  # read only by the benchmark's tracer, which proxies it
+        from scipy import integrate
+        return integrate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), "integrate"})
+
 
 @dataclass(frozen=True)
 class MomentReport:

@@ -108,6 +108,12 @@ def _finite_gammas(gammas: tuple[float, ...]) -> tuple[float, ...]:
     return gammas
 
 
+def _finite(flag: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise _CliError(f"{flag} must be finite, got {value!r}")
+    return value
+
+
 def _finite_positive(flag: str, value: float) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise _CliError(f"{flag} must be finite and positive, got {value!r}")
@@ -405,7 +411,11 @@ def cmd_density(args, parser, argv) -> int:
     from . import densities
 
     name = args.name
+    if args.points < 0:
+        parser.error(f"--points must be >= 0, got {args.points}")
     (gamma,) = _finite_gammas((args.gamma,))
+    x_min, x_max = _finite("--x-min", args.x_min), _finite("--x-max", args.x_max)
+    _finite("--x-max - --x-min", x_max - x_min)  # else the grid's step overflows
 
     def evaluate(x: float) -> densities.DensityValue:
         if name == "close-pdf":
@@ -420,7 +430,7 @@ def cmd_density(args, parser, argv) -> int:
             return densities.parkinson_estimator_pdf(x, gamma)
         return densities.bridge_estimator_pdf(x)
 
-    xs = np.linspace(args.x_min, args.x_max, args.points)
+    xs = np.linspace(x_min, x_max, args.points)
     values = [evaluate(x) for x in xs.tolist()]
     _write_output(args, ["x", "value", "terms_used"],
                   [xs, [v.value for v in values], [v.terms_used for v in values]], argv)

@@ -267,6 +267,34 @@ def test_density_unknown_name_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--x-max", "inf"), "--x-max must be finite, got inf"),
+    (("--x-min", "nan"), "--x-min must be finite, got nan"),
+    (("--x-min=-1e308", "--x-max=1e308"), "--x-max - --x-min must be finite, got inf"),
+], ids=["x-max", "x-min", "span"])
+def test_density_non_finite_grid_exit_1(tmp_path, capsys, argv, message):
+    # numpy's step warning and a misleading "delta must be finite" came first
+    out = tmp_path / "d.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("density", "range-pdf", *argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"rangevol: error: {message}\n"
+    assert not out.exists()
+
+
+def test_density_negative_points_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("density", "range-pdf", "--points", "-1")
+    assert exc.value.code == 2
+    assert "error: --points must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_density_zero_points_writes_the_header(tmp_path):
+    out = tmp_path / "d.csv"
+    assert run_cli("density", "range-pdf", "--points", "0", "--out", str(out)) == 0
+    assert read_table(out) == (["x", "value", "terms_used"], [])
+
+
 @pytest.mark.parametrize("argv", [
     ("estimate", "ticks.csv", "--seed", "1"),
     ("estimate", "ticks.csv", "--series-tol", "1e-9"),
