@@ -79,14 +79,14 @@ print("4. Plot-ready estimator pdfs -> demos/output/*.csv")
 print("=" * 70)
 xs = np.linspace(0.01, 6.0, 600)
 for name, pdf in [
-    ("parkinson_pdf_gamma0", lambda x: parkinson_estimator_pdf(x, 0.0).value),
-    ("parkinson_pdf_gamma1", lambda x: parkinson_estimator_pdf(x, 1.0).value),
-    ("bridge_pdf", lambda x: bridge_estimator_pdf(x).value),
+    ("parkinson_pdf_gamma0", parkinson_estimator_pdf(xs, 0.0)),
+    ("parkinson_pdf_gamma1", parkinson_estimator_pdf(xs, 1.0)),
+    ("bridge_pdf", bridge_estimator_pdf(xs)),
 ]:
     path = OUT / f"{name}.csv"
     with open(path, "w") as fh:
         fh.write("x,density\n")
-        fh.writelines(f"{x:.6f},{pdf(float(x)):.10e}\n" for x in xs)
+        fh.writelines(f"{x:.6f},{y:.10e}\n" for x, y in zip(xs, pdf.value))
     print(f"wrote {path}")
 
 print()

@@ -267,7 +267,7 @@ def _close_rule(gamma: float, cuts):
     fixed = np.union1d(gamma + _CLOSE_EDGES, 0.0)
     edges = np.concatenate([np.broadcast_to(fixed, cuts.shape[:-1] + fixed.shape), cuts], axis=-1)
     c, w = _panel_rule(np.sort(np.clip(np.nan_to_num(edges, nan=lo), lo, hi), -1), _CLOSE_NODES)
-    return c, w * np.exp(-0.5 * (c - gamma) ** 2) / math.sqrt(2.0 * math.pi)
+    return c, w * densities.close_pdf(c, gamma)
 
 
 def _hlc_moment(weight, gamma: float):

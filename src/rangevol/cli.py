@@ -44,14 +44,14 @@ if TYPE_CHECKING:
 
 _KIND_NAMES = {kind.value: kind for kind in EstimatorKind}
 
-_DENSITY_NAMES = (
-    "close-pdf",
-    "high-pdf",
-    "range-pdf",
-    "bridge-range-pdf",
-    "park-estimator-pdf",
-    "bridge-estimator-pdf",
-)
+_DENSITY_NAMES = {  # command name: (function of rangevol.densities, whether it takes the drift)
+    "close-pdf": ("close_pdf", True),
+    "high-pdf": ("high_pdf", True),
+    "range-pdf": ("range_pdf", True),
+    "bridge-range-pdf": ("bridge_range_pdf", False),
+    "park-estimator-pdf": ("parkinson_estimator_pdf", True),
+    "bridge-estimator-pdf": ("bridge_estimator_pdf", False),
+}
 
 
 class _CliError(RuntimeError):
@@ -410,30 +410,18 @@ def cmd_simulate(args, parser, argv) -> int:
 def cmd_density(args, parser, argv) -> int:
     from . import densities
 
-    name = args.name
     if args.points < 0:
         parser.error(f"--points must be >= 0, got {args.points}")
     (gamma,) = _finite_gammas((args.gamma,))
     x_min, x_max = _finite("--x-min", args.x_min), _finite("--x-max", args.x_max)
     _finite("--x-max - --x-min", x_max - x_min)  # else the grid's step overflows
 
-    def evaluate(x: float) -> densities.DensityValue:
-        if name == "close-pdf":
-            return densities.DensityValue(densities.close_pdf(x, gamma), 0, True)
-        if name == "high-pdf":
-            return densities.high_pdf(x, gamma)
-        if name == "range-pdf":
-            return densities.range_pdf(x, gamma)
-        if name == "bridge-range-pdf":
-            return densities.bridge_range_pdf(x)
-        if name == "park-estimator-pdf":
-            return densities.parkinson_estimator_pdf(x, gamma)
-        return densities.bridge_estimator_pdf(x)
-
+    name, drifted = _DENSITY_NAMES[args.name]
     xs = np.linspace(x_min, x_max, args.points)
-    values = [evaluate(x) for x in xs.tolist()]
-    _write_output(args, ["x", "value", "terms_used"],
-                  [xs, [v.value for v in values], [v.terms_used for v in values]], argv)
+    got = getattr(densities, name)(xs, *(gamma,) * drifted)
+    # close_pdf returns its values alone, from no terms
+    terms = np.zeros(xs.shape, dtype=int) if name == "close_pdf" else got.terms_used
+    _write_output(args, ["x", "value", "terms_used"], [xs, getattr(got, "value", got), terms], argv)
     return 0
 
 
@@ -539,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output(p_sim)
 
     p_den = subs.add_parser("density", help="tabulate an analytic density")
-    p_den.add_argument("name", choices=_DENSITY_NAMES)
+    p_den.add_argument("name", choices=tuple(_DENSITY_NAMES))
     p_den.add_argument("--gamma", type=float, default=0.0)
     p_den.add_argument("--x-min", type=float, default=0.01)
     p_den.add_argument("--x-max", type=float, default=6.0)

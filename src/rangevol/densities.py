@@ -17,13 +17,13 @@ functions of ``rangevol.analytics`` read the CDF, the moments and the point
 densities the density.  Past a cut (``_LIMIT``) each returns its limit,
 CDF 1 and density 0, so huge and infinite ranges give no NaN.
 
-One point of a range law is one kernel call on a float: :func:`range_pdf`,
-:func:`bridge_range_pdf` and the two estimator densities each make one
-finiteness check, one call of :func:`_density_at` (which picks the form)
-and one ``DensityValue``.  At 12-44 terms a point its cost is numpy's
-per-call overhead, so the one-point image form hands its ufuncs 0-d array
-operands, which skip numpy's slower path for Python-float operands with
-the same values bit for bit.
+Every public density takes floats or broadcastable numpy arrays, giving a
+``DensityValue`` of Python scalars or of per-point arrays.  A joint law is
+its kernel, whose mask is its support, times :func:`close_pdf`.  A range law
+takes one float drift, and at a float range keeps a one-point route
+(:func:`_density_at`, 18 us against 28 us through :func:`_by_switch`) for
+the thousands of points of a theory sweep: its image form hands its ufuncs
+0-d operands, its dual keeps ``math.exp``, so the routes agree to a few ulps.
 
 Truncation policy of the joint grids: image shells (+m, -m) are summed
 outward from m = 1, and each grid point stops once the largest exponent its
@@ -69,6 +69,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_PI = math.sqrt(2.0 / math.pi)   # sqrt(2/pi)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -85,12 +86,13 @@ class DensityValue:
     ``ValueError``.  The diagnostic "half" variant of :func:`high_pdf` goes
     genuinely negative at nonzero drift, which is exactly the inconsistency
     the validation module records, so it is built without that check.
+    At array arguments each field is an array of their broadcast shape.
     """
 
-    value: float
-    terms_used: int
-    converged: bool
-    clamped: bool = False
+    value: float | np.ndarray
+    terms_used: int | np.ndarray
+    converged: bool | np.ndarray
+    clamped: bool | np.ndarray = False
 
 
 _MASS_FLOOR = 0.3
@@ -113,13 +115,16 @@ _ROUND_OFF = 1e-11
 """Largest negative density value taken as round-off and clamped to 0."""
 
 
-def _finish(value: float, terms: int) -> DensityValue:
-    """The density value, with round-off below 0 clamped; beyond round-off it raises."""
-    if value < 0.0:
-        if value < -_ROUND_OFF:
-            raise ValueError(f"density value {value!r} is negative beyond round-off")
-        return DensityValue(0.0, terms, True, clamped=True)
-    return DensityValue(value, terms, True)
+def _finish(value, terms, converged=True) -> DensityValue:
+    """The density values, round-off below 0 clamped; 0-d arrays give Python scalars."""
+    if type(value) is float and value >= 0.0:  # one point of a range law, with no numpy call
+        return DensityValue(value, terms, converged)
+    worst = np.min(value, initial=0.0)
+    if worst < -_ROUND_OFF:
+        raise ValueError(f"density value {float(worst)!r} is negative beyond round-off")
+    low = np.asarray(value) < 0.0
+    fields = (np.where(low, 0.0, value), np.full(low.shape, terms), np.full(low.shape, converged), low)
+    return DensityValue(*fields) if low.ndim else DensityValue(*(f.item() for f in fields))
 
 
 _CUTOFF = -50.0
@@ -127,22 +132,23 @@ _CUTOFF = -50.0
 
 _ZERO_EXPONENT = -800.0
 """An exponent below which exp is exactly 0 in floats (it underflows below
-about -745.13).  Each closed-form and joint density returns its limit 0,
-from no terms, where the largest exponent of its terms lies below this: its
-float value is already exactly 0 there, and huge arguments would overflow
-the squares in its terms."""
+about -745.13).  The joint kernels leave out the points where the largest
+exponent of their terms lies below this, and the (high, close) density
+returns 0 there: the float value is already exactly 0, and huge arguments
+would overflow the squares in the terms."""
 
 
-def _image_series(shell, mask, cols, context: str) -> tuple[np.ndarray, int]:
+def _image_series(shell, mask, cols, context: str) -> tuple[np.ndarray, np.ndarray]:
     """Sum shell(m, *cols) for m = 1, 2, ... over the grid points where mask holds.
 
     ``shell`` returns the shell's terms and, per point, the largest exponent
     it passed to exp.  A point stops, its sum final, after the first shell
     whose exponent is below ``_CUTOFF``, and drops out of the evaluation; the
     loop ends when every point has stopped.  Points off the mask are 0.
-    Returns the sums and the number of shells evaluated.
+    Returns the sums and, per point, the shells it summed (0 off the mask).
     """
     total = np.zeros(mask.shape)
+    shells = np.zeros(mask.shape, dtype=int)
     live = np.flatnonzero(mask)
     cols = [c[mask] for c in cols]
     acc = np.zeros(live.size)
@@ -156,44 +162,45 @@ def _image_series(shell, mask, cols, context: str) -> tuple[np.ndarray, int]:
         done = top < _CUTOFF
         if done.any():
             total.flat[live[done]] = acc[done]
+            shells.flat[live[done]] = m
             keep = ~done
             live, acc = live[keep], acc[keep]
             cols = [c[keep] for c in cols]
-    return total, m
+    return total, shells
 
 
 # ---------------------------------------------------------------------------
 # Close and high
 # ---------------------------------------------------------------------------
 
-def close_pdf(chi: float, gamma: float) -> float:
-    """Density of the close: N(gamma, 1)."""
+def close_pdf(chi, gamma):
+    """Density of the close: N(gamma, 1); a float at floats, else an array."""
     _require_finite("close_pdf", chi=chi, gamma=gamma)
-    z = chi - gamma
-    if -0.5 * z * z < _ZERO_EXPONENT:
-        return 0.0
-    return math.exp(-0.5 * z ** 2) / math.sqrt(2.0 * math.pi)
+    with np.errstate(over="ignore"):  # a huge z squares to inf, where the density is 0
+        value = np.exp(-0.5 * np.square(chi - gamma)) / _SQRT_2PI
+    return value if value.ndim else float(value)
 
 
-def high_close_joint_pdf(eta: float, chi: float, gamma: float) -> DensityValue:
+def high_close_joint_pdf(eta, chi, gamma) -> DensityValue:
     """Joint density of (high, close); closed form, support chi < eta, eta > 0."""
     _require_finite("high_close_joint_pdf", eta=eta, chi=chi, gamma=gamma)
-    # the exponent below is -2 eta (eta - chi) - (chi - gamma)^2 / 2
-    if (eta <= 0.0 or chi >= eta
-            or -2.0 * eta * (eta - chi) - 0.5 * (chi - gamma) * (chi - gamma) < _ZERO_EXPONENT):
-        return DensityValue(0.0, 0, True)
-    expo = 2.0 * gamma * eta - 0.5 * (2.0 * eta - chi + gamma) ** 2
-    return _finish(_SQRT_2_PI * (2.0 * eta - chi) * math.exp(expo), 0)
+    # the exponent 2 gamma eta - (2 eta - chi + gamma)^2 / 2 without the terms that
+    # cancel at large drift; huge arguments overflow in the terms np.where discards
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = -2.0 * eta * (eta - chi) - 0.5 * np.square(chi - gamma)
+        value = np.where((eta > 0.0) & (chi < eta) & (expo >= _ZERO_EXPONENT),
+                         _SQRT_2_PI * (2.0 * eta - chi) * np.exp(expo), 0.0)
+    return _finish(value, 0)
 
 
-def _exp_times_erfc(log_factor: float, a: float) -> float:
-    """exp(log_factor) * erfc(a), kept in floating-point range."""
-    if a >= 0.0:
-        return math.exp(log_factor - a * a) * float(erfcx(a))
-    return math.exp(log_factor) * float(erfc(a))
+def _exp_times_erfc(log_factor, a):
+    """exp(log_factor) * erfc(a) over arrays, kept in floating-point range."""
+    pos = a >= 0.0
+    return (np.exp(np.where(pos, log_factor - a * a, log_factor))
+            * np.where(pos, erfcx(np.maximum(a, 0.0)), erfc(a)))
 
 
-def high_pdf(eta: float, gamma: float) -> DensityValue:
+def high_pdf(eta, gamma) -> DensityValue:
     """Density of the high, support eta > 0.
 
     The drift correction term is gamma * exp(2*gamma*eta) *
@@ -202,13 +209,15 @@ def high_pdf(eta: float, gamma: float) -> DensityValue:
     The refuted reading with divisor 2 is kept by ``rangevol.validation``.
     """
     _require_finite("high_pdf", eta=eta, gamma=gamma)
-    # both terms carry exp(-(eta - gamma)^2 / 2), the drift term only while eta + gamma >= 0
-    far = -0.5 * (eta - gamma) * (eta - gamma) < _ZERO_EXPONENT
-    if eta <= 0.0 or (far and eta + gamma >= 0.0):
-        return DensityValue(0.0, 0, True)
-    base = 0.0 if far else _SQRT_2_PI * math.exp(-0.5 * (eta - gamma) ** 2)
-    corr = gamma * _exp_times_erfc(2.0 * gamma * eta, (eta + gamma) / _SQRT2)
-    return _finish(base - corr, 0)
+    # while eta + gamma >= 0 the drift term takes the Gaussian term's exponent
+    # -(eta - gamma)^2 / 2 through erfcx, so nothing cancels at large drift;
+    # huge arguments overflow in the terms np.where discards
+    with np.errstate(over="ignore", invalid="ignore"):
+        gauss = np.exp(-0.5 * np.square(eta - gamma))
+        a = (eta + gamma) / _SQRT2
+        drift = np.where(a >= 0.0, gauss * erfcx(a), np.exp(2.0 * (gamma * eta)) * erfc(a))
+        value = np.where(eta > 0.0, _SQRT_2_PI * gauss - gamma * drift, 0.0)
+    return _finish(value, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,21 +240,26 @@ def _hlc_shell(m, d, l, chi):
     return t, top
 
 
-def _hlc_series_grid(eta, ell, chi) -> tuple[np.ndarray, int]:
+def _hlc_series_grid(eta, ell, chi) -> tuple[np.ndarray, np.ndarray]:
     """Image series of the (h, l) density conditional on close = chi, vectorized.
 
     ``eta``, ``ell`` and ``chi`` are broadcastable arrays; the support mask and
     the overall factor 4 are applied (the factor is fixed by normalization:
     the double integral over (eta, ell) must be 1 for every chi; see
-    ``rangevol.validation``).  Returns (values, shells_used).
+    ``rangevol.validation``).  Returns (values, shells used per point).
     """
     eta, ell, chi = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (eta, ell, chi)))
-    mask = (eta > np.maximum(0.0, chi)) & (ell < np.minimum(0.0, chi)) & (eta - ell >= _MASS_FLOOR)
-    total, shells = _image_series(_hlc_shell, mask, (eta - ell, ell, chi), "(h,l,c) joint density")
+    # no image exponent exceeds -2 eta (eta - chi) or -2 ell (ell - chi); huge
+    # arguments overflow to -inf exponents, off the mask
+    with np.errstate(over="ignore"):
+        d = eta - ell
+        mask = ((eta > np.maximum(0.0, chi)) & (ell < np.minimum(0.0, chi)) & (d >= _MASS_FLOOR)
+                & (-2.0 * np.maximum(eta * (eta - chi), ell * (ell - chi)) >= _ZERO_EXPONENT))
+    total, shells = _image_series(_hlc_shell, mask, (d, ell, chi), "(h,l,c) joint density")
     return 4.0 * total, shells
 
 
-def _hlc_low_mass_grid(eta, lo, hi, chi) -> tuple[np.ndarray, int]:
+def _hlc_low_mass_grid(eta, lo, hi, chi) -> tuple[np.ndarray, np.ndarray]:
     """Integral of :func:`_hlc_series_grid` over the low in [lo, hi], vectorized.
 
     K(u) is G'(u) / 2 with G(u) = (chi - 2u) exp(2u(chi - u)), so image term
@@ -272,35 +286,38 @@ def _hlc_low_mass_grid(eta, lo, hi, chi) -> tuple[np.ndarray, int]:
     return 4.0 * total, shells
 
 
-def hlc_joint_pdf(eta: float, ell: float, chi: float, gamma: float) -> DensityValue:
+def _joint(kernel, factor, top, bottom) -> DensityValue:
+    """A joint law, the kernel's series times ``factor``; converged at ranges >= the floor."""
+    series, shells = kernel
+    with np.errstate(over="ignore"):  # a huge range overflows to inf, above the floor
+        return _finish(factor * series, shells, top - bottom >= _MASS_FLOOR)
+
+
+def hlc_joint_pdf(eta, ell, chi, gamma) -> DensityValue:
     """Joint density of (high, low, close); support ell < chi < eta with
     eta > max(0, chi) and ell < min(0, chi)."""
     _require_finite("hlc_joint_pdf", eta=eta, ell=ell, chi=chi, gamma=gamma)
-    # no image exponent exceeds -2 eta (eta - chi) or -2 ell (ell - chi)
-    if (not (ell < chi < eta) or eta <= max(0.0, chi) or ell >= min(0.0, chi)
-            or -2.0 * max(eta * (eta - chi), ell * (ell - chi)) < _ZERO_EXPONENT):
-        return DensityValue(0.0, 0, True)
-    if eta - ell < _MASS_FLOOR:
-        return DensityValue(0.0, 0, False)
-    series, shells = _hlc_series_grid(np.float64(eta), np.float64(ell), chi)
-    return _finish(close_pdf(chi, gamma) * float(series), shells)
+    return _joint(_hlc_series_grid(eta, ell, chi), close_pdf(chi, gamma), eta, ell)
 
 
 # ---------------------------------------------------------------------------
 # Joint density of (range, close)
 # ---------------------------------------------------------------------------
 
-def _range_close_series_grid(delta, abs_chi) -> tuple[np.ndarray, int]:
+def _range_close_series_grid(delta, abs_chi) -> tuple[np.ndarray, np.ndarray]:
     """Image series of the (range, close) density without the close factor.
 
     Vectorized over broadcastable ``delta`` and ``abs_chi`` grids (the close
     enters only through its absolute value); the overall factor 4 is
-    included, the Gaussian close density is not.
+    included, the Gaussian close density is not.  Returns (values, shells).
     """
     delta, abs_chi = np.broadcast_arrays(
         np.asarray(delta, dtype=float), np.asarray(abs_chi, dtype=float)
     )
-    mask = (delta > abs_chi) & (delta >= _MASS_FLOOR)
+    # the largest image exponent is -2 delta (delta - |chi|); a huge range overflows to -inf
+    with np.errstate(over="ignore"):
+        mask = ((delta > abs_chi) & (delta >= _MASS_FLOOR)
+                & (-2.0 * (delta * (delta - abs_chi)) >= _ZERO_EXPONENT))
 
     def shell(m, d, a):
         t = 0.0
@@ -318,20 +335,14 @@ def _range_close_series_grid(delta, abs_chi) -> tuple[np.ndarray, int]:
     return 4.0 * total, shells
 
 
-def range_close_joint_pdf(delta: float, chi: float, gamma: float) -> DensityValue:
+def range_close_joint_pdf(delta, chi, gamma) -> DensityValue:
     """Joint density of (range, close); support delta > |chi|.
 
     Depends on chi only through |chi| (apart from the Gaussian close
     factor), so it is symmetric in chi at gamma = 0.
     """
     _require_finite("range_close_joint_pdf", delta=delta, chi=chi, gamma=gamma)
-    # 0 off the support and where the largest image exponent is below _ZERO_EXPONENT
-    if delta <= abs(chi) or -2.0 * delta * (delta - abs(chi)) < _ZERO_EXPONENT:
-        return DensityValue(0.0, 0, True)
-    if delta < _MASS_FLOOR:
-        return DensityValue(0.0, 0, False)
-    series, shells = _range_close_series_grid(np.float64(delta), np.float64(abs(chi)))
-    return _finish(close_pdf(chi, gamma) * float(series), shells)
+    return _joint(_range_close_series_grid(delta, np.abs(chi)), close_pdf(chi, gamma), delta, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +366,6 @@ _DUAL_A = (math.pi * np.arange(1.0, 13.0)) ** 2   # a_n = n^2 pi^2, n = 1..12
 _DUAL_SIGN = np.resize([-1.0, 1.0], _DUAL_A.size)  # (-1)^n
 _IMAGE_SHELLS = 6
 _KUIPER_M2 = np.arange(1.0, _IMAGE_SHELLS + 1.0) ** 2
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 # the constants of the image form, as 0-d arrays (see _range_image)
 _HALF, _ZERO, _SQRT2_A = np.array(0.5), np.array(0.0), np.array(_SQRT2)
 _LOG_PHI0 = np.array(-0.5 * math.log(2.0 * math.pi))   # log of the normal density at 0
@@ -495,20 +505,25 @@ def _by_switch(d, cut: float, density: bool, dual, image, *args):
     """The CDF, or with ``density`` the density, at every point of ``d``:
     ``dual(d, *args)`` up to ``_SWITCH``, ``image(d, *args)`` above it up to
     ``cut``, the limit (CDF 1, density 0) past ``cut``, and 0 below ``_LOW``
-    (and at NaN)."""
+    (and at NaN); with the terms each point used (0 for the limits)."""
     d = np.asarray(d, dtype=float)
     out = np.zeros(d.shape)
-    for part, law in (((d >= _LOW) & (d <= _SWITCH), dual), ((d > _SWITCH) & (d <= cut), image)):
+    terms = np.zeros(d.shape, dtype=int)
+    for part, law, n in (((d >= _LOW) & (d <= _SWITCH), dual, _DUAL_A.size),
+                         ((d > _SWITCH) & (d <= cut), image, _IMAGE_SHELLS)):
         if part.any():
             out[part] = law(d[part], *args, density=density)
+            terms[part] = n
     if not density:
         out[d > cut] = 1.0
-    return out
+    return out, terms
 
 
-def _density_at(delta: float, cut: float, dual, image, *args) -> tuple[float, int]:
-    """One density value of a range law and its term count, from the form
-    that holds at ``delta``; 0 from no terms below ``_LOW`` and past ``cut``."""
+def _density_at(delta, cut: float, dual, image, *args):
+    """A range law's density and term counts, by :func:`_by_switch` over an array and at a
+    float from the form that holds there; 0 from no terms below ``_LOW`` and past ``cut``."""
+    if isinstance(delta, np.ndarray):
+        return _by_switch(delta, cut, True, dual, image, *args)
     if delta < _LOW or delta > cut:
         return 0.0, 0
     if delta <= _SWITCH:
@@ -516,34 +531,28 @@ def _density_at(delta: float, cut: float, dual, image, *args) -> tuple[float, in
     return float(image(delta, *args, density=True)), _IMAGE_SHELLS
 
 
-def range_pdf(delta: float, gamma: float = 0.0) -> DensityValue:
+def range_pdf(delta, gamma: float = 0.0) -> DensityValue:
     """Density of the range d = h - l at drift gamma; support delta > 0."""
     _require_finite("range_pdf", delta=delta, gamma=gamma)
     cut = _LIMIT + abs(gamma)
-    return _finish(*_density_at(float(delta), cut, _range_dual, _range_image, gamma))
+    return _finish(*_density_at(delta, cut, _range_dual, _range_image, gamma))
 
 
 # ---------------------------------------------------------------------------
 # Bridge extremes and bridge range
 # ---------------------------------------------------------------------------
 
-def bridge_hl_joint_pdf(eta: float, ell: float) -> DensityValue:
+def bridge_hl_joint_pdf(eta, ell) -> DensityValue:
     """Joint density of the bridge extremes (xi, zeta); support eta > 0 > ell."""
     _require_finite("bridge_hl_joint_pdf", eta=eta, ell=ell)
-    # 0 off the support and where the largest image exponent is below _ZERO_EXPONENT
-    if eta <= 0.0 or ell >= 0.0 or -2.0 * (eta - ell) * (eta - ell) < _ZERO_EXPONENT:
-        return DensityValue(0.0, 0, True)
-    if eta - ell < _MASS_FLOOR:
-        return DensityValue(0.0, 0, False)
     # the bridge is the path conditioned on close 0: the (h, l, c) series at close 0
-    series, shells = _hlc_series_grid(np.float64(eta), np.float64(ell), 0.0)
-    return _finish(float(series), shells)
+    return _joint(_hlc_series_grid(eta, ell, 0.0), 1.0, eta, ell)
 
 
-def bridge_range_pdf(delta: float) -> DensityValue:
+def bridge_range_pdf(delta) -> DensityValue:
     """Density of the bridge range s = xi - zeta; support delta > 0."""
     _require_finite("bridge_range_pdf", delta=delta)
-    return _finish(*_density_at(float(delta), _LIMIT, _bridge_dual, _bridge_image))
+    return _finish(*_density_at(delta, _LIMIT, _bridge_dual, _bridge_image))
 
 
 # ---------------------------------------------------------------------------
@@ -563,31 +572,36 @@ def _range_law(kind: EstimatorKind, gamma: float):
     if kind is EstimatorKind.PARKINSON:
         cut = _LIMIT + abs(gamma)
         return (lambda d, *, density: _by_switch(d, cut, density, _range_dual, _range_image,
-                                                 gamma)), LN16
+                                                 gamma)[0]), LN16
     if kind is EstimatorKind.BRIDGE:
-        return ((lambda d, *, density: _by_switch(d, _LIMIT, density, _bridge_dual, _bridge_image)),
-                1.0 / BRIDGE_FACTOR)
+        return ((lambda d, *, density: _by_switch(d, _LIMIT, density, _bridge_dual,
+                                                  _bridge_image)[0]), 1.0 / BRIDGE_FACTOR)
     raise ValueError(f"no analytic estimator density for {kind}")
 
 
-def _estimator_pdf(x: float, alpha: float, cut: float, dual, image, *args) -> DensityValue:
+def _estimator_pdf(x, alpha: float, cut: float, dual, image, *args) -> DensityValue:
     """Density of d^2 / alpha at x from the range law that :func:`_density_at`
     evaluates at d; 0 at x <= 0 and where d overflows (past ``cut``)."""
-    if x <= 0.0:
-        return DensityValue(0.0, 0, True)
-    value, terms = _density_at(math.sqrt(alpha * x), cut, dual, image, *args)
+    if isinstance(x, np.ndarray):
+        with np.errstate(over="ignore"):  # d = inf is past the law's cut, where the density is 0
+            d = np.sqrt(alpha * np.maximum(x, 0.0))
+        value, terms = _by_switch(d, cut, True, dual, image, *args)
+        pos = value > 0.0  # the scale overflows at subnormal x, where the law is 0
+        value[pos] *= np.sqrt(alpha / (4.0 * x[pos]))
+        return _finish(value, terms)
+    value, terms = _density_at(math.sqrt(alpha * x) if x > 0.0 else 0.0, cut, dual, image, *args)
     if value > 0.0:  # the scale overflows at subnormal x, where the law is 0
         value = math.sqrt(alpha / (4.0 * x)) * value
     return _finish(value, terms)
 
 
-def parkinson_estimator_pdf(x: float, gamma: float = 0.0) -> DensityValue:
+def parkinson_estimator_pdf(x, gamma: float = 0.0) -> DensityValue:
     """Density of the Parkinson estimator d^2 / ln 16 at drift gamma."""
     _require_finite("parkinson_estimator_pdf", x=x, gamma=gamma)
     return _estimator_pdf(x, LN16, _LIMIT + abs(gamma), _range_dual, _range_image, gamma)
 
 
-def bridge_estimator_pdf(x: float) -> DensityValue:
+def bridge_estimator_pdf(x) -> DensityValue:
     """Density of the bridge estimator (6/pi^2) s^2; drift-free."""
     _require_finite("bridge_estimator_pdf", x=x)
     return _estimator_pdf(x, 1.0 / BRIDGE_FACTOR, _LIMIT, _bridge_dual, _bridge_image)

@@ -73,11 +73,12 @@ __all__ = [
 ]
 
 
-def _require_finite(context: str, **args: float) -> None:
-    """Raise ``ValueError`` naming the first non-finite argument."""
+def _require_finite(context: str, **args) -> None:
+    """Raise ``ValueError`` naming the first non-finite argument (float or array)."""
     for name, value in args.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{context}: {name} must be finite, got {value!r}")
+        if not (math.isfinite(value) if type(value) is float else np.isfinite(value).all()):
+            first = float(np.asarray(value)[~np.isfinite(value)][0])
+            raise ValueError(f"{context}: {name} must be finite, got {first!r}")
 
 
 def _require_finite_table(values, names, where) -> None:

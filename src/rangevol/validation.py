@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import analytics, densities
-from .densities import DensityValue
 from .estimators import GarmanKlassVariant, garman_klass_value
 from .paths import batch_extremes
 
@@ -78,22 +78,20 @@ def _mass(f, e_lo: float, e_hi: float, c_lo: float, c_hi: float) -> float:
     return _integral(lambda e: _close_integrals(f, e, c_lo, c_hi), e_lo, e_hi)
 
 
-def _at_drift(pdf):
-    """``pdf(*point, _GAMMA).value`` over broadcast arrays of points."""
-    return np.vectorize(lambda *point: pdf(*point, _GAMMA).value, otypes=[float])
-
-
-def _high_pdf_half(eta: float, gamma: float) -> DensityValue:
+def _high_pdf_half(eta, gamma: float):
     """The refuted reading of :func:`densities.high_pdf`: erfc((eta + gamma) / 2).
 
-    It goes genuinely negative at nonzero drift, so its value is built
+    It goes genuinely negative at nonzero drift, so its values are built
     directly, past the negativity check of ``densities._finish``.
     """
-    if eta <= 0.0:
-        return DensityValue(0.0, 0, True)
-    base = densities._SQRT_2_PI * math.exp(-0.5 * (eta - gamma) ** 2)
+    base = densities._SQRT_2_PI * np.exp(-0.5 * (eta - gamma) ** 2)
     corr = gamma * densities._exp_times_erfc(2.0 * gamma * eta, (eta + gamma) / 2.0)
-    return DensityValue(base - corr, 0, True)
+    return np.where(eta > 0.0, base - corr, 0.0)
+
+
+def _high_close_close_reading(e, c):
+    """:func:`densities.high_close_joint_pdf` at drift ``_GAMMA``: the close reading."""
+    return densities.high_close_joint_pdf(e, c, _GAMMA).value
 
 
 def _high_close_high_reading(e, c):
@@ -106,13 +104,17 @@ def _high_close_high_reading(e, c):
 def _high_density_check(h) -> ValidationCheck:
     """Which erfc argument scaling makes the high density a density; ``h``
     holds the simulated highs at drift ``_GAMMA``."""
-    half, sqrt2 = _at_drift(_high_pdf_half), _at_drift(densities.high_pdf)
+    half = partial(_high_pdf_half, gamma=_GAMMA)
+
+    def sqrt2(eta):
+        return densities.high_pdf(eta, _GAMMA).value
+
     norm_half = _integral(half, 0.0, 14.0 + _GAMMA)
     norm_sqrt2 = _integral(sqrt2, 0.0, 14.0 + _GAMMA)
 
     # pointwise against the marginal of the (high, close) joint density
     etas = np.array([0.3, 0.7, 1.2, 2.0, 3.0])
-    marg = _close_integrals(_at_drift(densities.high_close_joint_pdf), etas, -12.0, math.inf)
+    marg = _close_integrals(_high_close_close_reading, etas, -12.0, math.inf)
     dev_half = float(np.max(np.abs(half(etas) - marg)))
     dev_sqrt2 = float(np.max(np.abs(sqrt2(etas) - marg)))
 
@@ -155,15 +157,14 @@ def _high_density_check(h) -> ValidationCheck:
 def _high_close_check(h, c) -> ValidationCheck:
     """The stray exponent symbol in the (high, close) density: close or high?
     ``h`` and ``c`` hold the simulated highs and closes at drift ``_GAMMA``."""
-    close_reading = _at_drift(densities.high_close_joint_pdf)
-    mass_close = _mass(close_reading, 0.0, 12.0 + _GAMMA, -12.0, math.inf)
+    mass_close = _mass(_high_close_close_reading, 0.0, 12.0 + _GAMMA, -12.0, math.inf)
     mass_high = _mass(_high_close_high_reading, 0.0, 12.0 + _GAMMA, -12.0, math.inf)
 
     boxes = [(0.8, 1.2, 0.2, 0.6), (1.2, 1.6, 0.6, 1.0), (0.6, 1.0, -0.4, 0.2)]
     rels = []
     for e_lo, e_hi, c_lo, c_hi in boxes:
         emp = float(((h >= e_lo) & (h < e_hi) & (c >= c_lo) & (c < c_hi)).mean())
-        rels.append(emp / _mass(close_reading, e_lo, e_hi, c_lo, c_hi) - 1.0)
+        rels.append(emp / _mass(_high_close_close_reading, e_lo, e_hi, c_lo, c_hi) - 1.0)
     max_rel = max(abs(r) for r in rels)
 
     ok = abs(mass_close - 1.0) < 1e-6 and max_rel < _REL_GATE and abs(mass_high - 1.0) > 0.3
@@ -204,7 +205,7 @@ def _hlc_normalization_check(h, l, c) -> ValidationCheck:
     eta, we = analytics._gl_nodes(e_lo, e_hi, 32)
     ell, wl = analytics._gl_nodes(l_lo, l_hi, 32)
     series, _ = densities._hlc_series_grid(eta[:, None], ell, chis[:, None, None])
-    wc = wc * np.array([densities.close_pdf(x, 0.0) for x in chis])
+    wc = wc * densities.close_pdf(chis, 0.0)
     prob = float(np.einsum("k,i,j,kij->", wc, we, wl, series))
     rel_scaled = emp / prob - 1.0
     rel_raw = emp / (prob / 4.0) - 1.0

@@ -295,6 +295,27 @@ def test_density_zero_points_writes_the_header(tmp_path):
     assert read_table(out) == (["x", "value", "terms_used"], [])
 
 
+@pytest.mark.parametrize("name, call", [
+    ("close-pdf", lambda x: (rangevol.close_pdf(x, 1.25), np.zeros(x.shape, dtype=int))),
+    ("high-pdf", lambda x: rangevol.high_pdf(x, 1.25)),
+    ("range-pdf", lambda x: rangevol.range_pdf(x, 1.25)),
+    ("bridge-range-pdf", lambda x: rangevol.bridge_range_pdf(x)),
+    ("park-estimator-pdf", lambda x: rangevol.parkinson_estimator_pdf(x, 1.25)),
+    ("bridge-estimator-pdf", lambda x: rangevol.bridge_estimator_pdf(x)),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_density_rows_are_one_library_array_call(tmp_path, name, call):
+    # the grid crosses the range laws' switch at 1.5 and the closed forms' support
+    out = tmp_path / "d.csv"
+    assert run_cli("density", name, "--gamma", "1.25", "--x-min", "-1", "--x-max", "9",
+                   "--points", "301", "--out", str(out)) == 0
+    _, rows = read_table(out)
+    xs = np.linspace(-1.0, 9.0, 301)
+    got = call(xs)
+    values, terms = (got.value, got.terms_used) if hasattr(got, "value") else got
+    assert [[float(r[0]), float(r[1]), int(r[2])] for r in rows] == [
+        list(row) for row in zip(xs.tolist(), values.tolist(), terms.tolist())]
+
+
 @pytest.mark.parametrize("argv", [
     ("estimate", "ticks.csv", "--seed", "1"),
     ("estimate", "ticks.csv", "--series-tol", "1e-9"),

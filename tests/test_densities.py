@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import astuple
 
 import mpmath as mp
 import numpy as np
@@ -89,6 +90,38 @@ def test_high_pdf_sqrt2_variant_matches_joint_marginal():
         assert abs(high_pdf(eta, 1.0).value - marg) < 1e-6
     norm, _ = integrate.quad(lambda e: high_pdf(e, 1.0).value, 0, 15, **QUAD)
     assert abs(norm - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("gamma", [1e4, 1e8, 1e16])
+def test_closed_forms_match_60_digit_reference_at_large_drift(gamma):
+    # no exponent cancels: at drift 1e8 the form 2 gamma eta - (eta + gamma)^2 / 2
+    # lost every digit, and at 1e16 its exp overflowed; the points are the
+    # floats nearest gamma + offset, and the references take them exactly
+    def high_ref(eta):
+        e, g = mp.mpf(eta), mp.mpf(gamma)
+        return (mp.sqrt(2 / mp.pi) * mp.exp(-(e - g) ** 2 / 2)
+                - g * mp.exp(2 * g * e) * mp.erfc((e + g) / mp.sqrt(2)))
+
+    def high_close_ref(eta, chi):
+        e, c, g = mp.mpf(eta), mp.mpf(chi), mp.mpf(gamma)
+        if c >= e:  # off the support, where eta - 1e-4 rounds to eta
+            return mp.mpf(0)
+        return mp.sqrt(2 / mp.pi) * (2 * e - c) * mp.exp(2 * g * e - (2 * e - c + g) ** 2 / 2)
+
+    with mp.workdps(60):
+        for eta in (gamma + 0.5, gamma + 2.0, gamma - 0.5, gamma - 3.0):
+            assert high_pdf(eta, gamma).value == pytest.approx(float(high_ref(eta)), rel=1e-15)
+        eta = gamma + 0.5
+        for chi in (math.nextafter(eta, -math.inf), eta - 1e-4, eta - 4.0):
+            assert high_close_joint_pdf(eta, chi, gamma).value == pytest.approx(
+                float(high_close_ref(eta, chi)), rel=1e-15), chi
+
+
+def test_high_pdf_limit_at_the_largest_drifts():
+    # at eta = gamma the density tends to 1 / sqrt(2 pi) as gamma grows; the
+    # former form returned NaN here
+    assert high_pdf(1.3e154, 1.3e154).value == pytest.approx(1.0 / math.sqrt(2.0 * math.pi),
+                                                             rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -532,19 +565,24 @@ def _reference_series(shell, mask, factor, cutoff):
     first shell whose largest exponent is below ``cutoff``, and the loop
     ends when every point has stopped.
 
-    Returns (factor * sum on the mask and 0 off it, shells).
+    Returns (factor * sum on the mask and 0 off it, the shells each point
+    summed and 0 off the mask).
     """
     acc = 0.0
     live = np.ones(int(mask.sum()), dtype=bool)
+    used = np.zeros(live.size, dtype=int)
     m = 0
     while live.any():
         m += 1
         t, top = shell(m)
         acc = np.where(live, acc + t, acc)
+        used[live] = m
         live &= top >= cutoff
     total = np.zeros(mask.shape)
     total[mask] = factor * acc
-    return total, m
+    shells = np.zeros(mask.shape, dtype=int)
+    shells[mask] = used
+    return total, shells
 
 
 def _reference_reflection(kernel, eta, ell, mask, factor, cutoff):
@@ -667,7 +705,7 @@ def test_series_grid_bit_identical_to_plain_loop(name, grid, reference, args):
     values, shells = grid(*args)
     expect, expect_shells = reference(*args)
     assert np.array_equal(values, expect)
-    assert shells == expect_shells
+    assert np.array_equal(shells, expect_shells)
 
 
 @pytest.mark.parametrize(
@@ -786,6 +824,26 @@ def test_density_value_telemetry():
     assert v.terms_used > 0 and v.converged and not v.clamped
     closed = high_pdf(1.0, 0.0)
     assert closed.terms_used == 0
+
+
+@pytest.mark.parametrize("density, args, drift", [
+    (close_pdf, (0.3, 1.0), ()), (high_pdf, (0.7, 1.0), ()),
+    (high_close_joint_pdf, (0.9, 0.2, 1.0), ()), (hlc_joint_pdf, (0.9, -0.6, 0.2, 1.0), ()),
+    (range_close_joint_pdf, (1.2, -0.3, 1.0), ()), (bridge_hl_joint_pdf, (0.8, -0.5), ()),
+    (range_pdf, (0.7,), (1.0,)), (bridge_range_pdf, (2.0,), ()),
+    (parkinson_estimator_pdf, (1.3,), (1.0,)), (bridge_estimator_pdf, (0.4,), ()),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_zero_d_arrays_give_python_scalars(density, args, drift):
+    # a 0-d array is a point: the fields are Python scalars, as at floats (a
+    # range law's 0-d range takes its array route, within a few ulps, and its
+    # drift is a float)
+    got, want = density(*map(np.array, args), *drift), density(*args, *drift)
+    if isinstance(want, float):
+        assert type(got) is float and got == want
+        return
+    assert [type(f) for f in astuple(got)] == [float, int, bool, bool]
+    assert got.value == pytest.approx(want.value, rel=4e-15) and got.value > 0.0
+    assert astuple(got)[1:] == astuple(want)[1:]
 
 
 def test_joint_densities_start_at_the_mass_floor():

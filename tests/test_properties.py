@@ -85,13 +85,15 @@ def test_estimators_are_scale_equivariant(h, l, frac, xi, zeta, alpha):
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-drift = st.floats(-1e3, 1e3)  # far past the paper's; from about 1e8 the closed forms cancel
-DENSITIES = (  # each public scalar density, its point arguments, and whether a drift follows
-    (densities.close_pdf, 1, True), (densities.high_pdf, 1, True),
-    (densities.high_close_joint_pdf, 2, True), (densities.hlc_joint_pdf, 3, True),
-    (densities.range_close_joint_pdf, 2, True), (densities.range_pdf, 1, True),
-    (densities.bridge_hl_joint_pdf, 2, False), (densities.bridge_range_pdf, 1, False),
-    (densities.parkinson_estimator_pdf, 1, True), (densities.bridge_estimator_pdf, 1, False),
+drift = st.floats(-1e3, 1e3)  # far past the paper's; the range laws lose digits from 1e5
+DENSITIES = (  # each public density, its point arguments, whether a drift follows, and
+    # whether it is one code path at floats and arrays (the closed forms and joint laws)
+    (densities.close_pdf, 1, True, True), (densities.high_pdf, 1, True, True),
+    (densities.high_close_joint_pdf, 2, True, True), (densities.hlc_joint_pdf, 3, True, True),
+    (densities.range_close_joint_pdf, 2, True, True), (densities.range_pdf, 1, True, False),
+    (densities.bridge_hl_joint_pdf, 2, False, True), (densities.bridge_range_pdf, 1, False, False),
+    (densities.parkinson_estimator_pdf, 1, True, False),
+    (densities.bridge_estimator_pdf, 1, False, False),
 )
 
 
@@ -99,7 +101,7 @@ DENSITIES = (  # each public scalar density, its point arguments, and whether a 
 @given(data=st.data())
 def test_public_densities_are_finite_and_nonnegative(data):
     # every point argument over the whole finite float range
-    for density, points, drifted in DENSITIES:
+    for density, points, drifted, _ in DENSITIES:
         args = data.draw(st.tuples(*[finite] * points, *[drift] * drifted), label=density.__name__)
         value = density(*args)
         value = value if isinstance(value, float) else value.value
@@ -143,3 +145,52 @@ def test_one_point_densities_are_the_array_law(x, gamma):
                              (estimator, math.sqrt(alpha / (4.0 * x)) * scaled, scaled_terms)):
             assert got.value == pytest.approx(want, rel=1e-15, abs=0.0), (kind, got, want)
             assert got.terms_used == n and got.converged and not got.clamped, (kind, got)
+
+
+def _fields(result):
+    """(value, terms_used, converged, clamped) of a density's result; close_pdf
+    returns its values alone."""
+    if isinstance(result, densities.DensityValue):
+        return result.value, result.terms_used, result.converged, result.clamped
+    return (result,)
+
+
+# A range law's float route keeps math.exp in its dual's drift factors and
+# reduces its bridge terms by one dot product per point, so it may differ
+# from the array route by a few units in the last place: 1.2e-15 relative
+# at most over about 10^5 random points (drifts within 1e3, ranges up to 50).
+RANGE_LAW_ROUTES_REL = 4e-15
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 3), cols=st.integers(1, 3))
+def test_public_densities_on_arrays_are_their_one_point_calls(data, rows, cols):
+    # each argument alternates between a column of `rows` and a row of `cols`
+    # points, so a call with two or more broadcasts to (rows, cols); the drift
+    # of a range law is one float
+    point = st.floats(-6.0, 6.0) | finite
+    for density, points, drifted, shared in DENSITIES:
+        args = []
+        for i in range(points + drifted):
+            if i == points and not shared:
+                args.append(data.draw(drift, label=density.__name__))
+                continue
+            each = (rows, 1) if i % 2 == 0 else (1, cols)
+            values = data.draw(st.lists(point if i < points else drift, min_size=max(each),
+                                        max_size=max(each)), label=density.__name__)
+            args.append(np.array(values).reshape(each))
+        shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+        got = _fields(density(*args))
+        assert all(np.shape(f) == shape for f in got), (density.__name__, got)
+        for index in np.ndindex(shape):
+            one = density(*(float(np.broadcast_to(a, shape)[index])
+                            if isinstance(a, np.ndarray) else a for a in args))
+            want = _fields(one)
+            assert type(want[0]) is float, (density.__name__, one)
+            where = (density.__name__, index, args)
+            if shared:
+                assert got[0][index] == want[0], where
+            else:
+                assert got[0][index] == pytest.approx(want[0], rel=RANGE_LAW_ROUTES_REL,
+                                                      abs=0.0), where
+            assert [f[index] for f in got[1:]] == list(want[1:]), where

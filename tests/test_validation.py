@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from rangevol import densities, high_close_joint_pdf, high_pdf, validation
+from rangevol import high_close_joint_pdf, high_pdf, validation
 
 
 def test_high_pdf_variants_coincide_at_zero_drift():
     for eta in (0.3, 1.0, 2.5):
-        assert validation._high_pdf_half(eta, 0.0).value == pytest.approx(
+        assert validation._high_pdf_half(eta, 0.0) == pytest.approx(
             high_pdf(eta, 0.0).value, abs=1e-15
         )
 
@@ -20,7 +20,7 @@ def test_high_pdf_half_reading_misses_joint_marginal():
         marg, _ = integrate.quad(
             lambda c: high_close_joint_pdf(eta, c, 1.0).value, -12, eta, limit=300, epsabs=1e-12
         )
-        assert abs(validation._high_pdf_half(eta, 1.0).value - marg) > 1e-2
+        assert abs(validation._high_pdf_half(eta, 1.0) - marg) > 1e-2
 
 
 def test_high_density_check(validation_report):
@@ -108,14 +108,14 @@ def test_fixed_rules_match_adaptive_quadrature():
     def hc(e, c):
         return high_close_joint_pdf(e, c, gamma).value
 
-    for pdf in (validation._high_pdf_half, high_pdf):
+    # each reading is called on arrays by the fixed rules and on floats by quad
+    for pdf in (lambda e: validation._high_pdf_half(e, gamma), lambda e: high_pdf(e, gamma).value):
         for lo, hi in ((0.0, 14.0 + gamma), (0.6, 0.9), (0.9, 1.2), (1.2, 1.5), (1.5, 1.8),
                        (1.8, 2.2)):
-            ref, _ = integrate.quad(lambda e: pdf(e, gamma).value, lo, hi, limit=300, **opts)
-            assert abs(validation._integral(validation._at_drift(pdf), lo, hi) - ref) < 1e-12
+            ref, _ = integrate.quad(pdf, lo, hi, limit=300, **opts)
+            assert abs(validation._integral(pdf, lo, hi) - ref) < 1e-12
     etas = np.array([0.3, 0.7, 1.2, 2.0, 3.0])
-    marginals = validation._close_integrals(validation._at_drift(densities.high_close_joint_pdf),
-                                            etas, -12.0, math.inf)
+    marginals = validation._close_integrals(hc, etas, -12.0, math.inf)
     for eta, got in zip(etas, marginals):
         ref, _ = integrate.quad(lambda c: hc(eta, c), -12.0, eta, limit=300, **opts)
         assert abs(got - ref) < 1e-12
@@ -124,8 +124,7 @@ def test_fixed_rules_match_adaptive_quadrature():
     for e_lo, e_hi, c_lo, c_hi in regions:
         ref, _ = integrate.dblquad(lambda c, e: hc(e, c), e_lo, e_hi, c_lo,
                                    lambda e: min(c_hi, e), **opts)
-        got = validation._mass(validation._at_drift(densities.high_close_joint_pdf),
-                               e_lo, e_hi, c_lo, c_hi)
+        got = validation._mass(hc, e_lo, e_hi, c_lo, c_hi)
         assert abs(got - ref) < 1e-12
     ref, _ = integrate.dblquad(lambda c, e: validation._high_close_high_reading(e, c),
                                0.0, 12.0 + gamma, -12.0, lambda e: e, **opts)
