@@ -70,6 +70,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_PI = math.sqrt(2.0 / math.pi)   # sqrt(2/pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_HALF_OVER_SQRT_PI = 0.5 / math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ _ROUND_OFF = 1e-11
 
 def _finish(value, terms, converged=True) -> DensityValue:
     """The density values, round-off below 0 clamped; 0-d arrays give Python scalars."""
-    if type(value) is float and value >= 0.0:  # one point of a range law, with no numpy call
+    if type(value) is float and value >= 0.0:  # one point of a range law: numpy would take 10 us
         return DensityValue(value, terms, converged)
     worst = np.min(value, initial=0.0)
     if worst < -_ROUND_OFF:
@@ -193,13 +194,6 @@ def high_close_joint_pdf(eta, chi, gamma) -> DensityValue:
     return _finish(value, 0)
 
 
-def _exp_times_erfc(log_factor, a):
-    """exp(log_factor) * erfc(a) over arrays, kept in floating-point range."""
-    pos = a >= 0.0
-    return (np.exp(np.where(pos, log_factor - a * a, log_factor))
-            * np.where(pos, erfcx(np.maximum(a, 0.0)), erfc(a)))
-
-
 def high_pdf(eta, gamma) -> DensityValue:
     """Density of the high, support eta > 0.
 
@@ -212,10 +206,13 @@ def high_pdf(eta, gamma) -> DensityValue:
     # while eta + gamma >= 0 the drift term takes the Gaussian term's exponent
     # -(eta - gamma)^2 / 2 through erfcx, so nothing cancels at large drift;
     # huge arguments overflow in the terms np.where discards
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         gauss = np.exp(-0.5 * np.square(eta - gamma))
-        a = (eta + gamma) / _SQRT2
-        drift = np.where(a >= 0.0, gauss * erfcx(a), np.exp(2.0 * (gamma * eta)) * erfc(a))
+        half = (0.5 * eta + 0.5 * gamma) / _SQRT2   # a / 2, finite at all finite arguments
+        a = 2.0 * half
+        # where a overflows, erfcx(a) is 1 / (sqrt(pi) a) to round-off
+        scaled = np.where(np.isinf(a), np.divide(_HALF_OVER_SQRT_PI, half), erfcx(a))
+        drift = np.where(a >= 0.0, gauss * scaled, np.exp(2.0 * (gamma * eta)) * erfc(a))
         value = np.where(eta > 0.0, _SQRT_2_PI * gauss - gamma * drift, 0.0)
     return _finish(value, 0)
 
@@ -531,8 +528,17 @@ def _density_at(delta, cut: float, dual, image, *args):
     return float(image(delta, *args, density=True)), _IMAGE_SHELLS
 
 
+def _one_drift(context: str, gamma) -> float:
+    """The drift of a range law as a float; an array of drifts raises ``ValueError``."""
+    if type(gamma) is not float and np.ndim(gamma):
+        raise ValueError(f"{context}: gamma must be one float, got an array of shape "
+                         f"{np.shape(gamma)}")
+    return float(gamma)
+
+
 def range_pdf(delta, gamma: float = 0.0) -> DensityValue:
-    """Density of the range d = h - l at drift gamma; support delta > 0."""
+    """Density of the range d = h - l at drift gamma (one float); support delta > 0."""
+    gamma = _one_drift("range_pdf", gamma)
     _require_finite("range_pdf", delta=delta, gamma=gamma)
     cut = _LIMIT + abs(gamma)
     return _finish(*_density_at(delta, cut, _range_dual, _range_image, gamma))
@@ -582,21 +588,25 @@ def _range_law(kind: EstimatorKind, gamma: float):
 def _estimator_pdf(x, alpha: float, cut: float, dual, image, *args) -> DensityValue:
     """Density of d^2 / alpha at x from the range law that :func:`_density_at`
     evaluates at d; 0 at x <= 0 and where d overflows (past ``cut``)."""
-    if isinstance(x, np.ndarray):
+    array = isinstance(x, np.ndarray)
+    if array:
         with np.errstate(over="ignore"):  # d = inf is past the law's cut, where the density is 0
-            d = np.sqrt(alpha * np.maximum(x, 0.0))
-        value, terms = _by_switch(d, cut, True, dual, image, *args)
-        pos = value > 0.0  # the scale overflows at subnormal x, where the law is 0
+            d = np.asarray(np.sqrt(alpha * np.maximum(x, 0.0)))   # 0-d stays an array
+    else:
+        d = math.sqrt(alpha * x) if x > 0.0 else 0.0
+    value, terms = _density_at(d, cut, dual, image, *args)
+    # the scale dx/dd is taken where the law is positive: it overflows at subnormal x
+    if array:
+        pos = value > 0.0
         value[pos] *= np.sqrt(alpha / (4.0 * x[pos]))
-        return _finish(value, terms)
-    value, terms = _density_at(math.sqrt(alpha * x) if x > 0.0 else 0.0, cut, dual, image, *args)
-    if value > 0.0:  # the scale overflows at subnormal x, where the law is 0
+    elif value > 0.0:
         value = math.sqrt(alpha / (4.0 * x)) * value
     return _finish(value, terms)
 
 
 def parkinson_estimator_pdf(x, gamma: float = 0.0) -> DensityValue:
-    """Density of the Parkinson estimator d^2 / ln 16 at drift gamma."""
+    """Density of the Parkinson estimator d^2 / ln 16 at drift gamma (one float)."""
+    gamma = _one_drift("parkinson_estimator_pdf", gamma)
     _require_finite("parkinson_estimator_pdf", x=x, gamma=gamma)
     return _estimator_pdf(x, LN16, _LIMIT + abs(gamma), _range_dual, _range_image, gamma)
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from scipy.special import erfc, erfcx
 
 from . import analytics, densities
 from .estimators import GarmanKlassVariant, garman_klass_value
@@ -78,6 +79,13 @@ def _mass(f, e_lo: float, e_hi: float, c_lo: float, c_hi: float) -> float:
     return _integral(lambda e: _close_integrals(f, e, c_lo, c_hi), e_lo, e_hi)
 
 
+def _exp_times_erfc(log_factor, a):
+    """exp(log_factor) * erfc(a) over arrays, kept in floating-point range."""
+    pos = a >= 0.0
+    return (np.exp(np.where(pos, log_factor - a * a, log_factor))
+            * np.where(pos, erfcx(np.maximum(a, 0.0)), erfc(a)))
+
+
 def _high_pdf_half(eta, gamma: float):
     """The refuted reading of :func:`densities.high_pdf`: erfc((eta + gamma) / 2).
 
@@ -85,7 +93,7 @@ def _high_pdf_half(eta, gamma: float):
     directly, past the negativity check of ``densities._finish``.
     """
     base = densities._SQRT_2_PI * np.exp(-0.5 * (eta - gamma) ** 2)
-    corr = gamma * densities._exp_times_erfc(2.0 * gamma * eta, (eta + gamma) / 2.0)
+    corr = gamma * _exp_times_erfc(2.0 * gamma * eta, (eta + gamma) / 2.0)
     return np.where(eta > 0.0, base - corr, 0.0)
 
 

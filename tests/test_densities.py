@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 from dataclasses import astuple
 
@@ -117,11 +118,13 @@ def test_closed_forms_match_60_digit_reference_at_large_drift(gamma):
                 float(high_close_ref(eta, chi)), rel=1e-15), chi
 
 
-def test_high_pdf_limit_at_the_largest_drifts():
-    # at eta = gamma the density tends to 1 / sqrt(2 pi) as gamma grows; the
-    # former form returned NaN here
-    assert high_pdf(1.3e154, 1.3e154).value == pytest.approx(1.0 / math.sqrt(2.0 * math.pi),
-                                                             rel=1e-15)
+@pytest.mark.parametrize("gamma", [1.3e154, 1e308, 1.7e308, sys.float_info.max])
+def test_high_pdf_limit_at_the_largest_drifts(gamma):
+    # at eta = gamma the density tends to 1 / sqrt(2 pi) as gamma grows; from
+    # 1e308 on eta + gamma overflows, and the drift term falls to a subnormal
+    # erfcx with about 15 digits
+    assert high_pdf(gamma, gamma).value == pytest.approx(1.0 / math.sqrt(2.0 * math.pi),
+                                                         rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +436,24 @@ NON_FINITE_CASES = [
     (parkinson_estimator_pdf, (math.nan,), "x"),
     (bridge_estimator_pdf, (math.nan,), "x"),
 ]
+
+
+@pytest.mark.parametrize("func, args", [
+    (range_pdf, (1.0, np.array([0.5, 1.0]))),
+    (range_pdf, (np.array([1.0, 3.0]), [0.5, 1.0])),
+    (parkinson_estimator_pdf, (np.array([0.5, 3.0]), np.array([0.5, 1.0]))),
+], ids=["range-dual", "range-image", "parkinson"])
+def test_range_laws_reject_an_array_drift(func, args):
+    with pytest.raises(ValueError, match=f"{func.__name__}: gamma must be one float, got an "
+                                         r"array of shape \(2,\)"):
+        func(*args)
+
+
+def test_range_laws_take_a_zero_d_drift_as_its_float():
+    for delta in (1.0, 3.0, np.array([1.0, 3.0])):
+        np.testing.assert_array_equal(range_pdf(delta, np.array(0.5)).value,
+                                      range_pdf(delta, 0.5).value)
+    assert parkinson_estimator_pdf(3.0, np.float64(1.0)) == parkinson_estimator_pdf(3.0, 1.0)
 
 
 @pytest.mark.parametrize("func, args, name", NON_FINITE_CASES,
