@@ -417,8 +417,19 @@ def cmd_density(args, parser, argv) -> int:
     _finite("--x-max - --x-min", x_max - x_min)  # else the grid's step overflows
 
     name, drifted = _DENSITY_NAMES[args.name]
+    density, drift = getattr(densities, name), (gamma,) * drifted
     xs = np.linspace(x_min, x_max, args.points)
-    got = getattr(densities, name)(xs, *(gamma,) * drifted)
+    # a density rejects a value that is not finite; the failure names its point
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            got = density(xs, *drift)
+        except ValueError:
+            for x in xs.tolist():
+                try:
+                    density(x, *drift)
+                except ValueError as exc:
+                    raise _CliError(f"{args.name} at x {x!r}: {exc}") from None
+            raise
     # close_pdf returns its values alone, from no terms
     terms = np.zeros(xs.shape, dtype=int) if name == "close_pdf" else got.terms_used
     _write_output(args, ["x", "value", "terms_used"], [xs, getattr(got, "value", got), terms], argv)
@@ -430,16 +441,26 @@ def cmd_density(args, parser, argv) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_tables(args, parser, argv) -> int:
-    from . import analytics
-
     gammas = _finite_gammas(_parse_gammas(args.gammas))
     kinds = _parse_estimators(args.estimators, parser, tuple(EstimatorKind))
     variant = GarmanKlassVariant(args.gk_variant)
     header = ["estimator", "x", "value", "method"]
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below reports them
+        rows = _table_rows(args.table, args.levels, gammas, kinds, variant)
+    x = "level" if args.table == "interval" else "drift"
+    _require_finite_table(np.array([[row[2] for row in rows]], dtype=float), ["value"],
+                          lambda i: f"{rows[i][0]} at {x} {rows[i][1]!r}")
+    _write_output(args, header, list(zip(*rows)), argv)
+    return 0
+
+
+def _table_rows(table, levels, gammas, kinds, variant) -> list:
+    """The rows (estimator, x, value, method) of a theory table."""
+    from . import analytics
+
     rows = []
-    table = args.table
     if table == "interval":
-        levels = tuple(float(v) for v in args.levels.split(","))
+        levels = tuple(float(v) for v in levels.split(","))
         for kind in kinds:
             gamma = 0.0 if kind is EstimatorKind.BRIDGE else gammas[0]
             values = analytics._interval_probabilities(kind, gamma, levels, variant)
@@ -469,8 +490,7 @@ def cmd_tables(args, parser, argv) -> int:
                     }[table]
                     method = report.method
                 rows.append([estimator_label(kind, variant), gamma, value, method])
-    _write_output(args, header, list(zip(*rows)), argv)
-    return 0
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,11 @@ Every public density takes floats or broadcastable numpy arrays, giving a
 ``DensityValue`` of Python scalars or of per-point arrays.  A joint law is
 its kernel, whose mask is its support, times :func:`close_pdf`.  A range law
 takes one float drift, and at a float range keeps a one-point route
-(:func:`_density_at`, 18 us against 28 us through :func:`_by_switch`) for
-the thousands of points of a theory sweep: its image form hands its ufuncs
-0-d operands, its dual keeps ``math.exp``, so the routes agree to a few ulps.
+(:func:`_density_at`, about 10 us against 25-35 us through
+:func:`_by_switch`) for the thousands of points of a theory sweep.  It runs
+the same kernels: each point is a 1-row matrix in their matrix products, so
+the routes differ only where the dual's one point keeps ``math.exp``, by a
+few ulps.
 
 Truncation policy of the joint grids: image shells (+m, -m) are summed
 outward from m = 1, and each grid point stops once the largest exponent its
@@ -71,6 +73,7 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2_PI = math.sqrt(2.0 / math.pi)   # sqrt(2/pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _HALF_OVER_SQRT_PI = 0.5 / math.sqrt(math.pi)
+_SQRT_PI_2 = math.sqrt(0.5 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -117,9 +120,13 @@ _ROUND_OFF = 1e-11
 
 
 def _finish(value, terms, converged=True) -> DensityValue:
-    """The density values, round-off below 0 clamped; 0-d arrays give Python scalars."""
-    if type(value) is float and value >= 0.0:  # one point of a range law: numpy would take 10 us
+    """The density values, round-off below 0 clamped; 0-d arrays give Python scalars.
+    A value that is not finite raises ``ValueError``."""
+    if type(value) is float and 0.0 <= value < math.inf:  # one point of a range law: numpy would take 10 us
         return DensityValue(value, terms, converged)
+    finite = np.isfinite(value)
+    if not finite.all():
+        raise ValueError(f"density value {float(np.asarray(value)[~finite].flat[0])!r} is not finite")
     worst = np.min(value, initial=0.0)
     if worst < -_ROUND_OFF:
         raise ValueError(f"density value {float(worst)!r} is negative beyond round-off")
@@ -360,18 +367,38 @@ therefore hold their term counts fixed, and agree to 1e-14 on [1, 2.5].
 """
 
 _DUAL_A = (math.pi * np.arange(1.0, 13.0)) ** 2   # a_n = n^2 pi^2, n = 1..12
-_DUAL_SIGN = np.resize([-1.0, 1.0], _DUAL_A.size)  # (-1)^n
 _IMAGE_SHELLS = 6
 _KUIPER_M2 = np.arange(1.0, _IMAGE_SHELLS + 1.0) ** 2
-# the constants of the image form, as 0-d arrays (see _range_image)
-_HALF, _ZERO, _SQRT2_A = np.array(0.5), np.array(0.0), np.array(_SQRT2)
-_LOG_PHI0 = np.array(-0.5 * math.log(2.0 * math.pi))   # log of the normal density at 0
-_SQRT_PI_2 = np.array(math.sqrt(0.5 * math.pi))
+_LOG_PHI0 = -0.5 * math.log(2.0 * math.pi)   # log of the normal density at 0
+
+
+def _read_only(*tables):
+    """The tables, made read-only: cached and module tables are shared."""
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+# The theta dual's tables: -a_n / 2, the powers 2, 3, 4 of 1 / q_n, and the
+# weights 4 a_n, 4 a_n^2, 4 a_n^3 then (-1)^n times each.
+_DUAL_HALF_A, _DUAL_POWERS, _DUAL_WEIGHTS = _read_only(
+    -0.5 * _DUAL_A, np.array([[2.0], [3.0], [4.0]]),
+    np.stack([4.0 * _DUAL_A ** j * sign for sign in (1.0, np.resize([-1.0, 1.0], _DUAL_A.size))
+              for j in (1, 2, 3)], -1))
 
 
 def _column(x):
     """An array of points as a column for the terms of a series; a float as it is."""
     return x[..., None] if isinstance(x, np.ndarray) else x
+
+
+def _sums(product, array: bool):
+    """The entries of a kernel's matrix product by row and column: Python floats
+    for one point, and for an array of points one array over the points each."""
+    if not array:
+        return product.tolist()
+    n = product.ndim
+    return product.transpose(n - 2, n - 1, *range(n - 2))
 
 
 def _range_dual(d, gamma: float, *, density: bool):
@@ -383,45 +410,88 @@ def _range_dual(d, gamma: float, *, density: bool):
     of the window,
     H(d) = sum_n 4 a_n d (1 - (-1)^n cosh(gamma d)) exp(-a_n / (2 d^2) - gamma^2 / 2)
     / (gamma^2 d^2 + a_n)^2,
-    so that H' is the CDF and H'' the density.  With u = a_n / d^2,
-    z = gamma^2 d^2, q = z + a_n, m = a_n - 3 z + u q, and C the cosh factor
-    times exp(-gamma^2 / 2), term n of H' is 4 a_n e^{-u/2} / q^3 (m C + q d C').
+    so that H' is the CDF and H'' the density.  With z = gamma^2 d^2,
+    q_n = a_n + z, u = 1 / d^2 and the drift factors f0 = exp(-gamma^2 / 2),
+    c = f0 cosh(gamma d) and t = -f0 gamma d sinh(gamma d), both are sums of
+    e_n / q_n^j (e_n = exp(-a_n u / 2), j = 2, 3, 4) times a power of a_n,
+    plain and times (-1)^n: one matrix product per point, then combined with
+    the drift factors.  With Rj(w) the sum of w e_n / q_n^j and
+    M(w) = R3(w a^2) - 3 z R3(w a) + u R2(w a^2),
+    CDF / 4 = f0 M(1) - c M(s) + t R2(s a), s = (-1)^n, and
+    d density / 4 = f0 K(1) - c K(s) + 2 t M(s) - z c R2(s a), where
+    K(w) = u (u R2(w a^3) - 3 R2(w a^2) + 2 R3(w a^3) - 6 z R3(w a^2))
+    - 12 z (R4(w a^2) - z R4(w a)).
     """
-    exp = np.exp if isinstance(d, np.ndarray) else math.exp   # one point's factors are floats
-    dc = _column(d)
-    y = gamma * dc
+    array = isinstance(d, np.ndarray)
+    exp = np.exp if array else math.exp   # one point's factors are floats
+    y = gamma * d
     z = y * y
     h = 0.5 * gamma * gamma
     f0 = math.exp(-h)
     fp, fm = 0.5 * exp(y - h), 0.5 * exp(-y - h)
-    c = f0 - _DUAL_SIGN * (fp + fm)                  # C
-    c1 = _DUAL_SIGN * (y * (fm - fp))                # d C'
-    u, q = _DUAL_A / (dc * dc), _DUAL_A + z
-    w = _DUAL_A * np.exp(-0.5 * u) / (q * q * q)    # the factor 4 is applied to the sums
-    uq = u * q
-    a3 = _DUAL_A - 3.0 * z
-    m = a3 + uq
+    c, t = fp + fm, y * (fm - fp)
+    dd = d * d
+    u = 1.0 / dd
+    r = 1.0 / (_DUAL_A + _column(z))
+    e = np.exp(_DUAL_HALF_A / _column(dd))
+    # 4 Rj over the weights a, a^2, a^3, then (-1)^n times each: w = 1 at o = 0, s at o = 3
+    r2, r3, r4 = _sums((r[..., None, :] ** _DUAL_POWERS * e[..., None, :]) @ _DUAL_WEIGHTS, array)
+    z3 = 3.0 * z
+
+    def m(o):
+        return r3[o + 1] - z3 * r3[o] + u * r2[o + 1]
+
     if not density:
-        return 4.0 * np.add.reduce(w * (m * c + q * c1), -1)
-    curve = uq * (uq - 3.0 * q + 2.0 * a3) - 12.0 * z * (_DUAL_A - z)
-    terms = w / q * (curve * c + 2.0 * q * m * c1 + q * q * z * (c - f0))
-    return 4.0 * np.add.reduce(terms, -1) / d
+        return f0 * m(0) - c * m(3) + t * r2[3]
+
+    def k(o):
+        return (u * (u * r2[o + 2] - 3.0 * r2[o + 1] + 2.0 * r3[o + 2] - 2.0 * z3 * r3[o + 1])
+                - 4.0 * z3 * (r4[o + 1] - z * r4[o]))
+
+    return (f0 * k(0) - c * k(3) + 2.0 * t * m(3) - z * c * r2[3]) / d
+
+
+_MASS_SLACK = 1.0 + 2.0**-30
+"""The image form sums its masses e^{-2kdg} [v < 0 <= b] only where
+d <= |gamma| times this factor (see :func:`_range_image`); the slack covers
+the rounding of the signs of v and b at d = |gamma|."""
 
 
 @lru_cache(maxsize=32)
 def _image_terms(gamma: float, shells: int):
-    """Read-only flat vectors over the image terms (k, g), k = 1 - shells ..
-    shells - 1, g = +-gamma: the ends 2k then 2k + 1, g and -2 k g twice,
-    1 + 4k and 1 + 2k of p, and the coefficients of phi(v) then phi(b)."""
+    """Read-only tables of the image form at one drift, over its terms (k, g),
+    k = 1 - shells .. shells - 1 and g = +-gamma (see :func:`_range_image`).
+
+    ``span`` maps (d^2, d, 1) to x / sqrt(2) at x = v then b, and to the
+    exponents of e^{-2kdg} phi(x) at v, b, v, b: the layout [phi at v, phi
+    at b, tail at v, tail at b] of the terms.  ``weights[density]`` maps the
+    terms to (c0, c1) of the CDF or the density, which is c0 + d c1; ``kg``
+    is -2 k g, and ``mass[density]`` the (c0, c1) weights of the masses
+    e^{-2kdg} [v < 0 <= b].
+    """
     k = np.repeat(np.arange(1.0 - shells, shells), 2)
     g = np.resize([gamma, -gamma], k.size)
-    k2, g2, kg = k * k, gamma * gamma, -2.0 * k * g
-    coef = (-(4.0 * g2 + 8.0) * k2, 4.0 * g2 * k2 + (2.0 * k + 1.0) * (4.0 * k + 1.0))
-    tables = (np.concatenate((2.0 * k, 2.0 * k + 1.0)), np.concatenate((g, g)),
-              np.concatenate((kg, kg)), 1.0 + 4.0 * k, 1.0 + 2.0 * k, np.concatenate(coef))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    kg, g2, odd, zero = -2.0 * k * g, gamma * gamma, 2.0 * k + 1.0, np.zeros(k.size)
+    ends, gg = np.concatenate((2.0 * k, odd)), np.concatenate((g, g))
+    # a drift so large that these overflow makes the values NaN, which the
+    # public densities reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = np.stack((-0.5 * ends * ends, ends * gg + np.concatenate((kg, kg)),
+                         _LOG_PHI0 - 0.5 * gg * gg))
+        x = np.stack((np.zeros(ends.size), ends / _SQRT2, -gg / _SQRT2))
+        span = np.concatenate((x, expo, expo), 1)
+        p = 1.0 + 4.0 * k - kg * g             # p = 1 + 4k - 2 k b g, at d = 0
+        w = kg * (p + 1.0 + 2.0 * k)           # kg (p + 1 + 2k), at d = 0
+        cdf = (p, kg * odd)
+        pdf = (w, kg * kg * odd)
+        phi_pdf = np.concatenate((-(4.0 * g2 + 8.0) * k * k, 4.0 * g2 * k * k + odd * (4.0 * k + 1.0)))
+        phi_cdf = np.concatenate((zero, kg))
+        weights = tuple(
+            np.stack((np.concatenate((phi, _SQRT_PI_2 * c0, -_SQRT_PI_2 * c0)),
+                      np.concatenate((zero, zero, _SQRT_PI_2 * c1, -_SQRT_PI_2 * c1))), -1)
+            for phi, (c0, c1) in ((phi_cdf, cdf), (phi_pdf, pdf)))
+        mass = tuple(np.stack(c, -1) for c in (cdf, pdf))
+    return _read_only(span, *weights, kg, *mass)
 
 
 def _range_image(d, gamma: float, shells: int = _IMAGE_SHELLS, *, density: bool):
@@ -432,26 +502,48 @@ def _range_image(d, gamma: float, shells: int = _IMAGE_SHELLS, *, density: bool)
     gives, with g = +-gamma, v = 2 k d - g and b = v + d,
     CDF = sum_{k, g} [p M - 2 k g e^{-2kdg} phi(b)],  p = 1 + 4k - 2 k b g,
     M = e^{-2kdg} (Phi(b) - Phi(v)), and the density is its derivative in d.
-    The weighted normal densities and masses are evaluated with their
-    exponents combined (-2 k^2 d^2 - g^2 / 2 at v), the tails through erfcx.
-    One point's d and the constants enter as 0-d arrays: a ufunc with a
-    Python float operand takes numpy's slower scalar path, and the values
-    are the same.
+    The exponents of the weighted normal densities e^{-2kdg} phi(x), each a
+    quadratic in d, and the arguments of the tails (through erfcx) come from
+    one matrix product of (d^2, d, 1) with the drift's tables
+    (:func:`_image_terms`); the weights are linear in d, and one more
+    product sums the terms.  Each point is a 1-row matrix in both products,
+    so one point and an array of points give the same sums.
     """
-    ends, g, kg, p0, p1, coef = _image_terms(gamma, shells)
-    n = p0.size
-    dc = d[..., None] if isinstance(d, np.ndarray) else np.array(d)
-    x = ends * dc - g                                # v, then b
-    log_w = kg * dc
-    phi = np.exp(log_w - _HALF * x * x + _LOG_PHI0)  # e^{-2kdg} phi(v), e^{-2kdg} phi(b)
-    tail = np.copysign(erfcx(np.abs(x) / _SQRT2_A), x) * phi
-    kg, b, below = kg[:n], x[..., n:], x < _ZERO
-    mass = (np.exp(np.minimum(log_w[..., :n], _ZERO)) * (below[..., :n] > below[..., n:])
-            + _SQRT_PI_2 * (tail[..., :n] - tail[..., n:]))
-    p = p0 + kg * b
-    if not density:
-        return np.add.reduce(p * mass + kg * phi[..., n:], -1)
-    return np.add.reduce(kg * (p + p1) * mass, -1) + np.add.reduce(coef * phi, -1)
+    span, cdf, pdf, kg, cdf_mass, pdf_mass = _image_terms(gamma, shells)
+    n2 = 2 * kg.size
+    array = isinstance(d, np.ndarray)
+    if array:
+        rows = np.empty(d.shape + (1, 3))
+        rows[..., 0, 0], rows[..., 0, 1], rows[..., 0, 2] = d * d, d, 1.0
+    else:
+        rows = np.array(((d * d, d, 1.0),))
+    xe = rows @ span
+    x = xe[..., :n2]
+    terms = np.exp(xe[..., n2:])
+    terms[..., n2:] *= np.copysign(erfcx(np.abs(x)), x)
+    ((c0, c1),) = _sums(terms @ (pdf if density else cdf), array)
+    # The masses e^{-2kdg} [v < 0 <= b] at k != 0 need d <= |gamma|; past
+    # it only k = 0, g = |gamma| > 0 is live, with weight 1 in the CDF and 0
+    # in the density.
+    near = d <= _MASS_SLACK * abs(gamma)
+    far = 1.0 if gamma != 0.0 and not density else 0.0
+    weights = pdf_mass if density else cdf_mass
+    if not array:
+        return c0 + d * c1 + (_image_masses(x, d, kg, weights, False) if near else far)
+    masses = np.full(d.shape, far)
+    if near.any():
+        masses[near] = _image_masses(x[near], d[near], kg, weights, True)
+    return c0 + d * c1 + masses
+
+
+def _image_masses(x, d, kg, weights, array: bool):
+    """The masses e^{-2kdg} [v < 0 <= b] of :func:`_range_image` summed with
+    their ``weights``, from x / sqrt(2) at v and b."""
+    n = kg.size
+    live = (x[..., :n] < 0.0) & (x[..., n:] >= 0.0)
+    masses = np.exp(np.where(live, kg * (d[..., None, None] if array else d), -np.inf))
+    ((c0, c1),) = _sums(masses @ weights, array)
+    return c0 + d * c1
 
 
 def _bridge_dual(s, *, density: bool):
@@ -513,12 +605,32 @@ def _by_switch(d, cut: float, density: bool, dual, image, *args):
             terms[part] = n
     if not density:
         out[d > cut] = 1.0
+        # where the CDF underflows, the image sum's round-off can leave it a
+        # few subnormals below 0
+        np.maximum(out, 0.0, out=out)
     return out, terms
+
+
+_TAME_DRIFT = 1e50
+"""Largest |gamma| at which a range law is evaluated with numpy's warnings on.
+Far below it the squares and tables of the kernels stay finite (the image
+tables overflow from about 5e101, the dual's z^2 from about 1e77 over 1.5);
+past it the laws are evaluated quietly and their values, NaN or without
+digits, are left to :func:`_finish`, which rejects what is not finite or
+negative (ROADMAP item 10 is to make them right at such drifts)."""
 
 
 def _density_at(delta, cut: float, dual, image, *args):
     """A range law's density and term counts, by :func:`_by_switch` over an array and at a
     float from the form that holds there; 0 from no terms below ``_LOW`` and past ``cut``."""
+    if cut > _TAME_DRIFT:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _law_at(delta, cut, dual, image, *args)
+    return _law_at(delta, cut, dual, image, *args)
+
+
+def _law_at(delta, cut: float, dual, image, *args):
+    """:func:`_density_at` with numpy's warnings as they are."""
     if isinstance(delta, np.ndarray):
         return _by_switch(delta, cut, True, dual, image, *args)
     if delta < _LOW or delta > cut:

@@ -649,6 +649,35 @@ def test_simulate_non_finite_cell_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("tables", "--table", "coverage", "--gammas", "1e200"), "parkinson at drift 1e+200"),
+    (("tables", "--table", "mean", "--gammas", "1e200"), "parkinson at drift 1e+200"),
+    (("tables", "--table", "relative-bias", "--gammas", "1e200"), "parkinson at drift 1e+200"),
+    (("tables", "--table", "interval", "--gammas", "1e200"), "parkinson at level 1.0"),
+], ids=["coverage", "mean", "relative-bias", "interval"])
+def test_tables_non_finite_value_exit_1(tmp_path, capsys, argv, message):
+    # at this drift the range law's statistics are NaN: one line names the row,
+    # with no numpy warning, and nothing is written
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(*argv, "--estimators", "parkinson", "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"rangevol: error: {message}: value is nan, not finite\n"
+    assert not out.exists()
+
+
+def test_density_non_finite_value_exit_1(tmp_path, capsys):
+    # the range law at this drift is NaN from its second point on
+    out = tmp_path / "d.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("density", "range-pdf", "--gamma", "1e300", "--points", "3",
+                       "--out", str(out)) == 1
+    assert capsys.readouterr().err == ("rangevol: error: range-pdf at x 3.005: "
+                                       "density value nan is not finite\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rows, argv, message", [
     ("timestamp,price\n0,0\n0.5,1e200\n1,-1e200\n", ("--log-prices",),
      "window 0: parkinson is inf, not finite"),

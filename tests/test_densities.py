@@ -1,6 +1,7 @@
 import math
 import sys
 import time
+import warnings
 from dataclasses import astuple
 
 import mpmath as mp
@@ -417,6 +418,25 @@ def test_finish_rejects_negative_value_beyond_round_off():
         densities._finish(-2e-11, 3)
 
 
+def test_finish_rejects_non_finite_values():
+    for value in (math.nan, math.inf, np.array([1.0, math.nan]), np.array(-math.inf)):
+        with pytest.raises(ValueError, match="is not finite"):
+            densities._finish(value, 6)
+    assert densities._finish(0.25, 6) == DensityValue(0.25, 6, True)
+
+
+@pytest.mark.parametrize("density, args", [
+    (range_pdf, (1e102, 1e102)), (parkinson_estimator_pdf, (3.0, 1e150)),
+    (range_pdf, (3.005, 1e300)), (range_pdf, (np.array([1.0, 3.005]), 1e300)),
+], ids=["range-1e102", "estimator-1e150", "range-1e300", "array-1e300"])
+def test_range_laws_reject_what_they_cannot_evaluate_at_huge_drifts(density, args):
+    # their terms overflow to NaN or lose every digit; no numpy warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="density value .* (is not finite|beyond round-off)"):
+            density(*args)
+
+
 NON_FINITE_CASES = [
     (high_pdf, (1.0, math.nan), "gamma"),
     (high_pdf, (math.inf, 0.5), "eta"),
@@ -767,11 +787,13 @@ TABLES_GAMMAS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
 
 
 @pytest.mark.parametrize("kind, gamma", [(densities.EstimatorKind.PARKINSON, g)
-                                         for g in TABLES_GAMMAS + (-1.0,)]
+                                         for g in TABLES_GAMMAS + (-1.0, 3.0, -4.0)]
                          + [(densities.EstimatorKind.BRIDGE, 0.0)])
 def test_estimator_pdf_is_the_range_law_on_a_theory_grid(kind, gamma):
     # the one-point estimator density reads the same form of the same law as
-    # the array law, on the grid shape of the benchmark's theory workload
+    # the array law, on the grid shape of the benchmark's theory workload; at
+    # drifts 3 and -4 every image-side point has d < |gamma|, where the image
+    # density adds its masses e^{-2kdg} [v < 0 <= b]
     xs = np.sort(np.random.default_rng(7).uniform(0.01, 6.0, 600))
     law, alpha = densities._range_law(kind, gamma)
     if kind is densities.EstimatorKind.PARKINSON:
