@@ -11,16 +11,13 @@ table: the bridge column visibly hugs 1 tighter than the others.
 from rangevol import (
     EstimatorKind,
     ExperimentConfig,
-    bridge_estimator,
     bridge_extremes,
     bridge_transform,
     extremes,
-    garman_klass,
-    parkinson,
-    rogers_satchell,
     sample_dump,
     simulate_path,
 )
+from rangevol.estimators import estimator_value
 
 print("=" * 70)
 print("1. One canonical path with drift gamma = 1")
@@ -36,13 +33,13 @@ print(f"bridge extremes: xi = {be.xi:+.4f}   zeta = {be.zeta:+.4f}")
 
 print()
 print("Estimates from this single window (target: the true variance 1):")
-for name, est in [
-    ("Parkinson       ", parkinson(e)),
-    ("Garman-Klass    ", garman_klass(e)),
-    ("Rogers-Satchell ", rogers_satchell(e)),
-    ("bridge          ", bridge_estimator(be)),
+for name, kind in [
+    ("Parkinson       ", EstimatorKind.PARKINSON),
+    ("Garman-Klass    ", EstimatorKind.GARMAN_KLASS),
+    ("Rogers-Satchell ", EstimatorKind.ROGERS_SATCHELL),
+    ("bridge          ", EstimatorKind.BRIDGE),
 ]:
-    print(f"  {name} {est.value:8.4f}")
+    print(f"  {name} {estimator_value(kind, e.high, e.low, e.close, be.xi, be.zeta):8.4f}")
 
 print()
 print("=" * 70)
@@ -50,7 +47,9 @@ print("2. Drift does not move the bridge")
 print("=" * 70)
 for gamma in (0.0, 1.0, 2.0):
     p = simulate_path(2_000, gamma, seed=7)  # same shocks, different drift
-    print(f"gamma = {gamma:3.1f}: bridge estimator = {bridge_estimator(bridge_extremes(p)).value:.6f}")
+    c, b = extremes(p), bridge_extremes(p)
+    estimate = estimator_value(EstimatorKind.BRIDGE, c.high, c.low, c.close, b.xi, b.zeta)
+    print(f"gamma = {gamma:3.1f}: bridge estimator = {estimate:.6f}")
 
 print()
 print("=" * 70)

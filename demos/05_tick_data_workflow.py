@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """From tick data to volatility estimates, in library calls and via the CLI.
 
-Synthesizes GBM ticks with known sigma^2 * T, builds physical bars with
-bridge extremes from the raw (time, price) samples, and shows that the
-physical estimates recover the canonical ones scaled by sigma^2 * T.
+Synthesizes GBM ticks with known sigma^2 * T, reduces the raw (time, price)
+samples of a window to its physical bar and bridge extremes, and shows that
+the physical estimates recover the canonical ones scaled by sigma^2 * T.
 Then drives the same flow through the command line round trip:
 `rangevol simulate --emit-ticks` followed by `rangevol estimate`.
 """
@@ -16,17 +16,9 @@ import tempfile
 
 import numpy as np
 
-from rangevol import (
-    EstimatorKind,
-    bar_from_samples,
-    bridge_estimator,
-    bridge_extremes,
-    extremes,
-    garman_klass,
-    parkinson,
-    physical_estimate,
-    simulate_path,
-)
+from rangevol import EstimatorKind, bridge_extremes, extremes, simulate_path
+from rangevol.estimators import estimator_value
+from rangevol.paths import window_extremes
 
 SIGMA, HORIZON = 0.2, 1.0
 SCALE = SIGMA * math.sqrt(HORIZON)
@@ -37,17 +29,16 @@ print("=" * 70)
 path = simulate_path(n_steps=390, gamma=0.3, seed=123)  # one trading day, minute bars
 times = HORIZON * np.arange(391) / 390
 prices = 100.0 * np.exp(SCALE * path.values)
-bar, phys_bridge = bar_from_samples(np.column_stack([times, prices]), (0.0, HORIZON))
-print(f"physical bar: H = {bar.high:+.5f}  L = {bar.low:+.5f}  C = {bar.close:+.5f}")
+# the window [0, HORIZON] holds the ticks start:stop, both edges included
+start = np.searchsorted(times, 0.0, side="left")
+stop = np.searchsorted(times, HORIZON, side="right")
+bar = [float(v[0]) for v in window_extremes(times, np.log(prices), [start], [stop])]
+print(f"physical bar: H = {bar[0]:+.5f}  L = {bar[1]:+.5f}  C = {bar[2]:+.5f}")
 
-canon = extremes(path)
-for kind, canonical in [
-    (EstimatorKind.PARKINSON, parkinson(canon).value),
-    (EstimatorKind.GARMAN_KLASS, garman_klass(canon).value),
-    (EstimatorKind.BRIDGE, bridge_estimator(bridge_extremes(path)).value),
-]:
-    bridge_arg = phys_bridge if kind is EstimatorKind.BRIDGE else None
-    phys = physical_estimate(bar, bridge_arg, kind).value
+e, b = extremes(path), bridge_extremes(path)
+for kind in (EstimatorKind.PARKINSON, EstimatorKind.GARMAN_KLASS, EstimatorKind.BRIDGE):
+    canonical = estimator_value(kind, e.high, e.low, e.close, b.xi, b.zeta)
+    phys = estimator_value(kind, *bar)
     print(
         f"  {kind.value:16s} physical = {phys:.6f}   "
         f"sigma^2*T * canonical = {SIGMA**2 * HORIZON * canonical:.6f}"

@@ -19,20 +19,12 @@ from .estimators import (
     LN16,
     EstimatorKind,
     GarmanKlassVariant,
-    VolatilityEstimate,
-    bridge_estimator,
     estimator_label,
-    garman_klass,
-    parkinson,
-    physical_estimate,
-    rogers_satchell,
 )
 from .paths import (
     BridgeExtremes,
     Extremes,
     Path,
-    PhysicalBar,
-    bar_from_samples,
     bridge_extremes,
     bridge_transform,
     extremes,
@@ -75,12 +67,11 @@ def __dir__():
 __all__ = [
     "__version__",
     # paths
-    "Path", "Extremes", "BridgeExtremes", "PhysicalBar",
-    "simulate_path", "bridge_transform", "extremes", "bridge_extremes", "bar_from_samples",
+    "Path", "Extremes", "BridgeExtremes",
+    "simulate_path", "bridge_transform", "extremes", "bridge_extremes",
     # estimators
     "LN16", "BRIDGE_FACTOR", "GK_K1", "GK_K2", "GK_K3",
-    "EstimatorKind", "GarmanKlassVariant", "VolatilityEstimate",
-    "parkinson", "garman_klass", "rogers_satchell", "bridge_estimator", "physical_estimate",
+    "EstimatorKind", "GarmanKlassVariant",
     # densities
     "DensityValue", "close_pdf", "high_close_joint_pdf", "high_pdf", "hlc_joint_pdf",
     "range_close_joint_pdf", "range_pdf", "bridge_hl_joint_pdf", "bridge_range_pdf",

@@ -132,6 +132,10 @@ _BRIDGE_RANGE_MOMENTS = (math.pi**2 / 6.0, math.pi**4 / 30.0)
 _DRIFT_TABLES = 64
 
 
+# Largest |1 - mass| of the range table that its moments are read from.
+_MASS_TOLERANCE = 1e-5
+
+
 @lru_cache(maxsize=_DRIFT_TABLES)
 def _range_moments(gamma: float) -> tuple[float, float]:
     """E d^2 and E d^4 of the drifted range law, once per drift.
@@ -140,10 +144,19 @@ def _range_moments(gamma: float) -> tuple[float, float]:
     [max(mass floor, |gamma| - 10), 13 + |gamma|]: the range is at least
     |c ~ N(gamma, 1)|, so under 2e-22 of the mass lies below the start, and
     above the cut the density is under 1e-16.
+
+    The table's mass is off 1 by 7e-13 at drift 100, 1.3e-6 at 1e5 and
+    1.5e-5 at 2e5 (the moments by as much), -12.6 at 1e8, and at 1e20 the
+    panels have no width: past ``_MASS_TOLERANCE`` this raises ``ValueError``.
+    A NaN mass (the law overflows at 1e10) gives NaN moments.
     """
     law, _ = densities._range_law(EstimatorKind.PARKINSON, gamma)
     d, w = _gl_nodes(max(densities._MASS_FLOOR, abs(gamma) - 10.0), _range_cut(gamma), 24, 16)
     mass = w * law(d, density=True)
+    total = float(np.sum(mass))
+    if abs(total - 1.0) > _MASS_TOLERANCE:
+        raise ValueError(f"the range law's moments at drift {gamma!r}: its quadrature table has "
+                         f"mass {total!r}, off 1 by more than {_MASS_TOLERANCE:g}")
     d2 = d * d
     return float(mass @ d2), float(mass @ (d2 * d2))
 

@@ -3,9 +3,9 @@
 Every command writes plot-ready CSV (or JSON) with a provenance comment
 line; fixed seeds and flags give byte-identical output regardless of the
 ``RANGEVOL_THREADS`` worker cap.  Exit codes: 0 success, 1 runtime
-failure, 2 usage error.  A ``simulate`` cell or an ``estimate`` window
-whose statistic is ``inf`` or ``nan`` is a runtime failure that names it;
-no such value is written.
+failure, 2 usage error.  A ``simulate`` cell or theory overlay, a
+``tables`` row or an ``estimate`` window whose statistic is ``inf`` or
+``nan`` is a runtime failure that names it; no such value is written.
 
 Each command hands :func:`_write_output` its table as columns.  A CSV
 table is formatted by one ``%`` over all its values (:func:`_csv_rows`),
@@ -396,9 +396,13 @@ def cmd_simulate(args, parser, argv) -> int:
     for (label, gamma), cell_values in zip(cells, values.tolist()):
         key = (label, 0.0 if label == "bridge" else gamma)
         if not args.skip_theory and key not in theory_cache:
-            theory_cache[key] = _theory_columns(label, gamma)
+            with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
+                theory_cache[key] = _theory_columns(label, gamma)
         rows.append([label, gamma, *cell_values, *theory_cache.get(key, (None, None, None))])
     header = ["estimator", "gamma", *stats, "theory_mean", "theory_variance", "theory_p_delta"]
+    overlays = [(key, columns) for key, columns in theory_cache.items() if columns[0] is not None]
+    _require_finite_table(np.array([columns for _, columns in overlays]).reshape(-1, 3).T,
+                          header[-3:], lambda i: "%s at drift %r" % overlays[i][0])
     _write_output(args, header, list(zip(*rows)), argv)
     return 0
 

@@ -616,17 +616,23 @@ _TAME_DRIFT = 1e50
 Far below it the squares and tables of the kernels stay finite (the image
 tables overflow from about 5e101, the dual's z^2 from about 1e77 over 1.5);
 past it the laws are evaluated quietly and their values, NaN or without
-digits, are left to :func:`_finish`, which rejects what is not finite or
-negative (ROADMAP item 10 is to make them right at such drifts)."""
+digits, are left to their callers' checks: :func:`_finish`, which rejects
+what is not finite or negative, and the mass check of the range table in
+``analytics`` (ROADMAP item 10 is to make them right at such drifts)."""
+
+
+def _tamed(cut: float, law, *args):
+    """``law(*args)`` of a range law with cut ``cut``: quietly past ``_TAME_DRIFT``."""
+    if cut > _TAME_DRIFT:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return law(*args)
+    return law(*args)
 
 
 def _density_at(delta, cut: float, dual, image, *args):
     """A range law's density and term counts, by :func:`_by_switch` over an array and at a
     float from the form that holds there; 0 from no terms below ``_LOW`` and past ``cut``."""
-    if cut > _TAME_DRIFT:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _law_at(delta, cut, dual, image, *args)
-    return _law_at(delta, cut, dual, image, *args)
+    return _tamed(cut, _law_at, delta, cut, dual, image, *args)
 
 
 def _law_at(delta, cut: float, dual, image, *args):
@@ -683,14 +689,16 @@ def _range_law(kind: EstimatorKind, gamma: float):
     ``law(d, density=...)`` maps an array of ranges to an array of the range
     CDF, or with ``density`` of the range density.  Parkinson: the range at
     drift gamma and alpha = ln 16; bridge: the bridge range and alpha =
-    pi^2 / 6, whatever the drift.  The laws are private array functions, so
-    the benchmark tracer (``perfbench/spans.py``) sees only the public scalar
-    calls, such as :func:`parkinson_estimator_pdf`.
+    pi^2 / 6, whatever the drift.  Past ``_TAME_DRIFT`` the range law is
+    evaluated quietly, as :func:`_density_at` evaluates it; its callers check
+    what it returns.  The laws are private array functions, so the benchmark
+    tracer (``perfbench/spans.py``) sees only the public scalar calls, such
+    as :func:`parkinson_estimator_pdf`.
     """
     if kind is EstimatorKind.PARKINSON:
         cut = _LIMIT + abs(gamma)
-        return (lambda d, *, density: _by_switch(d, cut, density, _range_dual, _range_image,
-                                                 gamma)[0]), LN16
+        return (lambda d, *, density: _tamed(cut, _by_switch, d, cut, density, _range_dual,
+                                             _range_image, gamma)[0]), LN16
     if kind is EstimatorKind.BRIDGE:
         return ((lambda d, *, density: _by_switch(d, _LIMIT, density, _bridge_dual,
                                                   _bridge_image)[0]), 1.0 / BRIDGE_FACTOR)

@@ -4,7 +4,9 @@ Canonical estimators are dimensionless functionals of (h, l, c), the
 high/low/close of a canonical path, or of (xi, zeta), the extremes of its
 bridge.  Each physical estimator equals sigma^2 * T times its canonical
 counterpart, so a canonical mean of 1 means the physical estimator is
-unbiased for the variance of the log-return over the window.
+unbiased for the variance of the log-return over the window.  Every
+estimate of either kind is one call of :func:`estimator_value`, which
+dispatches to the ``*_value`` kernels, on floats or numpy arrays.
 
 Calibration constants live here and nowhere else:
 
@@ -16,17 +18,14 @@ Calibration constants live here and nowhere else:
   are both supported; see :class:`GarmanKlassVariant`.
 
 Garman-Klass and Rogers-Satchell can go negative on unlucky inputs.  Values
-are returned as-is with a ``negative`` flag, never clamped: clamping would
-bias every comparative statistic built on top of them.
+are returned as-is, never clamped: clamping would bias every comparative
+statistic built on top of them.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-
-from .paths import BridgeExtremes, Extremes, PhysicalBar
 
 __all__ = [
     "LN16",
@@ -36,18 +35,12 @@ __all__ = [
     "GK_K3",
     "EstimatorKind",
     "GarmanKlassVariant",
-    "VolatilityEstimate",
     "estimator_label",
     "parkinson_value",
     "garman_klass_value",
     "rogers_satchell_value",
     "bridge_value",
     "estimator_value",
-    "parkinson",
-    "garman_klass",
-    "rogers_satchell",
-    "bridge_estimator",
-    "physical_estimate",
 ]
 
 # Normalizer of the squared range: E[(h-l)^2] = ln 16 at zero drift.
@@ -90,24 +83,8 @@ def estimator_label(kind: EstimatorKind, gk_variant=GarmanKlassVariant.HIGH_LOW_
     return kind.value
 
 
-@dataclass(frozen=True)
-class VolatilityEstimate:
-    """A single volatility estimate.
-
-    ``canonical=True`` marks a dimensionless estimate with target mean 1;
-    otherwise the value has units of log-return variance over the window.
-    ``negative`` flags Garman-Klass / Rogers-Satchell outcomes below zero.
-    """
-
-    value: float
-    kind: EstimatorKind
-    canonical: bool = True
-    negative: bool = False
-
-
 # ---------------------------------------------------------------------------
-# Array-friendly kernels: the single source of the formulas.  They accept
-# floats or numpy arrays and are what the Monte Carlo engine calls.
+# The kernels: the single source of the formulas, on floats or numpy arrays.
 # ---------------------------------------------------------------------------
 
 def parkinson_value(high, low):
@@ -142,7 +119,7 @@ def bridge_value(xi, zeta):
 def estimator_value(kind, high, low, close, xi=None, zeta=None,
                     variant=GarmanKlassVariant.HIGH_LOW_CROSS):
     """The kernel of estimator ``kind`` at (high, low, close) or, for the
-    bridge estimator, at the bridge extremes (xi, zeta)."""
+    bridge estimator, at the bridge extremes (xi, zeta), which it needs."""
     if kind is EstimatorKind.PARKINSON:
         return parkinson_value(high, low)
     if kind is EstimatorKind.GARMAN_KLASS:
@@ -150,50 +127,8 @@ def estimator_value(kind, high, low, close, xi=None, zeta=None,
     if kind is EstimatorKind.ROGERS_SATCHELL:
         return rogers_satchell_value(high, low, close)
     if kind is EstimatorKind.BRIDGE:
+        if xi is None or zeta is None:
+            raise ValueError("the bridge estimator needs the bridge extremes xi and zeta "
+                             "(intra-window path data)")
         return bridge_value(xi, zeta)
     raise ValueError(f"unknown estimator kind: {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Estimator operations on the domain types.
-# ---------------------------------------------------------------------------
-
-def parkinson(e: Extremes) -> VolatilityEstimate:
-    return VolatilityEstimate(float(parkinson_value(e.high, e.low)), EstimatorKind.PARKINSON)
-
-
-def garman_klass(
-    e: Extremes, variant: GarmanKlassVariant = GarmanKlassVariant.HIGH_LOW_CROSS
-) -> VolatilityEstimate:
-    v = float(garman_klass_value(e.high, e.low, e.close, variant))
-    return VolatilityEstimate(v, EstimatorKind.GARMAN_KLASS, negative=v < 0.0)
-
-
-def rogers_satchell(e: Extremes) -> VolatilityEstimate:
-    v = float(rogers_satchell_value(e.high, e.low, e.close))
-    return VolatilityEstimate(v, EstimatorKind.ROGERS_SATCHELL, negative=v < 0.0)
-
-
-def bridge_estimator(b: BridgeExtremes) -> VolatilityEstimate:
-    return VolatilityEstimate(float(bridge_value(b.xi, b.zeta)), EstimatorKind.BRIDGE)
-
-
-def physical_estimate(
-    bar: PhysicalBar,
-    bridge: BridgeExtremes | None,
-    kind: EstimatorKind,
-    variant: GarmanKlassVariant = GarmanKlassVariant.HIGH_LOW_CROSS,
-) -> VolatilityEstimate:
-    """Apply an estimator to physical (H, L, C) or physical bridge extremes.
-
-    The result has units of variance of the log-return over the window.
-    The bridge estimator needs intra-window path information, so ``bridge``
-    must be given exactly when ``kind`` is BRIDGE.
-    """
-    if kind is EstimatorKind.BRIDGE and bridge is None:
-        raise ValueError("bridge estimator requires bridge extremes from intra-window path data")
-    if kind is not EstimatorKind.BRIDGE and bridge is not None:
-        raise ValueError("bridge extremes are only meaningful for the bridge estimator")
-    xi, zeta = (None, None) if bridge is None else (bridge.xi, bridge.zeta)
-    v = float(estimator_value(kind, bar.high, bar.low, bar.close, xi, zeta, variant))
-    return VolatilityEstimate(v, kind, canonical=False, negative=v < 0.0)

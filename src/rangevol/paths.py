@@ -46,8 +46,10 @@ whole-row extremes bit for bit and leaves the stream layout unchanged.
 
 Observed ticks take the same shape: :func:`window_extremes` is the one
 reduction of tick windows to their high, low, close and bridge extremes,
-all windows in one array pass, and :func:`bar_from_samples` is its
-one-window form.
+all windows in one array pass.  A caller picks its windows with
+``np.searchsorted`` on the tick times, as ``rangevol estimate`` does, and
+checks the ticks itself (finite, time-sorted, positive prices before the
+log); one window is the case of one start and one stop.
 """
 
 from __future__ import annotations
@@ -62,14 +64,12 @@ __all__ = [
     "Path",
     "Extremes",
     "BridgeExtremes",
-    "PhysicalBar",
     "simulate_path",
     "batch_extremes",
     "bridge_transform",
     "extremes",
     "bridge_extremes",
     "window_extremes",
-    "bar_from_samples",
 ]
 
 
@@ -137,28 +137,6 @@ class BridgeExtremes:
     def __post_init__(self):
         if not (self.zeta <= 0.0 <= self.xi):
             raise ValueError(f"need zeta <= 0 <= xi, got ({self.zeta}, {self.xi})")
-
-
-@dataclass(frozen=True)
-class PhysicalBar:
-    """High/low/close of the log-price increment over a window of length T.
-
-    All three are increments relative to the log-price at the window start,
-    so ``low <= 0 <= high`` always holds.
-    """
-
-    high: float
-    low: float
-    close: float
-    horizon: float
-
-    def __post_init__(self):
-        if not (self.low <= 0.0 <= self.high):
-            raise ValueError("need low <= 0 <= high")
-        if not (self.low <= self.close <= self.high):
-            raise ValueError("close must lie within [low, high]")
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
 
 
 def _sum_chunks(seed, n_paths: int, n_steps: int, batch_size: int, rows: int,
@@ -393,8 +371,8 @@ def window_extremes(times, log_prices, starts, stops):
     Window ``w`` holds ticks ``starts[w]:stops[w]`` of the time-sorted
     arrays ``times`` and ``log_prices``; neighbouring windows may share a
     boundary tick.  Each window is measured from its first log-price, and
-    its bridge subtracts the line from its first tick to its last, as in
-    :func:`bar_from_samples`.  The gathered windows are reduced with
+    its bridge subtracts the line from its first tick to its last.  The
+    gathered windows are reduced with
     ``np.maximum.reduceat`` and ``np.minimum.reduceat``, in groups of
     consecutive windows that gather at most ``_GROUP_TICKS`` ticks (or one
     window), so the per-tick temporaries stay bounded on long files.
@@ -436,47 +414,3 @@ def _group_extremes(times, log_prices, starts, stops):
     return (np.maximum.reduceat(y, first), np.minimum.reduceat(y, first), close,
             np.maximum.reduceat(z, first), np.minimum.reduceat(z, first))
 
-
-def bar_from_samples(ticks, window, log_input: bool = False):
-    """Build a PhysicalBar plus bridge extremes from sampled (time, price) ticks.
-
-    Parameters
-    ----------
-    ticks : array-like of shape (n, 2)
-        Rows of (timestamp, price).  Timestamps must be non-decreasing.
-    window : (t0, t1)
-        Only ticks with t0 <= t <= t1 are used; both edges are inclusive so
-        a boundary tick can serve as the close of one window and the open
-        of the next.
-    log_input : bool
-        When true the price column already holds log-prices; otherwise
-        prices must be positive and are log-transformed.
-
-    Returns
-    -------
-    (PhysicalBar, BridgeExtremes)
-        Log-price increments relative to the first tick in the window, and
-        the extremes of those increments after removing the linear
-        interpolant between the first and last in-window tick.
-    """
-    arr = np.asarray(ticks, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("ticks must be a sequence of (time, price) pairs")
-    if not np.isfinite(arr).all():
-        raise ValueError("ticks must hold finite times and prices")
-    t, p = arr[:, 0], arr[:, 1]
-    if np.any(np.diff(t) < 0):
-        raise ValueError("tick timestamps must be non-decreasing")
-    t0, t1 = window
-    if not t1 > t0:
-        raise ValueError("window must satisfy t1 > t0")
-    i, j = int(np.searchsorted(t, t0, side="left")), int(np.searchsorted(t, t1, side="right"))
-    if j - i < 2:
-        raise ValueError("need at least 2 ticks inside the window")
-    logp = p[i:j]
-    if not log_input:
-        if np.any(logp <= 0.0):
-            raise ValueError("prices must be positive unless log_input is set")
-        logp = np.log(logp)
-    high, low, close, xi, zeta = (float(v[0]) for v in window_extremes(t[i:j], logp, [0], [j - i]))
-    return PhysicalBar(high, low, close, horizon=t1 - t0), BridgeExtremes(xi, zeta)

@@ -1,5 +1,7 @@
 import math
+import re
 import time
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -132,6 +134,21 @@ def test_range_moments_hold_the_mass_at_large_drifts(gamma, monkeypatch):
         assert analytics._second_moments.cache_info().misses == 1
     finally:
         analytics._second_moments.cache_clear()
+
+
+@pytest.mark.parametrize("gamma", [2e5, 1e8, 1e20, -1e20])
+def test_range_moments_reject_a_lost_table_at_huge_drifts(gamma):
+    # the table's mass is off 1 by 1.5e-5 at 2e5 and by -12.6 at 1e8; at 1e20
+    # its panels have no width and its mass is 0, where the Parkinson mean
+    # read 0.0, the Rogers-Satchell mean 0.0 and the Garman-Klass mean -3.83e39
+    message = re.escape(f"at drift {gamma!r}: its quadrature table has mass")
+    for call in (lambda: theoretical_moments(EstimatorKind.PARKINSON, gamma),
+                 lambda: rogers_satchell_mean(gamma),
+                 lambda: garman_klass_mean(gamma)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 TABLES_DRIFTS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)

@@ -649,6 +649,34 @@ def test_simulate_non_finite_cell_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gamma, message", [
+    ("1e10", "parkinson at drift 10000000000.0: theory_mean is nan, not finite"),
+    ("1e20", "the range law's moments at drift 1e+20: its quadrature table has mass 0.0, "
+             "off 1 by more than 1e-05"),
+])
+def test_simulate_non_finite_theory_exit_1(tmp_path, capsys, gamma, message):
+    # the theory columns read nan at 1e10, after two numpy warnings, and 0.0 at 1e20
+    out = tmp_path / "sim.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("simulate", "--paths", "64", "--steps", "20", "--gammas", gamma,
+                       "--estimators", "parkinson", "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"rangevol: error: {message}\n"
+    assert not out.exists()
+
+
+def test_tables_mean_at_drift_1e20_exit_1(tmp_path, capsys):
+    # every mean but the bridge's read the range table, whose panels have no width
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("tables", "--table", "mean", "--gammas", "1e20", "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "rangevol: error: the range law's moments at drift 1e+20: its quadrature table has "
+        "mass 0.0, off 1 by more than 1e-05\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (("tables", "--table", "coverage", "--gammas", "1e200"), "parkinson at drift 1e+200"),
     (("tables", "--table", "mean", "--gammas", "1e200"), "parkinson at drift 1e+200"),

@@ -10,7 +10,6 @@ from rangevol import (
     BridgeExtremes,
     Extremes,
     Path,
-    bar_from_samples,
     bridge_extremes,
     bridge_transform,
     densities,
@@ -137,64 +136,49 @@ def test_mean_square_bridge_range(extremes_samples):
 
 
 # ---------------------------------------------------------------------------
-# bar_from_samples
+# window_extremes: the bar (high, low, close) and bridge extremes of tick windows
 # ---------------------------------------------------------------------------
 
+def one_window(times, log_prices):
+    """:func:`paths.window_extremes` of the one window that holds every tick."""
+    t, y = np.asarray(times, dtype=float), np.asarray(log_prices, dtype=float)
+    return [float(v[0]) for v in paths.window_extremes(t, y, [0], [t.size])]
+
+
 def test_bar_constant_price():
-    ticks = [(0.0, 5.0), (0.5, 5.0), (1.0, 5.0)]
-    bar, bridge = bar_from_samples(ticks, (0.0, 1.0))
-    assert bar.high == bar.low == bar.close == 0.0
-    assert bridge.xi == bridge.zeta == 0.0
+    high, low, close, xi, zeta = one_window([0.0, 0.5, 1.0], np.log([5.0, 5.0, 5.0]))
+    assert high == low == close == 0.0
+    assert xi == zeta == 0.0
 
 
 def test_bar_two_ticks_log_e():
-    bar, bridge = bar_from_samples([(0.0, 1.0), (1.0, math.e)], (0.0, 1.0))
-    assert abs(bar.high - 1.0) < 1e-15 and abs(bar.close - 1.0) < 1e-15
-    assert bar.low == 0.0
-    assert bridge.xi == 0.0 and bridge.zeta == 0.0
+    high, low, close, xi, zeta = one_window([0.0, 1.0], np.log([1.0, math.e]))
+    assert abs(high - 1.0) < 1e-15 and abs(close - 1.0) < 1e-15
+    assert low == 0.0
+    assert xi == 0.0 and zeta == 0.0
 
 
 def test_bar_scaled_canonical_path_bit_level():
     p = simulate_path(64, 0.8, seed=77)
     scale = 0.3 * math.sqrt(2.5)  # sigma * sqrt(T)
     times = 2.5 * np.arange(65) / 64
-    ticks = np.column_stack([times, scale * p.values])
-    bar, bridge = bar_from_samples(ticks, (0.0, 2.5), log_input=True)
+    high, low, close, xi, zeta = one_window(times, scale * p.values)
     e = extremes(p)
-    assert bar.high == scale * e.high
-    assert bar.low == scale * e.low
-    assert bar.close == scale * e.close
+    assert high == scale * e.high
+    assert low == scale * e.low
+    assert close == scale * e.close
     be = bridge_extremes(p)
-    assert abs(bridge.xi - scale * be.xi) < 1e-14
-    assert abs(bridge.zeta - scale * be.zeta) < 1e-14
+    assert abs(xi - scale * be.xi) < 1e-14
+    assert abs(zeta - scale * be.zeta) < 1e-14
 
-
-def test_bar_errors():
-    with pytest.raises(ValueError, match="at least 2 ticks"):
-        bar_from_samples([(0.0, 1.0), (5.0, 2.0)], (1.0, 2.0))
-    with pytest.raises(ValueError, match="positive"):
-        bar_from_samples([(0.0, 1.0), (1.0, -2.0)], (0.0, 1.0))
-    with pytest.raises(ValueError, match="non-decreasing"):
-        bar_from_samples([(1.0, 1.0), (0.5, 2.0)], (0.0, 1.0))
-    for bad in (math.inf, -math.inf, math.nan):
-        for ticks in ([(0.0, 1.0), (1.0, bad)], [(0.0, 1.0), (bad, 2.0)]):
-            for log_input in (False, True):
-                with pytest.raises(ValueError, match="finite"):
-                    bar_from_samples(ticks, (0.0, 1.0), log_input=log_input)
-
-
-# ---------------------------------------------------------------------------
-# window_extremes: every tick window at once, against bar_from_samples
-# ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("log_input", [False, True], ids=["prices", "log-prices"])
-def test_window_extremes_bit_identical_to_bar_from_samples(log_input):
+def test_window_extremes_match_per_window_reference(log_input):
     # 0.1-spaced ticks, about half of them repeated at the same timestamp
     rng = np.random.default_rng(8)
     t = np.repeat(np.arange(61) / 10.0, rng.integers(1, 3, size=61))
     p = rng.normal(0.0, 0.02, t.size).cumsum()
-    prices = p if log_input else 100.0 * np.exp(p)
-    ticks = np.column_stack([t, prices])
+    y = p if log_input else np.log(100.0 * np.exp(p))
     sizes = set()
     for width in (0.1, 0.3, 1.7):
         lo = np.arange(int(6.0 / width)) * width
@@ -204,13 +188,16 @@ def test_window_extremes_bit_identical_to_bar_from_samples(log_input):
         keep = (stops - starts >= 2) & (t[stops - 1] > t[starts])
         starts, stops = starts[keep], stops[keep]
         sizes.update((stops - starts).tolist())
-        got = np.array(paths.window_extremes(t, p if log_input else np.log(prices), starts, stops))
+        got = np.array(paths.window_extremes(t, y, starts, stops))
         assert got.shape == (5, keep.sum())
         assert np.any(starts[1:] < stops[:-1])  # neighbours share boundary ticks
-        for k, w in enumerate(np.flatnonzero(keep)):
-            bar, bridge = bar_from_samples(ticks, (lo[w], lo[w] + width), log_input=log_input)
-            want = np.array([bar.high, bar.low, bar.close, bridge.xi, bridge.zeta])
-            assert got[:, k].tobytes() == want.tobytes()
+        for k, (i, j) in enumerate(zip(starts, stops)):
+            # the log-price from the window's first tick, and its bridge: minus
+            # the line from the first tick to the last
+            x = y[i:j] - y[i]
+            bridge = x - (t[i:j] - t[i]) / (t[j - 1] - t[i]) * x[-1]
+            want = [x.max(), x.min(), x[-1], bridge.max(), bridge.min()]
+            assert got[:, k].tolist() == want
     assert min(sizes) == 2 and max(sizes) > 20 and np.any(np.diff(t) == 0)
 
 
