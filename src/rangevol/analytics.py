@@ -12,7 +12,8 @@ alpha and alpha^2: for the bridge the constants pi^2 / 6 and pi^4 / 30, for
 Parkinson sums over one fixed Gauss-Legendre table (``_range_moments``).
 Garman-Klass and
 Rogers-Satchell are quadratic forms in v = (h, l, c), so their means are
-sum(Q * S) over one second-moment matrix S = E[v v^T] (``_quadratic_mean``):
+sum(Q * S), Q the form's coefficient matrix, over one second-moment matrix
+S = E[v v^T] (``_quadratic_mean``):
 E h^2 and E h c in closed form from the first-passage law, the low's
 moments the high's at the flipped drift, and E h l from E d^2 of the range
 law.  Their second moments and distribution functions come from the
@@ -36,7 +37,12 @@ E d^2 and E d^4 of the range law (``_range_moments``) and the read-only
 matrix S (``_second_moments``).  The Parkinson moments, both Garman-Klass
 means and the Rogers-Satchell mean read them, so a sweep integrates the
 range law once per drift.  Each table keeps its last ``_DRIFT_TABLES`` = 64
-drifts; nothing keyed on density points or histogram bins is kept.
+drifts; nothing keyed on density points or histogram bins is kept.  Each
+estimator's coefficient matrix Q is a read-only table too, read off its
+kernel once per (kind, Garman-Klass variant) in a process
+(``_coefficients``; ``_form_coefficients`` is the one way to read a Q off a
+form), so a joint mean is one contraction of Q with S, summed in floats in
+numpy's pairwise order: the bits of ``np.sum(Q * S)`` without its array calls.
 
 The only scipy module the statistics load is ``scipy.special``.  The
 module attribute ``integrate`` is a lazy hook (PEP 562 ``__getattr__``): it
@@ -53,14 +59,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy import special
 
 from . import densities
-from .estimators import (EstimatorKind, GarmanKlassVariant, estimator_value, garman_klass_value,
-                         rogers_satchell_value)
+from .estimators import EstimatorKind, GarmanKlassVariant, estimator_value
 
 __all__ = [
     "MomentReport",
@@ -224,14 +229,38 @@ def _second_moments(gamma: float) -> np.ndarray:
     return s
 
 
-def _quadratic_mean(form, gamma: float) -> float:
-    """E form(h, l, c) of a quadratic form in (h, l, c): sum(Q * S), with
-    its coefficient matrix Q read off the form at the unit vectors e_i and
-    their sums e_i + e_j, where it takes Q_ii + Q_jj + 2 Q_ij."""
+def _form_coefficients(form) -> np.ndarray:
+    """The symmetric coefficient matrix Q of a quadratic form in (h, l, c),
+    read-only: read off the form at the unit vectors e_i and their sums
+    e_i + e_j, where it takes Q_ii + Q_jj + 2 Q_ij."""
     f = form(*(np.eye(3)[:, None] + np.eye(3)).transpose(2, 0, 1))
     q_diag = np.diag(f) / 4.0
     q = 0.5 * (f - q_diag[:, None] - q_diag)
-    return float(np.sum(q * _second_moments(gamma)))
+    q.flags.writeable = False
+    return q
+
+
+def _coefficients(kind: EstimatorKind, variant: GarmanKlassVariant) -> np.ndarray:
+    """Q of the canonical Garman-Klass (of ``variant``) or Rogers-Satchell
+    estimator, read off its kernel once per (kind, variant) in a process;
+    Rogers-Satchell has no variant."""
+    return _kernel_coefficients(kind, variant if kind is EstimatorKind.GARMAN_KLASS else None)
+
+
+@lru_cache(maxsize=None)
+def _kernel_coefficients(kind: EstimatorKind, variant) -> np.ndarray:
+    return _form_coefficients(partial(estimator_value, kind, variant=variant))
+
+
+def _quadratic_mean(q: np.ndarray, gamma: float) -> float:
+    """E v^T Q v = sum(Q * S) of v = (h, l, c), for a coefficient matrix Q.
+
+    The nine products are summed in floats in the order of numpy's pairwise
+    sum, so the mean is ``float(np.sum(q * S))`` bit for bit without its
+    array calls, whose first reduction after unrelated work costs about
+    80 us."""
+    p = [a * b for a, b in zip(q.ravel().tolist(), _second_moments(gamma).ravel().tolist())]
+    return ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7])) + p[8]
 
 
 def garman_klass_mean(
@@ -247,7 +276,7 @@ def garman_klass_mean(
     if _positional is not None:
         raise TypeError("garman_klass_mean takes variant by keyword")
     densities._require_finite("garman_klass_mean", gamma=gamma)
-    return _quadratic_mean(lambda h, l, c: garman_klass_value(h, l, c, variant), gamma)
+    return _quadratic_mean(_coefficients(EstimatorKind.GARMAN_KLASS, variant), gamma)
 
 
 def rogers_satchell_mean(gamma: float = 0.0) -> float:
@@ -257,7 +286,7 @@ def rogers_satchell_mean(gamma: float = 0.0) -> float:
     at -gamma.
     """
     densities._require_finite("rogers_satchell_mean", gamma=gamma)
-    return _quadratic_mean(rogers_satchell_value, gamma)
+    return _quadratic_mean(_coefficients(EstimatorKind.ROGERS_SATCHELL, None), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +423,7 @@ def theoretical_moments(
         def form(h, l, c):
             return estimator_value(kind, h, l, c, variant=gk_variant)
 
-        mean = _quadratic_mean(form, gamma)
+        mean = _quadratic_mean(_coefficients(kind, gk_variant), gamma)
         second = _hlc_moment(lambda h, l, c: form(h, l, c) ** 2, gamma)
     var = second - mean * mean
     if var < 0.0:

@@ -15,7 +15,9 @@ it, each a fixed number of terms on one flat axis (see ``_SWITCH``), to
 returns only the half its caller asks for (``density``): the distribution
 functions of ``rangevol.analytics`` read the CDF, the moments and the point
 densities the density.  Past a cut (``_LIMIT``) each returns its limit,
-CDF 1 and density 0, so huge and infinite ranges give no NaN.
+CDF 1 and density 0, so huge and infinite ranges give no NaN.  Their image
+exponents cancel at large drift: past ``_DRIFT_BOUND`` = 1e5 the pointwise
+range laws raise ``ValueError`` naming the drift wherever a kernel runs.
 
 Every public density takes floats or broadcastable numpy arrays, giving a
 ``DensityValue`` of Python scalars or of per-point arrays.  A joint law is
@@ -611,22 +613,48 @@ def _by_switch(d, cut: float, density: bool, dual, image, *args):
     return out, terms
 
 
-_TAME_DRIFT = 1e50
-"""Largest |gamma| at which a range law is evaluated with numpy's warnings on.
-Far below it the squares and tables of the kernels stay finite (the image
-tables overflow from about 5e101, the dual's z^2 from about 1e77 over 1.5);
-past it the laws are evaluated quietly and their values, NaN or without
-digits, are left to their callers' checks: :func:`_finish`, which rejects
-what is not finite or negative, and the mass check of the range table in
-``analytics`` (ROADMAP item 10 is to make them right at such drifts)."""
+_DRIFT_BOUND = 1e5
+"""Largest |gamma| at which the pointwise range law (:func:`range_pdf`,
+:func:`parkinson_estimator_pdf`) returns what its kernels evaluate.
+
+The image form's exponents, (d^2, d, 1) @ span, are quadratics in d whose
+terms of size gamma^2 cancel at d ~ gamma, so the law loses digits as gamma
+grows.  The reference is its limit law: d - gamma is N(0, 1) up to
+O(1 / gamma).  The largest relative distance of range_pdf(gamma + x, gamma)
+from phi(x), at x = -1, 0, 0.5, 1 and 2:
+
+    gamma   distance   1 / gamma
+    1e4     2.0e-4     1e-4
+    1e5     1.85e-5    1e-5
+    1.5e5   2.4e-5     6.7e-6
+    2e5     9.2e-5     5e-6
+    1e6     8.8e-4     1e-6
+    1e7     9.8e-2     1e-7
+
+Up to 1e5 the distance is the limit's own 2 / gamma, to 1.5e-6; past it the
+lost digits take over, and from about 1e8 the values are garbage (512 at
+1e9, where the density is below 1).  So past this bound the pointwise laws
+raise ``ValueError`` naming the drift at any point their kernels evaluate,
+after :func:`_finish` has rejected what is not finite or negative; the
+limits, 0 from no terms below ``_LOW`` and past the cut, hold at any drift.
+The laws are evaluated quietly there, so no numpy warning escapes; the
+moments in ``analytics`` read the array law past it too, and their range
+table's mass check rejects the lost digits (ROADMAP item 10 is to make the
+laws right at such drifts)."""
 
 
 def _tamed(cut: float, law, *args):
-    """``law(*args)`` of a range law with cut ``cut``: quietly past ``_TAME_DRIFT``."""
-    if cut > _TAME_DRIFT:
+    """``law(*args)`` of a range law with cut ``cut``: quietly past ``_DRIFT_BOUND``."""
+    if cut > _LIMIT + _DRIFT_BOUND:
         with np.errstate(over="ignore", invalid="ignore"):
             return law(*args)
     return law(*args)
+
+
+def _no_digits(context: str, gamma: float) -> ValueError:
+    """The error of a pointwise range law at a drift past ``_DRIFT_BOUND``."""
+    return ValueError(f"{context}: the range law at drift {gamma!r} has no digits: its image "
+                      f"exponents cancel past drift {_DRIFT_BOUND:g}")
 
 
 def _density_at(delta, cut: float, dual, image, *args):
@@ -655,11 +683,15 @@ def _one_drift(context: str, gamma) -> float:
 
 
 def range_pdf(delta, gamma: float = 0.0) -> DensityValue:
-    """Density of the range d = h - l at drift gamma (one float); support delta > 0."""
+    """Density of the range d = h - l at drift gamma (one float, |gamma| at most
+    ``_DRIFT_BOUND`` = 1e5); support delta > 0."""
     gamma = _one_drift("range_pdf", gamma)
     _require_finite("range_pdf", delta=delta, gamma=gamma)
     cut = _LIMIT + abs(gamma)
-    return _finish(*_density_at(delta, cut, _range_dual, _range_image, gamma))
+    value = _finish(*_density_at(delta, cut, _range_dual, _range_image, gamma))
+    if abs(gamma) > _DRIFT_BOUND and np.any(value.terms_used):
+        raise _no_digits("range_pdf", gamma)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +721,7 @@ def _range_law(kind: EstimatorKind, gamma: float):
     ``law(d, density=...)`` maps an array of ranges to an array of the range
     CDF, or with ``density`` of the range density.  Parkinson: the range at
     drift gamma and alpha = ln 16; bridge: the bridge range and alpha =
-    pi^2 / 6, whatever the drift.  Past ``_TAME_DRIFT`` the range law is
+    pi^2 / 6, whatever the drift.  Past ``_DRIFT_BOUND`` the range law is
     evaluated quietly, as :func:`_density_at` evaluates it; its callers check
     what it returns.  The laws are private array functions, so the benchmark
     tracer (``perfbench/spans.py``) sees only the public scalar calls, such
@@ -725,10 +757,14 @@ def _estimator_pdf(x, alpha: float, cut: float, dual, image, *args) -> DensityVa
 
 
 def parkinson_estimator_pdf(x, gamma: float = 0.0) -> DensityValue:
-    """Density of the Parkinson estimator d^2 / ln 16 at drift gamma (one float)."""
+    """Density of the Parkinson estimator d^2 / ln 16 at drift gamma (one float,
+    |gamma| at most ``_DRIFT_BOUND`` = 1e5)."""
     gamma = _one_drift("parkinson_estimator_pdf", gamma)
     _require_finite("parkinson_estimator_pdf", x=x, gamma=gamma)
-    return _estimator_pdf(x, LN16, _LIMIT + abs(gamma), _range_dual, _range_image, gamma)
+    value = _estimator_pdf(x, LN16, _LIMIT + abs(gamma), _range_dual, _range_image, gamma)
+    if abs(gamma) > _DRIFT_BOUND and np.any(value.terms_used):
+        raise _no_digits("parkinson_estimator_pdf", gamma)
+    return value
 
 
 def bridge_estimator_pdf(x) -> DensityValue:

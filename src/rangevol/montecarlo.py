@@ -35,6 +35,8 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -374,7 +376,7 @@ def histogram_vs_pdf(summary: ExperimentSummary, estimator, gamma: float):
     centers = 0.5 * (edges[:-1] + edges[1:])
     empirical = cell.hist / (cell.n * widths)
     analytic = _analytic_bin_density(kind, gamma, edges, variant)
-    return [(float(c), float(e), float(a)) for c, e, a in zip(centers, empirical, analytic)]
+    return list(zip(centers.tolist(), empirical.tolist(), analytic.tolist()))
 
 
 def goodness_of_fit(summary: ExperimentSummary, estimator, gamma: float):
@@ -394,9 +396,10 @@ def goodness_of_fit(summary: ExperimentSummary, estimator, gamma: float):
     expected = _analytic_bin_density(kind, gamma, edges, variant) * widths * cell.n
     observed = cell.hist.astype(float)
 
+    # pooled over Python floats: numpy scalars cost several times more an addition
     pooled_obs, pooled_exp = [], []
     acc_o = acc_e = 0.0
-    for o, e in zip(observed, expected):
+    for o, e in zip(observed.tolist(), expected.tolist()):
         acc_o += o
         acc_e += e
         if acc_e >= _MIN_EXPECTED:
@@ -406,8 +409,10 @@ def goodness_of_fit(summary: ExperimentSummary, estimator, gamma: float):
     if pooled_obs and acc_e > 0.0:
         pooled_obs[-1] += acc_o
         pooled_exp[-1] += acc_e
+    # the counts are whole numbers, so only the expected total needs a fixed
+    # order: left to right, which ``sum`` of floats leaves from Python 3.12 on
     out_obs = cell.n - sum(pooled_obs)
-    out_exp = cell.n - sum(pooled_exp)
+    out_exp = cell.n - reduce(add, pooled_exp, 0.0)
     if out_exp >= _MIN_EXPECTED:
         pooled_obs.append(out_obs)
         pooled_exp.append(out_exp)

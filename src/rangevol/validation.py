@@ -244,9 +244,13 @@ def _gk_1980(h, l, c):
     return 0.511 * (h - l) ** 2 - 0.019 * (c * (h + l) - 2.0 * h * l) - 0.383 * c * c
 
 
+# The coefficient matrix of :func:`_gk_1980`, read off the form once.
+_GK_1980_Q = analytics._form_coefficients(_gk_1980)
+
+
 def _gk_1980_mean(gamma: float) -> float:
     """Mean of :func:`_gk_1980` from the (high, low, close) second moments."""
-    return analytics._quadratic_mean(_gk_1980, gamma)
+    return analytics._quadratic_mean(_GK_1980_Q, gamma)
 
 
 def _gk_check(h, l, c) -> ValidationCheck:

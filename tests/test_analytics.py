@@ -25,9 +25,11 @@ from rangevol import (
     relative_bias,
     rogers_satchell_mean,
     theoretical_moments,
+    validation,
 )
 from rangevol.cli import main
-from rangevol.estimators import GK_K1, GK_K2, GK_K3, estimator_value
+from rangevol.estimators import (GK_K1, GK_K2, GK_K3, estimator_value, garman_klass_value,
+                                 rogers_satchell_value)
 
 LN16 = math.log(16.0)
 
@@ -184,6 +186,66 @@ def test_tables_mean_integrates_the_range_law_once_per_drift(capsys):
     capsys.readouterr()
     assert analytics._range_moments.cache_info().misses == len(TABLES_DRIFTS)
     assert analytics._second_moments.cache_info().misses == len(TABLES_DRIFTS)
+
+
+JOINT_MEANS = {
+    # each mean beside its form, written out here, from which the oracle reads Q
+    "gk-hl": (lambda g: garman_klass_mean(g, variant=GarmanKlassVariant.HIGH_LOW_CROSS),
+              lambda h, l, c: garman_klass_value(h, l, c, GarmanKlassVariant.HIGH_LOW_CROSS)),
+    "gk-hc": (lambda g: garman_klass_mean(g, None, GarmanKlassVariant.HIGH_CLOSE_CROSS),
+              lambda h, l, c: garman_klass_value(h, l, c, GarmanKlassVariant.HIGH_CLOSE_CROSS)),
+    "rs": (rogers_satchell_mean, rogers_satchell_value),
+    "gk-1980": (validation._gk_1980_mean, validation._gk_1980),
+}
+JOINT_DRIFTS = (TABLES_DRIFTS + (1000.0, -1000.0, -0.0)
+                + tuple(np.random.default_rng(31).uniform(-40.0, 40.0, 1000).tolist()))
+
+
+@pytest.mark.parametrize("name", JOINT_MEANS)
+def test_joint_means_are_the_array_contraction_bit_for_bit(name):
+    # the float contraction sums in numpy's pairwise order: the same bits as
+    # np.sum(Q * S), with Q read off the form
+    mean, form = JOINT_MEANS[name]
+    q = analytics._form_coefficients(form)
+    for gamma in JOINT_DRIFTS:
+        oracle = float(np.sum(q * analytics._second_moments(gamma)))
+        assert _bits(mean(gamma)) == _bits(oracle), gamma
+
+
+@pytest.mark.parametrize("kind, variant", [
+    (EstimatorKind.GARMAN_KLASS, GarmanKlassVariant.HIGH_LOW_CROSS),
+    (EstimatorKind.GARMAN_KLASS, GarmanKlassVariant.HIGH_CLOSE_CROSS),
+    (EstimatorKind.ROGERS_SATCHELL, GarmanKlassVariant.HIGH_CLOSE_CROSS),
+])
+def test_moment_report_mean_is_the_joint_mean(kind, variant):
+    for gamma in (0.0, 1.5):
+        report = theoretical_moments(kind, gamma, gk_variant=variant)
+        q = analytics._form_coefficients(
+            lambda h, l, c: estimator_value(kind, h, l, c, variant=variant))
+        assert _bits(report.mean) == _bits(float(np.sum(q * analytics._second_moments(gamma))))
+
+
+def test_coefficient_tables_are_read_only_and_built_once():
+    analytics._kernel_coefficients.cache_clear()
+    try:
+        for _ in range(3):
+            for gamma in (0.0, 0.5):
+                for variant in GarmanKlassVariant:
+                    garman_klass_mean(gamma, variant=variant)
+                rogers_satchell_mean(gamma)
+        tables = [analytics._coefficients(kind, variant)
+                  for kind in (EstimatorKind.GARMAN_KLASS, EstimatorKind.ROGERS_SATCHELL)
+                  for variant in GarmanKlassVariant]
+        # one table per Garman-Klass variant, and one Rogers-Satchell table for either
+        info = analytics._kernel_coefficients.cache_info()
+        assert (info.misses, info.currsize) == (3, 3)
+        assert tables[2] is tables[3]
+        for q in tables:
+            assert not q.flags.writeable
+            with pytest.raises(ValueError):
+                q[0, 0] = 0.0
+    finally:
+        analytics._kernel_coefficients.cache_clear()
 
 
 # Variances from the exact (high, low, close) law at gamma = 0, 1, 2; the

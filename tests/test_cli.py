@@ -694,6 +694,23 @@ def test_tables_non_finite_value_exit_1(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["range-pdf", "park-estimator-pdf"])
+def test_density_past_the_drift_bound_exit_1(tmp_path, capsys, name):
+    # the range law wrote 512.0, 512.0, 0.0 here, where its image exponents
+    # have cancelled; now one line names the drift and nothing is written
+    out = tmp_path / "d.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("density", name, "--gamma", "1e9", "--x-min", "999999995",
+                       "--x-max", "1000000005", "--points", "3", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"rangevol: error: {name} at x 999999995.0: ")
+    assert err.endswith("the range law at drift 1000000000.0 has no digits: its image exponents "
+                        "cancel past drift 100000\n")
+    assert not out.exists()
+
+
 def test_density_non_finite_value_exit_1(tmp_path, capsys):
     # the range law at this drift is NaN from its second point on
     out = tmp_path / "d.csv"

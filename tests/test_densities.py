@@ -437,6 +437,46 @@ def test_range_laws_reject_what_they_cannot_evaluate_at_huge_drifts(density, arg
             density(*args)
 
 
+@pytest.mark.parametrize("gamma", [1e3, 1e4, densities._DRIFT_BOUND, -densities._DRIFT_BOUND])
+def test_range_law_keeps_its_limit_law_up_to_the_drift_bound(gamma):
+    # d - gamma is N(0, 1) up to O(1 / gamma): the law is within 2 / gamma of
+    # phi (1.85e-5 at 1e5, 2.0e-3 at 1e3); past the bound its lost digits take
+    # over (9.2e-5 at 2e5, 9.8e-2 at 1e7)
+    x = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
+    phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    d = abs(gamma) + x  # the range law is even in the drift
+    for got in (np.array([range_pdf(v, gamma).value for v in d.tolist()]),
+                range_pdf(d, gamma).value):
+        assert np.max(np.abs(got / phi - 1.0)) < 2.5 / abs(gamma)
+
+
+@pytest.mark.parametrize("density, args", [
+    (range_pdf, (1e10 + 1.0, 1e10)), (range_pdf, (1e9 + 1.0, 1e9)),
+    (range_pdf, (np.array([1e9 - 5.0, 1e9, 1e9 + 5.0]), 1e9)),
+    (range_pdf, (2e5, -2e5)), (range_pdf, (1.0, np.nextafter(1e5, 2e5))),
+    (parkinson_estimator_pdf, (3.0, 1e9)), (parkinson_estimator_pdf, (4e10 / LN16, 2e5)),
+], ids=["range-1e10", "range-1e9", "array-1e9", "range-minus-2e5", "range-past-bound",
+        "estimator-1e9", "estimator-2e5"])
+def test_range_laws_reject_drifts_past_their_bound(density, args):
+    # finite values without digits (512.0 at 1e9) raise naming the drift, the
+    # NaN of 1e10 as not finite, and no numpy warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="(at drift .* has no digits|is not finite)"):
+            density(*args)
+
+
+@pytest.mark.parametrize("gamma", [2e5, 1e9, -1e300])
+def test_range_law_limits_hold_past_the_drift_bound(gamma):
+    # below the law's floor (a range of 0.025) and past its cut no kernel runs:
+    # 0 from no terms
+    for density, xs in ((range_pdf, (0.01, 2.0 * (abs(gamma) + densities._LIMIT))),
+                        (parkinson_estimator_pdf, (1e-4,))):
+        for x in xs:
+            assert density(x, gamma) == DensityValue(0.0, 0, True)
+        assert density(np.array(xs), gamma).value.tolist() == [0.0] * len(xs)
+
+
 NON_FINITE_CASES = [
     (high_pdf, (1.0, math.nan), "gamma"),
     (high_pdf, (math.inf, 0.5), "eta"),
