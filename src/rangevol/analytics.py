@@ -240,15 +240,11 @@ def _form_coefficients(form) -> np.ndarray:
     return q
 
 
-def _coefficients(kind: EstimatorKind, variant: GarmanKlassVariant) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _coefficients(kind: EstimatorKind, variant) -> np.ndarray:
     """Q of the canonical Garman-Klass (of ``variant``) or Rogers-Satchell
     estimator, read off its kernel once per (kind, variant) in a process;
-    Rogers-Satchell has no variant."""
-    return _kernel_coefficients(kind, variant if kind is EstimatorKind.GARMAN_KLASS else None)
-
-
-@lru_cache(maxsize=None)
-def _kernel_coefficients(kind: EstimatorKind, variant) -> np.ndarray:
+    Rogers-Satchell takes no variant (None)."""
     return _form_coefficients(partial(estimator_value, kind, variant=variant))
 
 
@@ -423,7 +419,8 @@ def theoretical_moments(
         def form(h, l, c):
             return estimator_value(kind, h, l, c, variant=gk_variant)
 
-        mean = _quadratic_mean(_coefficients(kind, gk_variant), gamma)
+        variant = gk_variant if kind is EstimatorKind.GARMAN_KLASS else None
+        mean = _quadratic_mean(_coefficients(kind, variant), gamma)
         second = _hlc_moment(lambda h, l, c: form(h, l, c) ** 2, gamma)
     var = second - mean * mean
     if var < 0.0:

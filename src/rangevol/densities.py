@@ -637,10 +637,11 @@ lost digits take over, and from about 1e8 the values are garbage (512 at
 raise ``ValueError`` naming the drift at any point their kernels evaluate,
 after :func:`_finish` has rejected what is not finite or negative; the
 limits, 0 from no terms below ``_LOW`` and past the cut, hold at any drift.
-The laws are evaluated quietly there, so no numpy warning escapes; the
-moments in ``analytics`` read the array law past it too, and their range
-table's mass check rejects the lost digits (ROADMAP item 10 is to make the
-laws right at such drifts)."""
+The laws are evaluated quietly there, so no numpy warning escapes.  The
+histogram fit in ``montecarlo`` makes the same check on its bin edges
+(:func:`_require_digits`); the moments in ``analytics`` read the array law
+past the bound too, and their range table's mass check rejects the lost
+digits (ROADMAP item 10 is to make the laws right at such drifts)."""
 
 
 def _tamed(cut: float, law, *args):
@@ -655,6 +656,14 @@ def _no_digits(context: str, gamma: float) -> ValueError:
     """The error of a pointwise range law at a drift past ``_DRIFT_BOUND``."""
     return ValueError(f"{context}: the range law at drift {gamma!r} has no digits: its image "
                       f"exponents cancel past drift {_DRIFT_BOUND:g}")
+
+
+def _require_digits(context: str, gamma: float, d) -> None:
+    """Raise :func:`_no_digits` if the range law at drift gamma, past ``_DRIFT_BOUND``,
+    runs its kernels at a range of the array ``d``: the pointwise laws' check for the
+    callers of :func:`_range_law`, which sees no term counts."""
+    if abs(gamma) > _DRIFT_BOUND and np.any((d >= _LOW) & (d <= _LIMIT + abs(gamma))):
+        raise _no_digits(context, gamma)
 
 
 def _density_at(delta, cut: float, dual, image, *args):

@@ -41,7 +41,7 @@ from operator import add
 import numpy as np
 
 from . import paths
-from .estimators import EstimatorKind, GarmanKlassVariant, estimator_label, estimator_value
+from .estimators import LN16, EstimatorKind, GarmanKlassVariant, estimator_label, estimator_value
 
 __all__ = [
     "ExperimentConfig",
@@ -345,10 +345,14 @@ def _analytic_bin_density(kind: EstimatorKind, gamma: float, edges: np.ndarray,
 
     The estimator's mass in a bin is the difference of its distribution
     function (``analytics._estimator_cdf``) between the bin's edges: one
-    evaluation per edge, shared by the two bins it bounds.
+    evaluation per edge, shared by the two bins it bounds.  Parkinson past
+    the range law's drift bound raises ``ValueError`` naming the drift, as
+    its pointwise density does.
     """
-    from . import analytics
+    from . import analytics, densities
 
+    if kind is EstimatorKind.PARKINSON:
+        densities._require_digits("parkinson", gamma, np.sqrt(LN16 * np.maximum(edges, 0.0)))
     return np.diff(analytics._estimator_cdf(kind, gamma, edges, variant)) / np.diff(edges)
 
 

@@ -226,26 +226,27 @@ def test_moment_report_mean_is_the_joint_mean(kind, variant):
 
 
 def test_coefficient_tables_are_read_only_and_built_once():
-    analytics._kernel_coefficients.cache_clear()
+    analytics._coefficients.cache_clear()
     try:
         for _ in range(3):
             for gamma in (0.0, 0.5):
                 for variant in GarmanKlassVariant:
                     garman_klass_mean(gamma, variant=variant)
                 rogers_satchell_mean(gamma)
-        tables = [analytics._coefficients(kind, variant)
-                  for kind in (EstimatorKind.GARMAN_KLASS, EstimatorKind.ROGERS_SATCHELL)
+        for variant in GarmanKlassVariant:
+            theoretical_moments(EstimatorKind.ROGERS_SATCHELL, 0.5, gk_variant=variant)
+        tables = [analytics._coefficients(EstimatorKind.GARMAN_KLASS, variant)
                   for variant in GarmanKlassVariant]
+        tables.append(analytics._coefficients(EstimatorKind.ROGERS_SATCHELL, None))
         # one table per Garman-Klass variant, and one Rogers-Satchell table for either
-        info = analytics._kernel_coefficients.cache_info()
+        info = analytics._coefficients.cache_info()
         assert (info.misses, info.currsize) == (3, 3)
-        assert tables[2] is tables[3]
         for q in tables:
             assert not q.flags.writeable
             with pytest.raises(ValueError):
                 q[0, 0] = 0.0
     finally:
-        analytics._kernel_coefficients.cache_clear()
+        analytics._coefficients.cache_clear()
 
 
 # Variances from the exact (high, low, close) law at gamma = 0, 1, 2; the

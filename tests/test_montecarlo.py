@@ -302,6 +302,19 @@ def test_histogram_vs_pdf_missing_cell_errors(desk_summary):
         histogram_vs_pdf(summary, EstimatorKind.BRIDGE, 0.123)
 
 
+def test_parkinson_fit_rejects_drifts_past_the_range_law_bound():
+    # the bin edges reach the range law's kernels, which at 1e9 gave finite
+    # values without digits and at 1e10 NaN; the bridge law has no drift
+    summary = run_experiment(ExperimentConfig(n_steps=8, n_paths=64, gamma_grid=(1e9, 1e10)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for gamma in (1e9, 1e10):
+            for fit in (histogram_vs_pdf, goodness_of_fit):
+                with pytest.raises(ValueError, match=f"at drift {gamma!r} has no digits"):
+                    fit(summary, EstimatorKind.PARKINSON, gamma)
+            assert len(histogram_vs_pdf(summary, EstimatorKind.BRIDGE, gamma)) == len(summary.hist_edges) - 1
+
+
 def test_goodness_of_fit_reads_the_labelled_gk_variant(desk_summary, monkeypatch):
     summary, _ = desk_summary
     chi2, dof, p = goodness_of_fit(summary, EstimatorKind.BRIDGE, 0.0)

@@ -2,9 +2,11 @@
 
 Given two source trees of rangevol -- the parent and the change, each with
 its own ``perfbench/`` and ``BENCHMARK.json`` -- this runs ``perfbench/run.py
---trace 0`` in both, pair by pair and workload by workload, on the same seed
-within a pair (``--seed`` plus the pair's index) and with the side that runs
-first alternating from pair to pair.  It writes one JSON file holding every
+--trace 0`` in both, pair by pair and workload by workload (every workload,
+each run ``run_seconds`` long as the change's ``BENCHMARK.json`` fixes it), on
+the same seed within a pair (``--seed`` plus the pair's index) and with the
+side that runs first alternating from pair to pair.  It writes
+``BENCH_<pr>.json`` in the working directory, one JSON file holding every
 run's full record (environment, per-operation figures, failures) and, per
 workload and end-to-end metric, the medians and quartiles of both sides, the
 pairs the change won (ties count for neither side) and the bound that
@@ -85,23 +87,18 @@ def main(argv=None) -> int:
     parser.add_argument("change", help="source tree of the change")
     parser.add_argument("--pr", required=True, help="the number in BENCH_<pr>.json")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: run_seconds of the change's BENCHMARK.json)")
-    parser.add_argument("--out", default=None, help="output path (default: BENCH_<pr>.json)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
-    workloads = args.workloads.split(",")
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         benchmark = json.load(fh)
-    seconds = benchmark["run_seconds"] if args.seconds is None else args.seconds
+    seconds = benchmark["run_seconds"]
     bounds = {m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]}
     trees = {"parent": args.parent, "change": args.change}
 
     runs = []
-    for workload in workloads:
+    for workload in WORKLOADS:
         for pair in range(args.pairs):
             seed = args.seed + pair
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
@@ -126,10 +123,10 @@ def main(argv=None) -> int:
         "correct": {side: all(r["result"]["correct"] for r in runs if r["side"] == side)
                     for side in SIDES},
         "summary": {w: summarize([r for r in runs if r["workload"] == w], bounds)
-                    for w in workloads},
+                    for w in WORKLOADS},
         "runs": runs,
     }
-    path = args.out or f"BENCH_{args.pr}.json"
+    path = f"BENCH_{args.pr}.json"
     write(path, out)
     print(path)
     return 0
