@@ -7,9 +7,10 @@ distribution function, ``_estimator_cdf``, for all four kinds; the one test
 of kind behind it is ``_cdf_method``.  Parkinson and bridge are
 delta^2 / alpha (alpha = ln 16 for Parkinson, pi^2 / 6 for the bridge), so
 their CDF is the closed-form range law (``densities._range_law``) at
-sqrt(alpha x), and their moments are the delta^2 and delta^4 moments over
-alpha and alpha^2: for the bridge the constants pi^2 / 6 and pi^4 / 30, for
-Parkinson sums over one fixed Gauss-Legendre table (``_range_moments``).
+sqrt(alpha x), and their mean and variance are those of delta^2 over
+alpha and alpha^2: for the bridge from the constants E s^2 = pi^2 / 6 and
+E s^4 = pi^4 / 30, for Parkinson sums over one fixed Gauss-Legendre table,
+the variance a centered sum (``_range_moments``).
 Garman-Klass and
 Rogers-Satchell are quadratic forms in v = (h, l, c), so their means are
 sum(Q * S), Q the form's coefficient matrix, over one second-moment matrix
@@ -33,7 +34,7 @@ rest; the ``method`` column of ``rangevol tables`` takes ``_cdf_method``
 for every F(N) and P_delta.
 
 Two per-drift tables are computed once per drift in a process and shared:
-E d^2 and E d^4 of the range law (``_range_moments``) and the read-only
+E d^2 and Var d^2 of the range law (``_range_moments``) and the read-only
 matrix S (``_second_moments``).  The Parkinson moments, both Garman-Klass
 means and the Rogers-Satchell mean read them, so a sweep integrates the
 range law once per drift.  Each table keeps its last ``_DRIFT_TABLES`` = 64
@@ -143,7 +144,7 @@ _MASS_TOLERANCE = 1e-5
 
 @lru_cache(maxsize=_DRIFT_TABLES)
 def _range_moments(gamma: float) -> tuple[float, float]:
-    """E d^2 and E d^4 of the drifted range law, once per drift.
+    """E d^2 and the variance of d^2 of the drifted range law, once per drift.
 
     One fixed table, 16 panels of 24 Gauss-Legendre nodes over
     [max(mass floor, |gamma| - 10), 13 + |gamma|]: the range is at least
@@ -153,7 +154,10 @@ def _range_moments(gamma: float) -> tuple[float, float]:
     The table's mass is off 1 by 7e-13 at drift 100, 1.3e-6 at 1e5 and
     1.5e-5 at 2e5 (the moments by as much), -12.6 at 1e8, and at 1e20 the
     panels have no width: past ``_MASS_TOLERANCE`` this raises ``ValueError``.
-    A NaN mass (the law overflows at 1e10) gives NaN moments.
+    A NaN mass (the law overflows at 1e10) gives NaN moments.  The variance
+    is the centered sum of (d^2 - E d^2)^2 over the table: E d^4 - (E d^2)^2
+    cancelled, off 3.8e-5 relative at drift 1000, +20% at 1e4 and negative
+    from about 5e4.
     """
     law, _ = densities._range_law(EstimatorKind.PARKINSON, gamma)
     d, w = _gl_nodes(max(densities._MASS_FLOOR, abs(gamma) - 10.0), _range_cut(gamma), 24, 16)
@@ -163,7 +167,9 @@ def _range_moments(gamma: float) -> tuple[float, float]:
         raise ValueError(f"the range law's moments at drift {gamma!r}: its quadrature table has "
                          f"mass {total!r}, off 1 by more than {_MASS_TOLERANCE:g}")
     d2 = d * d
-    return float(mass @ d2), float(mass @ (d2 * d2))
+    e_d2 = float(mass @ d2)
+    dev = d2 - e_d2
+    return e_d2, float(mass @ (dev * dev))
 
 
 # ---------------------------------------------------------------------------
@@ -404,25 +410,38 @@ def theoretical_moments(
 ) -> MomentReport:
     """Mean/variance/relative-bias report for one canonical estimator.
 
-    Garman-Klass and Rogers-Satchell combine the 2D mean with E[estimator^2]
-    from the (high, low, close) law.  The variance is E[est^2] - mean^2, so
-    it loses digits to that cancellation as |gamma| grows: for Parkinson,
-    E d^4 - (E d^2)^2 is good to 2.7e-6 relative at |gamma| = 1000, and
-    from about 1e5 it comes out negative, which raises ``ValueError``.
+    The Parkinson variance is the centered sum over the range table
+    (``_range_moments``), within 1e-6 of its limit 4 gamma^2 / ln 16^2 at
+    |gamma| = 1000 and 0.5% at 1e5; past ``densities._DRIFT_BOUND`` = 1e5
+    the range law has no digits and a finite variance raises ``ValueError``,
+    as the pointwise densities do.  Garman-Klass and Rogers-Satchell combine the 2D
+    mean with E[estimator^2] from the (high, low, close) law, and the bridge
+    its two constants, so their variance is E[est^2] - mean^2:
+    it loses digits to that cancellation as |gamma| grows, and where it comes
+    out negative (Garman-Klass from about |gamma| = 140, Rogers-Satchell at
+    1000) this raises ``ValueError``.
     """
     densities._require_finite("theoretical_moments", gamma=gamma)
-    if kind in (EstimatorKind.PARKINSON, EstimatorKind.BRIDGE):
+    if kind is EstimatorKind.PARKINSON:
         alpha = _alpha(kind)
-        e_d2, e_d4 = _BRIDGE_RANGE_MOMENTS if kind is EstimatorKind.BRIDGE else _range_moments(gamma)
-        mean, second = e_d2 / alpha, e_d4 / alpha**2
+        e_d2, var_d2 = _range_moments(gamma)
+        # the table's mass can pass with the law's digits lost; a NaN table (the
+        # law overflows at 1e10) is left to the callers' finiteness check
+        if abs(gamma) > densities._DRIFT_BOUND and math.isfinite(var_d2):
+            raise densities._no_digits("theoretical_moments", gamma)
+        mean, var = e_d2 / alpha, var_d2 / alpha**2
+    elif kind is EstimatorKind.BRIDGE:
+        alpha = _alpha(kind)
+        e_s2, e_s4 = _BRIDGE_RANGE_MOMENTS
+        mean = e_s2 / alpha
+        var = e_s4 / alpha**2 - mean * mean
     else:
         def form(h, l, c):
             return estimator_value(kind, h, l, c, variant=gk_variant)
 
         variant = gk_variant if kind is EstimatorKind.GARMAN_KLASS else None
         mean = _quadratic_mean(_coefficients(kind, variant), gamma)
-        second = _hlc_moment(lambda h, l, c: form(h, l, c) ** 2, gamma)
-    var = second - mean * mean
+        var = _hlc_moment(lambda h, l, c: form(h, l, c) ** 2, gamma) - mean * mean
     if var < 0.0:
         raise ValueError(
             f"theoretical_moments: the {kind.value} variance at drift {gamma!r} is {var:.6g}: "

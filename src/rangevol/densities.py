@@ -22,12 +22,13 @@ range laws raise ``ValueError`` naming the drift wherever a kernel runs.
 Every public density takes floats or broadcastable numpy arrays, giving a
 ``DensityValue`` of Python scalars or of per-point arrays.  A joint law is
 its kernel, whose mask is its support, times :func:`close_pdf`.  A range law
-takes one float drift, and at a float range keeps a one-point route
-(:func:`_density_at`, about 10 us against 25-35 us through
-:func:`_by_switch`) for the thousands of points of a theory sweep.  It runs
-the same kernels: each point is a 1-row matrix in their matrix products, so
-the routes differ only where the dual's one point keeps ``math.exp``, by a
-few ulps.
+takes one float drift, and its four public densities are one private
+function, :func:`_range_law_pdf`: a point that is no ndarray (a float, int,
+bool or numpy scalar) takes its one-point route, for the thousands of points
+of a theory sweep (about 9-10 us a Parkinson point against 25-35 us through
+:func:`_by_switch`, which takes an ndarray).  Both run the same kernels: each
+point is a 1-row matrix in their matrix products, so the routes differ only
+where the dual's one point keeps ``math.exp``, by a few ulps.
 
 Truncation policy of the joint grids: image shells (+m, -m) are summed
 outward from m = 1, and each grid point stops once the largest exponent its
@@ -124,8 +125,6 @@ _ROUND_OFF = 1e-11
 def _finish(value, terms, converged=True) -> DensityValue:
     """The density values, round-off below 0 clamped; 0-d arrays give Python scalars.
     A value that is not finite raises ``ValueError``."""
-    if type(value) is float and 0.0 <= value < math.inf:  # one point of a range law: numpy would take 10 us
-        return DensityValue(value, terms, converged)
     finite = np.isfinite(value)
     if not finite.all():
         raise ValueError(f"density value {float(np.asarray(value)[~finite].flat[0])!r} is not finite")
@@ -639,9 +638,10 @@ after :func:`_finish` has rejected what is not finite or negative; the
 limits, 0 from no terms below ``_LOW`` and past the cut, hold at any drift.
 The laws are evaluated quietly there, so no numpy warning escapes.  The
 histogram fit in ``montecarlo`` makes the same check on its bin edges
-(:func:`_require_digits`); the moments in ``analytics`` read the array law
-past the bound too, and their range table's mass check rejects the lost
-digits (ROADMAP item 10 is to make the laws right at such drifts)."""
+(:func:`_require_digits`) and ``analytics.theoretical_moments`` on the
+Parkinson moments; the joint means read the range table past the bound, whose
+mass check rejects only what its mass shows (ROADMAP item 10 is to make the
+laws right at such drifts)."""
 
 
 def _tamed(cut: float, law, *args):
@@ -666,41 +666,64 @@ def _require_digits(context: str, gamma: float, d) -> None:
         raise _no_digits(context, gamma)
 
 
-def _density_at(delta, cut: float, dual, image, *args):
-    """A range law's density and term counts, by :func:`_by_switch` over an array and at a
-    float from the form that holds there; 0 from no terms below ``_LOW`` and past ``cut``."""
-    return _tamed(cut, _law_at, delta, cut, dual, image, *args)
+def _range_law_pdf(context: str, name: str, x, gamma, alpha, bridge=False) -> DensityValue:
+    """The density at ``x`` of the range at drift ``gamma`` (one float), or with
+    ``bridge`` of the bridge range (drift 0.0); with ``alpha``, of d^2 / alpha,
+    0 at x <= 0.  ``context`` names the caller and ``name`` its point in errors.
 
-
-def _law_at(delta, cut: float, dual, image, *args):
-    """:func:`_density_at` with numpy's warnings as they are."""
-    if isinstance(delta, np.ndarray):
-        return _by_switch(delta, cut, True, dual, image, *args)
-    if delta < _LOW or delta > cut:
-        return 0.0, 0
-    if delta <= _SWITCH:
-        return float(dual(delta, *args, density=True)), _DUAL_A.size
-    return float(image(delta, *args, density=True)), _IMAGE_SHELLS
-
-
-def _one_drift(context: str, gamma) -> float:
-    """The drift of a range law as a float; an array of drifts raises ``ValueError``."""
+    A point that is no ndarray is one point: it and the drift are taken as
+    floats and checked with ``math.isfinite``, and the form that holds at d
+    runs once, with :func:`_finish` only for a value that is negative or not
+    finite.  An ndarray takes :func:`_by_switch`.  Either way the limit, 0
+    from no terms, holds below ``_LOW`` and past the cut, and past
+    ``_DRIFT_BOUND`` the law runs quietly and raises :func:`_no_digits` where
+    a kernel ran, after :func:`_finish` has checked its value.
+    """
     if type(gamma) is not float and np.ndim(gamma):
         raise ValueError(f"{context}: gamma must be one float, got an array of shape "
                          f"{np.shape(gamma)}")
-    return float(gamma)
+    g = float(gamma)
+    dual, image, args = ((_bridge_dual, _bridge_image, ()) if bridge
+                         else (_range_dual, _range_image, (g,)))
+    cut = _LIMIT + abs(g)
+    if isinstance(x, np.ndarray):
+        _require_finite(context, **{name: x}, gamma=g)
+        d = x
+        if alpha is not None:
+            with np.errstate(over="ignore"):  # d = inf is past the law's cut, where the density is 0
+                d = np.asarray(np.sqrt(alpha * np.maximum(x, 0.0)))   # 0-d stays an array
+        value, terms = _tamed(cut, _by_switch, d, cut, True, dual, image, *args)
+        if alpha is not None:  # the scale dx/dd, where the law is positive: it overflows at subnormal x
+            pos = value > 0.0
+            value[pos] *= np.sqrt(alpha / (4.0 * x[pos]))
+        out = _finish(value, terms)
+    else:
+        if not math.isfinite(x):  # before float(), which would parse a str point
+            raise ValueError(f"{context}: {name} must be finite, got {float(x)!r}")
+        x = float(x)
+        if not math.isfinite(g):
+            raise ValueError(f"{context}: gamma must be finite, got {g!r}")
+        d = x if alpha is None else math.sqrt(alpha * x) if x > 0.0 else 0.0
+        if d < _LOW or d > cut:
+            return DensityValue(0.0, 0, True)
+        kernel, terms = (dual, _DUAL_A.size) if d <= _SWITCH else (image, _IMAGE_SHELLS)
+        if abs(g) > _DRIFT_BOUND:
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = float(kernel(d, *args, density=True))
+        else:
+            value = float(kernel(d, *args, density=True))
+        if alpha is not None and value > 0.0:
+            value *= math.sqrt(alpha / (4.0 * x))
+        out = DensityValue(value, terms, True) if 0.0 <= value < math.inf else _finish(value, terms)
+    if abs(g) > _DRIFT_BOUND and np.any(out.terms_used):
+        raise _no_digits(context, g)
+    return out
 
 
 def range_pdf(delta, gamma: float = 0.0) -> DensityValue:
     """Density of the range d = h - l at drift gamma (one float, |gamma| at most
     ``_DRIFT_BOUND`` = 1e5); support delta > 0."""
-    gamma = _one_drift("range_pdf", gamma)
-    _require_finite("range_pdf", delta=delta, gamma=gamma)
-    cut = _LIMIT + abs(gamma)
-    value = _finish(*_density_at(delta, cut, _range_dual, _range_image, gamma))
-    if abs(gamma) > _DRIFT_BOUND and np.any(value.terms_used):
-        raise _no_digits("range_pdf", gamma)
-    return value
+    return _range_law_pdf("range_pdf", "delta", delta, gamma, None)
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +739,7 @@ def bridge_hl_joint_pdf(eta, ell) -> DensityValue:
 
 def bridge_range_pdf(delta) -> DensityValue:
     """Density of the bridge range s = xi - zeta; support delta > 0."""
-    _require_finite("bridge_range_pdf", delta=delta)
-    return _finish(*_density_at(delta, _LIMIT, _bridge_dual, _bridge_image))
+    return _range_law_pdf("bridge_range_pdf", "delta", delta, 0.0, None, bridge=True)
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +753,7 @@ def _range_law(kind: EstimatorKind, gamma: float):
     CDF, or with ``density`` of the range density.  Parkinson: the range at
     drift gamma and alpha = ln 16; bridge: the bridge range and alpha =
     pi^2 / 6, whatever the drift.  Past ``_DRIFT_BOUND`` the range law is
-    evaluated quietly, as :func:`_density_at` evaluates it; its callers check
+    evaluated quietly, as :func:`_range_law_pdf` evaluates it; its callers check
     what it returns.  The laws are private array functions, so the benchmark
     tracer (``perfbench/spans.py``) sees only the public scalar calls, such
     as :func:`parkinson_estimator_pdf`.
@@ -746,37 +768,12 @@ def _range_law(kind: EstimatorKind, gamma: float):
     raise ValueError(f"no analytic estimator density for {kind}")
 
 
-def _estimator_pdf(x, alpha: float, cut: float, dual, image, *args) -> DensityValue:
-    """Density of d^2 / alpha at x from the range law that :func:`_density_at`
-    evaluates at d; 0 at x <= 0 and where d overflows (past ``cut``)."""
-    array = isinstance(x, np.ndarray)
-    if array:
-        with np.errstate(over="ignore"):  # d = inf is past the law's cut, where the density is 0
-            d = np.asarray(np.sqrt(alpha * np.maximum(x, 0.0)))   # 0-d stays an array
-    else:
-        d = math.sqrt(alpha * x) if x > 0.0 else 0.0
-    value, terms = _density_at(d, cut, dual, image, *args)
-    # the scale dx/dd is taken where the law is positive: it overflows at subnormal x
-    if array:
-        pos = value > 0.0
-        value[pos] *= np.sqrt(alpha / (4.0 * x[pos]))
-    elif value > 0.0:
-        value = math.sqrt(alpha / (4.0 * x)) * value
-    return _finish(value, terms)
-
-
 def parkinson_estimator_pdf(x, gamma: float = 0.0) -> DensityValue:
     """Density of the Parkinson estimator d^2 / ln 16 at drift gamma (one float,
     |gamma| at most ``_DRIFT_BOUND`` = 1e5)."""
-    gamma = _one_drift("parkinson_estimator_pdf", gamma)
-    _require_finite("parkinson_estimator_pdf", x=x, gamma=gamma)
-    value = _estimator_pdf(x, LN16, _LIMIT + abs(gamma), _range_dual, _range_image, gamma)
-    if abs(gamma) > _DRIFT_BOUND and np.any(value.terms_used):
-        raise _no_digits("parkinson_estimator_pdf", gamma)
-    return value
+    return _range_law_pdf("parkinson_estimator_pdf", "x", x, gamma, LN16)
 
 
 def bridge_estimator_pdf(x) -> DensityValue:
     """Density of the bridge estimator (6/pi^2) s^2; drift-free."""
-    _require_finite("bridge_estimator_pdf", x=x)
-    return _estimator_pdf(x, 1.0 / BRIDGE_FACTOR, _LIMIT, _bridge_dual, _bridge_image)
+    return _range_law_pdf("bridge_estimator_pdf", "x", x, 0.0, 1.0 / BRIDGE_FACTOR, bridge=True)

@@ -119,16 +119,19 @@ def test_range_moments_hold_the_mass_at_large_drifts(gamma, monkeypatch):
     law, _ = densities._range_law(EstimatorKind.PARKINSON, gamma)
     d, w = analytics._gl_nodes(densities._MASS_FLOOR, analytics._range_cut(gamma), 24, panels=256)
     mass = w * law(d, density=True)
-    e_d2, e_d4 = float(mass @ (d * d)), float(mass @ (d * d) ** 2)
-    parkinson = theoretical_moments(EstimatorKind.PARKINSON, gamma).mean
+    e_d2 = float(mass @ (d * d))
+    var_d2 = float(mass @ (d * d - e_d2) ** 2)
+    report = theoretical_moments(EstimatorKind.PARKINSON, gamma)
+    parkinson = report.mean
     assert parkinson == pytest.approx(e_d2 / LN16, rel=1e-9)
+    assert report.variance == pytest.approx(var_d2 / LN16**2, rel=1e-9)
     if abs(gamma) == 1000.0:  # E d^2 = gamma^2 + 3 + O(1 / gamma^2)
         assert parkinson == pytest.approx(360_674.8423, rel=1e-9)
     means = [garman_klass_mean(gamma, variant=v) for v in GarmanKlassVariant]
     # S is kept per drift: clear it on both sides, so that the means below are
     # recomputed from the oracle's E d^2 and no other test reads that S
     analytics._second_moments.cache_clear()
-    monkeypatch.setattr(analytics, "_range_moments", lambda g: (e_d2, e_d4))
+    monkeypatch.setattr(analytics, "_range_moments", lambda g: (e_d2, var_d2))
     try:
         for variant, mean in zip(GarmanKlassVariant, means):
             assert mean > 0.0

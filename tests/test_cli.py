@@ -383,12 +383,26 @@ def test_tables_variance_analytic_rows(tmp_path):
 
 
 def test_tables_variance_cancellation_names_its_cause(tmp_path, capsys):
-    # at this drift E[est^2] - mean^2 comes out negative
+    # the Parkinson variance is a centered sum: at this drift it is 4 gamma^2
+    # / ln 16^2 of the limit law (0.46% off), where E d^4 - (E d^2)^2 came out
+    # negative; the Rogers-Satchell variance is still E[est^2] - mean^2, which
+    # is negative here (the (h, l, c) rule has lost the mass by this drift)
     out = tmp_path / "v.csv"
     assert run_cli("tables", "--table", "variance", "--gammas", "100000",
+                   "--estimators", "parkinson", "--out", str(out)) == 0
+    _, rows = read_table(out)
+    assert float(rows[0][2]) == pytest.approx(4e10 / LN16**2, rel=1e-2)
+    out.unlink()
+    # past the range law's drift bound its table's mass can pass the check
+    # with the law's digits lost (1.76e10 at 1.5e5, 1.5 times the limit)
+    assert run_cli("tables", "--table", "variance", "--gammas", "150000",
                    "--estimators", "parkinson", "--out", str(out)) == 1
+    assert "the range law at drift 150000.0 has no digits" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli("tables", "--table", "variance", "--gammas", "100000",
+                   "--estimators", "rogers-satchell", "--out", str(out)) == 1
     err = capsys.readouterr().err
-    assert "parkinson variance at drift 100000.0" in err
+    assert "rogers-satchell variance at drift 100000.0" in err
     assert "E[est^2] - mean^2 cancelled" in err
     assert not out.exists()
 

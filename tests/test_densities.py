@@ -516,6 +516,31 @@ def test_range_laws_take_a_zero_d_drift_as_its_float():
     assert parkinson_estimator_pdf(3.0, np.float64(1.0)) == parkinson_estimator_pdf(3.0, 1.0)
 
 
+RANGE_LAWS = ((range_pdf, (0.5,)), (parkinson_estimator_pdf, (0.5,)), (bridge_range_pdf, ()),
+              (bridge_estimator_pdf, ()))
+
+
+@pytest.mark.parametrize("scalar", [np.float32(0.5), np.float32(2.0), np.float64(0.75),
+                                    np.float64(3.0), 2, np.int64(3), True, False], ids=repr)
+def test_range_laws_take_a_scalar_point_as_its_float(scalar):
+    # a float32 point was evaluated partly in single precision, as NEP 50
+    # keeps gamma * d float32: range_pdf(np.float32(2.0), 0.5) gave
+    # 0.455708384513855 where the density is 0.4557083447593604
+    for density, drift in RANGE_LAWS:
+        got = density(scalar, *drift)
+        assert got == density(float(scalar), *drift), density.__name__
+        assert [type(f) for f in astuple(got)] == [float, int, bool, bool]
+
+
+def test_range_laws_reject_a_none_drift_and_a_str_point():
+    # float() would take None for no drift and parse a str point: neither is one
+    for call in (lambda: range_pdf(1.0, None), lambda: parkinson_estimator_pdf(1.0, None),
+                 lambda: range_pdf("1.0"), lambda: parkinson_estimator_pdf("1.0"),
+                 lambda: bridge_range_pdf("1.0"), lambda: bridge_estimator_pdf("1.0")):
+        with pytest.raises(TypeError):
+            call()
+
+
 @pytest.mark.parametrize("func, args, name", NON_FINITE_CASES,
                          ids=[f"{f.__name__}-{a}" for f, a, _ in NON_FINITE_CASES])
 def test_closed_forms_reject_non_finite_input(func, args, name):

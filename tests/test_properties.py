@@ -1,6 +1,7 @@
 """Property tests at quick-tier sizes: invariances the exact values must keep."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,3 +198,57 @@ def test_public_densities_on_arrays_are_their_one_point_calls(data, rows, cols):
                 assert got[0][index] == pytest.approx(want[0], rel=RANGE_LAW_ROUTES_REL,
                                                       abs=0.0), where
             assert [f[index] for f in got[1:]] == list(want[1:]), where
+
+
+ONE_POINT_LAWS = ((densities.range_pdf, (0.75,)), (densities.parkinson_estimator_pdf, (-1.25,)),
+                  (densities.bridge_range_pdf, ()), (densities.bridge_estimator_pdf, ()))
+
+
+def _forms(x: float) -> tuple[list, list]:
+    """A point as scalars (float, numpy and, if whole, int) and as ndarrays (0-d, 1 element)."""
+    ints = [int(x), np.int64(x)] if x.is_integer() and abs(x) < 1e9 else []
+    return [x, np.float64(x)] + ints, [np.array(x), np.array([x])]
+
+
+def _raised(density, *args) -> str:
+    with pytest.raises(ValueError) as err:
+        density(*args)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("density, drift", ONE_POINT_LAWS, ids=lambda v: getattr(v, "__name__", ""))
+def test_one_point_route_is_the_array_route(density, drift):
+    # a scalar point takes the one-point route as its float, an ndarray the
+    # array route: the same value (bit for bit among scalars), flags and errors
+    def point(x, *gamma):
+        return tuple(np.asarray(f).item() for f in _fields(density(x, *(gamma or drift))))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for x in (0.3, 1.0, 1.5, 2.0, 3.0, 7.0, 25.0):
+            want = point(x)
+            assert want[1] > 0 and want[2] and not want[3], want
+            scalars, arrays = _forms(x)
+            assert [point(a) for a in scalars] == [want] * len(scalars), x
+            for a in arrays:
+                assert point(a)[0] == pytest.approx(want[0], rel=RANGE_LAW_ROUTES_REL, abs=0.0), x
+                assert point(a)[1:] == want[1:], x
+        name = density.__name__
+        arg = "delta" if name.endswith("range_pdf") else "x"
+        for x in (math.nan, math.inf, -math.inf):
+            for a in sum(_forms(x), []):
+                assert _raised(density, a, *drift) == f"{name}: {arg} must be finite, got {x!r}"
+        for x in (0.0, -0.0, 5e-324, -1.0, 1e300, 1e308):
+            for a in sum(_forms(x), []):
+                assert point(a) == (0.0, 0, True, False), (x, a)
+        if not drift:
+            return
+        for a in sum(_forms(1.0), []):
+            assert _raised(density, a, np.array([0.5])) == (
+                f"{name}: gamma must be one float, got an array of shape (1,)")
+            # past the drift bound the law raises where a kernel runs, and
+            # keeps its limits elsewhere
+            assert _raised(density, a, 2e5) == str(densities._no_digits(name, 2e5))
+        for x in (1e-4, 1e300):
+            for a in sum(_forms(x), []):
+                assert point(a, 2e5) == (0.0, 0, True, False), (x, a)
